@@ -20,6 +20,11 @@ Every bound states I_xc(psi) >= RHS(rho_psi).  The implemented family:
   rasanen              -int rho^2 (K1 + ln(K2/(e rho)))      (conjectured,
                        reference only; excluded from the proven set)
 
+``BOUNDS`` is the one table of the family: for each bound the potential
+classes it applies to, its right-hand side, the parameter grid of the
+verification battery, whether it is proven, and whether search incumbents
+are cross-checked against it.  Adding a bound is adding one row.
+
 verify_bound computes LHS = I_xc by quadrature, the RHS from the grid
 profile, and declares the bound to hold when slack = LHS - RHS >= -tol with
 tol = tol_scale * max(|LHS|, |RHS|, N).
@@ -28,7 +33,8 @@ tol = tol_scale * max(|LHS|, |RHS|, N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,10 +50,12 @@ from .potentials import (
     SoftCoulomb,
     certified_constants,
 )
-from .states import DensityProfile, TrialState, density
+from .states import DensityProfile, TrialState, density, trapezoid_richardson
 
 __all__ = [
     "IncompatibleSpec",
+    "BoundDef",
+    "BOUNDS",
     "BoundSpec",
     "BoundReport",
     "EULER_MASCHERONI",
@@ -63,6 +71,7 @@ __all__ = [
     "rhs_rasanen",
     "verify_bound",
     "run_suite",
+    "bound_specs",
     "proven_bound_specs",
     "default_suite_potentials",
     "discrepancy_records",
@@ -70,32 +79,6 @@ __all__ = [
 ]
 
 EULER_MASCHERONI = 0.577
-
-PROVEN_BOUND_IDS = (
-    "contact_direct",
-    "cauchy_schwarz",
-    "maximal_cs",
-    "moment_split",
-    "log_pointwise",
-    "log_global",
-    "lifted",
-    "lundholm",
-    "homogeneous_window",
-)
-
-_COMPATIBLE = {
-    "contact_direct": (Contact,),
-    "cauchy_schwarz": (ApproxContact,),
-    "maximal_cs": (ApproxContact,),
-    "moment_split": (ApproxContact, ConvexSoftCoulomb, RegularizedCoulomb, Homogeneous),
-    "log_pointwise": (ConvexSoftCoulomb, RegularizedCoulomb),
-    "log_global": (ConvexSoftCoulomb, RegularizedCoulomb),
-    "lifted": (ConvexSoftCoulomb, RegularizedCoulomb),
-    "lundholm": (Homogeneous,),
-    "homogeneous_window": (Homogeneous,),
-    "rasanen": (SoftCoulomb,),
-}
-
 
 class IncompatibleSpec(ValueError):
     """Bound and potential (or parameters) do not go together."""
@@ -118,27 +101,24 @@ class BoundSpec:
     k2: float | None = None
 
     def __post_init__(self):
-        if self.bound_id not in _COMPATIBLE:
+        if self.bound_id not in BOUNDS:
             raise IncompatibleSpec(f"unknown bound id {self.bound_id!r}")
-        if not isinstance(self.potential, _COMPATIBLE[self.bound_id]):
+        if not isinstance(self.potential, self.definition.applies_to):
             raise IncompatibleSpec(
                 f"bound {self.bound_id!r} does not apply to {self.potential.family}"
             )
-        if self.bound_id == "moment_split":
-            if self.gamma is None or self.gamma < 0:
-                raise IncompatibleSpec("moment_split needs gamma >= 0")
-            if isinstance(self.potential, Homogeneous) and self.gamma == 0:
-                raise IncompatibleSpec(
-                    "the homogeneous tail moment diverges at gamma = 0"
-                )
-        if self.bound_id == "log_global" and self.alpha is not None and self.alpha <= 0:
-            raise IncompatibleSpec("log_global needs alpha > 0")
-        if self.bound_id == "lifted" and (self.shift is None or self.shift <= 0):
-            raise IncompatibleSpec("lifted needs a positive shift constant")
+        if not self.definition.valid(self):
+            raise IncompatibleSpec(
+                f"bound {self.bound_id!r} rejects parameters ({self.params_label() or 'none'})"
+            )
+
+    @property
+    def definition(self) -> BoundDef:
+        return BOUNDS[self.bound_id]
 
     @property
     def proven(self) -> bool:
-        return self.bound_id != "rasanen"
+        return self.definition.proven
 
     def _constants(self) -> MomentBoundConstants:
         return self.constants or certified_constants(self.potential)["primary"]
@@ -168,7 +148,6 @@ class BoundReport:
     tolerance: float
     status: str
     proven: bool = True
-    extra: dict = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
@@ -185,18 +164,6 @@ class BoundReport:
             "slack": self.slack,
             "status": self.status,
         }
-
-
-def _profile_integral(profile: DensityProfile, values: np.ndarray) -> float:
-    """Trapezoid + one Richardson step for a field sampled on the profile grid."""
-    dx = profile.grid.dx
-    fine = np.trapezoid(values, dx=dx)
-    n = len(values)
-    m = n if n % 2 == 1 else n - 1
-    coarse = np.trapezoid(values[:m:2], dx=2 * dx)
-    if m < n:
-        coarse += 0.5 * dx * (values[m - 1] + values[m])
-    return float(fine + (fine - coarse) / 3.0)
 
 
 def rhs_contact_direct(profile: DensityProfile) -> float:
@@ -235,7 +202,8 @@ def _log_pointwise_field(rho: np.ndarray, constants: MomentBoundConstants) -> np
 
 def rhs_log_pointwise(profile: DensityProfile, constants: MomentBoundConstants) -> float:
     """-8 int rho^2 [A1 + c1 ln(1 + c2 e^-3/rho)], A1 = c1(ln 2 + 3) + c3."""
-    return -8.0 * _profile_integral(profile, _log_pointwise_field(profile.values, constants))
+    field = _log_pointwise_field(profile.values, constants)
+    return -8.0 * trapezoid_richardson(field, profile.grid.dx)
 
 
 def rhs_log_global(
@@ -320,36 +288,107 @@ def rhs_rasanen(
     out = np.zeros_like(rho)
     mask = rho > 0
     out[mask] = rho[mask] ** 2 * (k1 + np.log(k2 / (epsilon * rho[mask])))
-    return -_profile_integral(profile, out)
+    return -trapezoid_richardson(out, profile.grid.dx)
 
 
-def _evaluate_rhs(spec: BoundSpec, profile: DensityProfile):
-    pid = spec.bound_id
-    if pid == "contact_direct":
-        return rhs_contact_direct(profile), {}
-    if pid == "cauchy_schwarz":
-        return rhs_cauchy_schwarz(profile, spec.potential), {}
-    if pid == "maximal_cs":
-        return rhs_maximal_cs(profile, spec.potential), {}
-    if pid == "moment_split":
-        return rhs_moment_split(profile, spec.potential, spec.gamma), {}
-    if pid == "log_pointwise":
-        return rhs_log_pointwise(profile, spec._constants()), {}
-    if pid == "log_global":
-        return rhs_log_global(profile, spec._constants(), spec.alpha), {}
-    if pid == "lifted":
-        return rhs_lifted(profile, spec._constants(), spec.shift), {}
-    if pid == "lundholm":
-        return rhs_lundholm(profile, spec.potential.epsilon), {}
-    if pid == "homogeneous_window":
-        both = rhs_homogeneous_window(profile, spec.potential.epsilon)
-        return both["computed"], {
-            "rhs_stated": both["stated"],
-            "variant_discrepant": both["discrepant"],
-        }
-    if pid == "rasanen":
-        return rhs_rasanen(profile, spec.potential.epsilon, spec.k1, spec.k2), {}
-    raise IncompatibleSpec(f"unknown bound id {pid!r}")
+@dataclass(frozen=True)
+class BoundDef:
+    """One row of the bound table.
+
+    ``rhs(profile, spec)`` is the right-hand side, ``param_grid(potential)``
+    the BoundSpec keyword sets of the verification battery, ``valid(spec)``
+    whether the bound takes the spec's parameters, and ``cross_check`` marks
+    the bounds search incumbents are verified against (default parameters).
+    """
+
+    id: str
+    applies_to: tuple
+    rhs: Callable[[DensityProfile, BoundSpec], float]
+    param_grid: Callable[[Potential], list] = lambda p: [{}]
+    valid: Callable[[BoundSpec], bool] = lambda s: True
+    proven: bool = True
+    cross_check: bool = False
+
+
+def _gamma_sweep(p: Potential) -> list[dict]:
+    # the homogeneous window split is swept at the one exponent eps = 1/2
+    if isinstance(p, Homogeneous) and abs(p.epsilon - 0.5) >= 1e-12:
+        return []
+    return [{"gamma": float(g)} for g in np.geomspace(1e-2, 1e2, 20)]
+
+
+def _valid_gamma(s: BoundSpec) -> bool:
+    # the homogeneous tail moment diverges at gamma = 0
+    if s.gamma is None or s.gamma < 0:
+        return False
+    return s.gamma > 0 or not isinstance(s.potential, Homogeneous)
+
+
+_LOG = (ConvexSoftCoulomb, RegularizedCoulomb)
+
+BOUNDS = {
+    row.id: row
+    for row in (
+        BoundDef(
+            "contact_direct", (Contact,), lambda rho, s: rhs_contact_direct(rho), cross_check=True
+        ),
+        BoundDef(
+            "cauchy_schwarz",
+            (ApproxContact,),
+            lambda rho, s: rhs_cauchy_schwarz(rho, s.potential),
+            cross_check=True,
+        ),
+        BoundDef("maximal_cs", (ApproxContact,), lambda rho, s: rhs_maximal_cs(rho, s.potential)),
+        BoundDef(
+            "moment_split",
+            (ApproxContact, ConvexSoftCoulomb, RegularizedCoulomb, Homogeneous),
+            lambda rho, s: rhs_moment_split(rho, s.potential, s.gamma),
+            param_grid=_gamma_sweep,
+            valid=_valid_gamma,
+        ),
+        BoundDef(
+            "log_pointwise",
+            _LOG,
+            lambda rho, s: rhs_log_pointwise(rho, s._constants()),
+            cross_check=True,
+        ),
+        BoundDef(
+            "log_global",
+            _LOG,
+            lambda rho, s: rhs_log_global(rho, s._constants(), s.alpha),
+            param_grid=lambda p: [{"alpha": a} for a in (0.1, 1.0, 10.0, None)],
+            valid=lambda s: s.alpha is None or s.alpha > 0,
+            cross_check=True,
+        ),
+        BoundDef(
+            "lifted",
+            _LOG,
+            lambda rho, s: rhs_lifted(rho, s._constants(), s.shift),
+            param_grid=lambda p: [{"shift": c} for c in (0.5, 2.0)],
+            valid=lambda s: s.shift is not None and s.shift > 0,
+        ),
+        BoundDef(
+            "lundholm",
+            (Homogeneous,),
+            lambda rho, s: rhs_lundholm(rho, s.potential.epsilon),
+            cross_check=True,
+        ),
+        BoundDef(
+            "homogeneous_window",
+            (Homogeneous,),
+            lambda rho, s: rhs_homogeneous_window(rho, s.potential.epsilon)["computed"],
+            cross_check=True,
+        ),
+        BoundDef(
+            "rasanen",
+            (SoftCoulomb,),
+            lambda rho, s: rhs_rasanen(rho, s.potential.epsilon, s.k1, s.k2),
+            proven=False,
+        ),
+    )
+}
+
+PROVEN_BOUND_IDS = tuple(row.id for row in BOUNDS.values() if row.proven)
 
 
 def verify_bound(
@@ -365,7 +404,7 @@ def verify_bound(
     if breakdown is None:
         breakdown = interaction_energies(state, [spec.potential])[0]
     lhs = breakdown.i_xc
-    rhs, extra = _evaluate_rhs(spec, profile)
+    rhs = spec.definition.rhs(profile, spec)
     slack = lhs - rhs
     tol = tol_scale * max(abs(lhs), abs(rhs), float(state.n_particles))
     status = "holds" if slack >= -tol else "violated"
@@ -380,11 +419,11 @@ def verify_bound(
         tolerance=tol,
         status=status,
         proven=spec.proven,
-        extra=extra,
     )
 
 
 def default_suite_potentials() -> dict:
+    """The potentials every table row is evaluated on (where it applies)."""
     return {
         "contact": Contact(),
         "approx_contact": ApproxContact(0.5),
@@ -393,37 +432,30 @@ def default_suite_potentials() -> dict:
         "homogeneous_0.1": Homogeneous(0.1),
         "homogeneous_0.5": Homogeneous(0.5),
         "homogeneous_0.9": Homogeneous(0.9),
+        "soft_coulomb": SoftCoulomb(1.0),
     }
 
 
-def proven_bound_specs(
-    potentials: dict | None = None,
-    gamma_grid=None,
-    alphas=(0.1, 1.0, 10.0, None),
-    shifts=(0.5, 2.0),
-) -> list[BoundSpec]:
-    """The proven-bound battery run against every suite state."""
-    pots = potentials or default_suite_potentials()
-    gammas = np.geomspace(1e-2, 1e2, 20) if gamma_grid is None else np.asarray(gamma_grid)
+def bound_specs(potentials: dict | None = None) -> list[BoundSpec]:
+    """Every table row over its parameter grid, for each potential it applies to.
+
+    Per potential, its own bounds come first and the bounds shared with more
+    families (the window split) last.
+    """
     specs: list[BoundSpec] = []
-    for p in pots.values():
-        if isinstance(p, Contact):
-            specs.append(BoundSpec("contact_direct", p))
-        elif isinstance(p, ApproxContact):
-            specs.append(BoundSpec("cauchy_schwarz", p))
-            specs.append(BoundSpec("maximal_cs", p))
-            specs.extend(BoundSpec("moment_split", p, gamma=float(g)) for g in gammas)
-        elif isinstance(p, (ConvexSoftCoulomb, RegularizedCoulomb)):
-            specs.append(BoundSpec("log_pointwise", p))
-            specs.extend(BoundSpec("log_global", p, alpha=a) for a in alphas)
-            specs.extend(BoundSpec("lifted", p, shift=c) for c in shifts)
-            specs.extend(BoundSpec("moment_split", p, gamma=float(g)) for g in gammas)
-        elif isinstance(p, Homogeneous):
-            specs.append(BoundSpec("lundholm", p))
-            specs.append(BoundSpec("homogeneous_window", p))
-            if abs(p.epsilon - 0.5) < 1e-12:
-                specs.extend(BoundSpec("moment_split", p, gamma=float(g)) for g in gammas)
+    for p in (potentials or default_suite_potentials()).values():
+        rows = sorted(
+            (row for row in BOUNDS.values() if isinstance(p, row.applies_to)),
+            key=lambda row: len(row.applies_to),
+        )
+        for row in rows:
+            specs.extend(BoundSpec(row.id, p, **params) for params in row.param_grid(p))
     return specs
+
+
+def proven_bound_specs(potentials: dict | None = None) -> list[BoundSpec]:
+    """The proven-bound battery run against every suite state."""
+    return [spec for spec in bound_specs(potentials) if spec.proven]
 
 
 def run_suite(

@@ -64,6 +64,23 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value, name: str, kind=int, minimum=None):
+    """``kind(value)``, at least ``minimum``; anything else is a ConfigError."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if minimum is not None and not number >= minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    return number
+
+
+def _names(value, name: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{name} must be a list of names, got {value!r}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
@@ -75,7 +92,9 @@ def _load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         for key, value in user.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
+            if isinstance(config.get(key), dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section {key!r} must be a JSON object")
                 config[key].update(value)
             else:
                 config[key] = value
@@ -100,37 +119,38 @@ def _verify_chunk(payload):
 
 def cmd_verify(config, jobs: int = 1) -> int:
     section = config["verify"]
-    requested = list(section.get("bounds", bounds_mod.PROVEN_BOUND_IDS))
-    unknown = [b for b in requested if b not in bounds_mod.PROVEN_BOUND_IDS + ("rasanen",)]
+    requested = _names(section["bounds"], "verify.bounds")
+    unknown = [b for b in requested if b not in bounds_mod.BOUNDS]
     if unknown:
         raise ConfigError(f"unknown bounds in config: {unknown}")
-    if "rasanen" in requested:
+    conjectured = [b for b in requested if not bounds_mod.BOUNDS[b].proven]
+    if conjectured:
         raise ConfigError(
-            "the rasanen bound is conjectured, not proven; it cannot join the "
-            "verification suite (it is evaluated by 'moments' reports instead)"
+            f"conjectured bounds {conjectured} cannot join the verification suite "
+            "(verify reports them in reference_bounds.csv instead)"
         )
-    states = random_state_suite(int(section["n_states"]), int(config["seed"]))
-    specs = [s for s in bounds_mod.proven_bound_specs() if s.bound_id in requested]
-    tol = float(config["tolerance"])
+    n_states = _number(section["n_states"], "verify.n_states", minimum=0)
+    states = random_state_suite(n_states, config["seed"])
+    # the conjectured forms ride along for reference only; their status never
+    # enters the exit code
+    specs = [s for s in bounds_mod.bound_specs() if s.bound_id in requested or not s.proven]
+    tol = _number(config["tolerance"], "tolerance", float, minimum=0.0)
 
     if jobs > 1 and len(states) > 1:
         chunks = [states[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_verify_chunk, [(c, specs, tol) for c in chunks if c]))
-        reports = [r for part in parts for r in part]
-        reports.sort(key=lambda r: (r.state_id, r.bound_id, r.potential, r.params))
+        everything = [r for part in parts for r in part]
+        everything.sort(key=lambda r: (r.state_id, r.bound_id, r.potential, r.params))
     else:
-        reports = bounds_mod.run_suite(states, specs, tol_scale=tol)
+        everything = bounds_mod.run_suite(states, specs, tol_scale=tol)
+    reports = [r for r in everything if r.proven]
+    ref_reports = [r for r in everything if not r.proven]
 
     out = _out_dir(config)
     records = [r.to_record() for r in reports]
     report_mod.write_reports(records, "csv", out / "bound_reports.csv")
     report_mod.write_reports(records, "jsonl", out / "bound_reports.jsonl")
-
-    # the conjectured soft-Coulomb form is evaluated for reference only;
-    # its status never enters the exit code
-    ref_specs = [bounds_mod.BoundSpec("rasanen", potentials_mod.SoftCoulomb(1.0))]
-    ref_reports = bounds_mod.run_suite(states, ref_specs, tol_scale=tol) if states else []
     report_mod.write_reports(
         [r.to_record() for r in ref_reports], "csv", out / "reference_bounds.csv"
     )
@@ -143,11 +163,11 @@ def cmd_verify(config, jobs: int = 1) -> int:
         failures += bad
         worst = min(r.slack for r in sub)
         print(f"{'FAIL' if bad else 'PASS'} {bound_id}: {len(sub)} checks, min slack {worst:.3e}")
-    if ref_reports:
-        held = sum(r.holds for r in ref_reports)
+    for bound_id in sorted({r.bound_id for r in ref_reports}):
+        sub = [r for r in ref_reports if r.bound_id == bound_id]
         print(
-            f"NOTE rasanen (conjectured, reference only): held on "
-            f"{held}/{len(ref_reports)} states"
+            f"NOTE {bound_id} (conjectured, reference only): held on "
+            f"{sum(r.holds for r in sub)}/{len(sub)} states"
         )
     print(f"wrote {len(records)} reports to {out}")
     return 1 if failures else 0
@@ -157,13 +177,13 @@ def cmd_moments(config, jobs: int = 1) -> int:
     section = config["moments"]
     out = _out_dir(config)
     lo, hi = section["gamma_span"]
-    n_gamma = int(section["n_gamma"])
+    n_gamma = _number(section["n_gamma"], "moments.n_gamma", minimum=1)
     rows, failures = [], 0
     for family in section["families"]:
+        # unknown families (bare Coulomb included) get their error from from_config
+        names = potentials_mod._FAMILY_MAP.get(family, (None, ()))[1]
         for param in section["parameters"]:
-            pot = potentials_mod.from_config(
-                {"family": family, "params": _family_params(family, param)}
-            )
+            pot = potentials_mod.from_config({"family": family, "params": dict.fromkeys(names, param)})
             grid = np.geomspace(lo * pot.length_scale, hi * pot.length_scale, n_gamma)
             for variant, constants in potentials_mod.certified_constants(pot).items():
                 try:
@@ -207,29 +227,16 @@ def cmd_moments(config, jobs: int = 1) -> int:
     return 1 if failures else 0
 
 
-def _family_params(family: str, param: float) -> dict:
-    names = {
-        "approx_contact": "sigma",
-        "soft_coulomb": "epsilon",
-        "convex_soft_coulomb": "epsilon",
-        "regularized_coulomb": "beta",
-        "homogeneous": "epsilon",
-    }
-    if family == "contact":
-        return {}
-    if family not in names:
-        # let potentials.from_config produce the canonical error (e.g. bare Coulomb)
-        return {}
-    return {names[family]: param}
-
-
 def cmd_optimize(config, jobs: int = 1) -> int:
     section = config["optimize"]
-    out = _out_dir(config)
+    families = _names(section["families"], "optimize.families")
+    unknown = [f for f in families if f not in explore_mod.TEMPLATE_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown optimize families: {unknown}")
+    budget = _number(section["budget"], "optimize.budget", minimum=explore_mod.MIN_BUDGET)
     potentials = [potentials_mod.from_config(entry) for entry in section["potentials"]]
-    rows = explore_mod.constant_table(
-        potentials, list(section["families"]), int(section["budget"]), int(config["seed"])
-    )
+    out = _out_dir(config)
+    rows = explore_mod.constant_table(potentials, families, budget, config["seed"])
     report_mod.write_reports(rows, "csv", out / "constant_table.csv")
     report_mod.write_reports(rows, "jsonl", out / "constant_table.jsonl")
     _write_manifest(config, out)
@@ -243,8 +250,8 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
     section = config["hubbard"]
     out = _out_dir(config)
     t = float(section["t"])
-    n_vals = np.linspace(0.0, 1.0, int(section["n_grid"]))
-    k_vals = np.linspace(1.0, 2.0, int(section["kappa_grid"]))
+    n_vals = np.linspace(0.0, 1.0, _number(section["n_grid"], "hubbard.n_grid", minimum=1))
+    k_vals = np.linspace(1.0, 2.0, _number(section["kappa_grid"], "hubbard.kappa_grid", minimum=1))
     f_grid = hubbard_mod.energy_excess_factor(n_vals[:, None], k_vals[None, :])
     min_f = float(np.min(f_grid))
 
@@ -267,9 +274,9 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
             )
     report_mod.write_reports(rows, "csv", out / "hubbard_grid.csv")
 
-    rng = rng_stream(int(config["seed"]), 7)
+    rng = rng_stream(config["seed"], 7)
     min_slack = math.inf
-    for _ in range(int(section["n_occupations"])):
+    for _ in range(_number(section["n_occupations"], "hubbard.n_occupations", minimum=0)):
         occ = hubbard_mod.OccupationVector(tuple(rng.uniform(0, 2, size=int(rng.integers(1, 13)))))
         rep = hubbard_mod.verify_site_occupation_bound(
             occ, t, float(rng.uniform(0, 8)), float(rng.uniform(1, 2))
@@ -297,10 +304,10 @@ def cmd_maximal(config, jobs: int = 1) -> int:
     out = _out_dir(config)
     p = float(section["p"])
     bound = maximal_operator_norm_bound(p)
-    rng = rng_stream(int(config["seed"]), 3)
-    n_pts = int(section["grid_points"])
+    rng = rng_stream(config["seed"], 3)
+    n_pts = _number(section["grid_points"], "maximal.grid_points", minimum=2)
     rows, failures = [], 0
-    for k in range(int(section["n_profiles"])):
+    for k in range(_number(section["n_profiles"], "maximal.n_profiles", minimum=1)):
         grid = UniformGrid(-10.0, 20.0 / (n_pts - 1), n_pts)
         bumps = sum(
             a * np.exp(-((grid.x - c) ** 2) / (2 * w**2))
@@ -352,6 +359,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
+        config["seed"] = _number(config["seed"], "seed", minimum=0)
         if args.out is not None:
             config["out"] = args.out
         if args.tolerance is not None:

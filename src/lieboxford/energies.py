@@ -1,5 +1,9 @@
 """Interaction energies: pair expectation, Hartree term, indirect energy.
 
+Two entry points: ``interaction_energies(state, potentials)`` prices a whole
+batch of potentials for one state, and ``indirect_energy(state, p)`` is its
+single-potential form.  Both return EnergyBreakdown records.
+
 Everything reduces to one-dimensional integrals in the separation coordinate
 u = x - y:
 
@@ -29,16 +33,12 @@ from scipy.interpolate import CubicSpline
 
 from .numerics import Interval, QuadratureSpec, integrate_1d, integrate_1d_with_error
 from .potentials import Contact, Potential
-from .states import DensityProfile, TrialState, density
+from .states import TrialState
 
 __all__ = [
     "EnergyBreakdown",
-    "interaction_expectation",
-    "hartree",
     "indirect_energy",
     "interaction_energies",
-    "window_mass",
-    "expectation_via_2d",
 ]
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -53,24 +53,12 @@ class EnergyBreakdown:
     i_xc: float
     quadrature_error_estimate: float
 
-    def to_record(self) -> dict:
-        return {
-            "expectation_v": self.expectation_v,
-            "hartree": self.hartree,
-            "i_xc": self.i_xc,
-            "err": self.quadrature_error_estimate,
-        }
-
 
 def _support(state: TrialState) -> Interval:
     return Interval(
         state.grid_center - state.grid_halfwidth,
         state.grid_center + state.grid_halfwidth,
     )
-
-
-def _is_contact(p: Potential) -> bool:
-    return isinstance(p, Contact)
 
 
 def pair_separation_density(state: TrialState, spec: QuadratureSpec):
@@ -112,7 +100,7 @@ def _contact_expectation(state: TrialState, spec: QuadratureSpec):
 
 def _separation_grid(state, span: float) -> np.ndarray:
     """Dense u nodes for interpolating h and C: fine near contact, coarse far."""
-    fine = getattr(state, "feature_scale", state.grid_halfwidth / 12.0)
+    fine = state.feature_scale
     coarse = state.grid_halfwidth / 12.0
     lead = min(10.0 * fine, span)
     head = np.linspace(0.0, lead, 1001)
@@ -180,50 +168,6 @@ def _batched_energies(state, pointwise, spec):
     return exp_vals, har_vals, err
 
 
-def interaction_expectation(
-    state: TrialState, p: Potential, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """<psi| sum_{i<j} v(|x_i - x_j|) |psi>."""
-    if _is_contact(p):
-        return float(_contact_expectation(state, spec)[0])
-    exp_vals, _, _ = _batched_energies(state, [p], spec)
-    return float(exp_vals[0])
-
-
-def hartree(target, p: Potential, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """D(rho, rho) = (1/2) iint rho(x) rho(y) v(|x-y|) dx dy.
-
-    ``target`` may be a TrialState (analytic density) or a DensityProfile
-    (cubic-spline interpolant of the samples, zero outside the grid).
-    """
-    if isinstance(target, DensityProfile):
-        state = _ProfileDensity(target)
-    else:
-        state = target
-    if _is_contact(p):
-        box = _support(state)
-        val = integrate_1d(lambda x: 0.5 * state.rho(x) ** 2, box, spec)
-        return float(val)
-    c = density_autocorrelation(state, spec)
-    box = _support(state)
-    span = box.hi - box.lo
-    val, _ = _integrate_separation(lambda u: c(u), span, p, spec)
-    return val
-
-
-class _ProfileDensity:
-    """Adapter giving a grid profile the density surface of a state."""
-
-    def __init__(self, profile: DensityProfile):
-        self._spline = CubicSpline(profile.x, profile.values, extrapolate=False)
-        self.grid_center = 0.5 * (profile.grid.x0 + profile.grid.hi)
-        self.grid_halfwidth = 0.5 * (profile.grid.hi - profile.grid.x0)
-        self.n_particles = profile.n_particles
-
-    def rho(self, x):
-        return np.nan_to_num(self._spline(np.asarray(x, dtype=float)), nan=0.0)
-
-
 def indirect_energy(
     state: TrialState, p: Potential, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> EnergyBreakdown:
@@ -236,66 +180,21 @@ def interaction_energies(
 ) -> list[EnergyBreakdown]:
     """Breakdowns for many potentials, sharing the adaptive passes."""
     potentials = list(potentials)
-    pointwise = [p for p in potentials if not _is_contact(p)]
+    pointwise = [p for p in potentials if not isinstance(p, Contact)]
     exp_vals, har_vals, batch_err = _batched_energies(state, pointwise, spec)
 
     contact_cache = None
     out = []
     k = 0
     for p in potentials:
-        if _is_contact(p):
+        if isinstance(p, Contact):
             if contact_cache is None:
                 cexp, cerr = _contact_expectation(state, spec)
-                chart = hartree(state, p, spec)
-                contact_cache = (float(cexp), chart, float(np.max(cerr)))
+                chart = integrate_1d(lambda x: 0.5 * state.rho(x) ** 2, _support(state), spec)
+                contact_cache = (float(cexp), float(chart), float(np.max(cerr)))
             expectation, har, err = contact_cache
         else:
             expectation, har, err = float(exp_vals[k]), float(har_vals[k]), batch_err
             k += 1
         out.append(EnergyBreakdown(expectation, har, expectation - har, err))
     return out
-
-
-def window_mass(state: TrialState, r: float, z, profile: DensityProfile | None = None):
-    """alpha(r, z) = int_{z-r}^{z+r} rho(x) dx, the windowed density mass.
-
-    Cross-validation oracle for the Cauchy-Schwarz step of the two-moment
-    bound: int alpha(r, z)^2 dz <= (2r)^2 int rho^2.  Exact for the
-    piecewise-linear interpolant of the profile.  Vectorized over z.
-    """
-    if r < 0:
-        raise ValueError("window radius must be nonnegative")
-    prof = profile if profile is not None else density(state)
-    x = prof.x
-    vals = prof.values
-    dx = prof.grid.dx
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))])
-
-    def cum_at(t):
-        t = np.clip(t, x[0], x[-1])
-        j = np.clip(((t - x[0]) / dx).astype(int), 0, len(x) - 2)
-        frac = t - x[j]
-        rho_t = vals[j] + (vals[j + 1] - vals[j]) * frac / dx
-        return cum[j] + 0.5 * frac * (vals[j] + rho_t)
-
-    z = np.asarray(z, dtype=float)
-    return (cum_at(z + r) - cum_at(z - r))[()]
-
-
-def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | None = None):
-    """Direct 2D-quadrature cross-check of the expectation for N = 2.
-
-    Integrates |psi(x, y)|^2 v(|x - y|) on the support square; kept as the
-    independent dual route to the separation-coordinate evaluation.
-    """
-    from .numerics import integrate_2d
-
-    if state.n_particles != 2:
-        raise ValueError("2D cross-check applies to two particles")
-    spec = spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
-    box = _support(state)
-
-    def f(x, y):
-        return 0.5 * state.rho2(x, y) * p.value(np.abs(x - y))
-
-    return integrate_2d(f, box, box, spec)

@@ -18,17 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundSpec, rhs_log_pointwise, verify_bound
-from .energies import indirect_energy
+from .bounds import BOUNDS, BoundSpec, verify_bound
+from .energies import EnergyBreakdown, indirect_energy
 from .numerics import Interval, QuadratureSpec, integrate_1d, rng_stream
-from .potentials import (
-    ApproxContact,
-    Contact,
-    ConvexSoftCoulomb,
-    Homogeneous,
-    Potential,
-    RegularizedCoulomb,
-)
+from .potentials import Potential
 from .states import (
     CorrelatedGaussianPair,
     GaussianProduct,
@@ -46,7 +39,10 @@ __all__ = [
     "constant_table",
     "template_by_name",
     "TEMPLATE_NAMES",
+    "MIN_BUDGET",
 ]
+
+MIN_BUDGET = 50
 
 
 class ObjectiveEvaluationFailed(RuntimeError):
@@ -75,8 +71,8 @@ class SearchProblem:
     budget: int = 1000
 
     def __post_init__(self):
-        if self.budget < 50:
-            raise ValueError("budget must be at least 50 evaluations")
+        if self.budget < MIN_BUDGET:
+            raise ValueError(f"budget must be at least {MIN_BUDGET} evaluations")
 
 
 @dataclass
@@ -86,6 +82,7 @@ class SearchResult:
     evaluations_used: int
     trace: list = field(default_factory=list)  # (theta, ratio) incumbents
     cross_check_failures: list = field(default_factory=list)
+    best_breakdown: EnergyBreakdown | None = None  # the incumbent's energies
 
     def to_record(self, problem: SearchProblem) -> dict:
         return {
@@ -109,21 +106,6 @@ def _ratio(state: TrialState, potential: Potential) -> tuple:
     breakdown = indirect_energy(state, potential)
     rho_sq = _density_square(state)
     return -breakdown.i_xc / rho_sq, breakdown
-
-
-def _check_specs(potential: Potential) -> list[BoundSpec]:
-    if isinstance(potential, Contact):
-        return [BoundSpec("contact_direct", potential)]
-    if isinstance(potential, ApproxContact):
-        return [BoundSpec("cauchy_schwarz", potential)]
-    if isinstance(potential, (ConvexSoftCoulomb, RegularizedCoulomb)):
-        return [BoundSpec("log_pointwise", potential), BoundSpec("log_global", potential)]
-    if isinstance(potential, Homogeneous):
-        return [
-            BoundSpec("lundholm", potential),
-            BoundSpec("homogeneous_window", potential),
-        ]
-    return []
 
 
 def _nelder_mead(f, x0, lo, hi, max_evals):
@@ -202,7 +184,11 @@ def maximize_ratio(problem: SearchProblem, seed: int, cross_check: bool = True) 
     """
     lo = np.array([b[0] for b in problem.template.bounds], dtype=float)
     hi = np.array([b[1] for b in problem.template.bounds], dtype=float)
-    check_specs = _check_specs(problem.potential) if cross_check else []
+    check_specs = [
+        BoundSpec(row.id, problem.potential)
+        for row in BOUNDS.values()
+        if cross_check and row.cross_check and isinstance(problem.potential, row.applies_to)
+    ]
 
     result = SearchResult(best_theta=(), best_ratio=-math.inf, evaluations_used=0)
 
@@ -220,6 +206,7 @@ def maximize_ratio(problem: SearchProblem, seed: int, cross_check: bool = True) 
         if ratio > result.best_ratio:
             result.best_ratio = ratio
             result.best_theta = theta
+            result.best_breakdown = breakdown
             result.trace.append((theta, ratio))
             for spec in check_specs:
                 report = verify_bound(state, spec, breakdown=breakdown)
@@ -299,6 +286,7 @@ def constant_table(potentials, families, budget: int, seed: int) -> list[dict]:
     reports the fraction of that proven bound actually used by the best
     state (in [0, 1]; 1 would mean saturation).
     """
+    log_bound = BOUNDS["log_pointwise"]
     rows = []
     for pot_idx, potential in enumerate(potentials):
         for fam_idx, family in enumerate(families):
@@ -307,12 +295,9 @@ def constant_table(potentials, families, budget: int, seed: int) -> list[dict]:
             res = maximize_ratio(problem, seed + 1000 * pot_idx + fam_idx)
             row = res.to_record(problem)
             row["proven_bound_fraction"] = ""
-            if isinstance(potential, (ConvexSoftCoulomb, RegularizedCoulomb)) and res.best_theta:
-                state = template.build(res.best_theta)
-                breakdown = indirect_energy(state, potential)
-                from .potentials import certified_constants
-
-                rhs = rhs_log_pointwise(density(state), certified_constants(potential)["primary"])
-                row["proven_bound_fraction"] = breakdown.i_xc / rhs
+            if isinstance(potential, log_bound.applies_to) and res.best_theta:
+                profile = density(template.build(res.best_theta))
+                rhs = log_bound.rhs(profile, BoundSpec(log_bound.id, potential))
+                row["proven_bound_fraction"] = res.best_breakdown.i_xc / rhs
             rows.append(row)
     return rows

@@ -30,7 +30,6 @@ __all__ = [
     "NoBracket",
     "integrate_1d",
     "integrate_1d_with_error",
-    "integrate_2d",
     "erfcx",
     "erfcx_sandwich",
     "find_root",
@@ -246,28 +245,6 @@ def integrate_1d(f, domain, spec: QuadratureSpec | None = None):
     """Adaptive 1D integral of ``f`` over ``domain`` (see module docstring)."""
     value, _ = integrate_1d_with_error(f, domain, spec)
     return value
-
-
-def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):
-    """Nested adaptive 2D integral of ``f(x, y)``.
-
-    The outer integral runs over y, the inner over x with tightened
-    tolerances.  ``f`` must broadcast over an array first argument with a
-    scalar second argument.  Integrands singular on sets of measure zero
-    (e.g. a log singularity on the diagonal) are handled by subdivision;
-    genuinely distributional kernels (delta-like contact terms) are out of
-    scope and are treated analytically by their callers.
-    """
-    spec = spec or QuadratureSpec()
-    inner_spec = spec.tightened()
-
-    def outer(ys):
-        ys = np.atleast_1d(ys)
-        return np.array(
-            [integrate_1d(lambda x, _y=y: f(x, _y), domain_x, inner_spec) for y in ys]
-        )
-
-    return integrate_1d(outer, domain_y, spec)
 
 
 def erfcx(x):

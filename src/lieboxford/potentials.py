@@ -48,7 +48,6 @@ __all__ = [
     "ConvexSoftCoulomb",
     "RegularizedCoulomb",
     "Homogeneous",
-    "ShiftedPotential",
     "MomentBoundConstants",
     "MomentCertification",
     "ContactNotPointwise",
@@ -397,38 +396,6 @@ class Homogeneous(Potential):
             raise ValueError("tail moment of the homogeneous potential requires gamma > 0")
         e = self.epsilon
         return ((2.0 - e) * g ** (e - 1.0))[()]
-
-
-@dataclass(frozen=True)
-class ShiftedPotential(Potential):
-    """v - c: constant downshift used by the lifted quadratic bounds.
-
-    Pointwise values and derivatives pass through (derivatives unchanged);
-    moments and integrals are not defined for the shifted object.
-    """
-
-    base: Potential
-    c: float
-    family = "shifted"
-
-    def value(self, r):
-        return self.base.value(r) - self.c
-
-    def deriv1(self, r):
-        return self.base.deriv1(r)
-
-    def deriv2(self, r):
-        return self.base.deriv2(r)
-
-    @property
-    def length_scale(self) -> float:
-        return self.base.length_scale
-
-    def to_config(self) -> dict:
-        return {"family": self.family, "params": {"base": self.base.to_config(), "c": self.c}}
-
-    def label(self) -> str:
-        return f"shifted({self.base.label()},c={self.c:g})"
 
 
 @dataclass(frozen=True)

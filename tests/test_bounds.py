@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lieboxford.bounds import (
+    BOUNDS,
+    PROVEN_BOUND_IDS,
     BoundSpec,
     IncompatibleSpec,
     default_suite_potentials,
@@ -35,6 +37,7 @@ from lieboxford.potentials import (
     SoftCoulomb,
     certified_constants,
 )
+from oracles import ShiftedPotential
 from lieboxford.states import (
     DensityProfile,
     GaussianProduct,
@@ -181,6 +184,93 @@ class TestBoundSpecValidation:
         spec = BoundSpec("rasanen", SoftCoulomb(1.0))
         assert not spec.proven
         assert BoundSpec("contact_direct", Contact()).proven
+
+
+# Which bound applies to which potential family, as the table stated it when
+# it replaced the per-bound isinstance checks.
+APPLICABILITY = {
+    "contact_direct": {"contact"},
+    "cauchy_schwarz": {"approx_contact"},
+    "maximal_cs": {"approx_contact"},
+    "moment_split": {"approx_contact", "convex_soft_coulomb", "regularized_coulomb", "homogeneous"},
+    "log_pointwise": {"convex_soft_coulomb", "regularized_coulomb"},
+    "log_global": {"convex_soft_coulomb", "regularized_coulomb"},
+    "lifted": {"convex_soft_coulomb", "regularized_coulomb"},
+    "lundholm": {"homogeneous"},
+    "homogeneous_window": {"homogeneous"},
+    "rasanen": {"soft_coulomb"},
+}
+VALID_PARAMS = {"moment_split": {"gamma": 1.0}, "lifted": {"shift": 1.0}}
+
+GAMMA_LABELS = [
+    f"gamma={g}"
+    for g in (
+        "0.01", "0.0162378", "0.0263665", "0.0428133", "0.0695193", "0.112884", "0.183298",
+        "0.297635", "0.483293", "0.78476", "1.27427", "2.06914", "3.35982", "5.45559",
+        "8.85867", "14.3845", "23.3572", "37.9269", "61.5848", "100",
+    )
+]
+
+
+def _log_battery(label):
+    return (
+        [("log_pointwise", label, "")]
+        + [("log_global", label, f"alpha={a}") for a in ("0.1", "1", "10", "N")]
+        + [("lifted", label, "c=0.5"), ("lifted", label, "c=2")]
+        + [("moment_split", label, g) for g in GAMMA_LABELS]
+    )
+
+
+def _homogeneous_battery(eps, sweep=False):
+    label = f"homogeneous(epsilon={eps})"
+    rows = [("lundholm", label, ""), ("homogeneous_window", label, "")]
+    return rows + ([("moment_split", label, g) for g in GAMMA_LABELS] if sweep else [])
+
+
+# the proven battery in order: (bound_id, potential label, params label)
+PINNED_BATTERY = (
+    [
+        ("contact_direct", "contact()", ""),
+        ("cauchy_schwarz", "approx_contact(sigma=0.5)", ""),
+        ("maximal_cs", "approx_contact(sigma=0.5)", ""),
+    ]
+    + [("moment_split", "approx_contact(sigma=0.5)", g) for g in GAMMA_LABELS]
+    + _log_battery("convex_soft_coulomb(epsilon=1)")
+    + _log_battery("regularized_coulomb(beta=1)")
+    + _homogeneous_battery("0.1")
+    + _homogeneous_battery("0.5", sweep=True)
+    + _homogeneous_battery("0.9")
+)
+
+
+class TestBoundTable:
+    def test_proven_battery_is_pinned(self):
+        got = [(s.bound_id, s.potential.label(), s.params_label()) for s in proven_bound_specs()]
+        assert len(PINNED_BATTERY) == 103
+        assert got == PINNED_BATTERY
+
+    def test_proven_ids_keep_their_order(self):
+        assert PROVEN_BOUND_IDS == (
+            "contact_direct", "cauchy_schwarz", "maximal_cs", "moment_split",
+            "log_pointwise", "log_global", "lifted", "lundholm", "homogeneous_window",
+        )
+        assert [row.id for row in BOUNDS.values() if not row.proven] == ["rasanen"]
+
+    def test_applicability_per_family(self):
+        potentials = [
+            Contact(), ApproxContact(0.5), SoftCoulomb(1.0), ConvexSoftCoulomb(1.0),
+            RegularizedCoulomb(1.0), Homogeneous(0.5), ShiftedPotential(SoftCoulomb(1.0), 0.5),
+        ]
+        accepted = {}
+        for bound_id in BOUNDS:
+            accepted[bound_id] = set()
+            for p in potentials:
+                try:
+                    BoundSpec(bound_id, p, **VALID_PARAMS.get(bound_id, {}))
+                except IncompatibleSpec:
+                    continue
+                accepted[bound_id].add(p.family)
+        assert accepted == APPLICABILITY
 
 
 class TestVerify:

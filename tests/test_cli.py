@@ -1,7 +1,10 @@
+import csv
+import dataclasses
 import json
 
 import pytest
 
+from lieboxford import bounds
 from lieboxford.cli import main
 
 
@@ -95,6 +98,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["verify", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("verify", {"seed": "x"}),
+            ("verify", {"verify": {"n_states": "abc"}}),
+            ("verify", {"verify": {"n_states": -3}}),
+            ("optimize", {"optimize": {"families": ["nope"]}}),
+            ("optimize", {"optimize": {"budget": 10}}),
+            ("maximal", {"maximal": {"n_profiles": 0}}),
+        ],
+    )
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_reference_violation_keeps_exit_zero(self, tmp_path, monkeypatch, capsys):
+        row = dataclasses.replace(bounds.BOUNDS["rasanen"], rhs=lambda profile, spec: 1e9)
+        monkeypatch.setitem(bounds.BOUNDS, "rasanen", row)
+        cfg = write_config(tmp_path, verify={"n_states": 2, "bounds": ["contact_direct"]})
+        assert main(["verify", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "reference_bounds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(r["state_id"] for r in rows) == ["s000", "s001"]
+        assert {r["status"] for r in rows} == {"violated"}
+        assert "held on 0/2 states" in capsys.readouterr().out
 
 
 class TestDeterminism:

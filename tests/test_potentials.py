@@ -15,7 +15,6 @@ from lieboxford.potentials import (
     Homogeneous,
     MomentBoundConstants,
     RegularizedCoulomb,
-    ShiftedPotential,
     SoftCoulomb,
     UnsupportedPotential,
     certified_constants,
@@ -24,6 +23,7 @@ from lieboxford.potentials import (
     fit_constants,
     from_config,
 )
+from oracles import ShiftedPotential
 
 SMOOTH_FAMILIES = [
     lambda p: SoftCoulomb(p),
