@@ -93,12 +93,9 @@ class BoundSpec:
 
     bound_id: str
     potential: Potential
-    constants: MomentBoundConstants | None = None
     gamma: float | None = None
     alpha: float | None = None
     shift: float | None = None
-    k1: float | None = None
-    k2: float | None = None
 
     def __post_init__(self):
         if self.bound_id not in BOUNDS:
@@ -120,9 +117,6 @@ class BoundSpec:
     def proven(self) -> bool:
         return self.definition.proven
 
-    def _constants(self) -> MomentBoundConstants:
-        return self.constants or certified_constants(self.potential)["primary"]
-
     def params_label(self) -> str:
         parts = []
         if self.gamma is not None:
@@ -131,8 +125,6 @@ class BoundSpec:
             parts.append("alpha=N" if self.alpha is None else f"alpha={self.alpha:.6g}")
         if self.shift is not None:
             parts.append(f"c={self.shift:.6g}")
-        if self.k1 is not None:
-            parts.append(f"K1={self.k1:.6g}")
         return ",".join(parts)
 
 
@@ -271,19 +263,13 @@ def rhs_homogeneous_window(profile: DensityProfile, epsilon: float) -> dict:
     }
 
 
-def rhs_rasanen(
-    profile: DensityProfile,
-    epsilon: float,
-    k1: float | None = None,
-    k2: float | None = None,
-) -> float:
+def rhs_rasanen(profile: DensityProfile, epsilon: float) -> float:
     """Conjectured soft-Coulomb reference bound -int rho^2 (K1 + ln(K2/(eps rho))).
 
-    Reference only (its integrand changes sign for large rho); never part of
-    the proven verification set.
+    K1 = 3/2 - gamma_E and K2 = 2/pi.  Reference only (its integrand changes
+    sign for large rho); never part of the proven verification set.
     """
-    k1 = (1.5 - EULER_MASCHERONI) if k1 is None else k1
-    k2 = (2.0 / math.pi) if k2 is None else k2
+    k1, k2 = 1.5 - EULER_MASCHERONI, 2.0 / math.pi
     rho = profile.values
     out = np.zeros_like(rho)
     mask = rho > 0
@@ -324,6 +310,10 @@ def _valid_gamma(s: BoundSpec) -> bool:
     return s.gamma > 0 or not isinstance(s.potential, Homogeneous)
 
 
+def _primary(s: BoundSpec) -> MomentBoundConstants:
+    return certified_constants(s.potential)["primary"]
+
+
 _LOG = (ConvexSoftCoulomb, RegularizedCoulomb)
 
 BOUNDS = {
@@ -349,13 +339,13 @@ BOUNDS = {
         BoundDef(
             "log_pointwise",
             _LOG,
-            lambda rho, s: rhs_log_pointwise(rho, s._constants()),
+            lambda rho, s: rhs_log_pointwise(rho, _primary(s)),
             cross_check=True,
         ),
         BoundDef(
             "log_global",
             _LOG,
-            lambda rho, s: rhs_log_global(rho, s._constants(), s.alpha),
+            lambda rho, s: rhs_log_global(rho, _primary(s), s.alpha),
             param_grid=lambda p: [{"alpha": a} for a in (0.1, 1.0, 10.0, None)],
             valid=lambda s: s.alpha is None or s.alpha > 0,
             cross_check=True,
@@ -363,7 +353,7 @@ BOUNDS = {
         BoundDef(
             "lifted",
             _LOG,
-            lambda rho, s: rhs_lifted(rho, s._constants(), s.shift),
+            lambda rho, s: rhs_lifted(rho, _primary(s), s.shift),
             param_grid=lambda p: [{"shift": c} for c in (0.5, 2.0)],
             valid=lambda s: s.shift is not None and s.shift > 0,
         ),
@@ -382,7 +372,7 @@ BOUNDS = {
         BoundDef(
             "rasanen",
             (SoftCoulomb,),
-            lambda rho, s: rhs_rasanen(rho, s.potential.epsilon, s.k1, s.k2),
+            lambda rho, s: rhs_rasanen(rho, s.potential.epsilon),
             proven=False,
         ),
     )

@@ -27,7 +27,6 @@ from .numerics import rng_stream
 from .states import (
     DensityProfile,
     UniformGrid,
-    maximal_function,
     maximal_norm_ratio,
     maximal_operator_norm_bound,
     random_state_suite,
@@ -64,15 +63,23 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(value, name: str, kind=int, minimum=None):
-    """``kind(value)``, at least ``minimum``; anything else is a ConfigError."""
+def _number(value, name: str, kind=int, minimum=None, above=None):
+    """``kind(value)``, at least ``minimum`` and more than ``above``; else a ConfigError."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if minimum is not None and not number >= minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    if above is not None and not number > above:
+        raise ConfigError(f"{name} must be more than {above}, got {value!r}")
     return number
+
+
+def _numbers(value, name: str, kind=float, **limits) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(v, name, kind, **limits) for v in value]
 
 
 def _names(value, name: str) -> list:
@@ -175,16 +182,19 @@ def cmd_verify(config, jobs: int = 1) -> int:
 
 def cmd_moments(config, jobs: int = 1) -> int:
     section = config["moments"]
-    out = _out_dir(config)
-    lo, hi = section["gamma_span"]
+    span = _numbers(section["gamma_span"], "moments.gamma_span", above=0.0)
+    if len(span) != 2:
+        raise ConfigError(f"moments.gamma_span must be [lo, hi], got {span!r}")
     n_gamma = _number(section["n_gamma"], "moments.n_gamma", minimum=1)
+    parameters = _numbers(section["parameters"], "moments.parameters")
+    out = _out_dir(config)
     rows, failures = [], 0
-    for family in section["families"]:
+    for family in _names(section["families"], "moments.families"):
         # unknown families (bare Coulomb included) get their error from from_config
         names = potentials_mod._FAMILY_MAP.get(family, (None, ()))[1]
-        for param in section["parameters"]:
+        for param in parameters:
             pot = potentials_mod.from_config({"family": family, "params": dict.fromkeys(names, param)})
-            grid = np.geomspace(lo * pot.length_scale, hi * pot.length_scale, n_gamma)
+            grid = potentials_mod.default_gamma_grid(pot, n_gamma, span)
             for variant, constants in potentials_mod.certified_constants(pot).items():
                 try:
                     cert = potentials_mod.certify_moment_bounds(pot, constants, grid)
@@ -230,7 +240,7 @@ def cmd_moments(config, jobs: int = 1) -> int:
 def cmd_optimize(config, jobs: int = 1) -> int:
     section = config["optimize"]
     families = _names(section["families"], "optimize.families")
-    unknown = [f for f in families if f not in explore_mod.TEMPLATE_NAMES]
+    unknown = [f for f in families if f not in explore_mod.TEMPLATES]
     if unknown:
         raise ConfigError(f"unknown optimize families: {unknown}")
     budget = _number(section["budget"], "optimize.budget", minimum=explore_mod.MIN_BUDGET)
@@ -248,17 +258,19 @@ def cmd_optimize(config, jobs: int = 1) -> int:
 
 def cmd_hubbard(config, jobs: int = 1) -> int:
     section = config["hubbard"]
-    out = _out_dir(config)
-    t = float(section["t"])
+    t = _number(section["t"], "hubbard.t", float, above=0.0)
+    ratios = _numbers(section["u_over_t"], "hubbard.u_over_t", minimum=0.0)
+    n_occupations = _number(section["n_occupations"], "hubbard.n_occupations", minimum=0)
     n_vals = np.linspace(0.0, 1.0, _number(section["n_grid"], "hubbard.n_grid", minimum=1))
     k_vals = np.linspace(1.0, 2.0, _number(section["kappa_grid"], "hubbard.kappa_grid", minimum=1))
+    out = _out_dir(config)
     f_grid = hubbard_mod.energy_excess_factor(n_vals[:, None], k_vals[None, :])
     min_f = float(np.min(f_grid))
 
     rows = []
-    for ratio in section["u_over_t"]:
-        kappa = hubbard_mod.kappa_of_u(float(ratio))
-        u = float(ratio) * t
+    for ratio in ratios:
+        kappa = hubbard_mod.kappa_of_u(ratio)
+        u = ratio * t
         for n in np.linspace(0.0, 1.0, 21):
             pt = hubbard_mod.HubbardPoint(float(n), t, u, kappa)
             xc = hubbard_mod.exchange_correlation(pt)
@@ -276,7 +288,7 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
 
     rng = rng_stream(config["seed"], 7)
     min_slack = math.inf
-    for _ in range(_number(section["n_occupations"], "hubbard.n_occupations", minimum=0)):
+    for _ in range(n_occupations):
         occ = hubbard_mod.OccupationVector(tuple(rng.uniform(0, 2, size=int(rng.integers(1, 13)))))
         rep = hubbard_mod.verify_site_occupation_bound(
             occ, t, float(rng.uniform(0, 8)), float(rng.uniform(1, 2))
@@ -301,13 +313,15 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
 
 def cmd_maximal(config, jobs: int = 1) -> int:
     section = config["maximal"]
+    # the maximal operator is bounded on L^p for p > 1 only
+    p = _number(section["p"], "maximal.p", float, above=1.0)
+    n_pts = _number(section["grid_points"], "maximal.grid_points", minimum=2)
+    n_profiles = _number(section["n_profiles"], "maximal.n_profiles", minimum=1)
     out = _out_dir(config)
-    p = float(section["p"])
     bound = maximal_operator_norm_bound(p)
     rng = rng_stream(config["seed"], 3)
-    n_pts = _number(section["grid_points"], "maximal.grid_points", minimum=2)
     rows, failures = [], 0
-    for k in range(_number(section["n_profiles"], "maximal.n_profiles", minimum=1)):
+    for k in range(n_profiles):
         grid = UniformGrid(-10.0, 20.0 / (n_pts - 1), n_pts)
         bumps = sum(
             a * np.exp(-((grid.x - c) ** 2) / (2 * w**2))

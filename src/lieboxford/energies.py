@@ -12,9 +12,11 @@ u = x - y:
 
 where h(u) = int rho2(y+u, y) dy is the pair-separation density (even, total
 mass N(N-1) over the line) and C(u) = int rho(x) rho(x+u) dx the density
-autocorrelation.  Both inner integrals are adaptive and vector valued, so a
-whole batch of potentials is priced at one adaptive pass.  The contact
-potential acts on the coincidence diagonal instead:
+autocorrelation.  Both are sampled once per state, by one vector-valued
+adaptive pass over the u nodes each, and every potential of a batch shares
+those samples; each potential then gets its own outer passes in u, and its
+own error estimate.  The contact potential acts on the coincidence diagonal
+instead:
 
   <delta> = (1/2) int rho2(x, x) dx,      D = (1/2) int rho^2.
 
@@ -54,48 +56,25 @@ class EnergyBreakdown:
     quadrature_error_estimate: float
 
 
-def _support(state: TrialState) -> Interval:
-    return Interval(
-        state.grid_center - state.grid_halfwidth,
-        state.grid_center + state.grid_halfwidth,
-    )
-
-
-def pair_separation_density(state: TrialState, spec: QuadratureSpec):
-    """Vectorized h(u) = int rho2(y+u, y) dy (one inner adaptive pass)."""
-    box = _support(state)
+def _correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
+    """Vectorized h(u) = int rho2(y+u, y) dy if ``pair``, else C(u) = int rho(y) rho(y+u) dy."""
     inner = spec.tightened()
 
-    def h(u):
+    def sample(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
 
         def integrand(y):
-            return state.rho2(y[None, :] + u[:, None], y[None, :])
+            if pair:
+                return state.rho2(y[None, :] + u[:, None], y[None, :])
+            return state.rho(y)[None, :] * state.rho(y[None, :] + u[:, None])
 
-        return integrate_1d(integrand, box, inner)
+        return integrate_1d(integrand, state.support, inner)
 
-    return h
-
-
-def density_autocorrelation(state: TrialState, spec: QuadratureSpec):
-    """Vectorized C(u) = int rho(x) rho(x+u) dx."""
-    box = _support(state)
-    inner = spec.tightened()
-
-    def c(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-
-        def integrand(x):
-            return state.rho(x)[None, :] * state.rho(x[None, :] + u[:, None])
-
-        return integrate_1d(integrand, box, inner)
-
-    return c
+    return sample
 
 
 def _contact_expectation(state: TrialState, spec: QuadratureSpec):
-    box = _support(state)
-    return integrate_1d_with_error(lambda x: 0.5 * state.rho2(x, x), box, spec)
+    return integrate_1d_with_error(lambda x: 0.5 * state.rho2(x, x), state.support, spec)
 
 
 def _separation_grid(state, span: float) -> np.ndarray:
@@ -115,11 +94,10 @@ def _interpolated_correlations(state, spec):
     Both correlation functions are sampled in one vector-valued adaptive pass
     each; the spline deviation is measured at inter-node midpoints.
     """
-    box = _support(state)
-    span = box.hi - box.lo
+    span = state.support.hi - state.support.lo
     u = _separation_grid(state, span)
-    h = pair_separation_density(state, spec)
-    c = density_autocorrelation(state, spec)
+    h = _correlation(state, spec, pair=True)
+    c = _correlation(state, spec, pair=False)
     h_vals, c_vals = h(u), c(u)
     h_spline = CubicSpline(u, h_vals, extrapolate=False)
     c_spline = CubicSpline(u, c_vals, extrapolate=False)
@@ -152,20 +130,16 @@ def _integrate_separation(f, span: float, p: Potential, spec) -> tuple:
 
 
 def _batched_energies(state, pointwise, spec):
-    """(expectations, hartrees, error) for all non-contact potentials at once."""
+    """(expectation, hartree, error) per non-contact potential, sharing h and C."""
     if not pointwise:
-        return [], [], 0.0
+        return []
     h_fn, c_fn, span, spline_rel = _interpolated_correlations(state, spec)
-    exp_vals = np.empty(len(pointwise))
-    har_vals = np.empty(len(pointwise))
-    err = 0.0
-    for k, p in enumerate(pointwise):
+    out = []
+    for p in pointwise:
         ev, e1 = _integrate_separation(h_fn, span, p, spec)
         hv, e2 = _integrate_separation(c_fn, span, p, spec)
-        exp_vals[k] = ev
-        har_vals[k] = hv
-        err = max(err, e1 + e2 + spline_rel * (abs(ev) + abs(hv)))
-    return exp_vals, har_vals, err
+        out.append((ev, hv, e1 + e2 + spline_rel * (abs(ev) + abs(hv))))
+    return out
 
 
 def indirect_energy(
@@ -181,20 +155,18 @@ def interaction_energies(
     """Breakdowns for many potentials, sharing the adaptive passes."""
     potentials = list(potentials)
     pointwise = [p for p in potentials if not isinstance(p, Contact)]
-    exp_vals, har_vals, batch_err = _batched_energies(state, pointwise, spec)
+    batched = iter(_batched_energies(state, pointwise, spec))
 
     contact_cache = None
     out = []
-    k = 0
     for p in potentials:
         if isinstance(p, Contact):
             if contact_cache is None:
                 cexp, cerr = _contact_expectation(state, spec)
-                chart = integrate_1d(lambda x: 0.5 * state.rho(x) ** 2, _support(state), spec)
+                chart = integrate_1d(lambda x: 0.5 * state.rho(x) ** 2, state.support, spec)
                 contact_cache = (float(cexp), float(chart), float(np.max(cerr)))
             expectation, har, err = contact_cache
         else:
-            expectation, har, err = float(exp_vals[k]), float(har_vals[k]), batch_err
-            k += 1
+            expectation, har, err = next(batched)
         out.append(EnergyBreakdown(expectation, har, expectation - har, err))
     return out

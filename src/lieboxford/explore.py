@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BOUNDS, BoundSpec, verify_bound
 from .energies import EnergyBreakdown, indirect_energy
-from .numerics import Interval, QuadratureSpec, integrate_1d, rng_stream
+from .numerics import QuadratureSpec, integrate_1d, rng_stream
 from .potentials import Potential
 from .states import (
     CorrelatedGaussianPair,
@@ -38,7 +38,7 @@ __all__ = [
     "maximize_ratio",
     "constant_table",
     "template_by_name",
-    "TEMPLATE_NAMES",
+    "TEMPLATES",
     "MIN_BUDGET",
 ]
 
@@ -58,10 +58,6 @@ class StateTemplate:
     name: str
     bounds: tuple
     build: callable
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,7 @@ class SearchResult:
 
 
 def _density_square(state: TrialState) -> float:
-    box = Interval(
-        state.grid_center - state.grid_halfwidth,
-        state.grid_center + state.grid_halfwidth,
-    )
-    return float(integrate_1d(lambda x: state.rho(x) ** 2, box, QuadratureSpec()))
+    return float(integrate_1d(lambda x: state.rho(x) ** 2, state.support, QuadratureSpec()))
 
 
 def _ratio(state: TrialState, potential: Potential) -> tuple:
@@ -241,42 +233,43 @@ def _build_separated_pair(symmetry):
     return build
 
 
-def template_by_name(name: str) -> StateTemplate:
-    if name == "separated_gaussian_pair":
-        return StateTemplate(name, ((0.0, 12.0), (0.5, 2.0)), _build_separated_pair("symmetric"))
-    if name == "antisymmetric_gaussian_pair":
-        return StateTemplate(
-            name, ((0.5, 12.0), (0.5, 2.0)), _build_separated_pair("antisymmetric")
-        )
-    if name == "equal_gaussian_pair":
-        return StateTemplate(
-            name, ((0.3, 3.0),), lambda theta: GaussianProduct((0.0, 0.0), theta[0], "symmetric")
-        )
-    if name == "correlated_pair":
-        return StateTemplate(
-            name,
+TEMPLATES = {
+    t.name: t
+    for t in (
+        StateTemplate(
+            "separated_gaussian_pair", ((0.0, 12.0), (0.5, 2.0)), _build_separated_pair("symmetric")
+        ),
+        StateTemplate(
+            "antisymmetric_gaussian_pair",
+            ((0.5, 12.0), (0.5, 2.0)),
+            _build_separated_pair("antisymmetric"),
+        ),
+        StateTemplate(
+            "equal_gaussian_pair",
+            ((0.3, 3.0),),
+            lambda theta: GaussianProduct((0.0, 0.0), theta[0], "symmetric"),
+        ),
+        StateTemplate(
+            "correlated_pair",
             ((0.5, 2.0), (0.0, 0.95), (0.1, 2.0)),
             lambda theta: CorrelatedGaussianPair(theta[0], theta[1], theta[2]),
-        )
-    if name == "hermite_pair":
-        return StateTemplate(
-            name, ((0.3, 3.0),), lambda theta: HermiteSlater(2, theta[0], "antisymmetric")
-        )
-    if name == "hermite_triple":
-        return StateTemplate(
-            name, ((0.3, 3.0),), lambda theta: HermiteSlater(3, theta[0], "antisymmetric")
-        )
-    raise ValueError(f"unknown state template {name!r}")
+        ),
+        StateTemplate(
+            "hermite_pair", ((0.3, 3.0),), lambda theta: HermiteSlater(2, theta[0], "antisymmetric")
+        ),
+        StateTemplate(
+            "hermite_triple",
+            ((0.3, 3.0),),
+            lambda theta: HermiteSlater(3, theta[0], "antisymmetric"),
+        ),
+    )
+}
 
 
-TEMPLATE_NAMES = (
-    "separated_gaussian_pair",
-    "antisymmetric_gaussian_pair",
-    "equal_gaussian_pair",
-    "correlated_pair",
-    "hermite_pair",
-    "hermite_triple",
-)
+def template_by_name(name: str) -> StateTemplate:
+    if name not in TEMPLATES:
+        raise ValueError(f"unknown state template {name!r}")
+    return TEMPLATES[name]
 
 
 def constant_table(potentials, families, budget: int, seed: int) -> list[dict]:

@@ -38,7 +38,6 @@ from .numerics import Interval, NoBracket, QuadratureSpec, find_root, integrate_
 __all__ = [
     "HubbardPoint",
     "OccupationVector",
-    "hubbard_point",
     "energy_per_site",
     "energy_excess_factor",
     "exchange_correlation",
@@ -81,11 +80,6 @@ class OccupationVector:
         object.__setattr__(self, "sites", sites)
 
 
-def hubbard_point(n: float, t: float, u: float) -> HubbardPoint:
-    """Point with kappa fixed by the Lieb-Wu half-filling match."""
-    return HubbardPoint(n, t, u, kappa_of_u(u / t))
-
-
 def _energy_low(n, t, u, kappa):
     return -(2 * t * kappa / math.pi) * np.sin(math.pi * np.asarray(n) / kappa)
 
@@ -113,9 +107,6 @@ class ExchangeCorrelation:
     e_xc: float
     excess: float      # e(n,t,U) - e(n,t,0) = (2t/pi) f >= 0
     hartree: float     # U n^2 / 4
-
-    def to_record(self):
-        return {"e_xc": self.e_xc, "excess": self.excess, "hartree": self.hartree}
 
 
 def exchange_correlation(pt: HubbardPoint) -> ExchangeCorrelation:

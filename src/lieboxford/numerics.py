@@ -59,14 +59,11 @@ class QuadratureSpec:
 
     The estimated error of a converged integral I is at most
     max(abs_tol, rel_tol * |I|), per component for vector integrands.
-    ``truncation_threshold`` is the convention (relative to the integrand
-    peak) below which callers may truncate supports and domains.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 4000
-    truncation_threshold: float = 1e-14
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -76,12 +73,7 @@ class QuadratureSpec:
 
     def tightened(self, factor: float = 1e-2) -> "QuadratureSpec":
         """Spec with tolerances scaled by ``factor`` (for inner integrals)."""
-        return QuadratureSpec(
-            self.abs_tol * factor,
-            self.rel_tol * factor,
-            self.max_subdivisions,
-            self.truncation_threshold,
-        )
+        return QuadratureSpec(self.abs_tol * factor, self.rel_tol * factor, self.max_subdivisions)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,11 @@ The two curvature moments that drive the logarithmic lower bounds are
   second moment     int_0^gamma  v''(r) r^2 dr = v'(g) g^2 - 2 g v(g) + 2 int_0^g v,
   first tail moment int_gamma^inf v''(r) r  dr = -g v'(g) + v(g),
 
-both computed in closed form (the regularized Coulomb second moment uses one
-adaptive quadrature of v itself, everything else is elementary).  The bare
-Coulomb potential r^(-1) is rejected outright: its second moment diverges.
+written once, on ``Potential``; a family supplies int_0^g v (elementary for
+both soft Coulomb forms, one adaptive quadrature of v for the regularized
+Coulomb potential).  Contact, its mollifier and the homogeneous family keep
+their own closed forms.  The bare Coulomb potential r^(-1) is rejected
+outright: its second moment diverges.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class CertificationFailed(AssertionError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Base for every family; concrete classes provide the closed forms."""
+    """Base for every family; concrete classes provide values, derivatives and int_0^g v."""
 
     family = "abstract"
 
@@ -102,13 +104,19 @@ class Potential:
     def deriv2(self, r):
         raise NotImplementedError
 
-    def second_moment(self, gamma):
-        """int_0^gamma v''(r) r^2 dr."""
+    def _integral_to(self, gamma):
+        """int_0^gamma v(r) dr, the one family-specific term of the second moment."""
         raise NotImplementedError
 
+    def second_moment(self, gamma):
+        """int_0^gamma v''(r) r^2 dr, integrated by parts twice."""
+        g = np.asarray(gamma, dtype=float)
+        return (g * g * self.deriv1(g) - 2 * g * self.value(g) + 2 * self._integral_to(g))[()]
+
     def first_moment_tail(self, gamma):
-        """int_gamma^inf v''(r) r dr."""
-        raise NotImplementedError
+        """int_gamma^inf v''(r) r dr, integrated by parts once."""
+        g = np.asarray(gamma, dtype=float)
+        return (-g * self.deriv1(g) + self.value(g))[()]
 
     def integral_value(self) -> float:
         """int_0^inf v(r) dr where finite."""
@@ -190,47 +198,10 @@ class ApproxContact(Potential):
 
 
 @dataclass(frozen=True)
-class SoftCoulomb(Potential):
+class _SoftCoulombForm(Potential):
+    """v(r) = 1/sqrt((r + shift)^2 + eps^2); the two families differ in the shift."""
+
     epsilon: float
-    family = "soft_coulomb"
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-    def value(self, r):
-        # hypot keeps r^2 + eps^2 overflow-free out to the largest doubles
-        r = np.asarray(r, dtype=float)
-        return (1.0 / np.hypot(r, self.epsilon))[()]
-
-    def deriv1(self, r):
-        r = np.asarray(r, dtype=float)
-        h = np.hypot(r, self.epsilon)
-        return (-(r / h) / h**2)[()]
-
-    def deriv2(self, r):
-        r = np.asarray(r, dtype=float)
-        h = np.hypot(r, self.epsilon)
-        with np.errstate(over="ignore"):
-            return ((2 * (r / h) ** 2 - (self.epsilon / h) ** 2) / h**3)[()]
-
-    def second_moment(self, gamma):
-        g = np.asarray(gamma, dtype=float)
-        return (g * g * self.deriv1(g) - 2 * g * self.value(g) + 2 * np.arcsinh(g / self.epsilon))[()]
-
-    def first_moment_tail(self, gamma):
-        g = np.asarray(gamma, dtype=float)
-        return (-g * self.deriv1(g) + self.value(g))[()]
-
-    @property
-    def length_scale(self) -> float:
-        return self.epsilon
-
-
-@dataclass(frozen=True)
-class ConvexSoftCoulomb(Potential):
-    epsilon: float
-    family = "convex_soft_coulomb"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -238,10 +209,10 @@ class ConvexSoftCoulomb(Potential):
 
     @property
     def shift(self) -> float:
-        """Inflection-point offset r_eps = eps/sqrt(2)."""
-        return self.epsilon / math.sqrt(2.0)
+        return 0.0
 
     def value(self, r):
+        # hypot keeps r^2 + eps^2 overflow-free out to the largest doubles
         s = np.asarray(r, dtype=float) + self.shift
         return (1.0 / np.hypot(s, self.epsilon))[()]
 
@@ -256,19 +227,26 @@ class ConvexSoftCoulomb(Potential):
         with np.errstate(over="ignore"):
             return ((2 * (s / h) ** 2 - (self.epsilon / h) ** 2) / h**3)[()]
 
-    def second_moment(self, gamma):
-        g = np.asarray(gamma, dtype=float)
+    def _integral_to(self, gamma):
         eps, re = self.epsilon, self.shift
-        antider = np.arcsinh((g + re) / eps) - math.asinh(re / eps)
-        return (g * g * self.deriv1(g) - 2 * g * self.value(g) + 2 * antider)[()]
-
-    def first_moment_tail(self, gamma):
-        g = np.asarray(gamma, dtype=float)
-        return (-g * self.deriv1(g) + self.value(g))[()]
+        return np.arcsinh((gamma + re) / eps) - math.asinh(re / eps)
 
     @property
     def length_scale(self) -> float:
         return self.epsilon
+
+
+class SoftCoulomb(_SoftCoulombForm):
+    family = "soft_coulomb"
+
+
+class ConvexSoftCoulomb(_SoftCoulombForm):
+    family = "convex_soft_coulomb"
+
+    @property
+    def shift(self) -> float:
+        """Inflection-point offset r_eps = eps/sqrt(2)."""
+        return self.epsilon / math.sqrt(2.0)
 
 
 # erfcx'(x) = 2 x erfcx(x) - 2/sqrt(pi) and erfcx''(x) = 2 erfcx + 2 x erfcx'
@@ -329,31 +307,20 @@ class RegularizedCoulomb(Potential):
         x = np.asarray(r, dtype=float) / (2 * self.beta)
         return (math.sqrt(math.pi) / (8 * self.beta**3) * _erfcx_d2(x))[()]
 
-    def value_upper_bound(self, r):
-        """Pointwise elementary bound v_beta(r) <= 2/(r + sqrt(r^2 + 4 beta^2/pi))."""
-        r = np.asarray(r, dtype=float)
-        return (2.0 / (r + np.sqrt(r * r + 4 * self.beta**2 / math.pi)))[()]
-
-    def second_moment(self, gamma):
-        # the int_0^gamma v term has no elementary antiderivative; quadrature
-        # over sorted segments keeps a gamma grid to one pass
-        g = np.atleast_1d(np.asarray(gamma, dtype=float))
-        order = np.argsort(g)
+    def _integral_to(self, gamma):
+        # no elementary antiderivative; quadrature over sorted segments keeps
+        # a gamma grid to one pass
+        g = np.atleast_1d(gamma)
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
         acc = 0.0
         prev = 0.0
         cumulative = np.empty_like(g)
-        for idx in order:
+        for idx in np.argsort(g):
             if g[idx] > prev:
                 acc += integrate_1d(self.value, Interval(prev, g[idx]), spec)
                 prev = g[idx]
             cumulative[idx] = acc
-        out = g * g * self.deriv1(g) - 2 * g * self.value(g) + 2 * cumulative
-        return out[()] if np.ndim(gamma) else float(out[0])
-
-    def first_moment_tail(self, gamma):
-        g = np.asarray(gamma, dtype=float)
-        return (-g * self.deriv1(g) + self.value(g))[()]
+        return cumulative.reshape(np.shape(gamma))
 
     @property
     def length_scale(self) -> float:
@@ -548,3 +515,5 @@ def from_config(entry: dict) -> Potential:
         return cls(**{name: float(params[name]) for name in names})
     except KeyError as missing:
         raise UnsupportedPotential(f"family {family!r} requires parameter {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise UnsupportedPotential(f"family {family!r}: {err}") from None

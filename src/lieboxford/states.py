@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.special
 
-from .numerics import rng_stream
+from .numerics import Interval, rng_stream
 
 __all__ = [
     "UniformGrid",
@@ -55,7 +55,6 @@ __all__ = [
     "maximal_norm_ratio",
     "maximal_operator_norm_bound",
     "random_state_suite",
-    "state_from_config",
 ]
 
 SUPPORT_TRUNCATION = 1e-14
@@ -123,12 +122,6 @@ class DensityProfile:
             raise ValueError("scale factor must be positive")
         return DensityProfile(self.grid, c * self.values, c * self.n_particles)
 
-    def to_csv(self, path) -> None:
-        from .report import write_reports  # local import to keep layering flat
-
-        rows = [{"x": float(xi), "rho": float(v)} for xi, v in zip(self.x, self.values)]
-        write_reports(rows, "csv", path)
-
 
 def trapezoid_richardson(values: np.ndarray, dx: float) -> float:
     """int f for samples f on a uniform grid: trapezoid with one Richardson step.
@@ -158,7 +151,7 @@ def density_power_integral(profile: DensityProfile, p: float) -> float:
 
 
 class TrialState:
-    """Common surface: densities, pair densities, metadata, serialization."""
+    """Common surface: densities, pair densities and the support interval."""
 
     n_particles: int
     symmetry: str
@@ -181,14 +174,19 @@ class TrialState:
         raise NotImplementedError
 
     @property
+    def support(self) -> Interval:
+        """grid_center +- grid_halfwidth: the density is negligible outside."""
+        c, w = self.grid_center, self.grid_halfwidth
+        return Interval(c - w, c + w)
+
+    @property
     def feature_scale(self) -> float:
         """Smallest length scale of density structure (grids, correlations)."""
         return self.grid_halfwidth / 12.0
 
     def default_grid(self, n: int = 4096) -> UniformGrid:
-        lo = self.grid_center - self.grid_halfwidth
-        hi = self.grid_center + self.grid_halfwidth
-        return UniformGrid(lo, (hi - lo) / (n - 1), n)
+        box = self.support
+        return UniformGrid(box.lo, (box.hi - box.lo) / (n - 1), n)
 
     def translated(self, delta: float) -> "TrialState":
         raise NotImplementedError
@@ -196,17 +194,6 @@ class TrialState:
     def dilated(self, lam: float) -> "TrialState":
         """State with density lam * rho(lam x)."""
         raise NotImplementedError
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
-    def label(self) -> str:
-        cfg = self.to_config()
-        params = ",".join(
-            f"{k}={v:g}" if isinstance(v, (int, float)) else f"{k}={v}"
-            for k, v in cfg["params"].items()
-        )
-        return f"{cfg['family']}[N={self.n_particles},{self.symmetry}]({params})"
 
 
 def _parity(perm) -> int:
@@ -353,14 +340,6 @@ class GaussianProduct(_OrbitalState):
     def dilated(self, lam):
         return GaussianProduct(tuple(c / lam for c in self.centers), self.width / lam, self.symmetry)
 
-    def to_config(self):
-        return {
-            "family": "gaussian_product",
-            "n_particles": self.n_particles,
-            "symmetry": self.symmetry,
-            "params": {"centers": list(self.centers), "width": self.width},
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class HermiteSlater(_OrbitalState):
@@ -411,18 +390,6 @@ class HermiteSlater(_OrbitalState):
 
     def dilated(self, lam):
         return HermiteSlater(self.n_orbitals, self.width / lam, self.symmetry, self.center / lam)
-
-    def to_config(self):
-        return {
-            "family": "hermite_slater",
-            "n_particles": self.n_particles,
-            "symmetry": self.symmetry,
-            "params": {
-                "n_orbitals": self.n_orbitals,
-                "width": self.width,
-                "center": self.center,
-            },
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,42 +471,6 @@ class CorrelatedGaussianPair(TrialState):
             self.width / lam, self.hole_depth, self.hole_width / lam, self.center / lam
         )
 
-    def to_config(self):
-        return {
-            "family": "correlated_gaussian_pair",
-            "n_particles": 2,
-            "symmetry": "symmetric",
-            "params": {
-                "width": self.width,
-                "hole_depth": self.hole_depth,
-                "hole_width": self.hole_width,
-                "center": self.center,
-            },
-        }
-
-
-def state_from_config(entry: dict) -> TrialState:
-    family = entry.get("family")
-    params = dict(entry.get("params", {}))
-    symmetry = entry.get("symmetry", "symmetric")
-    if family == "gaussian_product":
-        return GaussianProduct(tuple(params["centers"]), float(params["width"]), symmetry)
-    if family == "hermite_slater":
-        return HermiteSlater(
-            int(params["n_orbitals"]),
-            float(params["width"]),
-            symmetry,
-            float(params.get("center", 0.0)),
-        )
-    if family == "correlated_gaussian_pair":
-        return CorrelatedGaussianPair(
-            float(params["width"]),
-            float(params.get("hole_depth", 0.0)),
-            float(params.get("hole_width", 1.0)),
-            float(params.get("center", 0.0)),
-        )
-    raise ValueError(f"unknown state family {family!r}")
-
 
 def density(state: TrialState, grid: UniformGrid | None = None, n: int = 4096) -> DensityProfile:
     """Sample the one-body density on a grid; the mass must equal N.
@@ -554,7 +485,7 @@ def density(state: TrialState, grid: UniformGrid | None = None, n: int = 4096) -
     drift = abs(profile.mass() - state.n_particles) / state.n_particles
     if drift > 1e-6:
         raise NormalizationDrift(
-            f"grid mass off by {drift:.2e} relative for {state.label()}"
+            f"grid mass off by {drift:.2e} relative for {state!r}"
         )
     return profile
 

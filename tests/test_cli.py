@@ -108,6 +108,14 @@ class TestExitCodes:
             ("optimize", {"optimize": {"families": ["nope"]}}),
             ("optimize", {"optimize": {"budget": 10}}),
             ("maximal", {"maximal": {"n_profiles": 0}}),
+            ("maximal", {"maximal": {"p": 1}}),
+            ("maximal", {"maximal": {"p": "x"}}),
+            ("moments", {"moments": {"gamma_span": [1e-3]}}),
+            ("moments", {"moments": {"gamma_span": [0, 1]}}),
+            ("moments", {"moments": {"parameters": ["a"]}}),
+            ("moments", {"moments": {"parameters": [-1.0]}}),
+            ("hubbard", {"hubbard": {"u_over_t": ["x"]}}),
+            ("hubbard", {"hubbard": {"t": -1}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, overrides):

@@ -82,6 +82,8 @@ class TestIndirectEnergy:
         for p, b in zip(pots, batch):
             single = indirect_energy(ANTI_PAIR, p)
             assert b.i_xc == pytest.approx(single.i_xc, rel=1e-10)
+            # each potential carries its own error estimate, whatever shares the batch
+            assert b.quadrature_error_estimate == single.quadrature_error_estimate
 
     def test_separation_route_matches_2d_quadrature(self):
         for p in (ConvexSoftCoulomb(1.0), RegularizedCoulomb(1.2)):
@@ -119,10 +121,10 @@ class TestIndirectEnergy:
         assert b.expectation_v > 0
         assert b.hartree > 0
         # pair-separation mass equals the number of pairs
-        from lieboxford.energies import pair_separation_density
+        from lieboxford.energies import _correlation
         from lieboxford.numerics import Interval, QuadratureSpec, integrate_1d
 
-        h = pair_separation_density(state, QuadratureSpec())
+        h = _correlation(state, QuadratureSpec(), pair=True)
         mass = integrate_1d(lambda u: h(u), Interval(0.0, 2 * state.grid_halfwidth), QuadratureSpec())
         n = state.n_particles
         assert float(np.max(mass)) == pytest.approx(n * (n - 1) / 2, rel=1e-8)

@@ -11,7 +11,6 @@ from lieboxford.hubbard import (
     energy_excess_factor,
     energy_per_site,
     exchange_correlation,
-    hubbard_point,
     kappa_of_u,
     lieb_wu_energy,
     verify_site_occupation_bound,
@@ -116,7 +115,7 @@ class TestExchangeCorrelation:
 
     def test_hartree_at_half_filling(self):
         u = 3.0
-        xc = exchange_correlation(hubbard_point(1.0, 1.0, u))
+        xc = exchange_correlation(HubbardPoint(1.0, 1.0, u, kappa_of_u(u)))
         assert xc.hartree == pytest.approx(u / 4.0, rel=1e-14)
 
     def test_lower_bound_per_site(self):

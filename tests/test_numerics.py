@@ -52,6 +52,12 @@ class TestIntegrate1D:
         assert abs(val - exact) <= max(1e-10, 1e-9 * abs(exact))
         assert np.all(err >= 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        # one poisoned interior node is enough
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_1d(lambda x: np.where(np.abs(x - 0.5) < 0.01, bad, x), (0.0, 1.0))
+
     def test_nonconvergence_raises(self):
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=5)
         with pytest.raises(NonConvergence):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lieboxford.numerics import Interval, NonConvergence, integrate_1d, rng_stream
+from lieboxford.numerics import Interval, NonConvergence, erfcx_sandwich, integrate_1d, rng_stream
 from lieboxford.potentials import (
     ApproxContact,
     CertificationFailed,
@@ -168,9 +168,11 @@ class TestMoments:
             assert np.all(second >= 0) and np.all(tail >= 0)
 
     def test_regularized_value_upper_bound(self):
+        # v_beta(r) <= 2/(r + sqrt(r^2 + 4 beta^2/pi)): the erfcx sandwich's upper side
         p = RegularizedCoulomb(0.6)
         r = np.geomspace(1e-4, 1e3, 200)
-        assert np.all(np.asarray(p.value(r)) <= p.value_upper_bound(r) * (1 + 1e-13))
+        upper = math.sqrt(math.pi) / (2 * p.beta) * erfcx_sandwich(r / (2 * p.beta))[1]
+        assert np.all(np.asarray(p.value(r)) <= upper * (1 + 1e-13))
 
 
 class TestIntegralValue:

@@ -17,7 +17,6 @@ from lieboxford.states import (
     maximal_norm_ratio,
     maximal_operator_norm_bound,
     random_state_suite,
-    state_from_config,
 )
 
 
@@ -219,40 +218,11 @@ class TestMaximalFunction:
         assert np.all(maximal_function(prof).values == 0.0)
 
 
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "state",
-        [
-            GaussianProduct((0.1, -1.4), 0.7, "antisymmetric"),
-            HermiteSlater(3, 1.2, "antisymmetric", 0.4),
-            CorrelatedGaussianPair(0.8, 0.3, 0.5, -0.2),
-        ],
-    )
-    def test_round_trip(self, state):
-        clone = state_from_config(state.to_config())
-        x = np.linspace(-4, 4, 17)
-        assert np.allclose(clone.rho(x), state.rho(x), atol=1e-14)
-        assert clone.n_particles == state.n_particles
-        assert clone.symmetry == state.symmetry
-
-    def test_profile_csv_export(self, tmp_path):
-        prof = density(GaussianProduct((0.0, 0.0), 1.0), n=64)
-        # relaxed mass check only; export shape is what matters here
-        path = tmp_path / "rho.csv"
-        try:
-            prof.to_csv(path)
-        except NormalizationDrift:
-            pytest.skip("grid too coarse")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rho,x"
-        assert len(lines) == 65
-
-
 class TestRandomSuite:
     def test_deterministic(self):
         a = random_state_suite(12, 77)
         b = random_state_suite(12, 77)
-        assert [s.label() for _, s in a] == [s.label() for _, s in b]
+        assert [repr(s) for _, s in a] == [repr(s) for _, s in b]
         assert [sid for sid, _ in a] == [f"s{k:03d}" for k in range(12)]
 
     def test_mix_and_validity(self):
