@@ -426,14 +426,14 @@ def default_suite_potentials() -> dict:
     }
 
 
-def bound_specs(potentials: dict | None = None) -> list[BoundSpec]:
+def bound_specs() -> list[BoundSpec]:
     """Every table row over its parameter grid, for each potential it applies to.
 
     Per potential, its own bounds come first and the bounds shared with more
     families (the window split) last.
     """
     specs: list[BoundSpec] = []
-    for p in (potentials or default_suite_potentials()).values():
+    for p in default_suite_potentials().values():
         rows = sorted(
             (row for row in BOUNDS.values() if isinstance(p, row.applies_to)),
             key=lambda row: len(row.applies_to),
@@ -443,9 +443,9 @@ def bound_specs(potentials: dict | None = None) -> list[BoundSpec]:
     return specs
 
 
-def proven_bound_specs(potentials: dict | None = None) -> list[BoundSpec]:
+def proven_bound_specs() -> list[BoundSpec]:
     """The proven-bound battery run against every suite state."""
-    return [spec for spec in bound_specs(potentials) if spec.proven]
+    return [spec for spec in bound_specs() if spec.proven]
 
 
 def run_suite(

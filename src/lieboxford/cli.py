@@ -196,13 +196,8 @@ def cmd_moments(config, jobs: int = 1) -> int:
             pot = potentials_mod.from_config({"family": family, "params": dict.fromkeys(names, param)})
             grid = potentials_mod.default_gamma_grid(pot, n_gamma, span)
             for variant, constants in potentials_mod.certified_constants(pot).items():
-                try:
-                    cert = potentials_mod.certify_moment_bounds(pot, constants, grid)
-                    ok = cert.passed
-                except potentials_mod.CertificationFailed as err:
-                    cert = err.report
-                    ok = False
-                failures += not ok
+                cert = potentials_mod.certify_moment_bounds(pot, constants, grid)
+                failures += not cert.passed
                 rows.append(
                     {
                         "potential": pot.label(),
@@ -212,7 +207,7 @@ def cmd_moments(config, jobs: int = 1) -> int:
                         "c3": constants.c3,
                         "n_gamma": cert.n_gamma,
                         "max_rel_violation": cert.max_relative_violation,
-                        "status": "pass" if ok else "fail",
+                        "status": "pass" if cert.passed else "fail",
                     }
                 )
             fitted = potentials_mod.fit_constants(pot, grid)
@@ -244,16 +239,21 @@ def cmd_optimize(config, jobs: int = 1) -> int:
     if unknown:
         raise ConfigError(f"unknown optimize families: {unknown}")
     budget = _number(section["budget"], "optimize.budget", minimum=explore_mod.MIN_BUDGET)
-    potentials = [potentials_mod.from_config(entry) for entry in section["potentials"]]
+    entries = section["potentials"]
+    if not isinstance(entries, list):
+        raise ConfigError(f"optimize.potentials must be a list of objects, got {entries!r}")
+    potentials = [potentials_mod.from_config(entry) for entry in entries]
     out = _out_dir(config)
     rows = explore_mod.constant_table(potentials, families, budget, config["seed"])
     report_mod.write_reports(rows, "csv", out / "constant_table.csv")
     report_mod.write_reports(rows, "jsonl", out / "constant_table.jsonl")
     _write_manifest(config, out)
+    failures = sum(row["cross_check_failures"] for row in rows)
     for row in rows:
-        print(f"{row['potential']:32s} {row['family']:28s} ratio {row['best_ratio']:.6f}")
+        status = "FAIL" if row["cross_check_failures"] else "PASS"
+        print(f"{status} {row['potential']:32s} {row['family']:28s} ratio {row['best_ratio']:.6f}")
     print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_hubbard(config, jobs: int = 1) -> int:
@@ -287,13 +287,14 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
     report_mod.write_reports(rows, "csv", out / "hubbard_grid.csv")
 
     rng = rng_stream(config["seed"], 7)
-    min_slack = math.inf
+    min_slack, failures = math.inf, 0
     for _ in range(n_occupations):
         occ = hubbard_mod.OccupationVector(tuple(rng.uniform(0, 2, size=int(rng.integers(1, 13)))))
         rep = hubbard_mod.verify_site_occupation_bound(
             occ, t, float(rng.uniform(0, 8)), float(rng.uniform(1, 2))
         )
         min_slack = min(min_slack, rep["slack"])
+        failures += not rep["holds"]
 
     checks = {
         "min_f": min_f,
@@ -306,7 +307,7 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
     }
     report_mod.write_reports([checks], "jsonl", out / "hubbard_checks.jsonl")
     _write_manifest(config, out)
-    ok = min_f >= -1e-12 and min_slack >= -1e-10 and checks["f_at_kappa_2"] == 0.0
+    ok = min_f >= -1e-12 and not failures and checks["f_at_kappa_2"] == 0.0
     print(f"{'PASS' if ok else 'FAIL'} hubbard: min f {min_f:.3e}, min slack {min_slack:.3e}")
     return 0 if ok else 1
 
@@ -343,7 +344,7 @@ def cmd_maximal(config, jobs: int = 1) -> int:
     report_mod.write_reports(rows, "csv", out / "maximal_ratios.csv")
     _write_manifest(config, out)
     worst = max(r["ratio"] for r in rows)
-    print(f"{'FAIL' if failures else 'PASS'} maximal: {len(rows)} profiles, max ratio {worst:.4f} <= {bound:.4f}")
+    print(f"{'FAIL' if failures else 'PASS'} maximal: {len(rows)} profiles, max ratio {worst:.4f}, bound {bound:.4f}")
     return 1 if failures else 0
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "DistributionalDerivative",
     "DivergentIntegral",
     "UnsupportedPotential",
-    "CertificationFailed",
     "certify_moment_bounds",
     "certified_constants",
     "fit_constants",
@@ -79,14 +78,6 @@ class DivergentIntegral(ValueError):
 
 class UnsupportedPotential(ValueError):
     """Requested potential is outside the supported families."""
-
-
-class CertificationFailed(AssertionError):
-    """A moment-growth certification found a violating gamma."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -390,7 +381,6 @@ class MomentCertification:
     n_gamma: int
     max_violation_second: float
     max_violation_tail: float
-    worst_gamma: float
     passed: bool
 
     @property
@@ -413,11 +403,11 @@ def certify_moment_bounds(
 ) -> MomentCertification:
     """Check both moment-growth conditions on every grid gamma.
 
-    Returns the certification report on success; raises CertificationFailed
-    (carrying the report and the offending gammas) when either condition is
-    violated beyond ``slack`` relative.  The moments are smooth and monotone
-    in gamma, so a dense log grid plus the monotonicity tests give practical
-    coverage of the continuum statement.
+    The report passes when neither condition is violated beyond ``slack``
+    relative on any grid gamma; a nan violation (moments overflowing on the
+    grid) fails it.  The moments are smooth and monotone in gamma, so a dense
+    log grid plus the monotonicity tests give practical coverage of the
+    continuum statement.
     """
     grid = np.asarray(default_gamma_grid(p) if gamma_grid is None else gamma_grid, dtype=float)
     if np.any(grid <= 0):
@@ -428,25 +418,14 @@ def certify_moment_bounds(
     bound_tail = constants.c3 / grid
     viol_second = (second - bound_second) / bound_second
     viol_tail = (tail - bound_tail) / bound_tail
-    worst = int(np.argmax(np.maximum(viol_second, viol_tail)))
-    report = MomentCertification(
+    return MomentCertification(
         potential=p.label(),
         constants=constants,
         n_gamma=len(grid),
         max_violation_second=float(np.max(viol_second)),
         max_violation_tail=float(np.max(viol_tail)),
-        worst_gamma=float(grid[worst]),
         passed=bool(np.max(viol_second) <= slack and np.max(viol_tail) <= slack),
     )
-    if not report.passed:
-        bad = grid[np.maximum(viol_second, viol_tail) > slack]
-        raise CertificationFailed(
-            f"{p.label()}: moment bounds violated at {len(bad)} gamma values "
-            f"(first {bad[0]:.6g}, worst {report.worst_gamma:.6g}, "
-            f"max rel violation {report.max_relative_violation:.3e})",
-            report=report,
-        )
-    return report
 
 
 def certified_constants(p: Potential) -> dict[str, MomentBoundConstants]:
@@ -498,6 +477,8 @@ _FAMILY_MAP = {
 
 def from_config(entry: dict) -> Potential:
     """Build a potential from a {family, params} config entry."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("params", {}), dict):
+        raise UnsupportedPotential(f"potential entry and its params must be objects, got {entry!r}")
     family = entry.get("family")
     if family in ("coulomb", "bare_coulomb"):
         raise UnsupportedPotential(

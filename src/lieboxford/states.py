@@ -495,10 +495,10 @@ def density(state: TrialState, grid: UniformGrid | None = None, n: int = 4096) -
 
 
 def maximal_operator_norm_bound(p: float) -> float:
-    """Operator norm bound M_p = (2^p * 2p/(p-1))^(1/p) on L^p, p > 1."""
+    """Operator norm bound M_p = (2^p * 2p/(p-1))^(1/p) = 2 (2p/(p-1))^(1/p) on L^p, p > 1."""
     if p <= 1:
         raise ValueError("the maximal operator is unbounded on L^1")
-    return (2.0**p * 2 * p / (p - 1)) ** (1.0 / p)
+    return 2 * (2 * p / (p - 1)) ** (1.0 / p)
 
 
 def _maximal_chunk(i_idx, rho_pad, cum_pad, dx, m_lo, m_hi):
@@ -528,7 +528,7 @@ def _maximal_chunk(i_idx, rho_pad, cum_pad, dx, m_lo, m_hi):
     return np.maximum(best, rho_pad[i_idx + 1])  # r -> 0 limit is rho itself
 
 
-def maximal_function(profile: DensityProfile, chunk: int = 1024) -> DensityProfile:
+def maximal_function(profile: DensityProfile) -> DensityProfile:
     """(M rho)(x) = sup_r (2r)^(-1) int_{|x-y|<r} rho on the profile grid.
 
     Exact for the piecewise-linear interpolant (zero outside the grid).
@@ -552,6 +552,7 @@ def maximal_function(profile: DensityProfile, chunk: int = 1024) -> DensityProfi
     m_lo = np.maximum(np.maximum(j0 - i_all, i_all - j1), 1) - 1
     m_hi = np.maximum(i_all - j0, j1 - i_all) + 1
     out = np.empty(n)
+    chunk = 1024  # grid points per vectorized block; bounds the work arrays
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         out[sl] = _maximal_chunk(i_all[sl], rho_pad, cum_pad, dx, m_lo[sl], m_hi[sl])
@@ -559,14 +560,10 @@ def maximal_function(profile: DensityProfile, chunk: int = 1024) -> DensityProfi
 
 
 def maximal_norm_ratio(profile: DensityProfile, p: float) -> float:
-    """||M rho||_p / ||rho||_p, asserted against the operator norm bound M_p."""
-    mp = maximal_operator_norm_bound(p)
+    """||M rho||_p / ||rho||_p; the caller compares it with M_p."""
     num = density_power_integral(maximal_function(profile), p)
     den = density_power_integral(profile, p)
-    ratio = (num / den) ** (1.0 / p)
-    if ratio > mp * (1 + 1e-9):
-        raise AssertionError(f"maximal ratio {ratio:.6f} exceeds the bound M_p = {mp:.6f}")
-    return ratio
+    return (num / den) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

