@@ -23,7 +23,7 @@ from . import explore as explore_mod
 from . import hubbard as hubbard_mod
 from . import potentials as potentials_mod
 from . import report as report_mod
-from .numerics import rng_stream
+from .numerics import NoBracket, rng_stream
 from .states import (
     DensityProfile,
     UniformGrid,
@@ -210,7 +210,11 @@ def cmd_moments(config, jobs: int = 1) -> int:
                         "status": "pass" if cert.passed else "fail",
                     }
                 )
+            # the smallest constants that hold on the grid, so they violate
+            # nothing there, unless the moments overflowed and they are not finite
             fitted = potentials_mod.fit_constants(pot, grid)
+            finite = all(math.isfinite(c) for c in (fitted.c1, fitted.c2, fitted.c3))
+            failures += not finite
             rows.append(
                 {
                     "potential": pot.label(),
@@ -219,8 +223,8 @@ def cmd_moments(config, jobs: int = 1) -> int:
                     "c2": fitted.c2,
                     "c3": fitted.c3,
                     "n_gamma": n_gamma,
-                    "max_rel_violation": 0.0,
-                    "status": "pass",
+                    "max_rel_violation": 0.0 if finite else math.nan,
+                    "status": "pass" if finite else "fail",
                 }
             )
     report_mod.write_reports(rows, "csv", out / "moment_certifications.csv")
@@ -263,13 +267,20 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
     n_occupations = _number(section["n_occupations"], "hubbard.n_occupations", minimum=0)
     n_vals = np.linspace(0.0, 1.0, _number(section["n_grid"], "hubbard.n_grid", minimum=1))
     k_vals = np.linspace(1.0, 2.0, _number(section["kappa_grid"], "hubbard.kappa_grid", minimum=1))
+    kappas = []
+    for ratio in ratios:
+        try:
+            kappas.append(hubbard_mod.kappa_of_u(ratio))
+        except NoBracket as err:
+            # e_LW(U/t) is within rounding of 0 beyond U/t ~ 3.6e16, where
+            # kappa(U/t) -> 1 cannot be resolved in double precision
+            raise ConfigError(f"hubbard.u_over_t value {ratio!r} is too large: {err}") from None
     out = _out_dir(config)
     f_grid = hubbard_mod.energy_excess_factor(n_vals[:, None], k_vals[None, :])
     min_f = float(np.min(f_grid))
 
     rows = []
-    for ratio in ratios:
-        kappa = hubbard_mod.kappa_of_u(ratio)
+    for ratio, kappa in zip(ratios, kappas):
         u = ratio * t
         for n in np.linspace(0.0, 1.0, 21):
             pt = hubbard_mod.HubbardPoint(float(n), t, u, kappa)

@@ -15,8 +15,12 @@ mass N(N-1) over the line) and C(u) = int rho(x) rho(x+u) dx the density
 autocorrelation.  Both are sampled once per state, by one vector-valued
 adaptive pass over the u nodes each, and every potential of a batch shares
 those samples; each potential then gets its own outer passes in u, and its
-own error estimate.  The contact potential acts on the coincidence diagonal
-instead:
+own error estimate.  Inside a pass, the factors that depend on y alone
+(rho(y), and the y-side contraction of rho2) are evaluated on the panel's 15
+y nodes, and only the factors in y + u on the whole (u nodes x 15) grid.  The
+outer passes read the cubic splines of h and C directly: their Kronrod nodes
+lie strictly inside [0, span], where the splines are defined.  The contact
+potential acts on the coincidence diagonal instead:
 
   <delta> = (1/2) int rho2(x, x) dx,      D = (1/2) int rho^2.
 
@@ -108,14 +112,7 @@ def _interpolated_correlations(state, spec):
         float(np.max(np.abs(c_spline(probe) - c(probe)))),
     )
     scale = max(float(np.max(h_vals)), float(np.max(c_vals)), 1e-300)
-
-    def h_fn(t):
-        return np.nan_to_num(h_spline(t), nan=0.0)
-
-    def c_fn(t):
-        return np.nan_to_num(c_spline(t), nan=0.0)
-
-    return h_fn, c_fn, span, dev / scale
+    return h_spline, c_spline, span, dev / scale
 
 
 def _integrate_separation(f, span: float, p: Potential, spec) -> tuple:

@@ -154,8 +154,10 @@ def lieb_wu_energy(u_over_t: float) -> float:
         return -4.0 / math.pi
 
     def integrand(x):
-        # J0 J1/x -> 1/2 as x -> 0; nodes are interior so x > 0 always
-        return scipy.special.j0(x) * scipy.special.j1(x) / x * _fermi(x * r / 2.0)
+        # J0 J1/x -> 1/2 as x -> 0; nodes are interior so x > 0 always.  At
+        # U/t near the float maximum x r overflows to inf, whose weight is 0.
+        with np.errstate(over="ignore"):
+            return scipy.special.j0(x) * scipy.special.j1(x) / x * _fermi(x * r / 2.0)
 
     damp = 2 * math.log(1e13) / r  # Fermi factor below 1e-13 beyond this
     upper = min(max(damp, 24.0), 2.0e4)
@@ -172,7 +174,9 @@ def kappa_of_u(u_over_t: float) -> float:
     """kappa(U/t) in [1, 2]: -(2 k/pi) sin(pi/k) = e_LW(U/t).
 
     The left side decreases from 0 (k = 1) to -4/pi (k = 2), so the match is
-    unique; raises NoBracket if the target ever leaves that range.
+    unique; raises NoBracket if the target leaves that range, or comes
+    within rounding of its end 0: sin(pi) evaluates to 1.2e-16, not 0, so
+    past U/t ~ 3.6e16 the two ends of [1, 2] have the same sign.
     """
     target = lieb_wu_energy(u_over_t)
 
@@ -183,5 +187,6 @@ def kappa_of_u(u_over_t: float) -> float:
         return find_root(g, Interval(1.0, 2.0))
     except NoBracket:
         raise NoBracket(
-            f"Lieb-Wu energy {target:.6f} outside the interpolation range [-4/pi, 0]"
+            f"Lieb-Wu energy {target:.3e} outside the interpolation range [-4/pi, 0] "
+            "or within rounding of its end 0"
         ) from None

@@ -19,7 +19,18 @@ evaluated through the permutation algebra
 
 with weights built from orbital overlaps, so no quadrature enters the
 densities themselves.  rho2 integrates to N(N-1) and its diagonal drives the
-contact interaction.
+contact interaction.  It is evaluated as
+
+  rho2(x,y) = sum_ab phi_a(x) phi_b(x) Q_ab(y),
+  Q_ab(y)   = sum_cd W2[a,b,c,d] phi_c(y) phi_d(y),
+
+with the orbitals of x and of y evaluated on each argument's own shape: the
+N^4-term contraction Q runs on the y nodes only, and the broadcast (x, y)
+grid costs N^2 terms per point.  Hermite orbitals are built by recurrence:
+the physicists' H_k = 2u H_(k-1) - 2(k-1) H_(k-2) is run in its scaled form
+H_k(u) = 2^(k/2) He_k(t), t = sqrt(2) u, He_k = t He_(k-1) - (k-1) He_(k-2),
+which for k <= 2 is operation for operation what scipy.special.eval_hermite
+computes, so the orbital values do not depend on which of the two is used.
 
 The Hardy-Littlewood maximal function of a grid profile is computed exactly
 for the piecewise-linear interpolant: on each radius piece [m dx, (m+1) dx]
@@ -36,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.special
 
 from .numerics import Interval, rng_stream
 
@@ -259,13 +269,11 @@ class _OrbitalState(TrialState):
         return np.einsum("ab,a...,b...->...", w1, phi, phi)
 
     def rho2(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        # no broadcast of x and y: Q_ab(y) is contracted on y's own nodes
         phi_x = self._orbital_values(x)
         phi_y = self._orbital_values(y)
-        w2 = self._tables[3]
-        px = np.einsum("a...,b...->ab...", phi_x, phi_x)
-        py = np.einsum("c...,d...->cd...", phi_y, phi_y)
-        return np.einsum("abcd,ab...,cd...->...", w2, px, py)
+        q = np.einsum("abcd,c...,d...->ab...", self._tables[3], phi_y, phi_y)
+        return np.einsum("a...,b...,ab...->...", phi_x, phi_x, q)
 
     def psi(self, *coords):
         if len(coords) != self.n_particles:
@@ -367,10 +375,14 @@ class HermiteSlater(_OrbitalState):
     def _orbital_values(self, x):
         u = (np.asarray(x, dtype=float) - self.center) / self.width
         env = np.exp(-(u**2) / 2)
+        t = math.sqrt(2.0) * u
+        he = [1.0, t]  # He_k(t) = t He_(k-1)(t) - (k-1) He_(k-2)(t)
+        for k in range(2, self.n_orbitals):
+            he.append(t * he[k - 1] - (k - 1) * he[k - 2])
         rows = []
         for k in range(self.n_orbitals):
             norm = (math.pi**-0.25) / math.sqrt(2.0**k * math.factorial(k) * self.width)
-            rows.append(norm * scipy.special.eval_hermite(k, u) * env)
+            rows.append(norm * (he[k] * 2.0 ** (k / 2)) * env)  # H_k(u) = 2^(k/2) He_k(t)
         return np.stack(rows)
 
     @property
@@ -427,7 +439,7 @@ class CorrelatedGaussianPair(TrialState):
         return ints[0] - 2 * h * ints[1] + h**2 * ints[2]
 
     def psi(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        x, y = np.asarray(x, float), np.asarray(y, float)
         w, s, h, mu = self.width, self.hole_width, self.hole_depth, self.center
         envelope = np.exp(-((x - mu) ** 2 + (y - mu) ** 2) / (4 * w**2))
         hole = 1.0 - h * np.exp(-((x - y) ** 2) / (2 * s**2))
@@ -440,12 +452,13 @@ class CorrelatedGaussianPair(TrialState):
         x = np.asarray(x, dtype=float)
         w, s, h, mu = self.width, self.hole_width, self.hole_depth, self.center
         alpha = 1 / (2 * w**2)
-        g = np.exp(-alpha * (x - mu) ** 2)
-        out = 0.0
-        for coeff, k in ((1.0, 0), (-2 * h, 1), (h * h, 2)):
+        d2 = (x - mu) ** 2
+        g = np.exp(-alpha * d2)
+        out = math.sqrt(math.pi / alpha)  # k = 0: beta = 0, so the exponential is 1
+        for coeff, k in ((-2 * h, 1), (h * h, 2)):
             beta = k / (2 * s**2)
             out = out + coeff * math.sqrt(math.pi / (alpha + beta)) * np.exp(
-                -alpha * beta / (alpha + beta) * (x - mu) ** 2
+                -alpha * beta / (alpha + beta) * d2
             )
         return 2.0 * g * out / self._norm
 

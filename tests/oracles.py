@@ -7,6 +7,7 @@ what the package computes another way.
   window_mass          windowed density mass, for the Cauchy-Schwarz step
   integrate_2d         nested adaptive 2D quadrature
   expectation_via_2d   <V> of a two-particle state on the support square
+  rho2_direct          orbital pair density by the full four-index contraction
 """
 
 from __future__ import annotations
@@ -117,3 +118,18 @@ def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | N
         return 0.5 * state.rho2(x, y) * p.value(np.abs(x - y))
 
     return integrate_2d(f, box, box, spec)
+
+
+def rho2_direct(state, x, y):
+    """sum_abcd W2[a,b,c,d] phi_a(x) phi_b(x) phi_c(y) phi_d(y) on the broadcast grid.
+
+    Orbitals of both arguments and both orbital products are materialized on
+    the full broadcast shape before one N^4-term contraction: the slow route
+    the package's rho2 factors through Q_ab(y).
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    phi_x = state._orbital_values(x)
+    phi_y = state._orbital_values(y)
+    px = np.einsum("a...,b...->ab...", phi_x, phi_x)
+    py = np.einsum("c...,d...->cd...", phi_y, phi_y)
+    return np.einsum("abcd,ab...,cd...->...", state._tables[3], px, py)

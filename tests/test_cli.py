@@ -120,6 +120,8 @@ class TestExitCodes:
             ("optimize", {"optimize": {"potentials": "x"}}),
             ("optimize", {"optimize": {"potentials": 5}}),
             ("optimize", {"optimize": {"potentials": [{"family": "contact", "params": 1}]}}),
+            # e_LW(1e308) rounds to the end 0 of [-4/pi, 0]: kappa has no bracket
+            ("hubbard", {"hubbard": {"u_over_t": [2.0, 1e308]}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, overrides):
@@ -164,6 +166,8 @@ class TestExitCodes:
         with open(tmp_path / "out" / "moment_certifications.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert "fail" in {r["status"] for r in rows}
+        fitted = [r for r in rows if r["variant"] == "grid_fitted_empirical"]
+        assert fitted and "pass" not in {r["status"] for r in fitted}
         assert "Traceback" not in capsys.readouterr().err
 
 

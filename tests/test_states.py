@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from lieboxford.numerics import rng_stream
 from lieboxford.states import (
@@ -18,6 +19,7 @@ from lieboxford.states import (
     maximal_operator_norm_bound,
     random_state_suite,
 )
+from oracles import rho2_direct
 
 
 def uniform_profile(value=2.0, lo=0.0, hi=1.0, n=1001):
@@ -102,6 +104,59 @@ class TestDensity:
         d = s.dilated(lam)
         x = np.linspace(-3, 3, 21)
         assert np.allclose(d.rho(x), lam * s.rho(lam * x), rtol=1e-12)
+
+
+ORBITAL_STATES = [
+    GaussianProduct((0.3, -0.9), 0.7, "symmetric"),
+    GaussianProduct((0.5, -0.5), 1.1, "antisymmetric"),
+    GaussianProduct((-1.0, 0.2, 1.1), 0.8, "symmetric"),
+    GaussianProduct((-2.0, 0.0, 1.5), 0.9, "antisymmetric"),
+    HermiteSlater(2, 0.8, "antisymmetric", 0.4),
+    HermiteSlater(3, 1.3, "symmetric", -0.2),
+    HermiteSlater(3, 0.6),
+]
+
+
+def _call_shapes(state):
+    """(x, y) pairs in both shapes in use: u nodes x one panel, and a square grid."""
+    box = state.support
+    y = np.linspace(box.lo, box.hi, 15)[None, :]
+    u = np.linspace(0.0, box.hi - box.lo, 301)[:, None]
+    g = np.linspace(box.lo, box.hi, 201)
+    return [(y + u, y), (g[:, None], g[None, :])]
+
+
+class TestPairDensityKernel:
+    @pytest.mark.parametrize("state", ORBITAL_STATES, ids=repr)
+    def test_matches_direct_contraction(self, state):
+        for x, y in _call_shapes(state):
+            direct = rho2_direct(state, x, y)
+            fast = state.rho2(x, y)
+            assert fast.shape == direct.shape
+            assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_pairs_first_index_pair_with_x(self):
+        # physical W2 is symmetric under (a,b) <-> (c,d), so rho2(x,y) = rho2(y,x)
+        # and a contraction with the roles of x and y swapped would agree with
+        # it; a random weight tensor tells the two roles apart
+        state = GaussianProduct((-1.0, 0.2, 1.1), 0.8, "antisymmetric")
+        weights = rng_stream(11, 0).normal(size=(3, 3, 3, 3))
+        vars(state)["_tables"] = state._tables[:3] + (weights,)
+        for x, y in _call_shapes(state):
+            direct = rho2_direct(state, x, y)
+            assert np.max(np.abs(state.rho2(x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
+            assert np.max(np.abs(rho2_direct(state, y, x) - direct)) > 1e-3 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("width, center", [(1.0, 0.0), (0.45, 1.7)])
+    def test_hermite_recurrence_matches_scipy(self, width, center):
+        x = np.linspace(center - 8 * width, center + 8 * width, 1001)
+        u = (x - center) / width
+        env = np.exp(-(u**2) / 2)
+        phi = HermiteSlater(3, width, center=center)._orbital_values(x)
+        for k in range(3):
+            norm = (math.pi**-0.25) / math.sqrt(2.0**k * math.factorial(k) * width)
+            expected = norm * scipy.special.eval_hermite(k, u) * env
+            assert np.max(np.abs(phi[k] - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestPowerIntegrals:
