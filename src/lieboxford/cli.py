@@ -1,10 +1,12 @@
 """Command-line front end: verify | moments | optimize | hubbard | maximal.
 
-Each subcommand reads one JSON config (plus flag overrides), runs the
-corresponding module battery, writes CSV/JSONL reports and a run manifest to
-the output directory, and exits 0 on all-pass, 1 on a violated check, 2 on a
-configuration error.  Identical config and seed give byte-identical report
-files.
+Each subcommand reads one JSON config (plus flag overrides), validates its
+section, runs the corresponding module battery and returns its reports as
+``({file name: records}, failures)``; it writes nothing.  ``main`` alone
+writes the reports and a run manifest to the output directory and exits 0 on
+all-pass, 1 on a violated check, 2 on a configuration error, so a config
+error leaves no output behind.  Identical config and seed give
+byte-identical report files.
 """
 
 from __future__ import annotations
@@ -64,11 +66,13 @@ class ConfigError(ValueError):
 
 
 def _number(value, name: str, kind=int, minimum=None, above=None):
-    """``kind(value)``, at least ``minimum`` and more than ``above``; else a ConfigError."""
+    """``kind(value)``, finite, at least ``minimum`` and more than ``above``; else a ConfigError."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if minimum is not None and not number >= minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
     if above is not None and not number > above:
@@ -99,24 +103,18 @@ def _load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         for key, value in user.items():
-            if isinstance(config.get(key), dict):
+            if key not in config:
+                raise ConfigError(f"unknown config key {key!r}")
+            if isinstance(config[key], dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be a JSON object")
+                unknown = sorted(set(value) - set(config[key]))
+                if unknown:
+                    raise ConfigError(f"unknown keys {unknown} in config section {key!r}")
                 config[key].update(value)
             else:
                 config[key] = value
     return config
-
-
-def _out_dir(config) -> Path:
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(config, out: Path) -> None:
-    manifest = report_mod.make_manifest(config, config["seed"])
-    report_mod.write_manifest(manifest, out / "manifest.json")
 
 
 def _verify_chunk(payload):
@@ -124,7 +122,7 @@ def _verify_chunk(payload):
     return bounds_mod.run_suite(states, specs, tol_scale=tol)
 
 
-def cmd_verify(config, jobs: int = 1) -> int:
+def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     section = config["verify"]
     requested = _names(section["bounds"], "verify.bounds")
     unknown = [b for b in requested if b not in bounds_mod.BOUNDS]
@@ -154,15 +152,6 @@ def cmd_verify(config, jobs: int = 1) -> int:
     reports = [r for r in everything if r.proven]
     ref_reports = [r for r in everything if not r.proven]
 
-    out = _out_dir(config)
-    records = [r.to_record() for r in reports]
-    report_mod.write_reports(records, "csv", out / "bound_reports.csv")
-    report_mod.write_reports(records, "jsonl", out / "bound_reports.jsonl")
-    report_mod.write_reports(
-        [r.to_record() for r in ref_reports], "csv", out / "reference_bounds.csv"
-    )
-    _write_manifest(config, out)
-
     failures = 0
     for bound_id in sorted({r.bound_id for r in reports}):
         sub = [r for r in reports if r.bound_id == bound_id]
@@ -176,18 +165,21 @@ def cmd_verify(config, jobs: int = 1) -> int:
             f"NOTE {bound_id} (conjectured, reference only): held on "
             f"{sum(r.holds for r in sub)}/{len(sub)} states"
         )
-    print(f"wrote {len(records)} reports to {out}")
-    return 1 if failures else 0
+    records = [r.to_record() for r in reports]
+    return {
+        "bound_reports.csv": records,
+        "bound_reports.jsonl": records,
+        "reference_bounds.csv": [r.to_record() for r in ref_reports],
+    }, failures
 
 
-def cmd_moments(config, jobs: int = 1) -> int:
+def cmd_moments(config, jobs: int = 1) -> tuple[dict, int]:
     section = config["moments"]
     span = _numbers(section["gamma_span"], "moments.gamma_span", above=0.0)
     if len(span) != 2:
         raise ConfigError(f"moments.gamma_span must be [lo, hi], got {span!r}")
     n_gamma = _number(section["n_gamma"], "moments.n_gamma", minimum=1)
     parameters = _numbers(section["parameters"], "moments.parameters")
-    out = _out_dir(config)
     rows, failures = [], 0
     for family in _names(section["families"], "moments.families"):
         # unknown families (bare Coulomb included) get their error from from_config
@@ -227,16 +219,15 @@ def cmd_moments(config, jobs: int = 1) -> int:
                     "status": "pass" if finite else "fail",
                 }
             )
-    report_mod.write_reports(rows, "csv", out / "moment_certifications.csv")
-    report_mod.write_reports(bounds_mod.discrepancy_records(), "jsonl", out / "discrepancies.jsonl")
-    _write_manifest(config, out)
     for row in rows:
         print(f"{row['status'].upper():4s} {row['potential']} {row['variant']}")
-    print(f"wrote {len(rows)} certifications and the discrepancy ledger to {out}")
-    return 1 if failures else 0
+    return {
+        "moment_certifications.csv": rows,
+        "discrepancies.jsonl": bounds_mod.discrepancy_records(),
+    }, failures
 
 
-def cmd_optimize(config, jobs: int = 1) -> int:
+def cmd_optimize(config, jobs: int = 1) -> tuple[dict, int]:
     section = config["optimize"]
     families = _names(section["families"], "optimize.families")
     unknown = [f for f in families if f not in explore_mod.TEMPLATES]
@@ -247,20 +238,15 @@ def cmd_optimize(config, jobs: int = 1) -> int:
     if not isinstance(entries, list):
         raise ConfigError(f"optimize.potentials must be a list of objects, got {entries!r}")
     potentials = [potentials_mod.from_config(entry) for entry in entries]
-    out = _out_dir(config)
     rows = explore_mod.constant_table(potentials, families, budget, config["seed"])
-    report_mod.write_reports(rows, "csv", out / "constant_table.csv")
-    report_mod.write_reports(rows, "jsonl", out / "constant_table.jsonl")
-    _write_manifest(config, out)
     failures = sum(row["cross_check_failures"] for row in rows)
     for row in rows:
         status = "FAIL" if row["cross_check_failures"] else "PASS"
         print(f"{status} {row['potential']:32s} {row['family']:28s} ratio {row['best_ratio']:.6f}")
-    print(f"wrote {len(rows)} rows to {out}")
-    return 1 if failures else 0
+    return {"constant_table.csv": rows, "constant_table.jsonl": rows}, failures
 
 
-def cmd_hubbard(config, jobs: int = 1) -> int:
+def cmd_hubbard(config, jobs: int = 1) -> tuple[dict, int]:
     section = config["hubbard"]
     t = _number(section["t"], "hubbard.t", float, above=0.0)
     ratios = _numbers(section["u_over_t"], "hubbard.u_over_t", minimum=0.0)
@@ -275,7 +261,6 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
             # e_LW(U/t) is within rounding of 0 beyond U/t ~ 3.6e16, where
             # kappa(U/t) -> 1 cannot be resolved in double precision
             raise ConfigError(f"hubbard.u_over_t value {ratio!r} is too large: {err}") from None
-    out = _out_dir(config)
     f_grid = hubbard_mod.energy_excess_factor(n_vals[:, None], k_vals[None, :])
     min_f = float(np.min(f_grid))
 
@@ -295,7 +280,6 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
                     "slack": xc.e_xc + u * float(n) ** 2 / 4.0,
                 }
             )
-    report_mod.write_reports(rows, "csv", out / "hubbard_grid.csv")
 
     rng = rng_stream(config["seed"], 7)
     min_slack, failures = math.inf, 0
@@ -316,20 +300,17 @@ def cmd_hubbard(config, jobs: int = 1) -> int:
         ),
         "min_occupation_slack": min_slack,
     }
-    report_mod.write_reports([checks], "jsonl", out / "hubbard_checks.jsonl")
-    _write_manifest(config, out)
     ok = min_f >= -1e-12 and not failures and checks["f_at_kappa_2"] == 0.0
     print(f"{'PASS' if ok else 'FAIL'} hubbard: min f {min_f:.3e}, min slack {min_slack:.3e}")
-    return 0 if ok else 1
+    return {"hubbard_grid.csv": rows, "hubbard_checks.jsonl": [checks]}, int(not ok)
 
 
-def cmd_maximal(config, jobs: int = 1) -> int:
+def cmd_maximal(config, jobs: int = 1) -> tuple[dict, int]:
     section = config["maximal"]
     # the maximal operator is bounded on L^p for p > 1 only
     p = _number(section["p"], "maximal.p", float, above=1.0)
     n_pts = _number(section["grid_points"], "maximal.grid_points", minimum=2)
     n_profiles = _number(section["n_profiles"], "maximal.n_profiles", minimum=1)
-    out = _out_dir(config)
     bound = maximal_operator_norm_bound(p)
     rng = rng_stream(config["seed"], 3)
     rows, failures = [], 0
@@ -352,11 +333,9 @@ def cmd_maximal(config, jobs: int = 1) -> int:
                 "status": "pass" if ok else "fail",
             }
         )
-    report_mod.write_reports(rows, "csv", out / "maximal_ratios.csv")
-    _write_manifest(config, out)
     worst = max(r["ratio"] for r in rows)
     print(f"{'FAIL' if failures else 'PASS'} maximal: {len(rows)} profiles, max ratio {worst:.4f}, bound {bound:.4f}")
-    return 1 if failures else 0
+    return {"maximal_ratios.csv": rows}, failures
 
 
 _COMMANDS = {
@@ -390,10 +369,22 @@ def main(argv=None) -> int:
             config["out"] = args.out
         if args.tolerance is not None:
             config["tolerance"] = args.tolerance
-        return _COMMANDS[args.command](config, jobs=max(1, args.jobs))
+        if not isinstance(config["out"], str):
+            raise ConfigError(f"out must be a directory name, got {config['out']!r}")
+        files, failures = _COMMANDS[args.command](config, jobs=max(1, args.jobs))
+        out = Path(config["out"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, records in files.items():
+                report_mod.write_reports(records, out / name)
+            report_mod.write_manifest(config, out / "manifest.json")
+        except OSError as err:
+            raise ConfigError(f"cannot write reports to {out}: {err}") from None
     except (ConfigError, potentials_mod.UnsupportedPotential) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    print(f"wrote {len(files)} report files to {out}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

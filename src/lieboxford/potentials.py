@@ -493,8 +493,11 @@ def from_config(entry: dict) -> Potential:
     if unknown:
         raise UnsupportedPotential(f"unknown parameters {sorted(unknown)} for family {family!r}")
     try:
-        return cls(**{name: float(params[name]) for name in names})
+        values = {name: float(params[name]) for name in names}
+        if not all(math.isfinite(v) for v in values.values()):
+            raise ValueError(f"parameters must be finite, got {params!r}")
+        return cls(**values)
     except KeyError as missing:
         raise UnsupportedPotential(f"family {family!r} requires parameter {missing}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise UnsupportedPotential(f"family {family!r}: {err}") from None

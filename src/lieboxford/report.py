@@ -10,7 +10,6 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,14 +17,11 @@ from . import MODULES, __version__
 
 __all__ = [
     "IoError",
-    "RunManifest",
     "canonical_value",
     "canonical_json",
     "config_digest",
-    "make_manifest",
     "write_manifest",
     "write_reports",
-    "read_jsonl",
 ]
 
 
@@ -73,25 +69,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_reports(records: list, format: str, path) -> None:
-    """Write homogeneous records as CSV or JSONL; byte-deterministic.
+def write_reports(records: list, path) -> None:
+    """Write homogeneous records as CSV or JSONL, by the suffix of ``path``; byte-deterministic.
 
     Columns come from the sorted union of the first record's keys; every
     record must carry the same keys.
     """
-    fmt = format.lower() if isinstance(format, str) else format
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown report format {format!r}")
     path = Path(path)
+    if path.suffix not in (".csv", ".jsonl"):
+        raise ValueError(f"unknown report format {path.suffix!r} of {path}")
     records = list(records)
     keys = sorted(records[0].keys()) if records else []
     for rec in records:
         if sorted(rec.keys()) != keys:
             raise ValueError("records must be homogeneous per file")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            if fmt == "csv":
+            if path.suffix == ".csv":
                 writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
                 writer.writerow(keys)
                 for rec in records:
@@ -103,35 +97,14 @@ def write_reports(records: list, format: str, path) -> None:
         raise IoError(f"cannot write report {path}: {err}") from err
 
 
-def read_jsonl(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    toolkit_version: str
-    seed: int
-    config_digest: str
-    timestamp: str
-    module_list: tuple
-
-    def to_record(self) -> dict:
-        return asdict(self)
-
-
-def make_manifest(config: dict, seed: int) -> RunManifest:
-    return RunManifest(
-        toolkit_version=__version__,
-        seed=int(seed),
-        config_digest=config_digest(config),
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        module_list=tuple(MODULES),
-    )
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_manifest(config: dict, path) -> None:
+    """Write the run manifest of ``config``: toolkit version, seed, config digest, time, modules."""
+    manifest = {
+        "toolkit_version": __version__,
+        "seed": int(config["seed"]),
+        "config_digest": config_digest(config),
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "module_list": list(MODULES),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(manifest.to_record()) + "\n")
+        fh.write(canonical_json(manifest) + "\n")

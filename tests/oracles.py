@@ -8,10 +8,12 @@ what the package computes another way.
   integrate_2d         nested adaptive 2D quadrature
   expectation_via_2d   <V> of a two-particle state on the support square
   rho2_direct          orbital pair density by the full four-index contraction
+  read_jsonl           the records of a JSON-lines report, for round trips
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,3 +135,8 @@ def rho2_direct(state, x, y):
     px = np.einsum("a...,b...->ab...", phi_x, phi_x)
     py = np.einsum("c...,d...->cd...", phi_y, phi_y)
     return np.einsum("abcd,ab...,cd...->...", state._tables[3], px, py)
+
+
+def read_jsonl(path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]

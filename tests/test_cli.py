@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -34,7 +35,7 @@ def write_config(tmp_path, **overrides):
         "maximal": {"n_profiles": 4, "p": 2.0, "grid_points": 400},
     }
     for key, value in overrides.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and key in config:
             config[key].update(value)
         else:
             config[key] = value
@@ -122,11 +123,30 @@ class TestExitCodes:
             ("optimize", {"optimize": {"potentials": [{"family": "contact", "params": 1}]}}),
             # e_LW(1e308) rounds to the end 0 of [-4/pi, 0]: kappa has no bracket
             ("hubbard", {"hubbard": {"u_over_t": [2.0, 1e308]}}),
+            ("hubbard", {"hubbard": {"u_over_t": [math.inf]}}),
+            # nan**0 = 1 would pass every profile
+            ("maximal", {"maximal": {"p": math.inf}}),
+            ("verify", {"tolerance": math.inf}),
+            ("moments", {"moments": {"gamma_span": [1e-3, math.inf]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "convex_soft_coulomb", "params": {"epsilon": math.inf}}]}}),
+            ("verify", {"verify": {"n_state": 1}}),
+            ("verify", {"verfy": {}}),
+            ("verify", {"out": 5}),
+            # a JSON integer too large for a float
+            ("optimize", {"optimize": {"potentials": [{"family": "convex_soft_coulomb", "params": {"epsilon": 10**400}}]}}),
         ],
     )
-    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, overrides):
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_out_under_a_regular_file_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, out=str(tmp_path / "file" / "out"))
+        assert main(["maximal", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_reference_violation_keeps_exit_zero(self, tmp_path, monkeypatch, capsys):
