@@ -66,10 +66,18 @@ class ConfigError(ValueError):
 
 
 def _number(value, name: str, kind=int, minimum=None, above=None):
-    """``kind(value)``, finite, at least ``minimum`` and more than ``above``; else a ConfigError."""
+    """``kind(value)`` of a JSON number, finite, at least ``minimum`` and more than ``above``.
+
+    Booleans and strings are not numbers, and an integer field takes no
+    fractional part; anything else is a ConfigError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if kind is float and not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -90,6 +98,19 @@ def _names(value, name: str) -> list:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigError(f"{name} must be a list of names, got {value!r}")
     return value
+
+
+def _check_out(out: Path) -> None:
+    """Reject, before any computation, an output directory that cannot be made.
+
+    ``out`` must be a directory if it exists, and so must its nearest existing
+    ancestor if it does not; nothing is created here.
+    """
+    probe = out
+    while not probe.exists() and probe != probe.parent:
+        probe = probe.parent
+    if probe.exists() and not probe.is_dir():
+        raise ConfigError(f"cannot write reports to {out}: {probe} is not a directory")
 
 
 def _load_config(path: str | None) -> dict:
@@ -371,8 +392,9 @@ def main(argv=None) -> int:
             config["tolerance"] = args.tolerance
         if not isinstance(config["out"], str):
             raise ConfigError(f"out must be a directory name, got {config['out']!r}")
-        files, failures = _COMMANDS[args.command](config, jobs=max(1, args.jobs))
         out = Path(config["out"])
+        _check_out(out)
+        files, failures = _COMMANDS[args.command](config, jobs=max(1, args.jobs))
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name, records in files.items():

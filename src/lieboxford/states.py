@@ -37,6 +37,18 @@ for the piecewise-linear interpolant: on each radius piece [m dx, (m+1) dx]
 the window average F(r)/(2r) is rational with quadratic numerator, so the
 supremum is attained either at a breakpoint radius or at the analytic
 stationary radius of a piece; both candidate sets are enumerated.
+
+Most radii cannot win, and the scan skips them.  No candidate at radius r
+exceeds mass/(2r), in floating point too, since the window integrals come
+from a monotone cumulative sum; here mass also counts a one-cell ramp to zero
+beyond each end of the grid, which the piece where a window edge leaves the
+grid interpolates.  Each point takes as lower bound L <= M rho the larger of
+rho and the window averages at 24 geometric radii, and scans radii only up
+to ceil(mass/(2 L dx)) plus one margin cell; the margin keeps a rounded cut
+from falling short, and L = 0 cuts nothing.  The points are then sorted by
+scan length and cut into blocks of at most 2^13 rows x radius cells, so a
+block pads little and its 64 KB work arrays stay in cache.  Only candidates
+below L are dropped, so every value is bit-identical to a full scan.
 """
 
 from __future__ import annotations
@@ -514,31 +526,50 @@ def maximal_operator_norm_bound(p: float) -> float:
     return 2 * (2 * p / (p - 1)) ** (1.0 / p)
 
 
-def _maximal_chunk(i_idx, rho_pad, cum_pad, dx, m_lo, m_hi):
-    """Exact sup of window averages for grid points i_idx (vectorized)."""
-    k_max = int(np.max(m_hi - m_lo)) + 1
-    m = m_lo[:, None] + np.arange(k_max + 1)[None, :]
-    m = np.minimum(m, m_hi[:, None] + 1)
-    # padded arrays carry one zero cell on each side; clamp keeps them flat
-    up = np.clip(i_idx[:, None] + m + 1, 0, len(rho_pad) - 1)
-    dn = np.clip(i_idx[:, None] - m + 1, 0, len(rho_pad) - 1)
-    s = rho_pad[up] + rho_pad[dn]
-    F = cum_pad[up] - cum_pad[dn]
+_CUTOFF_PROBES = 24  # geometric probe radii of the lower bound behind the radius cutoff
+_BLOCK_CELLS = 1 << 13  # rows x radius columns per vectorized block; bounds the work arrays
+
+
+def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
+    """Exact sup of window averages about the points rho_ext[at] (vectorized).
+
+    The extended arrays continue the grid flat on both sides, wide enough
+    that every window edge at +- m of the scan is in range.
+    """
+    m = m_lo[:, None] + np.arange(int(np.max(m_hi - m_lo)) + 2)
+    np.minimum(m, m_hi[:, None] + 1, out=m)
+    up = at[:, None] + m
+    dn = at[:, None] - m
+    s = rho_ext[up]
+    s += rho_ext[dn]
+    F = cum_ext[up]
+    F -= cum_ext[dn]
     r = m * dx
 
     with np.errstate(divide="ignore", invalid="ignore"):
         a_break = np.where(m > 0, F / (2 * r), 0.0)
     best = np.max(a_break, axis=1)
 
-    # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b
-    b = (s[:, 1:] - s[:, :-1]) / dx
+    # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b,
+    # evaluated in place, operation for operation
+    s0, r0 = s[:, :-1], r[:, :-1]
+    b = s[:, 1:] - s0
+    b /= dx
+    r0_sq = r0**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        rstar_sq = r[:, :-1] ** 2 + 2 * (F[:, :-1] - s[:, :-1] * r[:, :-1]) / b
-        valid = (b != 0) & (rstar_sq > r[:, :-1] ** 2) & (rstar_sq < r[:, 1:] ** 2)
-        rstar = np.sqrt(np.where(valid, rstar_sq, 1.0))
-        a_star = np.where(valid, 0.5 * (s[:, :-1] + b * (rstar - r[:, :-1])), 0.0)
-    best = np.maximum(best, np.max(a_star, axis=1))
-    return np.maximum(best, rho_pad[i_idx + 1])  # r -> 0 limit is rho itself
+        rstar_sq = s0 * r0
+        np.subtract(F[:, :-1], rstar_sq, out=rstar_sq)
+        rstar_sq *= 2
+        rstar_sq /= b
+        rstar_sq += r0_sq
+        valid = (b != 0) & (rstar_sq > r0_sq) & (rstar_sq < r[:, 1:] ** 2)
+        a_star = np.sqrt(np.where(valid, rstar_sq, 1.0))
+        a_star -= r0
+        a_star *= b
+        a_star += s0
+        a_star *= 0.5
+    best = np.maximum(best, np.max(np.where(valid, a_star, 0.0), axis=1))
+    return np.maximum(best, rho_ext[at])  # r -> 0 limit is rho itself
 
 
 def maximal_function(profile: DensityProfile) -> DensityProfile:
@@ -557,18 +588,42 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
         return DensityProfile(profile.grid, np.zeros(n), profile.n_particles)
     j0, j1 = int(nz[0]), int(nz[-1])
 
-    rho_pad = np.concatenate([[0.0], rho, [0.0]])
     cum = np.concatenate([[0.0], np.cumsum(0.5 * dx * (rho[1:] + rho[:-1]))])
-    cum_pad = np.concatenate([[cum[0]], cum, [cum[-1]]])
-
+    # n + 1 flat cells beyond each end hold every window edge of the scan
+    rho_ext = np.concatenate([np.zeros(n + 1), rho, np.zeros(n + 1)])
+    cum_ext = np.concatenate([np.full(n + 1, cum[0]), cum, np.full(n + 1, cum[-1])])
     i_all = np.arange(n)
+    at = i_all + (n + 1)
     m_lo = np.maximum(np.maximum(j0 - i_all, i_all - j1), 1) - 1
     m_hi = np.maximum(i_all - j0, j1 - i_all) + 1
+
+    # lower bound L <= M rho: rho itself and the window averages at a few
+    # geometric radii, each computed as _maximal_chunk computes it
+    p_lo = np.maximum(m_lo, 1)
+    m_p = np.rint(p_lo[:, None] * (m_hi / p_lo)[:, None] ** np.linspace(0, 1, _CUTOFF_PROBES))
+    m_p = m_p.astype(int)
+    F_p = cum_ext[at[:, None] + m_p] - cum_ext[at[:, None] - m_p]
+    lower = np.maximum(np.max(F_p / (2 * (m_p * dx)), axis=1), rho)
+    # no candidate at radius r exceeds mass/(2r), where mass also counts the
+    # one-cell ramps to zero that the edge pieces of the scan put beyond the
+    # grid: scan only radii up to mass/(2L), plus a margin cell against
+    # rounding; L == 0 cuts nothing
+    mass = cum[-1] + 0.5 * dx * (rho[0] + rho[-1])
+    with np.errstate(divide="ignore"):
+        reach = np.ceil(mass / (2 * lower * dx)) + 1
+    m_hi = np.minimum(m_hi, reach).astype(int)
+
+    # blocks of similar scan length, rows x radius columns within the budget
+    order = np.argsort(m_hi - m_lo, kind="stable")
+    cols = (m_hi - m_lo)[order] + 2
     out = np.empty(n)
-    chunk = 1024  # grid points per vectorized block; bounds the work arrays
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        out[sl] = _maximal_chunk(i_all[sl], rho_pad, cum_pad, dx, m_lo[sl], m_hi[sl])
+    start = 0
+    while start < n:
+        cells = np.arange(1, n - start + 1) * cols[start:]
+        stop = start + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        idx = order[start:stop]
+        out[idx] = _maximal_chunk(at[idx], rho_ext, cum_ext, dx, m_lo[idx], m_hi[idx])
+        start = stop
     return DensityProfile(profile.grid, out, profile.n_particles)
 
 

@@ -134,6 +134,10 @@ class TestExitCodes:
             ("verify", {"out": 5}),
             # a JSON integer too large for a float
             ("optimize", {"optimize": {"potentials": [{"family": "convex_soft_coulomb", "params": {"epsilon": 10**400}}]}}),
+            # booleans and numeric strings are not numbers; counts are integral
+            ("maximal", {"maximal": {"n_profiles": True}}),
+            ("maximal", {"maximal": {"n_profiles": "2"}}),
+            ("maximal", {"maximal": {"n_profiles": 2.5}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):
@@ -145,9 +149,13 @@ class TestExitCodes:
 
     def test_out_under_a_regular_file_is_a_config_error(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
-        cfg = write_config(tmp_path, out=str(tmp_path / "file" / "out"))
-        assert main(["maximal", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        for out in (tmp_path / "file" / "out", tmp_path / "file"):
+            cfg = write_config(tmp_path, out=str(out))
+            assert main(["maximal", "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: ")
+            # rejected before the command ran: no verdict line was printed
+            assert not [line for line in captured.out.splitlines() if line.startswith(("PASS", "FAIL"))]
 
     def test_reference_violation_keeps_exit_zero(self, tmp_path, monkeypatch, capsys):
         row = dataclasses.replace(bounds.BOUNDS["rasanen"], rhs=lambda profile, spec: 1e9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from lieboxford.cli import DEFAULT_CONFIG
 from lieboxford.numerics import rng_stream
 from lieboxford.states import (
     CorrelatedGaussianPair,
@@ -19,7 +20,7 @@ from lieboxford.states import (
     maximal_operator_norm_bound,
     random_state_suite,
 )
-from oracles import rho2_direct
+from oracles import maximal_function_full_scan, rho2_direct
 
 
 def uniform_profile(value=2.0, lo=0.0, hi=1.0, n=1001):
@@ -187,6 +188,75 @@ class TestPowerIntegrals:
             density_power_integral(uniform_profile(), 0.5)
 
 
+def _grid_profile(values, x0=-5.0, dx=0.02):
+    values = np.asarray(values, dtype=float)
+    grid = UniformGrid(x0, dx, len(values))
+    return DensityProfile(grid, values, float(np.trapezoid(values, dx=dx)))
+
+
+def _spike():
+    vals = np.zeros(501)
+    vals[250] = 1.0
+    return _grid_profile(vals)
+
+
+def _two_far_spikes():
+    vals = np.zeros(1024)
+    vals[3], vals[1020] = 5.0, 1e-3
+    return _grid_profile(vals)
+
+
+def _plateau():
+    vals = np.zeros(600)
+    vals[200:400] = 0.7
+    return _grid_profile(vals)
+
+
+def _indicator():
+    # [0, 1] on [-8, 9]: most points sit far outside the support
+    dx = 1e-2
+    grid = UniformGrid(-8.0, dx, int(round(17 / dx)) + 1)
+    vals = ((grid.x >= -1e-12) & (grid.x <= 1 + 1e-12)).astype(float)
+    return DensityProfile(grid, vals, 1.0)
+
+
+def _one_sided():
+    # zero up to j0 = 300, then a ramp up to the right end of the grid
+    x = np.arange(700)
+    return _grid_profile(np.where(x >= 300, 0.01 * (x - 299), 0.0))
+
+
+def _bump_profiles(rng, count):
+    # four random Gaussian bumps on 1024 points, drawn as `lieboxford maximal` draws them
+    grid = UniformGrid(-10.0, 20.0 / 1023, 1024)
+    out = []
+    for _ in range(count):
+        bumps = sum(
+            a * np.exp(-((grid.x - c) ** 2) / (2 * w**2))
+            for a, c, w in zip(rng.uniform(0.1, 3, 4), rng.uniform(-6, 6, 4), rng.uniform(0.2, 2, 4))
+        )
+        out.append(DensityProfile(grid, bumps, float(np.trapezoid(bumps, dx=grid.dx))))
+    return out
+
+
+def _default_maximal_profile(k):
+    # profile k of `lieboxford maximal` at the default seed
+    return _bump_profiles(rng_stream(DEFAULT_CONFIG["seed"], 3), k + 1)[k]
+
+
+CUTOFF_PROFILES = {
+    "spike": _spike,
+    "two_far_spikes": _two_far_spikes,
+    "plateau": _plateau,
+    "ones": lambda: _grid_profile(np.ones(400)),
+    "indicator_wide_grid": _indicator,
+    "one_sided": _one_sided,
+    "two_point_grid": lambda: _grid_profile([1.0, 3.0], x0=0.0, dx=1.0),
+    "all_zero": lambda: _grid_profile(np.zeros(64)),
+    **{f"default_{k}": (lambda k=k: _default_maximal_profile(k)) for k in range(5)},
+}
+
+
 def brute_force_maximal(profile, i, n_r=20000):
     """Dense-radius oracle for the window average supremum at grid point i."""
     x = profile.x
@@ -257,22 +327,19 @@ class TestMaximalFunction:
             maximal_operator_norm_bound(1.0)
 
     def test_random_profiles_within_l2_bound(self):
-        rng = rng_stream(5, 9)
-        for _ in range(20):
-            grid = UniformGrid(-10.0, 20.0 / 1023, 1024)
-            bumps = sum(
-                a * np.exp(-((grid.x - c) ** 2) / (2 * w**2))
-                for a, c, w in zip(
-                    rng.uniform(0.1, 3, 4), rng.uniform(-6, 6, 4), rng.uniform(0.2, 2, 4)
-                )
-            )
-            prof = DensityProfile(grid, bumps, float(np.trapezoid(bumps, dx=grid.dx)))
+        for prof in _bump_profiles(rng_stream(5, 9), 20):
             assert maximal_norm_ratio(prof, 2.0) <= 4.0
 
     def test_zero_profile(self):
         grid = UniformGrid(0.0, 0.1, 32)
         prof = DensityProfile(grid, np.zeros(32), 0.0)
         assert np.all(maximal_function(prof).values == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(CUTOFF_PROFILES))
+    def test_bit_identical_to_full_scan(self, name):
+        # the radius cutoff and the blocking may drop only radii that cannot win
+        prof = CUTOFF_PROFILES[name]()
+        assert np.array_equal(maximal_function(prof).values, maximal_function_full_scan(prof).values)
 
 
 class TestRandomSuite:
