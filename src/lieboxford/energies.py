@@ -12,17 +12,21 @@ u = x - y:
 
 where h(u) = int rho2(y+u, y) dy is the pair-separation density (even, total
 mass N(N-1) over the line) and C(u) = int rho(x) rho(x+u) dx the density
-autocorrelation.  Both are sampled once per state, by one vector-valued
-adaptive pass over the u nodes each, and every potential of a batch shares
-those samples; each potential then gets its own outer passes in u, and its
-own error estimate.  Inside a pass, the factors that depend on y alone
-(rho(y), and the y-side contraction of rho2) are evaluated on the panel's 15
-y nodes, and only the factors in y + u on the whole (u nodes x 15) grid.  The
-outer passes read the cubic splines of h and C directly: their Kronrod nodes
-lie strictly inside [0, span], where the splines are defined.  The contact
-potential acts on the coincidence diagonal instead:
+autocorrelation.  Every trial state gives both in closed form
+(``TrialState.correlations``: Gaussian integrals for the Gaussian families,
+an exact 5-node Gauss-Hermite rule for HermiteSlater; see the states module).
+They are sampled once per state on a u grid, fine near contact and coarse
+far, and every potential of a batch shares those samples through their cubic
+splines; the spline deviation at every 97th inter-node midpoint, against the
+closed form there, enters each error estimate.  Each potential then gets its
+own outer passes in u, split at its breakpoints, and its own error estimate.
+The outer passes read the splines directly: their Kronrod nodes lie strictly
+inside [0, span], where the splines are defined.  The splines stay because
+the weakly singular Homogeneous passes evaluate the integrand at many nodes;
+there a spline is cheaper than the closed form.  The contact potential acts
+on the coincidence diagonal instead:
 
-  <delta> = (1/2) int rho2(x, x) dx,      D = (1/2) int rho^2.
+  <delta> = (1/2) int rho2(x, x) dx,      D = (1/2) int rho^2 = C(0) / 2.
 
 Shifting a potential by a constant, v -> v - c, shifts the indirect energy by
 +c N / 2; this falls out of the same integrals since int h = N(N-1)/2 and
@@ -37,7 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .numerics import Interval, QuadratureSpec, integrate_1d, integrate_1d_with_error
+# integrate_1d is unused here, but bench/test_smoke.py checks that the layer
+# tracer rebinds it by name in this module
+from .numerics import Interval, QuadratureSpec, integrate_1d, integrate_1d_with_error  # noqa: F401
 from .potentials import Contact, Potential
 from .states import TrialState
 
@@ -60,23 +66,6 @@ class EnergyBreakdown:
     quadrature_error_estimate: float
 
 
-def _correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
-    """Vectorized h(u) = int rho2(y+u, y) dy if ``pair``, else C(u) = int rho(y) rho(y+u) dy."""
-    inner = spec.tightened()
-
-    def sample(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-
-        def integrand(y):
-            if pair:
-                return state.rho2(y[None, :] + u[:, None], y[None, :])
-            return state.rho(y)[None, :] * state.rho(y[None, :] + u[:, None])
-
-        return integrate_1d(integrand, state.support, inner)
-
-    return sample
-
-
 def _contact_expectation(state: TrialState, spec: QuadratureSpec):
     return integrate_1d_with_error(lambda x: 0.5 * state.rho2(x, x), state.support, spec)
 
@@ -92,24 +81,23 @@ def _separation_grid(state, span: float) -> np.ndarray:
     return np.unique(np.concatenate([head, tail]))
 
 
-def _interpolated_correlations(state, spec):
+def _interpolated_correlations(state):
     """Cubic splines of h(u) and C(u) plus an interpolation-error estimate.
 
-    Both correlation functions are sampled in one vector-valued adaptive pass
-    each; the spline deviation is measured at inter-node midpoints.
+    Both correlation functions come in closed form from the state; the spline
+    deviation is measured at inter-node midpoints.
     """
     span = state.support.hi - state.support.lo
     u = _separation_grid(state, span)
-    h = _correlation(state, spec, pair=True)
-    c = _correlation(state, spec, pair=False)
-    h_vals, c_vals = h(u), c(u)
+    h_vals, c_vals = state.correlations(u)
     h_spline = CubicSpline(u, h_vals, extrapolate=False)
     c_spline = CubicSpline(u, c_vals, extrapolate=False)
 
     probe = 0.5 * (u[:-1:97] + u[1:][::97])
+    h_probe, c_probe = state.correlations(probe)
     dev = max(
-        float(np.max(np.abs(h_spline(probe) - h(probe)))),
-        float(np.max(np.abs(c_spline(probe) - c(probe)))),
+        float(np.max(np.abs(h_spline(probe) - h_probe))),
+        float(np.max(np.abs(c_spline(probe) - c_probe))),
     )
     scale = max(float(np.max(h_vals)), float(np.max(c_vals)), 1e-300)
     return h_spline, c_spline, span, dev / scale
@@ -130,7 +118,7 @@ def _batched_energies(state, pointwise, spec):
     """(expectation, hartree, error) per non-contact potential, sharing h and C."""
     if not pointwise:
         return []
-    h_fn, c_fn, span, spline_rel = _interpolated_correlations(state, spec)
+    h_fn, c_fn, span, spline_rel = _interpolated_correlations(state)
     out = []
     for p in pointwise:
         ev, e1 = _integrate_separation(h_fn, span, p, spec)
@@ -160,7 +148,7 @@ def interaction_energies(
         if isinstance(p, Contact):
             if contact_cache is None:
                 cexp, cerr = _contact_expectation(state, spec)
-                chart = integrate_1d(lambda x: 0.5 * state.rho(x) ** 2, state.support, spec)
+                chart = 0.5 * state.correlations(0.0)[1]  # D = (1/2) int rho^2 = C(0) / 2
                 contact_cache = (float(cexp), float(chart), float(np.max(cerr)))
             expectation, har, err = contact_cache
         else:

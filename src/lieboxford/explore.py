@@ -20,7 +20,9 @@ import numpy as np
 
 from .bounds import BOUNDS, BoundSpec, verify_bound
 from .energies import EnergyBreakdown, indirect_energy
-from .numerics import QuadratureSpec, integrate_1d, rng_stream
+# integrate_1d is unused here, but bench/test_smoke.py checks that the layer
+# tracer rebinds it by name in this module
+from .numerics import integrate_1d, rng_stream  # noqa: F401
 from .potentials import Potential
 from .states import (
     CorrelatedGaussianPair,
@@ -90,13 +92,9 @@ class SearchResult:
         }
 
 
-def _density_square(state: TrialState) -> float:
-    return float(integrate_1d(lambda x: state.rho(x) ** 2, state.support, QuadratureSpec()))
-
-
 def _ratio(state: TrialState, potential: Potential) -> tuple:
     breakdown = indirect_energy(state, potential)
-    rho_sq = _density_square(state)
+    rho_sq = float(state.correlations(0.0)[1])  # int rho^2 = C(0)
     return -breakdown.i_xc / rho_sq, breakdown
 
 

@@ -32,6 +32,30 @@ H_k(u) = 2^(k/2) He_k(t), t = sqrt(2) u, He_k = t He_(k-1) - (k-1) He_(k-2),
 which for k <= 2 is operation for operation what scipy.special.eval_hermite
 computes, so the orbital values do not depend on which of the two is used.
 
+Every family also gives its two correlation functions in closed form,
+``correlations(u) -> (h(u), C(u))`` with
+
+  h(u) = int rho2(y+u, y) dy,      C(u) = int rho(y) rho(y+u) dy.
+
+GaussianProduct: each orbital product is one Gaussian,
+P_ab = phi_a phi_b = A_ab exp(-(x - m_ab)^2 / (2 w^2)) with
+A_ab = S_ab / sqrt(2 pi w^2), S the overlap matrix, and m_ab the midpoint of
+the two centers, so
+
+  int P_ab(y+u) P_cd(y) dy = A_ab A_cd sqrt(pi) w exp(-(u - m_ab + m_cd)^2 / (4 w^2)),
+
+weighted by W2 for h and by W1 (x) W1 for C.  The forms are exact, but for a
+near-degenerate determinant (close centers, large W1 of both signs) the
+81-term sum of C cancels: on the default 200-state suite C(0) is good to
+7e-13 relative, against 3e-15 typical.  CorrelatedGaussianPair: rho2
+is the envelope's pair density times (1 - h e^(-u^2/2s^2))^2, a function of
+u alone, and rho is a sum of three centred Gaussians, so h is one Gaussian
+integral and C nine.  HermiteSlater: under y = c + w (tau/sqrt(2) - u/(2w))
+the integrand of h or C is e^(-tau^2) e^(-u^2/(2w^2)) times a polynomial in
+tau of degree at most 4(N-1) <= 8 (four orbitals, each a polynomial of
+degree <= N-1 times a Gaussian), so the 5-node Gauss-Hermite rule, exact to
+degree 9, integrates it exactly; the nodes are read through rho2 and rho.
+
 The Hardy-Littlewood maximal function of a grid profile is computed exactly
 for the piecewise-linear interpolant: on each radius piece [m dx, (m+1) dx]
 the window average F(r)/(2r) is rational with quadratic numerator, so the
@@ -80,6 +104,26 @@ __all__ = [
 ]
 
 SUPPORT_TRUNCATION = 1e-14
+
+
+def _hermite_rule_5():
+    """5-node Gauss-Hermite rule for int f(tau) e^(-tau^2), exact to degree 9.
+
+    The nodes are the roots of H_5 = 32 tau^5 - 160 tau^3 + 120 tau,
+    tau^2 in {0, (5 -+ sqrt(10))/2}, with weights sqrt(pi) (8/15) and
+    sqrt(pi) (7 +- 2 sqrt(10))/60.  numpy's hermgauss(5) agrees to 6e-17, but
+    its eigensolver's first call costs every process 1 MB of resident memory.
+    """
+    r = math.sqrt(10.0)
+    inner, outer = math.sqrt((5 - r) / 2), math.sqrt((5 + r) / 2)
+    w_inner, w_outer = (7 + 2 * r) / 60, (7 - 2 * r) / 60
+    tau = np.array([-outer, -inner, 0.0, inner, outer])
+    weight = math.sqrt(math.pi) * np.array([w_outer, w_inner, 8 / 15, w_inner, w_outer])
+    return tau, weight
+
+
+# covers the degree-8 polynomials of HermiteSlater's h and C at N = 3
+_HERMITE_RULE = _hermite_rule_5()
 
 
 class NormalizationDrift(RuntimeError):
@@ -173,7 +217,7 @@ def density_power_integral(profile: DensityProfile, p: float) -> float:
 
 
 class TrialState:
-    """Common surface: densities, pair densities and the support interval."""
+    """Common surface: densities, pair densities, correlation functions, support interval."""
 
     n_particles: int
     symmetry: str
@@ -185,6 +229,13 @@ class TrialState:
         raise NotImplementedError
 
     def psi(self, *coords):
+        raise NotImplementedError
+
+    def correlations(self, u):
+        """(h(u), C(u)) in closed form, each of u's shape (module docstring).
+
+        h(u) = int rho2(y+u, y) dy, C(u) = int rho(y) rho(y+u) dy.
+        """
         raise NotImplementedError
 
     @property
@@ -341,6 +392,22 @@ class GaussianProduct(_OrbitalState):
         norm = (2 * math.pi * self.width**2) ** -0.25
         return norm * np.exp(-((x - mu) ** 2) / (4 * self.width**2))
 
+    def correlations(self, u):
+        s, _, w1, w2 = self._tables
+        w = self.width
+        amp = s / math.sqrt(2 * math.pi * w**2)
+        mu = np.asarray(self.centers)
+        mid = 0.5 * (mu[:, None] + mu[None, :])
+        pair = amp[:, :, None, None] * amp[None, None, :, :]
+        shift = (mid[:, :, None, None] - mid[None, None, :, :]).ravel()
+        weights = np.stack(
+            [(w2 * pair).ravel(), (w1[:, :, None, None] * w1 * pair).ravel()], axis=-1
+        )
+        u = np.asarray(u, dtype=float)[..., None]
+        kernel = math.sqrt(math.pi) * w * np.exp(-((u - shift) ** 2) / (4 * w**2))
+        out = kernel @ weights
+        return out[..., 0], out[..., 1]
+
     @property
     def grid_center(self) -> float:
         return float(np.mean(self.centers))
@@ -396,6 +463,15 @@ class HermiteSlater(_OrbitalState):
             norm = (math.pi**-0.25) / math.sqrt(2.0**k * math.factorial(k) * self.width)
             rows.append(norm * (he[k] * 2.0 ** (k / 2)) * env)  # H_k(u) = 2^(k/2) He_k(t)
         return np.stack(rows)
+
+    def correlations(self, u):
+        tau, omega = _HERMITE_RULE
+        u = np.asarray(u, dtype=float)[..., None]
+        y = self.center + self.width * tau / math.sqrt(2.0) - 0.5 * u
+        weight = self.width / math.sqrt(2.0) * omega * np.exp(tau**2)
+        h = self.rho2(y + u, y) @ weight
+        c = (self.rho(y) * self.rho(y + u)) @ weight
+        return h, c
 
     @property
     def grid_center(self) -> float:
@@ -460,19 +536,37 @@ class CorrelatedGaussianPair(TrialState):
     def rho2(self, x, y):
         return 2.0 * self.psi(x, y) ** 2
 
-    def rho(self, x):
-        x = np.asarray(x, dtype=float)
-        w, s, h, mu = self.width, self.hole_width, self.hole_depth, self.center
+    @cached_property
+    def _gaussians(self):
+        """Amplitudes A_k and exponents g_k of rho(x) = sum_k A_k exp(-g_k (x - mu)^2).
+
+        Term k integrates y out of G(x) G(y) E(x - y)^k, E = exp(-(x-y)^2/(2 s^2)),
+        which the expansion (1 - h E)^2 = 1 - 2 h E + h^2 E^2 weights.
+        """
+        w, s, h = self.width, self.hole_width, self.hole_depth
         alpha = 1 / (2 * w**2)
-        d2 = (x - mu) ** 2
-        g = np.exp(-alpha * d2)
-        out = math.sqrt(math.pi / alpha)  # k = 0: beta = 0, so the exponential is 1
-        for coeff, k in ((-2 * h, 1), (h * h, 2)):
+        amps, exps = [], []
+        for coeff, k in ((1.0, 0), (-2 * h, 1), (h * h, 2)):
             beta = k / (2 * s**2)
-            out = out + coeff * math.sqrt(math.pi / (alpha + beta)) * np.exp(
-                -alpha * beta / (alpha + beta) * d2
-            )
-        return 2.0 * g * out / self._norm
+            amps.append(2.0 * coeff * math.sqrt(math.pi / (alpha + beta)) / self._norm)
+            exps.append(alpha + alpha * beta / (alpha + beta))
+        return np.array(amps), np.array(exps)
+
+    def rho(self, x):
+        d2 = (np.asarray(x, dtype=float) - self.center) ** 2
+        amps, exps = self._gaussians
+        return sum(a * np.exp(-g * d2) for a, g in zip(amps, exps))
+
+    def correlations(self, u):
+        u = np.asarray(u, dtype=float)
+        w, s, h = self.width, self.hole_width, self.hole_depth
+        hole = 1.0 - h * np.exp(-(u**2) / (2 * s**2))
+        pair = 2.0 / self._norm * math.sqrt(math.pi) * w * np.exp(-(u**2) / (4 * w**2)) * hole**2
+        amps, exps = self._gaussians
+        total = exps[:, None] + exps[None, :]
+        coeff = (amps[:, None] * amps[None, :] * np.sqrt(math.pi / total)).ravel()
+        rate = (exps[:, None] * exps[None, :] / total).ravel()
+        return pair, np.exp(-(u[..., None] ** 2) * rate) @ coeff
 
     @property
     def grid_center(self) -> float:

@@ -6,6 +6,8 @@ what the package computes another way.
   ShiftedPotential     v - c, for the shift law of the indirect energy
   window_mass          windowed density mass, for the Cauchy-Schwarz step
   integrate_2d         nested adaptive 2D quadrature
+  correlation          h(u) or C(u) by an adaptive quadrature over y at every
+                       u node, the route the states' closed forms replace
   expectation_via_2d   <V> of a two-particle state on the support square
   rho2_direct          orbital pair density by the full four-index contraction
   read_jsonl           the records of a JSON-lines report, for round trips
@@ -103,6 +105,23 @@ def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):
         return integrate_1d(inner, domain_x, inner_spec)
 
     return integrate_1d(outer, domain_y, spec)
+
+
+def correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
+    """Vectorized h(u) = int rho2(y+u, y) dy if ``pair``, else C(u) = int rho(y) rho(y+u) dy."""
+    inner = spec.tightened()
+
+    def sample(u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+
+        def integrand(y):
+            if pair:
+                return state.rho2(y[None, :] + u[:, None], y[None, :])
+            return state.rho(y)[None, :] * state.rho(y[None, :] + u[:, None])
+
+        return integrate_1d(integrand, state.support, inner)
+
+    return sample
 
 
 def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | None = None):

@@ -19,7 +19,7 @@ from lieboxford.states import (
     density_power_integral,
     random_state_suite,
 )
-from oracles import ShiftedPotential, expectation_via_2d, integrate_2d, window_mass
+from oracles import ShiftedPotential, correlation, expectation_via_2d, integrate_2d, window_mass
 
 GAUSS_PAIR = GaussianProduct((0.0, 0.0), 1.0, "symmetric")
 ANTI_PAIR = GaussianProduct((-0.8, 0.8), 0.9, "antisymmetric")
@@ -121,10 +121,9 @@ class TestIndirectEnergy:
         assert b.expectation_v > 0
         assert b.hartree > 0
         # pair-separation mass equals the number of pairs
-        from lieboxford.energies import _correlation
         from lieboxford.numerics import Interval, QuadratureSpec, integrate_1d
 
-        h = _correlation(state, QuadratureSpec(), pair=True)
+        h = correlation(state, QuadratureSpec(), pair=True)
         mass = integrate_1d(lambda u: h(u), Interval(0.0, 2 * state.grid_halfwidth), QuadratureSpec())
         n = state.n_particles
         assert float(np.max(mass)) == pytest.approx(n * (n - 1) / 2, rel=1e-8)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieboxford.cli import DEFAULT_CONFIG
-from lieboxford.numerics import rng_stream
+from lieboxford.energies import _separation_grid
+from lieboxford.numerics import Interval, QuadratureSpec, integrate_1d, rng_stream
 from lieboxford.states import (
     CorrelatedGaussianPair,
     DensityProfile,
@@ -13,6 +16,7 @@ from lieboxford.states import (
     HermiteSlater,
     NormalizationDrift,
     UniformGrid,
+    _HERMITE_RULE,
     density,
     density_power_integral,
     maximal_function,
@@ -20,7 +24,7 @@ from lieboxford.states import (
     maximal_operator_norm_bound,
     random_state_suite,
 )
-from oracles import maximal_function_full_scan, rho2_direct
+from oracles import correlation, maximal_function_full_scan, rho2_direct
 
 
 def uniform_profile(value=2.0, lo=0.0, hi=1.0, n=1001):
@@ -158,6 +162,86 @@ class TestPairDensityKernel:
             norm = (math.pi**-0.25) / math.sqrt(2.0**k * math.factorial(k) * width)
             expected = norm * scipy.special.eval_hermite(k, u) * env
             assert np.max(np.abs(phi[k] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+CORRELATION_STATES = [
+    GaussianProduct((0.0, 0.0), 1.0, "symmetric"),
+    GaussianProduct((-0.8, 0.8), 0.9, "antisymmetric"),
+    GaussianProduct((-1.0, 0.3, 2.5), 0.7, "antisymmetric"),
+    GaussianProduct((1.5, 2.0, 3.2), 0.6, "symmetric"),
+    GaussianProduct((-6.0, 7.0), 0.5, "symmetric"),  # widely separated centers
+    HermiteSlater(2, 1.3),
+    HermiteSlater(2, 0.8, "symmetric", 0.4),
+    HermiteSlater(3, 1.0),
+    HermiteSlater(3, 0.8, "symmetric", 2.0),
+    CorrelatedGaussianPair(1.0, 0.9, 0.3, 1.5),  # hole depth 0.9, off center
+    CorrelatedGaussianPair(0.7),
+]
+
+
+@st.composite
+def trial_states(draw):
+    """A state of any family, N in {2, 3}, both symmetries, anywhere on the line."""
+    width = draw(st.floats(0.3, 2.0))
+    center = draw(st.floats(-3.0, 3.0))
+    family = draw(st.sampled_from(["gaussian", "hermite", "pair"]))
+    if family == "pair":
+        return CorrelatedGaussianPair(width, draw(st.floats(0.0, 0.95)), draw(st.floats(0.1, 2.0)), center)
+    n = draw(st.sampled_from([2, 3]))
+    symmetry = draw(st.sampled_from(["symmetric", "antisymmetric"]))
+    if family == "hermite":
+        return HermiteSlater(n, width, symmetry, center)
+    # gaps of at least half a width keep an antisymmetric product far from zero norm
+    gaps = draw(st.lists(st.floats(0.5, 4.0), min_size=n - 1, max_size=n - 1))
+    centers = center + width * np.concatenate([[0.0], np.cumsum(gaps)])
+    return GaussianProduct(tuple(centers), width, symmetry)
+
+
+def _separation_nodes(state):
+    return _separation_grid(state, state.support.hi - state.support.lo)
+
+
+class TestCorrelations:
+    def test_hermite_rule_is_numpys(self):
+        for ours, numpys in zip(_HERMITE_RULE, np.polynomial.hermite.hermgauss(5)):
+            assert np.max(np.abs(ours - numpys)) <= 1e-15
+
+    @pytest.mark.parametrize("state", CORRELATION_STATES, ids=repr)
+    def test_matches_quadrature_oracle(self, state):
+        u = _separation_nodes(state)
+        for closed, pair in zip(state.correlations(u), (True, False)):
+            sampled = correlation(state, QuadratureSpec(), pair)(u)
+            assert closed.shape == u.shape
+            assert np.max(np.abs(closed - sampled)) <= 1e-11 * np.max(np.abs(sampled))
+
+    @settings(max_examples=40, deadline=None)
+    @given(trial_states())
+    def test_sum_rules(self, state):
+        # h and C are even: 2 int_0^inf h = N(N-1), 2 int_0^inf C = N^2
+        span = Interval(0.0, state.support.hi - state.support.lo)
+        n = state.n_particles
+        mass = integrate_1d(lambda u: np.stack(state.correlations(u)), span, QuadratureSpec())
+        assert 2 * mass[0] == pytest.approx(n * (n - 1), rel=1e-8)
+        assert 2 * mass[1] == pytest.approx(n * n, rel=1e-8)
+
+    # The moved or dilated state rebuilds its overlap tables from rounded
+    # centers, and a near-degenerate determinant amplifies that rounding:
+    # 2e-10 of the maximum at N = 3 with both gaps half a width.
+    @settings(max_examples=40, deadline=None)
+    @given(trial_states(), st.floats(-5.0, 5.0))
+    def test_translation_invariance(self, state, delta):
+        u = _separation_nodes(state)
+        for base, moved in zip(state.correlations(u), state.translated(delta).correlations(u)):
+            assert np.max(np.abs(moved - base)) <= 1e-9 * np.max(np.abs(base))
+
+    @settings(max_examples=40, deadline=None)
+    @given(trial_states(), st.floats(0.25, 4.0))
+    def test_dilation_scaling(self, state, lam):
+        # density lam rho(lam x) gives h_lam(u) = lam h(lam u), C_lam(u) = lam C(lam u)
+        u = _separation_nodes(state) / lam
+        scaled = state.dilated(lam).correlations(u)
+        for base, dilated in zip(state.correlations(lam * u), scaled):
+            assert np.max(np.abs(dilated - lam * base)) <= 1e-9 * lam * np.max(np.abs(base))
 
 
 class TestPowerIntegrals:
