@@ -109,8 +109,8 @@ def _integrate_separation(f, span: float, p: Potential, spec) -> tuple:
     total, err = 0.0, 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         val, e = integrate_1d_with_error(lambda t: f(t) * p.value(t), Interval(a, b), spec)
-        total += float(val)
-        err += float(e)
+        total += val
+        err += e
     return total, err
 
 
@@ -149,7 +149,7 @@ def interaction_energies(
             if contact_cache is None:
                 cexp, cerr = _contact_expectation(state, spec)
                 chart = 0.5 * state.correlations(0.0)[1]  # D = (1/2) int rho^2 = C(0) / 2
-                contact_cache = (float(cexp), float(chart), float(np.max(cerr)))
+                contact_cache = (cexp, float(chart), cerr)
             expectation, har, err = contact_cache
         else:
             expectation, har, err = next(batched)

@@ -1,11 +1,11 @@
 """Shared numerical kernels: adaptive quadrature, special functions, root finding, RNG.
 
-The quadrature kernel is a vectorized adaptive Gauss-Kronrod (G7/K15) scheme.
-Integrands may be vector valued: ``f(x)`` called with a node array of shape
-``(m,)`` may return shape ``(m,)`` or ``(k, m)``; the integral is taken over
-the last axis and the error is controlled per component.  This is what lets
-the energy integrals evaluate a whole batch of potentials (and inner marginal
-integrals at all outer nodes) in one adaptive pass.
+The quadrature kernel is an adaptive Gauss-Kronrod (G7/K15, QUADPACK dqk15)
+scheme over scalar integrands, ``f`` mapping an ``(m,)`` node array to ``(m,)``
+values.  ``f`` is called once per subdivision, on the nodes of both halves,
+and the totals and heap keys are Python floats.  Each panel is reduced by its
+own dot products on a view of the batched values, which keeps the bits of a
+one-panel call; one (n, 15) matrix product (BLAS gemv) rounds differently.
 
 Semi-infinite domains are mapped onto (0, 1) by r = lo + expm1(t/(1-t)); the
 doubly infinite line is mapped onto (-1, 1) by r = t/(1-t**2).  Kronrod nodes
@@ -58,7 +58,7 @@ class QuadratureSpec:
     """Tolerances and budget for the adaptive quadrature kernel.
 
     The estimated error of a converged integral I is at most
-    max(abs_tol, rel_tol * |I|), per component for vector integrands.
+    max(abs_tol, rel_tol * |I|).
     """
 
     abs_tol: float = 1e-10
@@ -126,18 +126,26 @@ _WG = np.array([
 _INITIAL_PANELS = 4
 
 
-def _panel(f, a, b):
-    """Kronrod estimate and |K - G| error on [a, b]; vector-safe."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _XK
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape[-1] != 15:
-        raise ValueError("integrand must return one value per node (last axis)")
+def _panels(f, edges):
+    """(Kronrod estimate, |K - G| error) of each panel between consecutive edges.
+
+    Every panel's nodes go to ``f`` in one call; each panel is reduced by its
+    own dot products (module docstring).
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _XK
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    if fx.shape != (x.size,):
+        raise ValueError("integrand must map an (m,) node array to (m,) values")
     if not np.all(np.isfinite(fx)):
-        raise ValueError(f"integrand not finite inside panel [{a}, {b}]")
-    k = half * (fx @ _WK)
-    g = half * (fx[..., _GAUSS_IDX] @ _WG)
-    return k, np.abs(k - g)
+        raise ValueError(f"integrand not finite inside [{edges[0]}, {edges[-1]}]")
+    fx = fx.reshape(x.shape)
+    out = []
+    for h, row in zip(half.tolist(), fx):
+        k = h * float(row @ _WK)
+        out.append((k, abs(k - h * float(row[_GAUSS_IDX] @ _WG))))
+    return out
 
 
 # Exponents above this clamp map to radii ~ e^650 where every admissible
@@ -182,52 +190,43 @@ def _transform(f, domain: Interval):
 
 
 def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
-    """Adaptively integrate ``f`` over ``domain``; returns (value, error).
+    """Adaptively integrate ``f`` over ``domain``; returns (value, error) as floats.
 
-    ``f`` must accept a node array and return values with the node axis last;
-    leading axes are integrated component-wise.  Raises NonConvergence when
-    the subdivision budget is exhausted before the tolerance is met.
+    ``f`` maps an ``(m,)`` node array to ``(m,)`` values.  Raises
+    NonConvergence when the subdivision budget is exhausted before the
+    tolerance is met.
     """
     spec = spec or QuadratureSpec()
     domain = Interval.of(domain)
     if domain.lo == domain.hi:
-        probe = np.asarray(f(np.array([domain.lo])), dtype=float)
-        return np.zeros(probe.shape[:-1])[()], 0.0
+        return 0.0, 0.0
     g, box = _transform(f, domain)
 
-    edges = np.linspace(box.lo, box.hi, _INITIAL_PANELS + 1)
-    heap = []
-    total = None
-    total_err = None
-    counter = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        k, e = _panel(g, a, b)
-        total = k if total is None else total + k
-        total_err = e if total_err is None else total_err + e
-        heapq.heappush(heap, (-float(np.max(e)), counter, a, b, k, e))
-        counter += 1
+    edges = np.linspace(box.lo, box.hi, _INITIAL_PANELS + 1).tolist()
+    heap, total, total_err = [], -0.0, -0.0  # x + -0.0 is x, bit for bit
+    for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], _panels(g, edges))):
+        total += k
+        total_err += e
+        heapq.heappush(heap, (-e, i, a, b, k, e))
 
-    for _ in range(spec.max_subdivisions):
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        if np.all(total_err <= tol):
-            return total[()] if np.ndim(total) else float(total), total_err
+    # Heap ties break by creation order.  A NaN total comes with an inf or
+    # NaN error, which stays in total_err, so it never converges.
+    for counter in range(_INITIAL_PANELS, _INITIAL_PANELS + 2 * spec.max_subdivisions, 2):
+        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            return total, total_err
         _, _, a, b, k, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        k1, e1 = _panel(g, a, mid)
-        k2, e2 = _panel(g, mid, b)
+        (k1, e1), (k2, e2) = _panels(g, (a, mid, b))
         total = total - k + k1 + k2
         total_err = total_err - e + e1 + e2
-        heapq.heappush(heap, (-float(np.max(e1)), counter, a, mid, k1, e1))
-        counter += 1
-        heapq.heappush(heap, (-float(np.max(e2)), counter, mid, b, k2, e2))
-        counter += 1
+        heapq.heappush(heap, (-e1, counter, a, mid, k1, e1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, b, k2, e2))
 
-    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-    if np.all(total_err <= tol):
-        return total[()] if np.ndim(total) else float(total), total_err
+    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+        return total, total_err
     raise NonConvergence(
         f"quadrature did not converge after {spec.max_subdivisions} subdivisions "
-        f"(err {np.max(total_err):.3e})",
+        f"(err {total_err:.3e})",
         estimate=total,
         error=total_err,
     )

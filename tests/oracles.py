@@ -5,6 +5,11 @@ what the package computes another way.
 
   ShiftedPotential     v - c, for the shift law of the indirect energy
   window_mass          windowed density mass, for the Cauchy-Schwarz step
+  integrate_1d_components(_with_error)
+                       the adaptive G7/K15 driver over vector-valued
+                       integrands ((k, m) values, error per component), one
+                       integrand call per panel, with numpy bookkeeping; the
+                       package's scalar driver must agree with it bit for bit
   integrate_2d         nested adaptive 2D quadrature
   correlation          h(u) or C(u) by an adaptive quadrature over y at every
                        u node, the route the states' closed forms replace
@@ -18,12 +23,23 @@ what the package computes another way.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from lieboxford.numerics import Interval, QuadratureSpec, integrate_1d
+from lieboxford.numerics import (
+    _GAUSS_IDX,
+    _INITIAL_PANELS,
+    _WG,
+    _WK,
+    _XK,
+    Interval,
+    NonConvergence,
+    QuadratureSpec,
+    _transform,
+)
 from lieboxford.potentials import Potential
 from lieboxford.states import DensityProfile, TrialState, density
 
@@ -86,6 +102,78 @@ def window_mass(state: TrialState, r: float, z, profile: DensityProfile | None =
     return (cum_at(z + r) - cum_at(z - r))[()]
 
 
+def _panel(f, a, b):
+    """Kronrod estimate and |K - G| error on [a, b]; vector-safe."""
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * _XK
+    fx = np.asarray(f(x), dtype=float)
+    if fx.shape[-1] != 15:
+        raise ValueError("integrand must return one value per node (last axis)")
+    if not np.all(np.isfinite(fx)):
+        raise ValueError(f"integrand not finite inside panel [{a}, {b}]")
+    k = half * (fx @ _WK)
+    g = half * (fx[..., _GAUSS_IDX] @ _WG)
+    return k, np.abs(k - g)
+
+
+def integrate_1d_components_with_error(f, domain, spec: QuadratureSpec | None = None):
+    """Adaptively integrate ``f`` over ``domain``; returns (value, error).
+
+    ``f`` must accept a node array and return values with the node axis last;
+    leading axes are integrated component-wise.  Raises NonConvergence when
+    the subdivision budget is exhausted before the tolerance is met.
+    """
+    spec = spec or QuadratureSpec()
+    domain = Interval.of(domain)
+    if domain.lo == domain.hi:
+        probe = np.asarray(f(np.array([domain.lo])), dtype=float)
+        return np.zeros(probe.shape[:-1])[()], 0.0
+    g, box = _transform(f, domain)
+
+    edges = np.linspace(box.lo, box.hi, _INITIAL_PANELS + 1)
+    heap = []
+    total = None
+    total_err = None
+    counter = 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        k, e = _panel(g, a, b)
+        total = k if total is None else total + k
+        total_err = e if total_err is None else total_err + e
+        heapq.heappush(heap, (-float(np.max(e)), counter, a, b, k, e))
+        counter += 1
+
+    for _ in range(spec.max_subdivisions):
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        if np.all(total_err <= tol):
+            return total[()] if np.ndim(total) else float(total), total_err
+        _, _, a, b, k, e = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        k1, e1 = _panel(g, a, mid)
+        k2, e2 = _panel(g, mid, b)
+        total = total - k + k1 + k2
+        total_err = total_err - e + e1 + e2
+        heapq.heappush(heap, (-float(np.max(e1)), counter, a, mid, k1, e1))
+        counter += 1
+        heapq.heappush(heap, (-float(np.max(e2)), counter, mid, b, k2, e2))
+        counter += 1
+
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    if np.all(total_err <= tol):
+        return total[()] if np.ndim(total) else float(total), total_err
+    raise NonConvergence(
+        f"quadrature did not converge after {spec.max_subdivisions} subdivisions "
+        f"(err {np.max(total_err):.3e})",
+        estimate=total,
+        error=total_err,
+    )
+
+
+def integrate_1d_components(f, domain, spec: QuadratureSpec | None = None):
+    """Value of ``integrate_1d_components_with_error``."""
+    value, _ = integrate_1d_components_with_error(f, domain, spec)
+    return value
+
+
 def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):
     """Nested adaptive 2D integral of ``f(x, y)``.
 
@@ -102,9 +190,9 @@ def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):
         def inner(x):
             return np.broadcast_to(f(x[None, :], ys), (len(ys), len(x)))
 
-        return integrate_1d(inner, domain_x, inner_spec)
+        return integrate_1d_components(inner, domain_x, inner_spec)
 
-    return integrate_1d(outer, domain_y, spec)
+    return integrate_1d_components(outer, domain_y, spec)
 
 
 def correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
@@ -119,7 +207,7 @@ def correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
                 return state.rho2(y[None, :] + u[:, None], y[None, :])
             return state.rho(y)[None, :] * state.rho(y[None, :] + u[:, None])
 
-        return integrate_1d(integrand, state.support, inner)
+        return integrate_1d_components(integrand, state.support, inner)
 
     return sample
 

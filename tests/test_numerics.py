@@ -17,7 +17,7 @@ from lieboxford.numerics import (
     integrate_1d_with_error,
     rng_stream,
 )
-from oracles import integrate_2d
+from oracles import integrate_1d_components, integrate_1d_components_with_error, integrate_2d
 
 
 class TestIntegrate1D:
@@ -38,12 +38,17 @@ class TestIntegrate1D:
     def test_degenerate_interval(self):
         assert integrate_1d(lambda r: np.exp(r), (2.0, 2.0)) == 0.0
 
+        def never_called(r):
+            raise AssertionError("a degenerate interval needs no integrand value")
+
+        assert integrate_1d_with_error(never_called, (2.0, 2.0)) == (0.0, 0.0)
+
     def test_whole_line(self):
         val = integrate_1d(lambda x: np.exp(-(x**2) / 2), (-math.inf, math.inf))
         assert val == pytest.approx(math.sqrt(2 * math.pi), rel=1e-9)
 
     def test_vector_valued(self):
-        val = integrate_1d(lambda x: np.vstack([x, x**2, np.cos(x)]), (0.0, 2.0))
+        val = integrate_1d_components(lambda x: np.vstack([x, x**2, np.cos(x)]), (0.0, 2.0))
         assert np.allclose(val, [2.0, 8.0 / 3.0, math.sin(2.0)], rtol=1e-9)
 
     def test_error_estimate_within_contract(self):
@@ -79,6 +84,67 @@ class TestIntegrate1D:
             + c * 3.0
         )
         assert lhs == pytest.approx(rhs, abs=5e-9, rel=1e-8)
+
+
+# (integrand, domain, spec) triples on which the package driver must repeat the
+# oracle's value and error bit for bit: every domain kind, an endpoint
+# singularity, an oscillatory integrand, and a budget too small to converge.
+DRIVER_BATTERY = {
+    "finite": (lambda x: np.exp(-((x - 0.3) ** 2)) * np.cos(x), (-2.0, 3.5), QuadratureSpec()),
+    "upper_half_line": (
+        lambda x: (1.0 + np.minimum(x, 1e100) ** 2) ** -1.5,
+        (0.5, math.inf),
+        QuadratureSpec(),
+    ),
+    "lower_half_line": (
+        lambda x: np.exp(-np.minimum(np.abs(x), 1e8) ** 2),
+        (-math.inf, 0.7),
+        QuadratureSpec(1e-13, 1e-12),
+    ),
+    "whole_line": (
+        lambda x: np.exp(-np.minimum(np.abs(x - 1.0), 1e8)) * np.sin(x) ** 2,
+        (-math.inf, math.inf),
+        QuadratureSpec(),
+    ),
+    "endpoint_singularity": (lambda r: 0.75 * r**-0.5, (0.0, 1.0), QuadratureSpec(1e-13, 1e-12)),
+    "oscillatory": (lambda x: np.sin(40.0 * x) * np.exp(-0.2 * x), (0.0, 25.0), QuadratureSpec()),
+    "nonconvergence": (
+        lambda r: np.exp(-r) * np.sin(50 * r),
+        (0.0, math.inf),
+        QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=40),
+    ),
+}
+
+
+def _outcome(driver, f, domain, spec):
+    """("value", v, err) or ("nonconvergence", estimate, err) of one driver."""
+    try:
+        return ("value", *driver(f, domain, spec))
+    except NonConvergence as err:
+        return ("nonconvergence", err.estimate, err.error)
+
+
+class TestDriverContract:
+    @pytest.mark.parametrize("case", DRIVER_BATTERY, ids=str)
+    def test_bit_identical_to_oracle(self, case):
+        f, domain, spec = DRIVER_BATTERY[case]
+        ours = _outcome(integrate_1d_with_error, f, domain, spec)
+        oracle = _outcome(integrate_1d_components_with_error, f, domain, spec)
+        assert ours == oracle
+        assert ours[0] == ("nonconvergence" if case == "nonconvergence" else "value")
+        assert all(type(v) is float for v in ours[1:])
+
+    def test_component_integrand_rejected(self):
+        with pytest.raises(ValueError, match=r"\(m,\)"):
+            integrate_1d(lambda x: np.vstack([x, x**2]), (0.0, 1.0))
+
+    def test_overflowing_kronrod_sums_do_not_converge(self):
+        # every panel's weighted sums overflow to +-inf, so each |K - G| is NaN,
+        # and the +inf and -inf panels make the total NaN
+        spec = QuadratureSpec(max_subdivisions=20)
+        with pytest.raises(NonConvergence) as caught, np.errstate(over="ignore"):
+            integrate_1d(lambda x: np.where(x < 5.0, 1e308, -1e308), (0.0, 10.0), spec)
+        assert math.isnan(caught.value.estimate)
 
 
 class TestIntegrate2D:
