@@ -25,13 +25,15 @@ classes it applies to, its right-hand side, the parameter grid of the
 verification battery, whether it is proven, and whether search incumbents
 are cross-checked against it.  Adding a bound is adding one row.
 
-verify_bound computes LHS = I_xc by quadrature, the RHS from the grid
-profile, and declares the bound to hold when slack = LHS - RHS >= -tol with
+verify_bound takes LHS = I_xc from the state's energy breakdown and the RHS
+from its grid profile, both computed once per state by run_suite, and
+declares the bound to hold when slack = LHS - RHS >= -tol with
 tol = tol_scale * max(|LHS|, |RHS|, N).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,7 +52,7 @@ from .potentials import (
     SoftCoulomb,
     certified_constants,
 )
-from .states import DensityProfile, TrialState, density, trapezoid_richardson
+from .states import DensityProfile, density, trapezoid_richardson
 
 __all__ = [
     "IncompatibleSpec",
@@ -173,12 +175,17 @@ def rhs_maximal_cs(profile: DensityProfile, p: Potential) -> float:
     return 16.0 * rhs_cauchy_schwarz(profile, p)
 
 
+@functools.lru_cache(maxsize=256)
+def _moments(p: Potential, gamma: float) -> tuple[float, float]:
+    """(int_0^gamma v'' r^2, int_gamma^inf v'' r): the same for every state."""
+    return float(p.second_moment(gamma)), float(p.first_moment_tail(gamma))
+
+
 def rhs_moment_split(profile: DensityProfile, p: Potential, gamma: float) -> float:
     """Window split at gamma: quadratic term inside, linear (N) term outside."""
     n = profile.n_particles
-    return -0.5 * profile.power_integral(2.0) * float(p.second_moment(gamma)) - 0.5 * n * float(
-        p.first_moment_tail(gamma)
-    )
+    second, tail = _moments(p, float(gamma))
+    return -0.5 * profile.power_integral(2.0) * second - 0.5 * n * tail
 
 
 def _log_pointwise_field(rho: np.ndarray, constants: MomentBoundConstants) -> np.ndarray:
@@ -382,21 +389,17 @@ PROVEN_BOUND_IDS = tuple(row.id for row in BOUNDS.values() if row.proven)
 
 
 def verify_bound(
-    state: TrialState,
     spec: BoundSpec,
+    profile: DensityProfile,
+    breakdown: EnergyBreakdown,
     state_id: str = "state",
-    profile: DensityProfile | None = None,
-    breakdown: EnergyBreakdown | None = None,
     tol_scale: float = 1e-6,
 ) -> BoundReport:
-    """Check I_xc >= RHS for one (state, bound) pair."""
-    profile = profile if profile is not None else density(state)
-    if breakdown is None:
-        breakdown = interaction_energies(state, [spec.potential])[0]
+    """Check I_xc >= RHS for one state, given its density and its energies under spec."""
     lhs = breakdown.i_xc
     rhs = spec.definition.rhs(profile, spec)
     slack = lhs - rhs
-    tol = tol_scale * max(abs(lhs), abs(rhs), float(state.n_particles))
+    tol = tol_scale * max(abs(lhs), abs(rhs), float(profile.n_particles))
     status = "holds" if slack >= -tol else "violated"
     return BoundReport(
         state_id=state_id,
@@ -460,27 +463,16 @@ def run_suite(
     re-ordered evaluation cannot change the output.
     """
     specs = proven_bound_specs() if specs is None else specs
+    unique: dict[str, Potential] = {}
+    for spec in specs:
+        unique.setdefault(spec.potential.label(), spec.potential)
     reports: list[BoundReport] = []
     for state_id, state in states:
         profile = density(state)
-        unique: dict[str, Potential] = {}
+        breakdowns = dict(zip(unique, interaction_energies(state, unique.values())))
         for spec in specs:
-            unique.setdefault(spec.potential.label(), spec.potential)
-        keys = list(unique)
-        breakdowns = dict(
-            zip(keys, interaction_energies(state, [unique[k] for k in keys]))
-        )
-        for spec in specs:
-            reports.append(
-                verify_bound(
-                    state,
-                    spec,
-                    state_id=state_id,
-                    profile=profile,
-                    breakdown=breakdowns[spec.potential.label()],
-                    tol_scale=tol_scale,
-                )
-            )
+            breakdown = breakdowns[spec.potential.label()]
+            reports.append(verify_bound(spec, profile, breakdown, state_id, tol_scale))
     reports.sort(key=lambda r: (r.state_id, r.bound_id, r.potential, r.params))
     return reports
 

@@ -24,9 +24,10 @@ The outer passes read the splines directly: their Kronrod nodes lie strictly
 inside [0, span], where the splines are defined.  The splines stay because
 the weakly singular Homogeneous passes evaluate the integrand at many nodes;
 there a spline is cheaper than the closed form.  The contact potential acts
-on the coincidence diagonal instead:
+at zero separation instead, so its breakdown is two closed-form values with
+no quadrature, and its error estimate is 0:
 
-  <delta> = (1/2) int rho2(x, x) dx,      D = (1/2) int rho^2 = C(0) / 2.
+  <delta> = (1/2) int rho2(x, x) dx = h(0) / 2,      D = (1/2) int rho^2 = C(0) / 2.
 
 Shifting a potential by a constant, v -> v - c, shifts the indirect energy by
 +c N / 2; this falls out of the same integrals since int h = N(N-1)/2 and
@@ -64,10 +65,6 @@ class EnergyBreakdown:
     hartree: float
     i_xc: float
     quadrature_error_estimate: float
-
-
-def _contact_expectation(state: TrialState, spec: QuadratureSpec):
-    return integrate_1d_with_error(lambda x: 0.5 * state.rho2(x, x), state.support, spec)
 
 
 def _separation_grid(state, span: float) -> np.ndarray:
@@ -114,19 +111,6 @@ def _integrate_separation(f, span: float, p: Potential, spec) -> tuple:
     return total, err
 
 
-def _batched_energies(state, pointwise, spec):
-    """(expectation, hartree, error) per non-contact potential, sharing h and C."""
-    if not pointwise:
-        return []
-    h_fn, c_fn, span, spline_rel = _interpolated_correlations(state)
-    out = []
-    for p in pointwise:
-        ev, e1 = _integrate_separation(h_fn, span, p, spec)
-        hv, e2 = _integrate_separation(c_fn, span, p, spec)
-        out.append((ev, hv, e1 + e2 + spline_rel * (abs(ev) + abs(hv))))
-    return out
-
-
 def indirect_energy(
     state: TrialState, p: Potential, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> EnergyBreakdown:
@@ -137,21 +121,19 @@ def indirect_energy(
 def interaction_energies(
     state: TrialState, potentials, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> list[EnergyBreakdown]:
-    """Breakdowns for many potentials, sharing the adaptive passes."""
-    potentials = list(potentials)
-    pointwise = [p for p in potentials if not isinstance(p, Contact)]
-    batched = iter(_batched_energies(state, pointwise, spec))
-
-    contact_cache = None
+    """Breakdowns for many potentials; the non-contact ones share h and C."""
+    correlations = None
     out = []
     for p in potentials:
         if isinstance(p, Contact):
-            if contact_cache is None:
-                cexp, cerr = _contact_expectation(state, spec)
-                chart = 0.5 * state.correlations(0.0)[1]  # D = (1/2) int rho^2 = C(0) / 2
-                contact_cache = (cexp, float(chart), cerr)
-            expectation, har, err = contact_cache
+            h0, c0 = state.correlations(0.0)
+            expectation, har, err = 0.5 * float(h0), 0.5 * float(c0), 0.0
         else:
-            expectation, har, err = next(batched)
+            if correlations is None:
+                correlations = _interpolated_correlations(state)
+            h_fn, c_fn, span, spline_rel = correlations
+            expectation, e1 = _integrate_separation(h_fn, span, p, spec)
+            har, e2 = _integrate_separation(c_fn, span, p, spec)
+            err = e1 + e2 + spline_rel * (abs(expectation) + abs(har))
         out.append(EnergyBreakdown(expectation, har, expectation - har, err))
     return out

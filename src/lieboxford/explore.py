@@ -197,8 +197,9 @@ def maximize_ratio(problem: SearchProblem, seed: int) -> SearchResult:
             result.best_theta = theta
             result.best_breakdown = breakdown
             result.trace.append((theta, ratio))
+            profile = density(state) if check_specs else None
             for spec in check_specs:
-                report = verify_bound(state, spec, breakdown=breakdown)
+                report = verify_bound(spec, profile, breakdown)
                 if not report.holds:
                     result.cross_check_failures.append((theta, spec.bound_id, report.slack))
         return -ratio

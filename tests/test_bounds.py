@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lieboxford import bounds
 from lieboxford.bounds import (
     BOUNDS,
     PROVEN_BOUND_IDS,
@@ -24,7 +25,6 @@ from lieboxford.bounds import (
     rhs_moment_split,
     rhs_rasanen,
     run_suite,
-    verify_bound,
 )
 from lieboxford.energies import indirect_energy
 from lieboxford.potentials import (
@@ -273,16 +273,20 @@ class TestBoundTable:
         assert accepted == APPLICABILITY
 
 
+def verify_one(state, spec, sid="state"):
+    return run_suite([(sid, state)], [spec])[0]
+
+
 class TestVerify:
     def test_contact_holds_with_positive_slack(self):
         state = GaussianProduct((0.0, 0.0), 1.0, "symmetric")
-        report = verify_bound(state, BoundSpec("contact_direct", Contact()))
+        report = verify_one(state, BoundSpec("contact_direct", Contact()))
         assert report.holds
         assert report.slack == pytest.approx(1 / (2 * math.sqrt(math.pi)), rel=1e-7)
 
     def test_contact_saturation_for_antisymmetric(self):
         state = GaussianProduct((-0.9, 0.7), 0.8, "antisymmetric")
-        report = verify_bound(state, BoundSpec("contact_direct", Contact()))
+        report = verify_one(state, BoundSpec("contact_direct", Contact()))
         assert report.holds
         assert abs(report.slack) <= 1e-8
 
@@ -290,19 +294,19 @@ class TestVerify:
         reg = RegularizedCoulomb(1.0)
         spec = BoundSpec("log_pointwise", reg)
         for sid, state in random_state_suite(8, 99):
-            assert verify_bound(state, spec, state_id=sid).holds
+            assert verify_one(state, spec, sid).holds
 
     def test_scaling_covariance_of_contact_direct(self):
         state = GaussianProduct((0.4, -0.4), 1.0, "symmetric")
-        base = verify_bound(state, BoundSpec("contact_direct", Contact()))
+        base = verify_one(state, BoundSpec("contact_direct", Contact()))
         for lam in (0.5, 2.0):
-            scaled = verify_bound(state.dilated(lam), BoundSpec("contact_direct", Contact()))
+            scaled = verify_one(state.dilated(lam), BoundSpec("contact_direct", Contact()))
             assert scaled.lhs == pytest.approx(lam * base.lhs, rel=1e-7)
             assert scaled.rhs == pytest.approx(lam * base.rhs, rel=1e-7)
 
     def test_report_record_shape(self):
         state = GaussianProduct((0.0, 0.0), 1.0)
-        rec = verify_bound(state, BoundSpec("contact_direct", Contact())).to_record()
+        rec = verify_one(state, BoundSpec("contact_direct", Contact())).to_record()
         assert set(rec) == {
             "state_id", "bound_id", "potential", "params", "lhs", "rhs", "slack", "status",
         }
@@ -316,6 +320,22 @@ class TestSuite:
         # deterministic ordering
         keys = [(r.state_id, r.bound_id, r.potential, r.params) for r in reports]
         assert keys == sorted(keys)
+
+    def test_moments_computed_once_per_potential_and_gamma(self, monkeypatch):
+        # the 20 moment_split gammas of RegularizedCoulomb(1) cost one int_0^g v
+        # each, however many states share them
+        calls = []
+        integral_to = RegularizedCoulomb._integral_to
+
+        def counted(p, gamma):
+            calls.append(gamma)
+            return integral_to(p, gamma)
+
+        monkeypatch.setattr(RegularizedCoulomb, "_integral_to", counted)
+        bounds._moments.cache_clear()
+        reports = run_suite(random_state_suite(3, 7))
+        assert {r.state_id for r in reports} == {"s000", "s001", "s002"}
+        assert len(calls) == 20
 
     def test_default_specs_cover_all_bound_ids(self):
         ids = {s.bound_id for s in proven_bound_specs()}

@@ -188,6 +188,7 @@ class TestExitCodes:
         assert len(rows) == 1
         assert int(rows[0]["cross_check_failures"]) > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_moment_grid_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, moments={"n_gamma": 2, "gamma_span": [1e-3, 1e300]})
         assert main(["moments", "--config", str(cfg)]) == 1

@@ -22,7 +22,15 @@ from lieboxford.states import (
     density_power_integral,
     random_state_suite,
 )
-from oracles import ShiftedPotential, correlation, expectation_via_2d, integrate_2d, window_mass
+from lieboxford.numerics import QuadratureSpec
+from oracles import (
+    ShiftedPotential,
+    correlation,
+    expectation_via_2d,
+    integrate_1d_components,
+    integrate_2d,
+    window_mass,
+)
 from test_states import trial_states
 
 GAUSS_PAIR = GaussianProduct((0.0, 0.0), 1.0, "symmetric")
@@ -48,6 +56,30 @@ class TestContact:
         b = indirect_energy(ANTI_PAIR, Contact())
         ref = -0.5 * density_power_integral(density(ANTI_PAIR), 2.0)
         assert b.i_xc == pytest.approx(ref, abs=1e-9)
+
+
+SUITE_KINDS = {
+    "gauss2s": GaussianProduct((-0.7, 0.9), 0.8, "symmetric"),
+    "gauss2a": GaussianProduct((-0.7, 0.9), 0.8, "antisymmetric"),
+    "gauss3s": GaussianProduct((-1.2, 0.1, 1.5), 0.9, "symmetric"),
+    "gauss3a": GaussianProduct((-1.2, 0.1, 1.5), 0.9, "antisymmetric"),
+    "herm2": HermiteSlater(2, 1.1, "antisymmetric", 0.3),
+    "herm3": HermiteSlater(3, 0.8, "symmetric", -0.2),
+    "corr2": CorrelatedGaussianPair(0.9, 0.5, 0.6, center=0.4),
+}
+
+
+@pytest.mark.parametrize("kind", SUITE_KINDS)
+def test_contact_breakdown_is_half_h0_and_c0(kind):
+    state = SUITE_KINDS[kind]
+    b = indirect_energy(state, Contact())
+    h0, c0 = state.correlations(0.0)
+    assert (b.expectation_v, b.hartree) == (0.5 * h0, 0.5 * c0)
+    assert b.quadrature_error_estimate == 0.0
+    # the diagonal route: <delta> = (1/2) int rho2(x, x) dx by adaptive quadrature
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-14)
+    direct = integrate_1d_components(lambda x: 0.5 * state.rho2(x, x), state.support, spec)
+    assert abs(b.expectation_v - direct) <= 1e-12 * max(1.0, abs(b.expectation_v))
 
 
 class TestMollifierSweep:

@@ -1,5 +1,6 @@
 import pytest
 
+from lieboxford import bounds, explore
 from lieboxford.explore import (
     ObjectiveEvaluationFailed,
     SearchProblem,
@@ -28,6 +29,22 @@ class TestMaximizeRatio:
         res = maximize_ratio(prob, seed=123)
         assert res.best_ratio >= 0.49
         assert res.evaluations_used <= 2000
+
+    def test_density_once_per_incumbent(self, monkeypatch):
+        # two cross-check bounds (log_pointwise, log_global) share one profile
+        calls = []
+        original = explore.density
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(explore, "density", counted)
+        monkeypatch.setattr(bounds, "density", counted)
+        prob = SearchProblem(ConvexSoftCoulomb(1.0), template_by_name("separated_gaussian_pair"), 50)
+        res = maximize_ratio(prob, seed=4)
+        assert res.trace
+        assert len(calls) == len(res.trace)
 
     def test_deterministic(self):
         prob = SearchProblem(Contact(), template_by_name("separated_gaussian_pair"), 400)
