@@ -162,10 +162,12 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     specs = [s for s in bounds_mod.bound_specs() if s.bound_id in requested or not s.proven]
     tol = _number(config["tolerance"], "tolerance", float, minimum=0.0)
 
-    if jobs > 1 and len(states) > 1:
-        chunks = [states[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_verify_chunk, [(c, specs, tol) for c in chunks if c]))
+    # one worker per chunk, never more workers than states
+    workers = min(jobs, len(states))
+    if workers > 1:
+        chunks = [states[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_verify_chunk, [(c, specs, tol) for c in chunks]))
         everything = [r for part in parts for r in part]
         everything.sort(key=lambda r: (r.state_id, r.bound_id, r.potential, r.params))
     else:
@@ -178,8 +180,11 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
         sub = [r for r in reports if r.bound_id == bound_id]
         bad = sum(not r.holds for r in sub)
         failures += bad
-        worst = min(r.slack for r in sub)
-        print(f"{'FAIL' if bad else 'PASS'} {bound_id}: {len(sub)} checks, min slack {worst:.3e}")
+        worst = min(sub, key=lambda r: r.slack)
+        print(
+            f"{'FAIL' if bad else 'PASS'} {bound_id}: {len(sub)} checks, "
+            f"min slack {worst.slack:.3e} ({worst.state_id})"
+        )
     for bound_id in sorted({r.bound_id for r in ref_reports}):
         sub = [r for r in ref_reports if r.bound_id == bound_id]
         print(
@@ -194,7 +199,7 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     }, failures
 
 
-def cmd_moments(config, jobs: int = 1) -> tuple[dict, int]:
+def cmd_moments(config) -> tuple[dict, int]:
     section = config["moments"]
     span = _numbers(section["gamma_span"], "moments.gamma_span", above=0.0)
     if len(span) != 2:
@@ -248,7 +253,7 @@ def cmd_moments(config, jobs: int = 1) -> tuple[dict, int]:
     }, failures
 
 
-def cmd_optimize(config, jobs: int = 1) -> tuple[dict, int]:
+def cmd_optimize(config) -> tuple[dict, int]:
     section = config["optimize"]
     families = _names(section["families"], "optimize.families")
     unknown = [f for f in families if f not in explore_mod.TEMPLATES]
@@ -267,7 +272,7 @@ def cmd_optimize(config, jobs: int = 1) -> tuple[dict, int]:
     return {"constant_table.csv": rows, "constant_table.jsonl": rows}, failures
 
 
-def cmd_hubbard(config, jobs: int = 1) -> tuple[dict, int]:
+def cmd_hubbard(config) -> tuple[dict, int]:
     section = config["hubbard"]
     t = _number(section["t"], "hubbard.t", float, above=0.0)
     ratios = _numbers(section["u_over_t"], "hubbard.u_over_t", minimum=0.0)
@@ -326,7 +331,7 @@ def cmd_hubbard(config, jobs: int = 1) -> tuple[dict, int]:
     return {"hubbard_grid.csv": rows, "hubbard_checks.jsonl": [checks]}, int(not ok)
 
 
-def cmd_maximal(config, jobs: int = 1) -> tuple[dict, int]:
+def cmd_maximal(config) -> tuple[dict, int]:
     section = config["maximal"]
     # the maximal operator is bounded on L^p for p > 1 only
     p = _number(section["p"], "maximal.p", float, above=1.0)
@@ -377,7 +382,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for verify")
     parser.add_argument("--tolerance", type=float, default=None, help="relative slack tolerance")
     args = parser.parse_args(argv)
 
@@ -394,7 +399,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"out must be a directory name, got {config['out']!r}")
         out = Path(config["out"])
         _check_out(out)
-        files, failures = _COMMANDS[args.command](config, jobs=max(1, args.jobs))
+        if args.command == "verify":
+            files, failures = cmd_verify(config, jobs=max(1, args.jobs))
+        else:
+            files, failures = _COMMANDS[args.command](config)
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name, records in files.items():

@@ -62,17 +62,20 @@ the window average F(r)/(2r) is rational with quadratic numerator, so the
 supremum is attained either at a breakpoint radius or at the analytic
 stationary radius of a piece; both candidate sets are enumerated.
 
-Most radii cannot win, and the scan skips them.  No candidate at radius r
-exceeds mass/(2r), in floating point too, since the window integrals come
-from a monotone cumulative sum; here mass also counts a one-cell ramp to zero
-beyond each end of the grid, which the piece where a window edge leaves the
-grid interpolates.  Each point takes as lower bound L <= M rho the larger of
-rho and the window averages at 24 geometric radii, and scans radii only up
-to ceil(mass/(2 L dx)) plus one margin cell; the margin keeps a rounded cut
-from falling short, and L = 0 cuts nothing.  The points are then sorted by
-scan length and cut into blocks of at most 2^13 rows x radius cells, so a
-block pads little and its 64 KB work arrays stay in cache.  Only candidates
-below L are dropped, so every value is bit-identical to a full scan.
+Most radii cannot win, and the scan skips them.  Each point's radius pieces
+are cut into coarse blocks of 64 pieces, and each surviving coarse block into
+fine blocks of 8.  The window average F(E)/(2 E dx) at every block edge E is
+itself a breakpoint candidate, computed with the kernel's own operations, so
+the largest of them and rho give a lower bound L <= M rho.  No candidate of a
+block [E_k, E_(k+1)] exceeds (F(E_(k+1)) + ramp)/(2 E_k dx), in floating
+point too, since the window integrals come from a monotone cumulative sum;
+ramp = dx (rho_0 + rho_end)/2 is the mass of the one-cell ramps to zero
+beyond the ends of the grid, which the piece where a window edge leaves the
+grid interpolates.  A block whose bound, times 1 + 1e-12 against rounding, is
+below L is dropped, and the kernel scans only the surviving fine blocks.
+Every stage works on at most 2^13 blocks, or 2^13 kernel cells, at a time,
+so its work arrays stay within 64 KB each.  Only candidates below L are
+dropped, so every value is bit-identical to a full scan.
 """
 
 from __future__ import annotations
@@ -620,8 +623,9 @@ def maximal_operator_norm_bound(p: float) -> float:
     return 2 * (2 * p / (p - 1)) ** (1.0 / p)
 
 
-_CUTOFF_PROBES = 24  # geometric probe radii of the lower bound behind the radius cutoff
-_BLOCK_CELLS = 1 << 13  # rows x radius columns per vectorized block; bounds the work arrays
+_COARSE_CELLS = 64  # radius pieces per coarse block of the pruning pass
+_FINE_CELLS = 8  # radius pieces per fine block; the kernel scans only surviving ones
+_BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the work arrays
 
 
 def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
@@ -666,6 +670,40 @@ def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
     return np.maximum(best, rho_ext[at])  # r -> 0 limit is rho itself
 
 
+def _raise_per_point(lower, point, values):
+    """lower[p] = max(lower[p], values of the rows of p), for rows sorted by point."""
+    starts = np.flatnonzero(np.diff(point, prepend=-1))
+    p = point[starts]
+    lower[p] = np.maximum(lower[p], np.maximum.reduceat(values, starts))
+
+
+def _prune_blocks(point, lo, hi, cells, at, lower, cum_ext, dx, ramp):
+    """Split each row's radius pieces lo..hi into blocks of ``cells`` pieces.
+
+    Rows are sorted by point.  The window averages at both edges of every
+    block raise ``lower``, computed as _maximal_chunk computes them; the
+    blocks whose bound (F(E_hi) + ramp)/(2 E_lo dx) can still reach it are
+    returned as (point, lo, hi), sorted by point.
+    """
+    counts = (hi - lo) // cells + 1
+    row = np.repeat(np.arange(len(lo)), counts)
+    b_lo = lo[row] + (np.arange(len(row)) - (np.cumsum(counts) - counts)[row]) * cells
+    b_hi = np.minimum(b_lo + (cells - 1), hi[row])
+    point = point[row]
+    a = at[point]
+    e_hi = b_hi + 1
+    F_lo = cum_ext[a + b_lo] - cum_ext[a - b_lo]
+    F_hi = cum_ext[a + e_hi] - cum_ext[a - e_hi]
+    r_lo = b_lo * dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge_avg = np.maximum(np.where(b_lo > 0, F_lo / (2 * r_lo), 0.0), F_hi / (2 * (e_hi * dx)))
+        F_hi += ramp
+        bound = F_hi / (2 * r_lo)  # +inf at radius 0
+    _raise_per_point(lower, point, edge_avg)
+    keep = bound * (1 + 1e-12) >= lower[point]
+    return point[keep], b_lo[keep], b_hi[keep]
+
+
 def maximal_function(profile: DensityProfile) -> DensityProfile:
     """(M rho)(x) = sup_r (2r)^(-1) int_{|x-y|<r} rho on the profile grid.
 
@@ -691,34 +729,30 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
     m_lo = np.maximum(np.maximum(j0 - i_all, i_all - j1), 1) - 1
     m_hi = np.maximum(i_all - j0, j1 - i_all) + 1
 
-    # lower bound L <= M rho: rho itself and the window averages at a few
-    # geometric radii, each computed as _maximal_chunk computes it
-    p_lo = np.maximum(m_lo, 1)
-    m_p = np.rint(p_lo[:, None] * (m_hi / p_lo)[:, None] ** np.linspace(0, 1, _CUTOFF_PROBES))
-    m_p = m_p.astype(int)
-    F_p = cum_ext[at[:, None] + m_p] - cum_ext[at[:, None] - m_p]
-    lower = np.maximum(np.max(F_p / (2 * (m_p * dx)), axis=1), rho)
-    # no candidate at radius r exceeds mass/(2r), where mass also counts the
-    # one-cell ramps to zero that the edge pieces of the scan put beyond the
-    # grid: scan only radii up to mass/(2L), plus a margin cell against
-    # rounding; L == 0 cuts nothing
-    mass = cum[-1] + 0.5 * dx * (rho[0] + rho[-1])
-    with np.errstate(divide="ignore"):
-        reach = np.ceil(mass / (2 * lower * dx)) + 1
-    m_hi = np.minimum(m_hi, reach).astype(int)
-
-    # blocks of similar scan length, rows x radius columns within the budget
-    order = np.argsort(m_hi - m_lo, kind="stable")
-    cols = (m_hi - m_lo)[order] + 2
-    out = np.empty(n)
+    # lower bound L <= M rho, raised by every block edge and kernel result;
+    # points in groups of at most _BLOCK_CELLS coarse blocks (or one point,
+    # if it alone has more), the coarse survivors in slices that split into
+    # at most _BLOCK_CELLS fine blocks
+    lower = rho.copy()
+    ramp = 0.5 * dx * (rho[0] + rho[-1])
+    prune = (at, lower, cum_ext, dx, ramp)
+    n_coarse = np.cumsum((m_hi - m_lo) // _COARSE_CELLS + 1)
+    per_slice = _BLOCK_CELLS // (_COARSE_CELLS // _FINE_CELLS)
+    per_kernel = _BLOCK_CELLS // (_FINE_CELLS + 1)
     start = 0
     while start < n:
-        cells = np.arange(1, n - start + 1) * cols[start:]
-        stop = start + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
-        idx = order[start:stop]
-        out[idx] = _maximal_chunk(at[idx], rho_ext, cum_ext, dx, m_lo[idx], m_hi[idx])
+        done = n_coarse[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(n_coarse, done + _BLOCK_CELLS, side="right")))
+        group = slice(start, stop)
+        coarse = _prune_blocks(i_all[group], m_lo[group], m_hi[group], _COARSE_CELLS, *prune)
+        for j in range(0, len(coarse[0]), per_slice):
+            pt, lo, hi = _prune_blocks(*(c[j : j + per_slice] for c in coarse), _FINE_CELLS, *prune)
+            for k in range(0, len(pt), per_kernel):
+                rows = slice(k, k + per_kernel)
+                best = _maximal_chunk(at[pt[rows]], rho_ext, cum_ext, dx, lo[rows], hi[rows])
+                _raise_per_point(lower, pt[rows], best)
         start = stop
-    return DensityProfile(profile.grid, out, profile.n_particles)
+    return DensityProfile(profile.grid, lower, profile.n_particles)
 
 
 def maximal_norm_ratio(profile: DensityProfile, p: float) -> float:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lieboxford import bounds, states
+from lieboxford import bounds, cli, states
 from lieboxford.cli import main
 
 
@@ -226,3 +226,52 @@ class TestDeterminism:
         a = (tmp_path / "serial" / "out" / "bound_reports.csv").read_bytes()
         b = (tmp_path / "par" / "out" / "bound_reports.csv").read_bytes()
         assert a == b
+
+
+class TestJobs:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool by one that records max_workers and maps in this process."""
+        created = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        return created
+
+    def test_pool_never_exceeds_the_states(self, tmp_path, pools):
+        cfg_a = write_config(tmp_path / "serial", out=str(tmp_path / "serial" / "out"))
+        cfg_b = write_config(tmp_path / "par", out=str(tmp_path / "par" / "out"))
+        assert main(["verify", "--config", str(cfg_a)]) == 0
+        assert pools == []
+        assert main(["verify", "--config", str(cfg_b), "--jobs", "500"]) == 0
+        assert pools == [2]  # two states, two workers
+        a = (tmp_path / "serial" / "out" / "bound_reports.csv").read_bytes()
+        b = (tmp_path / "par" / "out" / "bound_reports.csv").read_bytes()
+        assert a == b
+
+
+class TestVerifySummary:
+    def test_each_bound_line_names_its_tightest_state(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, verify={"n_states": 4})
+        assert main(["verify", "--config", str(cfg)]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+        with open(tmp_path / "out" / "bound_reports.jsonl", encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        bound_ids = sorted({r["bound_id"] for r in records})
+        assert len(lines) == len(bound_ids)
+        for line, bound_id in zip(lines, bound_ids):
+            worst = min((r for r in records if r["bound_id"] == bound_id), key=lambda r: r["slack"])
+            assert line.startswith(f"PASS {bound_id}: ")
+            assert line.endswith(f"min slack {worst['slack']:.3e} ({worst['state_id']})")

@@ -103,3 +103,29 @@ class TestConstantTable:
         rows = constant_table([ConvexSoftCoulomb(1.0)], ["equal_gaussian_pair"], 60, 3)
         frac = rows[0]["proven_bound_fraction"]
         assert 0.0 < frac < 1.0
+
+    def test_log_bound_fraction_reuses_incumbent_profile(self, monkeypatch):
+        # the row prices log_pointwise on the profile the last incumbent's
+        # cross-checks built: one density per incumbent, none rebuilt
+        calls, results = [], []
+        original_density, original_search = explore.density, explore.maximize_ratio
+
+        def counted(state):
+            calls.append(state)
+            return original_density(state)
+
+        def recorded(problem, seed):
+            results.append(original_search(problem, seed))
+            return results[-1]
+
+        monkeypatch.setattr(explore, "density", counted)
+        monkeypatch.setattr(bounds, "density", counted)
+        monkeypatch.setattr(explore, "maximize_ratio", recorded)
+        potential = ConvexSoftCoulomb(1.0)
+        rows = constant_table([potential], ["equal_gaussian_pair"], 60, 3)
+        (res,) = results
+        assert len(calls) == len(res.trace)
+        profile = original_density(template_by_name("equal_gaussian_pair").build(res.best_theta))
+        log_bound = bounds.BOUNDS["log_pointwise"]
+        rhs = log_bound.rhs(profile, bounds.BoundSpec(log_bound.id, potential))
+        assert rows[0]["proven_bound_fraction"] == res.best_breakdown.i_xc / rhs

@@ -6,6 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieboxford import states
 from lieboxford.cli import DEFAULT_CONFIG
 from lieboxford.energies import _separation_grid
 from lieboxford.numerics import Interval, QuadratureSpec, integrate_1d, rng_stream
@@ -342,6 +343,22 @@ CUTOFF_PROFILES = {
 }
 
 
+@st.composite
+def spiky_profiles(draw):
+    """Grid profiles with zero runs, spikes up to 1e6 and non-zero end values."""
+    n = draw(st.integers(2, 300))
+    dx = draw(st.floats(1e-3, 1e2))
+    values = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=3)):
+        values[start : start + length] = 0.0
+    for at, height in draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(1.0, 1e6)), max_size=4)):
+        values[at] = height
+    # a non-zero end value puts a ramp to zero beyond the grid into the block bound
+    values[0] = draw(st.floats(0.0, 1e3))
+    values[-1] = draw(st.floats(0.0, 1e3))
+    return DensityProfile(UniformGrid(0.0, dx, n), values, 1.0)
+
+
 def brute_force_maximal(profile, i, n_r=20000):
     """Dense-radius oracle for the window average supremum at grid point i."""
     x = profile.x
@@ -422,9 +439,30 @@ class TestMaximalFunction:
 
     @pytest.mark.parametrize("name", sorted(CUTOFF_PROFILES))
     def test_bit_identical_to_full_scan(self, name):
-        # the radius cutoff and the blocking may drop only radii that cannot win
+        # the block pruning may drop only radii that cannot win
         prof = CUTOFF_PROFILES[name]()
         assert np.array_equal(maximal_function(prof).values, maximal_function_full_scan(prof).values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spiky_profiles())
+    def test_bit_identical_to_full_scan_on_drawn_profiles(self, prof):
+        assert np.array_equal(maximal_function(prof).values, maximal_function_full_scan(prof).values)
+
+    def test_kernel_scans_few_radii(self, monkeypatch):
+        # rows x scanned radii of every kernel call on the first default
+        # profile: 99,738 with block pruning, against 788,992 for a full scan
+        cells = []
+        kernel = states._maximal_chunk
+
+        def counted(at, rho_ext, cum_ext, dx, m_lo, m_hi):
+            cells.append(len(at) * (int(np.max(m_hi - m_lo)) + 2))
+            return kernel(at, rho_ext, cum_ext, dx, m_lo, m_hi)
+
+        monkeypatch.setattr(states, "_maximal_chunk", counted)
+        prof = _default_maximal_profile(0)
+        values = maximal_function(prof).values
+        assert sum(cells) < 125_000
+        assert np.array_equal(values, maximal_function_full_scan(prof).values)
 
 
 class TestRandomSuite:
