@@ -14,18 +14,16 @@ where h(u) = int rho2(y+u, y) dy is the pair-separation density (even, total
 mass N(N-1) over the line) and C(u) = int rho(x) rho(x+u) dx the density
 autocorrelation.  Every trial state gives both in closed form
 (``TrialState.correlations``: Gaussian integrals for the Gaussian families,
-an exact 5-node Gauss-Hermite rule for HermiteSlater; see the states module).
-They are sampled once per state on a u grid, fine near contact and coarse
-far, and every potential of a batch shares those samples through their cubic
-splines; the spline deviation at every 97th inter-node midpoint, against the
-closed form there, enters each error estimate.  Each potential then gets its
+an exact degree-4 polynomial in u^2 times a Gaussian for HermiteSlater; see
+the states module), and the outer passes read them at their own quadrature
+nodes, with no u grid and no interpolant in between.  Each potential gets its
 own outer passes in u, split at its breakpoints, and its own error estimate.
-The outer passes read the splines directly: their Kronrod nodes lie strictly
-inside [0, span], where the splines are defined.  The splines stay because
-the weakly singular Homogeneous passes evaluate the integrand at many nodes;
-there a spline is cheaper than the closed form.  The contact potential acts
-at zero separation instead, so its breakdown is two closed-form values with
-no quadrature, and its error estimate is 0:
+Within one call the closed forms are evaluated once per distinct node set:
+the h and C passes of a potential, and the passes of every potential of the
+batch, start on the same panels and share those values through a dict keyed
+by the node array's bytes.  The contact potential acts at zero separation
+instead, so its breakdown is two closed-form values with no quadrature, and
+its error estimate is 0:
 
   <delta> = (1/2) int rho2(x, x) dx = h(0) / 2,      D = (1/2) int rho^2 = C(0) / 2.
 
@@ -36,11 +34,7 @@ int C = N^2 / 2 (checked in the tests).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.interpolate import CubicSpline
 
 # integrate_1d is unused here, but bench/test_smoke.py checks that the layer
 # tracer rebinds it by name in this module
@@ -67,39 +61,6 @@ class EnergyBreakdown:
     quadrature_error_estimate: float
 
 
-def _separation_grid(state, span: float) -> np.ndarray:
-    """Dense u nodes for interpolating h and C: fine near contact, coarse far."""
-    fine = state.feature_scale
-    coarse = state.grid_halfwidth / 12.0
-    lead = min(10.0 * fine, span)
-    head = np.linspace(0.0, lead, 1001)
-    n_tail = max(2, int(math.ceil((span - lead) / (coarse / 150.0))))
-    tail = np.linspace(lead, span, n_tail)
-    return np.unique(np.concatenate([head, tail]))
-
-
-def _interpolated_correlations(state):
-    """Cubic splines of h(u) and C(u) plus an interpolation-error estimate.
-
-    Both correlation functions come in closed form from the state; the spline
-    deviation is measured at inter-node midpoints.
-    """
-    span = state.support.hi - state.support.lo
-    u = _separation_grid(state, span)
-    h_vals, c_vals = state.correlations(u)
-    h_spline = CubicSpline(u, h_vals, extrapolate=False)
-    c_spline = CubicSpline(u, c_vals, extrapolate=False)
-
-    probe = 0.5 * (u[:-1:97] + u[1:][::97])
-    h_probe, c_probe = state.correlations(probe)
-    dev = max(
-        float(np.max(np.abs(h_spline(probe) - h_probe))),
-        float(np.max(np.abs(c_spline(probe) - c_probe))),
-    )
-    scale = max(float(np.max(h_vals)), float(np.max(c_vals)), 1e-300)
-    return h_spline, c_spline, span, dev / scale
-
-
 def _integrate_separation(f, span: float, p: Potential, spec) -> tuple:
     """int_0^span f(u) v(u) du, split at the potential's non-smooth radii."""
     edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
@@ -121,19 +82,24 @@ def indirect_energy(
 def interaction_energies(
     state: TrialState, potentials, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> list[EnergyBreakdown]:
-    """Breakdowns for many potentials; the non-contact ones share h and C."""
-    correlations = None
+    """Breakdowns for many potentials; the non-contact ones share h and C per node set."""
+    span = state.support.hi - state.support.lo
+    at_nodes = {}
+
+    def correlations(u):
+        key = u.tobytes()
+        if key not in at_nodes:
+            at_nodes[key] = state.correlations(u)
+        return at_nodes[key]
+
     out = []
     for p in potentials:
         if isinstance(p, Contact):
             h0, c0 = state.correlations(0.0)
             expectation, har, err = 0.5 * float(h0), 0.5 * float(c0), 0.0
         else:
-            if correlations is None:
-                correlations = _interpolated_correlations(state)
-            h_fn, c_fn, span, spline_rel = correlations
-            expectation, e1 = _integrate_separation(h_fn, span, p, spec)
-            har, e2 = _integrate_separation(c_fn, span, p, spec)
-            err = e1 + e2 + spline_rel * (abs(expectation) + abs(har))
+            expectation, e1 = _integrate_separation(lambda u: correlations(u)[0], span, p, spec)
+            har, e2 = _integrate_separation(lambda u: correlations(u)[1], span, p, spec)
+            err = e1 + e2
         out.append(EnergyBreakdown(expectation, har, expectation - har, err))
     return out

@@ -13,6 +13,8 @@ what the package computes another way.
   integrate_2d         nested adaptive 2D quadrature
   correlation          h(u) or C(u) by an adaptive quadrature over y at every
                        u node, the route the states' closed forms replace
+  separation_integrals (<V>, D) as one vector-valued pass of the exact h and
+                       C times v over [0, span], split at the breakpoints
   expectation_via_2d   <V> of a two-particle state on the support square
   rho2_direct          orbital pair density by the full four-index contraction
   read_jsonl           the records of a JSON-lines report, for round trips
@@ -210,6 +212,24 @@ def correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
         return integrate_1d_components(integrand, state.support, inner)
 
     return sample
+
+
+def separation_integrals(state: TrialState, p: Potential, spec: QuadratureSpec):
+    """(<V>, D) = int_0^span (h(u), C(u)) v(u) du, with the error of each.
+
+    Both components share the component-wise driver's panels, so neither
+    the package's scalar driver nor its per-node sharing enters.
+    """
+    span = state.support.hi - state.support.lo
+    edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
+    total, err = np.zeros(2), np.zeros(2)
+    for a, b in zip(edges[:-1], edges[1:]):
+        value, e = integrate_1d_components_with_error(
+            lambda u: np.stack(state.correlations(u)) * p.value(u), Interval(a, b), spec
+        )
+        total += value
+        err += e
+    return total, err
 
 
 def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | None = None):

@@ -2,9 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lieboxford
 from lieboxford import bounds, cli, states
 from lieboxford.cli import main
 
@@ -275,3 +280,19 @@ class TestVerifySummary:
             worst = min((r for r in records if r["bound_id"] == bound_id), key=lambda r: r["slack"])
             assert line.startswith(f"PASS {bound_id}: ")
             assert line.endswith(f"min slack {worst['slack']:.3e} ({worst['state_id']})")
+
+
+def test_cold_start_loads_neither_interpolate_nor_optimize():
+    # scipy.interpolate and scipy.optimize add set-up time and ~25 MB of
+    # resident memory to every run, and the package needs neither
+    src = str(Path(lieboxford.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, lieboxford.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'interpolate'], ['scipy', 'optimize'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -13,6 +13,7 @@ from lieboxford.potentials import (
     ConvexSoftCoulomb,
     Homogeneous,
     RegularizedCoulomb,
+    SoftCoulomb,
 )
 from lieboxford.states import (
     CorrelatedGaussianPair,
@@ -29,6 +30,7 @@ from oracles import (
     expectation_via_2d,
     integrate_1d_components,
     integrate_2d,
+    separation_integrals,
     window_mass,
 )
 from test_states import trial_states
@@ -80,6 +82,28 @@ def test_contact_breakdown_is_half_h0_and_c0(kind):
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-14)
     direct = integrate_1d_components(lambda x: 0.5 * state.rho2(x, x), state.support, spec)
     assert abs(b.expectation_v - direct) <= 1e-12 * max(1.0, abs(b.expectation_v))
+
+
+# Homogeneous is left out: its outer passes integrate the weak singularity
+# u^(epsilon - 1) at contact untransformed, which leaves a known bias of up to
+# 5.4e-9 of max(|I_xc|, N) on these states at epsilon = 0.1, up to 4.5x above
+# its own error estimate.  Removing it by a substitution in u moves the
+# committed benchmark reference, so it waits for a renewal of that reference
+# (ROADMAP item 1).
+ORACLE_POTENTIALS = [ApproxContact(0.5), ConvexSoftCoulomb(1.0), RegularizedCoulomb(1.0), SoftCoulomb(1.0)]
+
+
+@pytest.mark.parametrize("kind", SUITE_KINDS)
+def test_energies_match_tight_separation_integrals(kind):
+    # the independent route: one vector-valued pass of the exact h and C per
+    # piece, by the oracle driver at a spec 1000x tighter than the default
+    state = SUITE_KINDS[kind]
+    tight = QuadratureSpec(1e-13, 1e-12, 40000)
+    for p, b in zip(ORACLE_POTENTIALS, interaction_energies(state, ORACLE_POTENTIALS)):
+        (expectation, hartree), _ = separation_integrals(state, p, tight)
+        error = abs(b.i_xc - (expectation - hartree))
+        assert error <= 1e-11 * max(abs(b.i_xc), state.n_particles), p.label()
+        assert error <= b.quadrature_error_estimate, p.label()
 
 
 class TestMollifierSweep:

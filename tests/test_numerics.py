@@ -227,6 +227,61 @@ class TestFindRoot:
         with pytest.raises(NoBracket):
             find_root(lambda x: x**2 + 1.0, (-1.0, 1.0))
 
+    def test_root_off_by_more_than_tol(self):
+        # Brent closes in on the jump, where |f| stays 1
+        with pytest.raises(NonConvergence):
+            find_root(lambda x: -1.0 if x < 0.3 else 1.0, (0.0, 1.0))
+
+    def test_root_at_an_end_of_the_bracket(self):
+        assert find_root(lambda x: x - 1.0, (1.0, 2.0)) == 1.0
+        assert find_root(lambda x: x - 2.0, (1.0, 2.0)) == 2.0
+
+
+class TestBrentPort:
+    """find_root returns scipy.optimize.brentq's float at xtol 1e-15, rtol 8.9e-16."""
+
+    @staticmethod
+    def brentq(f, lo, hi):
+        import scipy.optimize  # the reference only; the package does not load it
+
+        return scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+    def test_default_kappa_targets(self):
+        from lieboxford.cli import DEFAULT_CONFIG
+        from lieboxford.hubbard import kappa_of_u, lieb_wu_energy
+
+        for ratio in DEFAULT_CONFIG["hubbard"]["u_over_t"]:
+            target = lieb_wu_energy(ratio)
+            g = lambda k: -(2 * k / math.pi) * math.sin(math.pi / k) - target
+            assert kappa_of_u(ratio) == self.brentq(g, 1.0, 2.0)
+
+    def test_random_brackets(self):
+        rng = rng_stream(11, 0)
+        families = [
+            lambda c: (lambda x: x**3 - 2 * x - c),
+            lambda c: (lambda x: math.sin(3 * x) - c / 4),
+            lambda c: (lambda x: math.expm1(x) - c),
+            lambda c: (lambda x: 1e-9 * math.atan(x - c / 2)),
+            lambda c: (lambda x: math.tanh(20 * (x - c / 3))),
+        ]
+        checked = 0
+        for i in range(600):
+            f = families[i % len(families)](float(rng.uniform(-2.0, 2.0)))
+            lo, hi = sorted(float(v) for v in rng.uniform(-3.0, 3.0, 2))
+            if f(lo) * f(hi) >= 0:
+                continue
+            assert find_root(f, (lo, hi), tol=math.inf) == self.brentq(f, lo, hi)
+            checked += 1
+        assert checked >= 200
+
+    def test_iteration_limit_raises_as_brentq_does(self):
+        # (x - 0.3)^5 has no simple root, and both stop after 100 iterations
+        f = lambda x: (x - 0.3) ** 5
+        with pytest.raises(RuntimeError):
+            self.brentq(f, 0.0, 1.0)
+        with pytest.raises(NonConvergence):
+            find_root(f, (0.0, 1.0), tol=math.inf)
+
 
 class TestInfra:
     def test_interval_validation(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lieboxford import states
 from lieboxford.cli import DEFAULT_CONFIG
-from lieboxford.energies import _separation_grid
 from lieboxford.numerics import Interval, QuadratureSpec, integrate_1d, rng_stream
 from lieboxford.states import (
     CorrelatedGaussianPair,
@@ -199,13 +198,35 @@ def trial_states(draw):
 
 
 def _separation_nodes(state):
-    return _separation_grid(state, state.support.hi - state.support.lo)
+    """1,001 u nodes on [0, 10 feature_scale], then a coarse tail to the span."""
+    span = state.support.hi - state.support.lo
+    lead = min(10.0 * state.feature_scale, span)
+    head = np.linspace(0.0, lead, 1001)
+    n_tail = max(2, math.ceil((span - lead) / (state.grid_halfwidth / 1800.0)))
+    return np.unique(np.concatenate([head, np.linspace(lead, span, n_tail)]))
 
 
 class TestCorrelations:
     def test_hermite_rule_is_numpys(self):
         for ours, numpys in zip(_HERMITE_RULE, np.polynomial.hermite.hermgauss(5)):
             assert np.max(np.abs(ours - numpys)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_hermite_polynomial_matches_gauss_hermite_route(self, n, symmetry):
+        state = HermiteSlater(n, 0.7, symmetry, 0.4)
+        u = np.linspace(0.0, state.support.hi - state.support.lo, 20001)
+        for poly, rule in zip(state.correlations(u), state._gauss_hermite_correlations(u)):
+            assert np.max(np.abs(poly - rule)) <= 1e-13 * np.max(np.abs(rule))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_hermite_polynomial_is_the_rule_at_contact(self, n, symmetry):
+        # Contact rows read h(0) and C(0), so they must not move by a bit
+        for width, center in [(0.7, 0.4), (2.3, -0.9), (0.31, 0.0)]:
+            state = HermiteSlater(n, width, symmetry, center)
+            for poly, rule in zip(state.correlations(0.0), state._gauss_hermite_correlations(0.0)):
+                assert np.float64(poly).tobytes() == np.float64(rule).tobytes()
 
     @pytest.mark.parametrize("state", CORRELATION_STATES, ids=repr)
     def test_matches_quadrature_oracle(self, state):
