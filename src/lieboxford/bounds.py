@@ -26,9 +26,15 @@ verification battery, whether it is proven, and whether search incumbents
 are cross-checked against it.  Adding a bound is adding one row.
 
 verify_bound takes LHS = I_xc from the state's energy breakdown and the RHS
-from its grid profile, both computed once per state by run_suite, and
+from its density profile, both computed once per state by run_suite, and
 declares the bound to hold when slack = LHS - RHS >= -tol with
-tol = tol_scale * max(|LHS|, |RHS|, N).
+tol = tol_scale * max(|LHS|, |RHS|, N).  The quadratic bounds
+(contact_direct, cauchy_schwarz, maximal_cs, moment_split, log_global,
+lifted, homogeneous_window) read int rho^2 = C(0), the closed form that
+``density`` puts on the profile and the Hartree term of the contact energy
+reads too; on a profile without it they raise ValueError.  log_pointwise,
+lundholm and rasanen have no closed form and integrate on the grid profile
+(trapezoid_richardson).
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .potentials import (
     SoftCoulomb,
     certified_constants,
 )
-from .states import DensityProfile, density, trapezoid_richardson
+from .states import DensityProfile, density, density_power_integral, trapezoid_richardson
 
 __all__ = [
     "IncompatibleSpec",
@@ -160,14 +166,21 @@ class BoundReport:
         }
 
 
+def _square_integral(profile: DensityProfile) -> float:
+    """int rho^2 = C(0) of the state behind the profile (see ``density``)."""
+    if profile.square_integral is None:
+        raise ValueError("quadratic bounds read int rho^2 = C(0): this profile has no state")
+    return profile.square_integral
+
+
 def rhs_contact_direct(profile: DensityProfile) -> float:
     """-(1/2) int rho^2: the direct term with the contact interaction."""
-    return -0.5 * profile.power_integral(2.0)
+    return -0.5 * _square_integral(profile)
 
 
 def rhs_cauchy_schwarz(profile: DensityProfile, p: Potential) -> float:
     """-(int v) int rho^2 for potentials with finite integral."""
-    return -p.integral_value() * profile.power_integral(2.0)
+    return -p.integral_value() * _square_integral(profile)
 
 
 def rhs_maximal_cs(profile: DensityProfile, p: Potential) -> float:
@@ -185,7 +198,7 @@ def rhs_moment_split(profile: DensityProfile, p: Potential, gamma: float) -> flo
     """Window split at gamma: quadratic term inside, linear (N) term outside."""
     n = profile.n_particles
     second, tail = _moments(p, float(gamma))
-    return -0.5 * profile.power_integral(2.0) * second - 0.5 * n * tail
+    return -0.5 * _square_integral(profile) * second - 0.5 * n * tail
 
 
 def _log_pointwise_field(rho: np.ndarray, constants: MomentBoundConstants) -> np.ndarray:
@@ -215,7 +228,7 @@ def rhs_log_global(
     a = float(n) if alpha is None else alpha
     if a <= 0:
         raise IncompatibleSpec("log_global needs alpha > 0")
-    rho_sq = profile.power_integral(2.0)
+    rho_sq = _square_integral(profile)
     return -0.5 * rho_sq * (n * constants.c3 / a + constants.c1 * math.log1p(a * constants.c2 / rho_sq))
 
 
@@ -225,7 +238,7 @@ def rhs_lifted(profile: DensityProfile, constants: MomentBoundConstants, shift: 
         raise IncompatibleSpec("lifted needs a positive shift constant")
     n = profile.n_particles
     c1, c2, c3 = constants.c1, constants.c2, constants.c3
-    return -(c1 * c2 * c3 / (2.0 * shift)) * profile.power_integral(2.0) - 0.5 * shift * n
+    return -(c1 * c2 * c3 / (2.0 * shift)) * _square_integral(profile) - 0.5 * shift * n
 
 
 def lundholm_coefficient(epsilon: float) -> float:
@@ -236,7 +249,7 @@ def lundholm_coefficient(epsilon: float) -> float:
 
 def rhs_lundholm(profile: DensityProfile, epsilon: float) -> float:
     """Lundholm et al. bound for v = r^(eps-1): -coef * int rho^(2-eps)."""
-    return -lundholm_coefficient(epsilon) * profile.power_integral(2.0 - epsilon)
+    return -lundholm_coefficient(epsilon) * density_power_integral(profile, 2.0 - epsilon)
 
 
 def homogeneous_window_coefficients(epsilon: float) -> dict:
@@ -257,17 +270,15 @@ def homogeneous_window_coefficients(epsilon: float) -> dict:
     }
 
 
-def rhs_homogeneous_window(profile: DensityProfile, epsilon: float) -> dict:
-    """Both variants of the unit-window homogeneous bound; 'computed' is verified."""
+def rhs_homogeneous_window(profile: DensityProfile, epsilon: float) -> float:
+    """The unit-window homogeneous bound with the computed quadratic coefficient.
+
+    The published coefficient is recorded, not verified: see
+    homogeneous_window_coefficients and discrepancy_records.
+    """
     coefs = homogeneous_window_coefficients(epsilon)
-    rho_sq = profile.power_integral(2.0)
-    n = profile.n_particles
-    linear = coefs["linear_coefficient"] * n
-    return {
-        "stated": -coefs["stated_quadratic_coefficient"] * rho_sq - linear,
-        "computed": -coefs["computed_quadratic_coefficient"] * rho_sq - linear,
-        "discrepant": coefs["discrepant"],
-    }
+    linear = coefs["linear_coefficient"] * profile.n_particles
+    return -coefs["computed_quadratic_coefficient"] * _square_integral(profile) - linear
 
 
 def rhs_rasanen(profile: DensityProfile, epsilon: float) -> float:
@@ -373,7 +384,7 @@ BOUNDS = {
         BoundDef(
             "homogeneous_window",
             (Homogeneous,),
-            lambda rho, s: rhs_homogeneous_window(rho, s.potential.epsilon)["computed"],
+            lambda rho, s: rhs_homogeneous_window(rho, s.potential.epsilon),
             cross_check=True,
         ),
         BoundDef(

@@ -70,10 +70,6 @@ class QuadratureSpec:
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
-    def tightened(self) -> "QuadratureSpec":
-        """Spec with tolerances scaled by 1e-2 (for inner integrals)."""
-        return QuadratureSpec(self.abs_tol * 1e-2, self.rel_tol * 1e-2, self.max_subdivisions)
-
 
 @dataclass(frozen=True)
 class Interval:

@@ -168,12 +168,16 @@ class DensityProfile:
 
     Values below SUPPORT_TRUNCATION times the peak are clamped to zero at
     construction, which defines the numerical support used by the maximal
-    operator and the autocorrelation integrals.
+    operator and the autocorrelation integrals.  ``square_integral`` is
+    int rho^2 in closed form, C(0) of the trial state behind the profile;
+    a profile with no state behind it (a maximal function, a hand-made
+    density) has none.
     """
 
     grid: UniformGrid
     values: np.ndarray
     n_particles: float
+    square_integral: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -192,14 +196,6 @@ class DensityProfile:
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.grid.dx))
-
-    def power_integral(self, p: float) -> float:
-        return density_power_integral(self, p)
-
-    def scaled(self, c: float) -> "DensityProfile":
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return DensityProfile(self.grid, c * self.values, c * self.n_particles)
 
 
 def trapezoid_richardson(values: np.ndarray, dx: float) -> float:
@@ -264,11 +260,6 @@ class TrialState:
         """grid_center +- grid_halfwidth: the density is negligible outside."""
         c, w = self.grid_center, self.grid_halfwidth
         return Interval(c - w, c + w)
-
-    @property
-    def feature_scale(self) -> float:
-        """Smallest length scale of density structure (grids, correlations)."""
-        return self.grid_halfwidth / 12.0
 
     def default_grid(self, n: int = 4096) -> UniformGrid:
         box = self.support
@@ -436,10 +427,6 @@ class GaussianProduct(_OrbitalState):
         spread = max(abs(c - self.grid_center) for c in self.centers)
         return 12 * self.width + spread
 
-    @property
-    def feature_scale(self) -> float:
-        return self.width
-
     def translated(self, delta):
         return GaussianProduct(tuple(c + delta for c in self.centers), self.width, self.symmetry)
 
@@ -528,10 +515,6 @@ class HermiteSlater(_OrbitalState):
     @property
     def grid_halfwidth(self) -> float:
         return 12 * self.width * math.sqrt(2 * self.n_orbitals - 1)
-
-    @property
-    def feature_scale(self) -> float:
-        return self.width / math.sqrt(2 * self.n_orbitals - 1)
 
     def translated(self, delta):
         return HermiteSlater(self.n_orbitals, self.width, self.symmetry, self.center + delta)
@@ -624,10 +607,6 @@ class CorrelatedGaussianPair(TrialState):
     def grid_halfwidth(self) -> float:
         return 12 * self.width
 
-    @property
-    def feature_scale(self) -> float:
-        return min(self.width, self.hole_width)
-
     def translated(self, delta):
         return CorrelatedGaussianPair(
             self.width, self.hole_depth, self.hole_width, self.center + delta
@@ -642,13 +621,16 @@ class CorrelatedGaussianPair(TrialState):
 def density(state: TrialState, grid: UniformGrid | None = None, n: int = 4096) -> DensityProfile:
     """Sample the one-body density on a grid; the mass must equal N.
 
-    Raises NormalizationDrift when the trapezoid mass deviates from the
-    particle number by more than 1e-6 relative (a symptom of a grid that
-    does not cover the state).
+    The profile carries int rho^2 = C(0) of ``state.correlations``, the one
+    int rho^2 that the energies and the bounds read.  Raises
+    NormalizationDrift when the trapezoid mass deviates from the particle
+    number by more than 1e-6 relative (a symptom of a grid that does not
+    cover the state).
     """
     grid = grid or state.default_grid(n)
     values = np.asarray(state.rho(grid.x), dtype=float)
-    profile = DensityProfile(grid, np.clip(values, 0.0, None), state.n_particles)
+    rho_sq = float(state.correlations(0.0)[1])
+    profile = DensityProfile(grid, np.clip(values, 0.0, None), state.n_particles, rho_sq)
     drift = abs(profile.mass() - state.n_particles) / state.n_particles
     if drift > 1e-6:
         raise NormalizationDrift(

@@ -4,12 +4,15 @@ None of these enter the package: they are slow or narrow cross-checks of
 what the package computes another way.
 
   ShiftedPotential     v - c, for the shift law of the indirect energy
+  scaled_profile       c rho on the same grid, for positive homogeneity
   window_mass          windowed density mass, for the Cauchy-Schwarz step
   integrate_1d_components(_with_error)
                        the adaptive G7/K15 driver over vector-valued
                        integrands ((k, m) values, error per component), one
                        integrand call per panel, with numpy bookkeeping; the
                        package's scalar driver must agree with it bit for bit
+  tightened            a quadrature spec with 1e-2 of the tolerances, for
+                       the inner passes of the nested routes
   integrate_2d         nested adaptive 2D quadrature
   correlation          h(u) or C(u) by an adaptive quadrature over y at every
                        u node, the route the states' closed forms replace
@@ -76,6 +79,11 @@ class ShiftedPotential(Potential):
 
     def label(self) -> str:
         return f"shifted({self.base.label()},c={self.c:g})"
+
+
+def scaled_profile(profile: DensityProfile, c: float) -> DensityProfile:
+    """c rho on the same grid, with particle number c N."""
+    return DensityProfile(profile.grid, c * profile.values, c * profile.n_particles)
 
 
 def window_mass(state: TrialState, r: float, z, profile: DensityProfile | None = None):
@@ -176,6 +184,11 @@ def integrate_1d_components(f, domain, spec: QuadratureSpec | None = None):
     return value
 
 
+def tightened(spec: QuadratureSpec) -> QuadratureSpec:
+    """Spec with tolerances scaled by 1e-2 (for inner integrals)."""
+    return QuadratureSpec(spec.abs_tol * 1e-2, spec.rel_tol * 1e-2, spec.max_subdivisions)
+
+
 def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):
     """Nested adaptive 2D integral of ``f(x, y)``.
 
@@ -184,7 +197,7 @@ def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):
     inner pass, so ``f`` must broadcast an x row against a y column.
     """
     spec = spec or QuadratureSpec()
-    inner_spec = spec.tightened()
+    inner_spec = tightened(spec)
 
     def outer(ys):
         ys = np.atleast_1d(ys)[:, None]
@@ -199,7 +212,7 @@ def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):
 
 def correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
     """Vectorized h(u) = int rho2(y+u, y) dy if ``pair``, else C(u) = int rho(y) rho(y+u) dy."""
-    inner = spec.tightened()
+    inner = tightened(spec)
 
     def sample(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))

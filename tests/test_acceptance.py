@@ -173,7 +173,7 @@ def test_criterion_6_maximal_operator():
     from lieboxford.bounds import rhs_cauchy_schwarz, rhs_maximal_cs
     from lieboxford.potentials import ApproxContact
 
-    prof = DensityProfile(UniformGrid(0.0, 1e-3, 1001), np.full(1001, 2.0), 2.0)
+    prof = DensityProfile(UniformGrid(0.0, 1e-3, 1001), np.full(1001, 2.0), 2.0, square_integral=4.0)
     assert rhs_cauchy_schwarz(prof, ApproxContact(0.5)) / rhs_maximal_cs(prof, ApproxContact(0.5)) == 1 / 16
     _report(
         6,

@@ -26,6 +26,7 @@ from lieboxford.bounds import (
     rhs_rasanen,
     run_suite,
 )
+from lieboxford.cli import DEFAULT_CONFIG
 from lieboxford.energies import indirect_energy
 from lieboxford.potentials import (
     ApproxContact,
@@ -43,18 +44,21 @@ from lieboxford.states import (
     GaussianProduct,
     UniformGrid,
     density,
+    density_power_integral,
     random_state_suite,
 )
+from test_energies import SUITE_KINDS
 
 
 def uniform_profile(value, lo=0.0, hi=1.0, n=1001):
+    # int rho^2 in closed form, as density() gives it for a trial state
     grid = UniformGrid(lo, (hi - lo) / (n - 1), n)
-    return DensityProfile(grid, np.full(n, float(value)), value * (hi - lo))
+    return DensityProfile(grid, np.full(n, float(value)), value * (hi - lo), value**2 * (hi - lo))
 
 
 def zero_profile(n=101):
     grid = UniformGrid(0.0, 0.01, n)
-    return DensityProfile(grid, np.zeros(n), 0.0)
+    return DensityProfile(grid, np.zeros(n), 0.0, 0.0)
 
 
 UNIFORM2 = uniform_profile(2.0)  # rho = 2 on [0, 1], N = 2
@@ -105,7 +109,7 @@ class TestRhsEvaluators:
     def test_log_global_anchor(self):
         # int rho^2 = 1, N = 2: RHS = -(1/2)[4 + 2 ln(1 + sqrt(2))]
         prof = uniform_profile(0.5, 0.0, 4.0)
-        assert prof.power_integral(2.0) == pytest.approx(1.0, rel=1e-12)
+        assert prof.square_integral == 1.0
         constants = certified_constants(ConvexSoftCoulomb(1.0))["primary"]
         val = rhs_log_global(prof, constants, alpha=1.0)
         assert val == pytest.approx(-0.5 * (4 + 2 * math.log(1 + math.sqrt(2))), rel=1e-9)
@@ -134,7 +138,7 @@ class TestRhsEvaluators:
         assert lundholm_coefficient(1e-4) > 1e4  # blows up toward the bare Coulomb limit
         assert rhs_lundholm(zero_profile(), 0.5) == 0.0
         assert rhs_lundholm(UNIFORM2, 0.5) == pytest.approx(
-            -lundholm_coefficient(0.5) * UNIFORM2.power_integral(1.5), rel=1e-12
+            -lundholm_coefficient(0.5) * density_power_integral(UNIFORM2, 1.5), rel=1e-12
         )
 
     def test_homogeneous_window_variants(self):
@@ -142,10 +146,10 @@ class TestRhsEvaluators:
         assert coefs["stated_quadratic_coefficient"] == pytest.approx(-0.5)
         assert coefs["computed_quadratic_coefficient"] == pytest.approx(0.75)
         assert coefs["discrepant"]
-        both = rhs_homogeneous_window(UNIFORM2, 0.5)
-        # computed variant: -(0.75) * 4 - 0.75 * 2 = -4.5, matching the moment split
-        assert both["computed"] == pytest.approx(-4.5, rel=1e-12)
-        assert both["stated"] == pytest.approx(0.5 * 4 - 0.75 * 2, rel=1e-12)
+        assert coefs["linear_coefficient"] == 0.75
+        # only the computed variant is verified: -(0.75) * 4 - 0.75 * 2 = -4.5,
+        # matching the moment split
+        assert rhs_homogeneous_window(UNIFORM2, 0.5) == pytest.approx(-4.5, rel=1e-12)
 
     def test_rasanen_defaults_and_zero_crossing(self):
         eps = 1.0
@@ -157,6 +161,49 @@ class TestRhsEvaluators:
         prof = uniform_profile(rho_star, 0.0, 2.0 / rho_star)
         assert rhs_rasanen(prof, eps) == pytest.approx(0.0, abs=1e-10)
         assert rhs_rasanen(zero_profile(), eps) == 0.0
+
+
+# the bounds whose right-hand side is quadratic in int rho^2
+QUADRATIC_BOUND_IDS = {
+    "contact_direct", "cauchy_schwarz", "maximal_cs", "moment_split",
+    "log_global", "lifted", "homogeneous_window",
+}
+
+
+class TestOneSquareIntegral:
+    @pytest.mark.parametrize("kind", SUITE_KINDS)
+    def test_profile_reads_c0_like_the_energies(self, kind):
+        state = SUITE_KINDS[kind]
+        prof = density(state)
+        assert prof.square_integral == float(state.correlations(0.0)[1])
+        assert rhs_contact_direct(prof) == -indirect_energy(state, Contact()).hartree
+        # the grid rule is the independent reference for int rho^2
+        grid = density_power_integral(prof, 2.0)
+        assert abs(prof.square_integral - grid) <= 1e-11 * grid
+
+    def test_quadratic_rhs_needs_the_closed_form(self):
+        prof = density(SUITE_KINDS["gauss3a"])
+        bare = DensityProfile(prof.grid, prof.values, prof.n_particles)
+        for spec in bounds.bound_specs():
+            if spec.bound_id in QUADRATIC_BOUND_IDS:
+                with pytest.raises(ValueError, match="no state"):
+                    spec.definition.rhs(bare, spec)
+            else:  # log_pointwise, lundholm, rasanen integrate the grid
+                assert spec.definition.rhs(bare, spec) == spec.definition.rhs(prof, spec)
+        assert {s.bound_id for s in bounds.bound_specs()} - QUADRATIC_BOUND_IDS == {
+            "log_pointwise", "lundholm", "rasanen",
+        }
+
+
+def test_contact_direct_slack_is_rounding_on_antisymmetric_states():
+    # <delta> = h(0)/2 vanishes for an antisymmetric state, and the Hartree
+    # term and the RHS are the same C(0)/2, so the slack is the rounding of
+    # h(0): 8.9e-15 at most on these states, 4.6e-13 with a grid int rho^2
+    suite = random_state_suite(200, DEFAULT_CONFIG["seed"])
+    anti = [(sid, s) for sid, s in suite if s.symmetry == "antisymmetric"]
+    assert len(anti) == 111
+    reports = run_suite(anti, [BoundSpec("contact_direct", Contact())])
+    assert max(abs(r.slack) for r in reports) <= 5e-14
 
 
 class TestBoundSpecValidation:

@@ -12,6 +12,7 @@ import pytest
 import lieboxford
 from lieboxford import bounds, cli, states
 from lieboxford.cli import main
+from oracles import scaled_profile
 
 
 def write_config(tmp_path, **overrides):
@@ -174,7 +175,7 @@ class TestExitCodes:
         assert "held on 0/2 states" in capsys.readouterr().out
 
     def test_maximal_violation_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(states, "maximal_function", lambda profile: profile.scaled(5.0))
+        monkeypatch.setattr(states, "maximal_function", lambda profile: scaled_profile(profile, 5.0))
         assert main(["maximal", "--config", str(write_config(tmp_path))]) == 1
         with open(tmp_path / "out" / "maximal_ratios.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))

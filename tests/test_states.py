@@ -24,7 +24,7 @@ from lieboxford.states import (
     maximal_operator_norm_bound,
     random_state_suite,
 )
-from oracles import correlation, maximal_function_full_scan, rho2_direct
+from oracles import correlation, maximal_function_full_scan, rho2_direct, scaled_profile
 
 
 def uniform_profile(value=2.0, lo=0.0, hi=1.0, n=1001):
@@ -198,9 +198,13 @@ def trial_states(draw):
 
 
 def _separation_nodes(state):
-    """1,001 u nodes on [0, 10 feature_scale], then a coarse tail to the span."""
+    """1,001 u nodes on [0, 10 L], L = grid_halfwidth / 12, then a coarse tail to the span.
+
+    L is a fixed fraction of the support on every kind, so each kind gets the
+    same nodes per unit of its support.
+    """
     span = state.support.hi - state.support.lo
-    lead = min(10.0 * state.feature_scale, span)
+    lead = 10.0 * state.grid_halfwidth / 12.0
     head = np.linspace(0.0, lead, 1001)
     n_tail = max(2, math.ceil((span - lead) / (state.grid_halfwidth / 1800.0)))
     return np.unique(np.concatenate([head, np.linspace(lead, span, n_tail)]))
@@ -410,7 +414,7 @@ class TestMaximalFunction:
     def test_positively_homogeneous(self):
         prof = density(GaussianProduct((0.0, 1.0), 0.8), n=1024)
         m1 = maximal_function(prof)
-        m3 = maximal_function(prof.scaled(3.0))
+        m3 = maximal_function(scaled_profile(prof, 3.0))
         assert np.allclose(m3.values, 3 * m1.values, rtol=1e-12)
 
     def test_matches_brute_force_oracle(self):
