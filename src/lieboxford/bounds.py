@@ -145,7 +145,6 @@ class BoundReport:
     lhs: float
     rhs: float
     slack: float
-    tolerance: float
     status: str
     proven: bool = True
 
@@ -223,19 +222,15 @@ def rhs_log_global(
     constants: MomentBoundConstants,
     alpha: float | None = None,
 ) -> float:
-    """-(1/2) int rho^2 [N c3/alpha + c1 ln(1 + alpha c2 / int rho^2)]."""
+    """-(1/2) int rho^2 [N c3/alpha + c1 ln(1 + alpha c2 / int rho^2)], alpha > 0 (see BOUNDS)."""
     n = profile.n_particles
     a = float(n) if alpha is None else alpha
-    if a <= 0:
-        raise IncompatibleSpec("log_global needs alpha > 0")
     rho_sq = _square_integral(profile)
     return -0.5 * rho_sq * (n * constants.c3 / a + constants.c1 * math.log1p(a * constants.c2 / rho_sq))
 
 
 def rhs_lifted(profile: DensityProfile, constants: MomentBoundConstants, shift: float) -> float:
-    """Quadratic-plus-constant form from ln(1 + x) <= x with alpha = c N/(c1 c2)."""
-    if shift <= 0:
-        raise IncompatibleSpec("lifted needs a positive shift constant")
+    """Quadratic-plus-constant form from ln(1 + x) <= x with alpha = c N/(c1 c2), c > 0."""
     n = profile.n_particles
     c1, c2, c3 = constants.c1, constants.c2, constants.c3
     return -(c1 * c2 * c3 / (2.0 * shift)) * _square_integral(profile) - 0.5 * shift * n
@@ -420,7 +415,6 @@ def verify_bound(
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        tolerance=tol,
         status=status,
         proven=spec.proven,
     )

@@ -12,6 +12,7 @@ byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -138,11 +139,6 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _verify_chunk(payload):
-    states, specs, tol = payload
-    return bounds_mod.run_suite(states, specs, tol_scale=tol)
-
-
 def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     section = config["verify"]
     requested = _names(section["bounds"], "verify.bounds")
@@ -167,7 +163,8 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     if workers > 1:
         chunks = [states[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_verify_chunk, [(c, specs, tol) for c in chunks]))
+            run = functools.partial(bounds_mod.run_suite, specs=specs, tol_scale=tol)
+            parts = list(pool.map(run, chunks))
         everything = [r for part in parts for r in part]
         everything.sort(key=lambda r: (r.state_id, r.bound_id, r.potential, r.params))
     else:

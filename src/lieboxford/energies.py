@@ -61,27 +61,23 @@ class EnergyBreakdown:
     quadrature_error_estimate: float
 
 
-def _integrate_separation(f, span: float, p: Potential, spec) -> tuple:
+def _integrate_separation(f, span: float, p: Potential) -> tuple:
     """int_0^span f(u) v(u) du, split at the potential's non-smooth radii."""
     edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
     total, err = 0.0, 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, e = integrate_1d_with_error(lambda t: f(t) * p.value(t), Interval(a, b), spec)
+        val, e = integrate_1d_with_error(lambda t: f(t) * p.value(t), Interval(a, b), DEFAULT_SPEC)
         total += val
         err += e
     return total, err
 
 
-def indirect_energy(
-    state: TrialState, p: Potential, spec: QuadratureSpec = DEFAULT_SPEC
-) -> EnergyBreakdown:
+def indirect_energy(state: TrialState, p: Potential) -> EnergyBreakdown:
     """Full breakdown for one (state, potential) pair; I_xc = <V> - D."""
-    return interaction_energies(state, [p], spec)[0]
+    return interaction_energies(state, [p])[0]
 
 
-def interaction_energies(
-    state: TrialState, potentials, spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[EnergyBreakdown]:
+def interaction_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
     """Breakdowns for many potentials; the non-contact ones share h and C per node set."""
     span = state.support.hi - state.support.lo
     at_nodes = {}
@@ -98,8 +94,8 @@ def interaction_energies(
             h0, c0 = state.correlations(0.0)
             expectation, har, err = 0.5 * float(h0), 0.5 * float(c0), 0.0
         else:
-            expectation, e1 = _integrate_separation(lambda u: correlations(u)[0], span, p, spec)
-            har, e2 = _integrate_separation(lambda u: correlations(u)[1], span, p, spec)
+            expectation, e1 = _integrate_separation(lambda u: correlations(u)[0], span, p)
+            har, e2 = _integrate_separation(lambda u: correlations(u)[1], span, p)
             err = e1 + e2
         out.append(EnergyBreakdown(expectation, har, expectation - har, err))
     return out

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BOUNDS, BoundSpec, verify_bound
-from .energies import EnergyBreakdown, indirect_energy
+from .energies import indirect_energy
 # integrate_1d is unused here, but bench/test_smoke.py checks that the layer
 # tracer rebinds it by name in this module
 from .numerics import integrate_1d, rng_stream  # noqa: F401
 from .potentials import Potential
 from .states import (
     CorrelatedGaussianPair,
-    DensityProfile,
     GaussianProduct,
     HermiteSlater,
     TrialState,
@@ -81,8 +80,7 @@ class SearchResult:
     evaluations_used: int
     trace: list = field(default_factory=list)  # (theta, ratio) incumbents
     cross_check_failures: list = field(default_factory=list)
-    best_breakdown: EnergyBreakdown | None = None  # the incumbent's energies
-    best_profile: DensityProfile | None = None  # its density, built for the cross-checks
+    best_checks: dict = field(default_factory=dict)  # bound id -> the incumbent's BoundReport
 
     def to_record(self, problem: SearchProblem) -> dict:
         return {
@@ -197,12 +195,12 @@ def maximize_ratio(problem: SearchProblem, seed: int) -> SearchResult:
         if ratio > result.best_ratio:
             result.best_ratio = ratio
             result.best_theta = theta
-            result.best_breakdown = breakdown
             result.trace.append((theta, ratio))
             profile = density(state) if check_specs else None
-            result.best_profile = profile
+            result.best_checks = {}
             for spec in check_specs:
                 report = verify_bound(spec, profile, breakdown)
+                result.best_checks[spec.bound_id] = report
                 if not report.holds:
                     result.cross_check_failures.append((theta, spec.bound_id, report.slack))
         return -ratio
@@ -274,26 +272,22 @@ def template_by_name(name: str) -> StateTemplate:
 
 
 def constant_table(potentials, families, budget: int, seed: int) -> list[dict]:
-    """Best observed ratio per (potential, family); empty inputs, empty table.
+    """Best observed ratio per (potential, template name); empty inputs, empty table.
 
     For potentials covered by the pointwise logarithmic bound the table also
     reports the fraction of that proven bound actually used by the best
     state (in [0, 1]; 1 would mean saturation).  ``cross_check_failures``
     counts the incumbents that violated a proven bound (0 when all held).
     """
-    log_bound = BOUNDS["log_pointwise"]
     rows = []
     for pot_idx, potential in enumerate(potentials):
         for fam_idx, family in enumerate(families):
-            template = template_by_name(family) if isinstance(family, str) else family
-            problem = SearchProblem(potential, template, budget)
+            problem = SearchProblem(potential, template_by_name(family), budget)
             res = maximize_ratio(problem, seed + 1000 * pot_idx + fam_idx)
             row = res.to_record(problem)
-            row["proven_bound_fraction"] = ""
-            # log_pointwise is a cross-check bound, so the incumbent's profile exists
-            if isinstance(potential, log_bound.applies_to) and res.best_profile is not None:
-                rhs = log_bound.rhs(res.best_profile, BoundSpec(log_bound.id, potential))
-                row["proven_bound_fraction"] = res.best_breakdown.i_xc / rhs
+            # log_pointwise is a cross-check bound: the incumbent's report has it
+            log_check = res.best_checks.get("log_pointwise")
+            row["proven_bound_fraction"] = log_check.lhs / log_check.rhs if log_check else ""
             row["cross_check_failures"] = len(res.cross_check_failures)
             rows.append(row)
     return rows

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.special
@@ -139,7 +138,6 @@ def _fermi(z):
     return scipy.special.expit(-z)
 
 
-@lru_cache(maxsize=4096)
 def lieb_wu_energy(u_over_t: float) -> float:
     """Exact half-filling ground-state energy per site, units of t.
 

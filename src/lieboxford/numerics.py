@@ -1,15 +1,14 @@
-"""Shared numerical kernels: adaptive quadrature, special functions, root finding, RNG.
+"""Shared numerical kernels: adaptive quadrature, root finding, RNG.
 
 The quadrature kernel is an adaptive Gauss-Kronrod (G7/K15, QUADPACK dqk15)
 scheme over scalar integrands, ``f`` mapping an ``(m,)`` node array to ``(m,)``
-values.  ``f`` is called once per subdivision, on the nodes of both halves,
-and the totals and heap keys are Python floats.  Each panel is reduced by its
-own dot products on a view of the batched values, which keeps the bits of a
-one-panel call; one (n, 15) matrix product (BLAS gemv) rounds differently.
-
-Semi-infinite domains are mapped onto (0, 1) by r = lo + expm1(t/(1-t)); the
-doubly infinite line is mapped onto (-1, 1) by r = t/(1-t**2).  Kronrod nodes
-are interior, so endpoint singularities and the images of infinity are never
+values, on a finite ``Interval``: every integral of the package runs over a
+bounded range (a state's support, a curvature-moment window, the cut-off
+Lieb-Wu integral).  ``f`` is called once per subdivision, on the nodes of
+both halves, and the totals and heap keys are Python floats.  Each panel is
+reduced by its own dot products on a view of the batched values, which keeps
+the bits of a one-panel call; one (n, 15) matrix product (BLAS gemv) rounds
+differently.  Kronrod nodes are interior, so endpoint singularities are never
 evaluated.
 """
 
@@ -20,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 __all__ = [
     "QuadratureSpec",
@@ -29,8 +27,6 @@ __all__ = [
     "NoBracket",
     "integrate_1d",
     "integrate_1d_with_error",
-    "erfcx",
-    "erfcx_sandwich",
     "find_root",
     "rng_stream",
 ]
@@ -73,12 +69,14 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration interval; ``hi`` (or ``lo``) may be infinite."""
+    """Finite integration interval or root bracket, ``lo <= hi``."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval [{self.lo}, {self.hi}] must have finite ends")
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -88,10 +86,6 @@ class Interval:
             return domain
         lo, hi = domain
         return Interval(float(lo), float(hi))
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
 
 
 # Standard QUADPACK dqk15 abscissae and weights on [-1, 1].
@@ -143,49 +137,8 @@ def _panels(f, edges):
     return out
 
 
-# Exponents above this clamp map to radii ~ e^650 where every admissible
-# (decaying) integrand has vanished; those nodes contribute exactly zero and
-# evaluating them would only overflow the Jacobian.
-_TAU_MAX = 650.0
-
-
-def _half_line_map(t):
-    tau_raw = t / (1.0 - t)
-    dead = tau_raw > _TAU_MAX
-    tau = np.where(dead, _TAU_MAX, tau_raw)
-    jac = np.where(dead, 0.0, np.exp(tau) / (1.0 - t) ** 2)
-    return np.expm1(tau), jac
-
-
-def _transform(f, domain: Interval):
-    """Map an infinite domain to a finite one; returns (g, finite_interval).
-
-    Half lines use r = lo + expm1(t/(1-t)) on (0, 1): the exponential
-    stretching keeps algebraically decaying tails (down to r^(-1.1))
-    resolvable where a linear-rational map would need panels below machine
-    epsilon.  Admissible integrands must decay at infinity.
-    """
-    lo, hi = domain.lo, domain.hi
-    if domain.finite:
-        return f, domain
-    if math.isfinite(lo) and hi == math.inf:
-        def g(t, _f=f, _lo=lo):
-            r, jac = _half_line_map(t)
-            return _f(_lo + r) * jac
-        return g, Interval(0.0, 1.0)
-    if lo == -math.inf and math.isfinite(hi):
-        def g(t, _f=f, _hi=hi):
-            r, jac = _half_line_map(t)
-            return _f(_hi - r) * jac
-        return g, Interval(0.0, 1.0)
-    def g(t, _f=f):
-        w = 1.0 - t * t
-        return _f(t / w) * (1.0 + t * t) / w**2
-    return g, Interval(-1.0, 1.0)
-
-
 def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
-    """Adaptively integrate ``f`` over ``domain``; returns (value, error) as floats.
+    """Adaptively integrate ``f`` over the finite ``domain``; returns (value, error) as floats.
 
     ``f`` maps an ``(m,)`` node array to ``(m,)`` values.  Raises
     NonConvergence when the subdivision budget is exhausted before the
@@ -195,11 +148,10 @@ def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
     domain = Interval.of(domain)
     if domain.lo == domain.hi:
         return 0.0, 0.0
-    g, box = _transform(f, domain)
 
-    edges = np.linspace(box.lo, box.hi, _INITIAL_PANELS + 1).tolist()
+    edges = np.linspace(domain.lo, domain.hi, _INITIAL_PANELS + 1).tolist()
     heap, total, total_err = [], -0.0, -0.0  # x + -0.0 is x, bit for bit
-    for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], _panels(g, edges))):
+    for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], _panels(f, edges))):
         total += k
         total_err += e
         heapq.heappush(heap, (-e, i, a, b, k, e))
@@ -211,7 +163,7 @@ def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
             return total, total_err
         _, _, a, b, k, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        (k1, e1), (k2, e2) = _panels(g, (a, mid, b))
+        (k1, e1), (k2, e2) = _panels(f, (a, mid, b))
         total = total - k + k1 + k2
         total_err = total_err - e + e1 + e2
         heapq.heappush(heap, (-e1, counter, a, mid, k1, e1))
@@ -233,36 +185,10 @@ def integrate_1d(f, domain, spec: QuadratureSpec | None = None):
     return value
 
 
-def erfcx(x):
-    """Scaled complementary error function e^(x^2) erfc(x), x >= 0.
-
-    Strictly decreasing from erfcx(0) = 1, asymptotic to 1/(sqrt(pi) x).
-    Relative error at the 1e-15 level (well inside the 1e-12 contract).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("erfcx defined here for x >= 0 only")
-    out = scipy.special.erfcx(arr)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def erfcx_sandwich(x):
-    """Elementary two-sided bound for erfcx: lower, upper arrays.
-
-    2/(sqrt(pi)(x + sqrt(x^2+2))) <= erfcx(x) <= 2/(sqrt(pi)(x + sqrt(x^2+4/pi))),
-    with equality of the upper bound at x = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    sq = np.sqrt(np.pi)
-    lower = 2.0 / (sq * (x + np.sqrt(x * x + 2.0)))
-    upper = 2.0 / (sq * (x + np.sqrt(x * x + 4.0 / np.pi)))
-    return lower, upper
-
-
 def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter=100):
     """Root of ``f`` between xpre and xcur, where ``fpre`` and ``fcur`` differ in sign.
 
-    Line for line the algorithm of scipy.optimize.brentq (its C routine
+    Line for line the algorithm of SciPy's brentq (its C routine
     ``brentq.c``): the sign-changing bracket [xcur, xblk] shrinks by inverse
     quadratic or secant steps that stay well inside it, and by bisection
     otherwise, until it is narrower than 2 delta, delta = (xtol + rtol |xcur|)/2.
@@ -301,7 +227,7 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter=100):
 def find_root(f, bracket, tol: float = 1e-12) -> float:
     """Root of ``f`` inside ``bracket`` with |f(root)| <= tol.
 
-    Brent's bisection/secant hybrid, a port of scipy.optimize.brentq at
+    Brent's bisection/secant hybrid, a port of SciPy's brentq at
     xtol = 1e-15, rtol = 8.9e-16 that returns the same float.  Raises
     NoBracket when f does not change sign over the bracket.
     """

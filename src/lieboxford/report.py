@@ -16,17 +16,12 @@ from pathlib import Path
 from . import MODULES, __version__
 
 __all__ = [
-    "IoError",
     "canonical_value",
     "canonical_json",
     "config_digest",
     "write_manifest",
     "write_reports",
 ]
-
-
-class IoError(OSError):
-    """Report file could not be written."""
 
 
 def canonical_value(value):
@@ -83,18 +78,15 @@ def write_reports(records: list, path) -> None:
     for rec in records:
         if sorted(rec.keys()) != keys:
             raise ValueError("records must be homogeneous per file")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if path.suffix == ".csv":
-                writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-                writer.writerow(keys)
-                for rec in records:
-                    writer.writerow([_format_cell(rec[k]) for k in keys])
-            else:
-                for rec in records:
-                    fh.write(canonical_json(rec) + "\n")
-    except OSError as err:
-        raise IoError(f"cannot write report {path}: {err}") from err
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if path.suffix == ".csv":
+            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+            writer.writerow(keys)
+            for rec in records:
+                writer.writerow([_format_cell(rec[k]) for k in keys])
+        else:
+            for rec in records:
+                fh.write(canonical_json(rec) + "\n")
 
 
 def write_manifest(config: dict, path) -> None:

@@ -9,10 +9,13 @@ what the package computes another way.
   integrate_1d_components(_with_error)
                        the adaptive G7/K15 driver over vector-valued
                        integrands ((k, m) values, error per component), one
-                       integrand call per panel, with numpy bookkeeping; the
-                       package's scalar driver must agree with it bit for bit
+                       integrand call per panel, with numpy bookkeeping, on
+                       finite, half-infinite and doubly infinite (lo, hi)
+                       domains; on finite ones the package's scalar driver
+                       must agree with it bit for bit
   tightened            a quadrature spec with 1e-2 of the tolerances, for
                        the inner passes of the nested routes
+  erfcx_sandwich       the elementary two-sided bound of erfcx
   integrate_2d         nested adaptive 2D quadrature
   correlation          h(u) or C(u) by an adaptive quadrature over y at every
                        u node, the route the states' closed forms replace
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,6 @@ from lieboxford.numerics import (
     Interval,
     NonConvergence,
     QuadratureSpec,
-    _transform,
 )
 from lieboxford.potentials import Potential
 from lieboxford.states import DensityProfile, TrialState, density
@@ -112,6 +115,48 @@ def window_mass(state: TrialState, r: float, z, profile: DensityProfile | None =
     return (cum_at(z + r) - cum_at(z - r))[()]
 
 
+# Exponents above this clamp map to radii ~ e^650 where every admissible
+# (decaying) integrand has vanished; those nodes contribute exactly zero and
+# evaluating them would only overflow the Jacobian.
+_TAU_MAX = 650.0
+
+
+def _half_line_map(t):
+    tau_raw = t / (1.0 - t)
+    dead = tau_raw > _TAU_MAX
+    tau = np.where(dead, _TAU_MAX, tau_raw)
+    jac = np.where(dead, 0.0, np.exp(tau) / (1.0 - t) ** 2)
+    return np.expm1(tau), jac
+
+
+def _transform(f, lo: float, hi: float):
+    """Map an infinite domain to a finite one; returns (g, (lo', hi')).
+
+    Half lines use r = lo + expm1(t/(1-t)) on (0, 1): the exponential
+    stretching keeps algebraically decaying tails (down to r^(-1.1))
+    resolvable where a linear-rational map would need panels below machine
+    epsilon.  The doubly infinite line uses r = t/(1-t^2) on (-1, 1).
+    Kronrod nodes are interior, so the images of infinity are never
+    evaluated.  Admissible integrands must decay at infinity.
+    """
+    if math.isfinite(lo) and math.isfinite(hi):
+        return f, (lo, hi)
+    if math.isfinite(lo) and hi == math.inf:
+        def g(t, _f=f, _lo=lo):
+            r, jac = _half_line_map(t)
+            return _f(_lo + r) * jac
+        return g, (0.0, 1.0)
+    if lo == -math.inf and math.isfinite(hi):
+        def g(t, _f=f, _hi=hi):
+            r, jac = _half_line_map(t)
+            return _f(_hi - r) * jac
+        return g, (0.0, 1.0)
+    def g(t, _f=f):
+        w = 1.0 - t * t
+        return _f(t / w) * (1.0 + t * t) / w**2
+    return g, (-1.0, 1.0)
+
+
 def _panel(f, a, b):
     """Kronrod estimate and |K - G| error on [a, b]; vector-safe."""
     half = 0.5 * (b - a)
@@ -129,18 +174,21 @@ def _panel(f, a, b):
 def integrate_1d_components_with_error(f, domain, spec: QuadratureSpec | None = None):
     """Adaptively integrate ``f`` over ``domain``; returns (value, error).
 
+    ``domain`` is an Interval or a (lo, hi) pair whose ends may be infinite.
     ``f`` must accept a node array and return values with the node axis last;
     leading axes are integrated component-wise.  Raises NonConvergence when
     the subdivision budget is exhausted before the tolerance is met.
     """
     spec = spec or QuadratureSpec()
-    domain = Interval.of(domain)
-    if domain.lo == domain.hi:
-        probe = np.asarray(f(np.array([domain.lo])), dtype=float)
+    lo, hi = (domain.lo, domain.hi) if isinstance(domain, Interval) else map(float, domain)
+    if not lo <= hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if lo == hi:
+        probe = np.asarray(f(np.array([lo])), dtype=float)
         return np.zeros(probe.shape[:-1])[()], 0.0
-    g, box = _transform(f, domain)
+    g, box = _transform(f, lo, hi)
 
-    edges = np.linspace(box.lo, box.hi, _INITIAL_PANELS + 1)
+    edges = np.linspace(*box, _INITIAL_PANELS + 1)
     heap = []
     total = None
     total_err = None
@@ -187,6 +235,19 @@ def integrate_1d_components(f, domain, spec: QuadratureSpec | None = None):
 def tightened(spec: QuadratureSpec) -> QuadratureSpec:
     """Spec with tolerances scaled by 1e-2 (for inner integrals)."""
     return QuadratureSpec(spec.abs_tol * 1e-2, spec.rel_tol * 1e-2, spec.max_subdivisions)
+
+
+def erfcx_sandwich(x):
+    """Elementary two-sided bound for erfcx: lower, upper arrays.
+
+    2/(sqrt(pi)(x + sqrt(x^2+2))) <= erfcx(x) <= 2/(sqrt(pi)(x + sqrt(x^2+4/pi))),
+    with equality of the upper bound at x = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    sq = np.sqrt(np.pi)
+    lower = 2.0 / (sq * (x + np.sqrt(x * x + 2.0)))
+    upper = 2.0 / (sq * (x + np.sqrt(x * x + 4.0 / np.pi)))
+    return lower, upper
 
 
 def integrate_2d(f, domain_x, domain_y, spec: QuadratureSpec | None = None):

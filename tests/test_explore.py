@@ -1,6 +1,7 @@
 import pytest
 
 from lieboxford import bounds, explore
+from lieboxford.energies import indirect_energy
 from lieboxford.explore import (
     ObjectiveEvaluationFailed,
     SearchProblem,
@@ -105,8 +106,8 @@ class TestConstantTable:
         assert 0.0 < frac < 1.0
 
     def test_log_bound_fraction_reuses_incumbent_profile(self, monkeypatch):
-        # the row prices log_pointwise on the profile the last incumbent's
-        # cross-checks built: one density per incumbent, none rebuilt
+        # the row reads the last incumbent's log_pointwise cross-check, which
+        # priced the profile it built: one density per incumbent, none rebuilt
         calls, results = [], []
         original_density, original_search = explore.density, explore.maximize_ratio
 
@@ -125,7 +126,7 @@ class TestConstantTable:
         rows = constant_table([potential], ["equal_gaussian_pair"], 60, 3)
         (res,) = results
         assert len(calls) == len(res.trace)
-        profile = original_density(template_by_name("equal_gaussian_pair").build(res.best_theta))
+        state = template_by_name("equal_gaussian_pair").build(res.best_theta)
         log_bound = bounds.BOUNDS["log_pointwise"]
-        rhs = log_bound.rhs(profile, bounds.BoundSpec(log_bound.id, potential))
-        assert rows[0]["proven_bound_fraction"] == res.best_breakdown.i_xc / rhs
+        rhs = log_bound.rhs(original_density(state), bounds.BoundSpec(log_bound.id, potential))
+        assert rows[0]["proven_bound_fraction"] == indirect_energy(state, potential).i_xc / rhs

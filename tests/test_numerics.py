@@ -4,26 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from lieboxford.numerics import (
     Interval,
     NoBracket,
     NonConvergence,
     QuadratureSpec,
-    erfcx,
-    erfcx_sandwich,
     find_root,
     integrate_1d,
     integrate_1d_with_error,
     rng_stream,
 )
-from oracles import integrate_1d_components, integrate_1d_components_with_error, integrate_2d
+from oracles import (
+    erfcx_sandwich,
+    integrate_1d_components,
+    integrate_1d_components_with_error,
+    integrate_2d,
+)
 
 
 class TestIntegrate1D:
     def test_gaussian_half_line(self):
-        # clip keeps the mapped far-tail nodes from overflowing r**2
-        val = integrate_1d(lambda r: np.exp(-np.minimum(r, 1e8) ** 2), (0.0, math.inf))
+        # infinite domains are the oracle's alone; clip keeps the mapped
+        # far-tail nodes from overflowing r**2
+        val = integrate_1d_components(lambda r: np.exp(-np.minimum(r, 1e8) ** 2), (0.0, math.inf))
         assert val == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-9)
 
     def test_endpoint_singularity(self):
@@ -44,7 +49,7 @@ class TestIntegrate1D:
         assert integrate_1d_with_error(never_called, (2.0, 2.0)) == (0.0, 0.0)
 
     def test_whole_line(self):
-        val = integrate_1d(lambda x: np.exp(-(x**2) / 2), (-math.inf, math.inf))
+        val = integrate_1d_components(lambda x: np.exp(-(x**2) / 2), (-math.inf, math.inf))
         assert val == pytest.approx(math.sqrt(2 * math.pi), rel=1e-9)
 
     def test_vector_valued(self):
@@ -66,7 +71,7 @@ class TestIntegrate1D:
     def test_nonconvergence_raises(self):
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=5)
         with pytest.raises(NonConvergence):
-            integrate_1d(lambda r: np.exp(-r) * np.sin(50 * r), (0.0, math.inf), spec)
+            integrate_1d(lambda r: np.exp(-r) * np.sin(50 * r), (0.0, 30.0), spec)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -87,30 +92,15 @@ class TestIntegrate1D:
 
 
 # (integrand, domain, spec) triples on which the package driver must repeat the
-# oracle's value and error bit for bit: every domain kind, an endpoint
+# oracle's value and error bit for bit: a smooth integrand, an endpoint
 # singularity, an oscillatory integrand, and a budget too small to converge.
 DRIVER_BATTERY = {
     "finite": (lambda x: np.exp(-((x - 0.3) ** 2)) * np.cos(x), (-2.0, 3.5), QuadratureSpec()),
-    "upper_half_line": (
-        lambda x: (1.0 + np.minimum(x, 1e100) ** 2) ** -1.5,
-        (0.5, math.inf),
-        QuadratureSpec(),
-    ),
-    "lower_half_line": (
-        lambda x: np.exp(-np.minimum(np.abs(x), 1e8) ** 2),
-        (-math.inf, 0.7),
-        QuadratureSpec(1e-13, 1e-12),
-    ),
-    "whole_line": (
-        lambda x: np.exp(-np.minimum(np.abs(x - 1.0), 1e8)) * np.sin(x) ** 2,
-        (-math.inf, math.inf),
-        QuadratureSpec(),
-    ),
     "endpoint_singularity": (lambda r: 0.75 * r**-0.5, (0.0, 1.0), QuadratureSpec(1e-13, 1e-12)),
     "oscillatory": (lambda x: np.sin(40.0 * x) * np.exp(-0.2 * x), (0.0, 25.0), QuadratureSpec()),
     "nonconvergence": (
         lambda r: np.exp(-r) * np.sin(50 * r),
-        (0.0, math.inf),
+        (0.0, 30.0),
         QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=40),
     ),
 }
@@ -167,6 +157,8 @@ class TestIntegrate2D:
 
 
 class TestErfcx:
+    """The erfcx the package reads, against a quadrature, its sandwich and its derivative."""
+
     def test_at_zero(self):
         assert erfcx(0.0) == 1.0
 
@@ -177,7 +169,9 @@ class TestErfcx:
     def test_quadrature_oracle(self):
         # Independent route: e^(x^2) * (2/sqrt(pi)) * int_x^inf e^(-t^2) dt.
         for x in (0.3, 1.0, 2.5):
-            tail = integrate_1d(lambda t: np.exp(-np.minimum(t, 1e8) ** 2), (x, math.inf))
+            tail = integrate_1d_components(
+                lambda t: np.exp(-np.minimum(t, 1e8) ** 2), (x, math.inf)
+            )
             assert erfcx(x) == pytest.approx(
                 math.exp(x**2) * 2 / math.sqrt(math.pi) * tail, rel=1e-10
             )
@@ -206,10 +200,6 @@ class TestErfcx:
             fd = (erfcx(x + h) - erfcx(x - h)) / (2 * h)
             exact = 2 * x * erfcx(x) - 2 / math.sqrt(math.pi)
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-9)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            erfcx(-0.1)
 
 
 class TestFindRoot:
@@ -287,6 +277,22 @@ class TestInfra:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "ends",
+        [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0)],
+        ids=["upper_half_line", "lower_half_line", "whole_line", "nan_end"],
+    )
+    def test_interval_rejects_non_finite_ends(self, ends):
+        def never_called(r):
+            raise AssertionError("an infinite domain is rejected before any integrand call")
+
+        with pytest.raises(ValueError, match="finite ends"):
+            Interval(*ends)
+        with pytest.raises(ValueError, match="finite ends"):
+            integrate_1d_with_error(never_called, ends)
+        with pytest.raises(ValueError, match="finite ends"):
+            find_root(never_called, ends)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieboxford.report import (
-    IoError,
     canonical_json,
     config_digest,
     write_manifest,
@@ -78,7 +77,7 @@ class TestWriteReports:
             write_reports(RECORDS, tmp_path / "bad.xml")
 
     def test_unwritable_path(self):
-        with pytest.raises(IoError):
+        with pytest.raises(OSError):
             write_reports(RECORDS, "/proc/definitely/not/writable.csv")
 
     def test_csv_quoting_of_commas(self, tmp_path):
