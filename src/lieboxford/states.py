@@ -704,13 +704,45 @@ def _raise_per_point(lower, point, values):
     lower[p] = np.maximum(lower[p], np.maximum.reduceat(values, starts))
 
 
-def _prune_blocks(point, lo, hi, cells, at, lower, cum_ext, dx, ramp):
+def _window_max(a, k):
+    """out[i] = max(a[i : i + k]), windows cut off at the end of ``a``; log2(k) np.maximum steps."""
+    out = a.copy()
+    width = 1
+    while width < k:
+        step = min(width, k - width)
+        np.maximum(out[:-step], out[step:], out=out[:-step])
+        width += step
+    return out
+
+
+def _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peak, fuzz):
     """Split each row's radius pieces lo..hi into blocks of ``cells`` pieces.
 
-    Rows are sorted by point.  The window averages at both edges of every
-    block raise ``lower``, computed as _maximal_chunk computes them; the
-    blocks whose bound (F(E_hi) + ramp)/(2 E_lo dx) can still reach it are
-    returned as (point, lo, hi), sorted by point.
+    Returns (point, b_lo, b_hi, edge_avg, bound) per block: the window
+    averages at both block edges, computed as _maximal_chunk computes them,
+    and a bound on every value _maximal_chunk finds on the block.
+
+    Between the block edges E_lo = b_lo dx and E_hi = (b_hi + 1) dx the
+    window mass F(r) has slope s(r) = rho(x + r) + rho(x - r), linear on
+    each piece, so F(r) <= min(F_lo + (r - E_lo) S, F_hi + ramp) with S the
+    largest s on the block's nodes: at most the sum of ``peak`` (the
+    maximum of rho_ext over cells + 1 nodes) on each side.  The ramp is
+    the mass of the triangles beyond the grid ends, which the stationary
+    candidates count and cum_ext does not; those candidates, F(r*)/(2r*)
+    of a piece's quadratic mass model, obey both caps, as do the break
+    averages.  The sup of the capped mass over 2r is F_lo/(2 E_lo) when
+    S E_lo <= F_lo, else (F_hi + ramp)/(2 r_c) at the crossing
+    r_c = E_lo + (F_hi + ramp - F_lo)/S, clipped to the block; +inf at
+    E_lo = 0.
+
+    Rounding: F is a difference of stored cumsum values.  Every cumsum step
+    adds a non-negative increment and rounds to nearest, so the stored step
+    exceeds the increment by at most half an ulp of its result, which is at
+    most cum[-1]: ``fuzz``.  F_m - F_lo spans at most 2 cells such steps,
+    and the rounded subtractions giving F_lo and F_m are each off by at
+    most ``fuzz``, so (2 cells + 2) fuzz is added to F_lo.  What is left is
+    relative: the increments, S, and the arithmetic of the kernel and of
+    the bound, which the caller's (1 + 1e-12) margin covers.
     """
     counts = (hi - lo) // cells + 1
     row = np.repeat(np.arange(len(lo)), counts)
@@ -722,10 +754,26 @@ def _prune_blocks(point, lo, hi, cells, at, lower, cum_ext, dx, ramp):
     F_lo = cum_ext[a + b_lo] - cum_ext[a - b_lo]
     F_hi = cum_ext[a + e_hi] - cum_ext[a - e_hi]
     r_lo = b_lo * dx
+    r_hi = e_hi * dx
+    slope = peak[a + b_lo] + peak[a - e_hi]
     with np.errstate(divide="ignore", invalid="ignore"):
-        edge_avg = np.maximum(np.where(b_lo > 0, F_lo / (2 * r_lo), 0.0), F_hi / (2 * (e_hi * dx)))
+        edge_avg = np.maximum(np.where(b_lo > 0, F_lo / (2 * r_lo), 0.0), F_hi / (2 * r_hi))
         F_hi += ramp
-        bound = F_hi / (2 * r_lo)  # +inf at radius 0
+        F_lo += (2 * cells + 2) * fuzz
+        r_c = np.clip(r_lo + (F_hi - F_lo) / slope, r_lo, r_hi)
+        bound = np.where(slope * r_lo <= F_lo, np.minimum(F_lo, F_hi) / (2 * r_lo), F_hi / (2 * r_c))
+    bound[b_lo == 0] = np.inf
+    return point, b_lo, b_hi, edge_avg, bound
+
+
+def _prune_blocks(point, lo, hi, cells, at, lower, cum_ext, dx, ramp, peaks, fuzz):
+    """Blocks of ``cells`` pieces (see _block_bounds) that can still reach ``lower``.
+
+    Rows are sorted by point.  The block edge averages raise ``lower``
+    first; the blocks whose bound, with a (1 + 1e-12) margin, reaches it
+    are returned as (point, lo, hi), sorted by point.
+    """
+    point, b_lo, b_hi, edge_avg, bound = _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peaks[cells], fuzz)
     _raise_per_point(lower, point, edge_avg)
     keep = bound * (1 + 1e-12) >= lower[point]
     return point[keep], b_lo[keep], b_hi[keep]
@@ -762,7 +810,8 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
     # at most _BLOCK_CELLS fine blocks
     lower = rho.copy()
     ramp = 0.5 * dx * (rho[0] + rho[-1])
-    prune = (at, lower, cum_ext, dx, ramp)
+    peaks = {cells: _window_max(rho_ext, cells + 1) for cells in (_COARSE_CELLS, _FINE_CELLS)}
+    prune = (at, lower, cum_ext, dx, ramp, peaks, 0.5 * np.spacing(cum[-1]))
     n_coarse = np.cumsum((m_hi - m_lo) // _COARSE_CELLS + 1)
     per_slice = _BLOCK_CELLS // (_COARSE_CELLS // _FINE_CELLS)
     per_kernel = _BLOCK_CELLS // (_FINE_CELLS + 1)

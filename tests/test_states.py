@@ -405,6 +405,49 @@ def brute_force_maximal(profile, i, n_r=20000):
     return max(float(vals[i]), float(avg.max()))
 
 
+def _assert_block_bounds_hold(prof):
+    """Every block of both pruning passes, kept or dropped: kernel <= bound.
+
+    The kernel also returns rho at the point itself, which the lower bound
+    starts from, so a block is held to the larger of its bound and rho.
+    """
+    calls = []
+    prune = states._prune_blocks
+
+    def recorded(*args):
+        calls.append(args)
+        return prune(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_prune_blocks", recorded)
+        maximal_function(prof)
+    n = len(prof.values)
+    rho_ext = np.concatenate([np.zeros(n + 1), prof.values, np.zeros(n + 1)])  # as maximal_function extends it
+    for point, lo, hi, cells, at, _, cum_ext, dx, ramp, peaks, fuzz in calls:
+        pt, b_lo, b_hi, _, bound = states._block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peaks[cells], fuzz)
+        for k in range(0, len(pt), 1024):
+            rows = slice(k, k + 1024)
+            a = at[pt[rows]]
+            best = states._maximal_chunk(a, rho_ext, cum_ext, dx, b_lo[rows], b_hi[rows])
+            assert np.all(best <= np.maximum(bound[rows] * (1 + 1e-12), rho_ext[a]))
+
+
+class TestWindowMax:
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 65, 120, 400])
+    def test_matches_naive(self, k):
+        # a rho_ext-like array: the values flanked by n + 1 zeros on each side
+        vals = rng_stream(3, 1).uniform(size=60)
+        a = np.concatenate([np.zeros(61), vals, np.zeros(61)])
+        expect = [max(a[i : i + k]) for i in range(len(a))]
+        assert np.array_equal(states._window_max(a, k), expect)
+
+    def test_window_longer_than_array(self):
+        a = np.array([0.0, 0.0, 0.0, 1.0, 3.0, 0.0, 0.0, 0.0])
+        expect = [3.0] * 5 + [0.0] * 3
+        assert np.array_equal(states._window_max(a, 9), expect)
+        assert np.array_equal(states._window_max(a, 65), expect)
+
+
 class TestMaximalFunction:
     def test_exceeds_density_pointwise(self):
         prof = density(CorrelatedGaussianPair(0.9, 0.4, 0.6), n=1024)
@@ -473,9 +516,19 @@ class TestMaximalFunction:
     def test_bit_identical_to_full_scan_on_drawn_profiles(self, prof):
         assert np.array_equal(maximal_function(prof).values, maximal_function_full_scan(prof).values)
 
+    @pytest.mark.parametrize("name", sorted(CUTOFF_PROFILES))
+    def test_block_bound_covers_every_block(self, name):
+        _assert_block_bounds_hold(CUTOFF_PROFILES[name]())
+
+    @settings(max_examples=50, deadline=None)
+    @given(spiky_profiles())
+    def test_block_bound_covers_every_block_on_drawn_profiles(self, prof):
+        _assert_block_bounds_hold(prof)
+
     def test_kernel_scans_few_radii(self, monkeypatch):
         # rows x scanned radii of every kernel call on the first default
-        # profile: 99,738 with block pruning, against 788,992 for a full scan
+        # profile: 29,808 with the slope-capped block bound, 99,738 with the
+        # bound (F(E_hi) + ramp)/(2 E_lo) alone, 788,992 for a full scan
         cells = []
         kernel = states._maximal_chunk
 
@@ -486,7 +539,7 @@ class TestMaximalFunction:
         monkeypatch.setattr(states, "_maximal_chunk", counted)
         prof = _default_maximal_profile(0)
         values = maximal_function(prof).values
-        assert sum(cells) < 125_000
+        assert sum(cells) < 40_000
         assert np.array_equal(values, maximal_function_full_scan(prof).values)
 
 
