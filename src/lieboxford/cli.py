@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +160,8 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     # one worker per chunk, never more workers than states
     workers = min(jobs, len(states))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
+
         chunks = [states[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             run = functools.partial(bounds_mod.run_suite, specs=specs, tol_scale=tol)
@@ -210,8 +211,10 @@ def cmd_moments(config) -> tuple[dict, int]:
         for param in parameters:
             pot = potentials_mod.from_config({"family": family, "params": dict.fromkeys(names, param)})
             grid = potentials_mod.default_gamma_grid(pot, n_gamma, span)
+            # both moments once per potential, for every variant and the fit
+            moments = (pot.second_moment(grid), pot.first_moment_tail(grid))
             for variant, constants in potentials_mod.certified_constants(pot).items():
-                cert = potentials_mod.certify_moment_bounds(pot, constants, grid)
+                cert = potentials_mod.certify_moment_bounds(pot, constants, grid, moments=moments)
                 failures += not cert.passed
                 rows.append(
                     {
@@ -227,7 +230,7 @@ def cmd_moments(config) -> tuple[dict, int]:
                 )
             # the smallest constants that hold on the grid, so they violate
             # nothing there, unless the moments overflowed and they are not finite
-            fitted = potentials_mod.fit_constants(pot, grid)
+            fitted = potentials_mod.fit_constants(pot, grid, moments)
             finite = all(math.isfinite(c) for c in (fitted.c1, fitted.c2, fitted.c3))
             failures += not finite
             rows.append(

@@ -21,9 +21,10 @@ own outer passes in u, split at its breakpoints, and its own error estimate.
 Within one call the closed forms are evaluated once per distinct node set:
 the h and C passes of a potential, and the passes of every potential of the
 batch, start on the same panels and share those values through a dict keyed
-by the node array's bytes.  The contact potential acts at zero separation
-instead, so its breakdown is two closed-form values with no quadrature, and
-its error estimate is 0:
+by the node array's bytes.  The products h v and C v of a potential are
+shared the same way, so v too is evaluated once per node set.  The contact
+potential acts at zero separation instead, so its breakdown is two
+closed-form values with no quadrature, and its error estimate is 0:
 
   <delta> = (1/2) int rho2(x, x) dx = h(0) / 2,      D = (1/2) int rho^2 = C(0) / 2.
 
@@ -61,12 +62,12 @@ class EnergyBreakdown:
     quadrature_error_estimate: float
 
 
-def _integrate_separation(f, span: float, p: Potential) -> tuple:
-    """int_0^span f(u) v(u) du, split at the potential's non-smooth radii."""
+def _integrate_separation(fv, span: float, p: Potential) -> tuple:
+    """int_0^span fv(u) du for fv = f v, split at the potential's non-smooth radii."""
     edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
     total, err = 0.0, 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, e = integrate_1d_with_error(lambda t: f(t) * p.value(t), Interval(a, b), DEFAULT_SPEC)
+        val, e = integrate_1d_with_error(fv, Interval(a, b), DEFAULT_SPEC)
         total += val
         err += e
     return total, err
@@ -80,13 +81,7 @@ def indirect_energy(state: TrialState, p: Potential) -> EnergyBreakdown:
 def interaction_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
     """Breakdowns for many potentials; the non-contact ones share h and C per node set."""
     span = state.support.hi - state.support.lo
-    at_nodes = {}
-
-    def correlations(u):
-        key = u.tobytes()
-        if key not in at_nodes:
-            at_nodes[key] = state.correlations(u)
-        return at_nodes[key]
+    at_nodes = {}  # node bytes -> (h, C), for the whole batch
 
     out = []
     for p in potentials:
@@ -94,8 +89,20 @@ def interaction_energies(state: TrialState, potentials) -> list[EnergyBreakdown]
             h0, c0 = state.correlations(0.0)
             expectation, har, err = 0.5 * float(h0), 0.5 * float(c0), 0.0
         else:
-            expectation, e1 = _integrate_separation(lambda u: correlations(u)[0], span, p)
-            har, e2 = _integrate_separation(lambda u: correlations(u)[1], span, p)
+            weighted = {}  # node bytes -> (h v, C v), for this potential
+
+            def products(u):
+                key = u.tobytes()
+                if key not in weighted:
+                    if key not in at_nodes:
+                        at_nodes[key] = state.correlations(u)
+                    h, c = at_nodes[key]
+                    v = p.value(u)
+                    weighted[key] = (h * v, c * v)
+                return weighted[key]
+
+            expectation, e1 = _integrate_separation(lambda u: products(u)[0], span, p)
+            har, e2 = _integrate_separation(lambda u: products(u)[1], span, p)
             err = e1 + e2
         out.append(EnergyBreakdown(expectation, har, expectation - har, err))
     return out

@@ -180,9 +180,14 @@ def maximize_ratio(problem: SearchProblem, seed: int) -> SearchResult:
     ]
 
     result = SearchResult(best_theta=(), best_ratio=-math.inf, evaluations_used=0)
+    # Nelder-Mead steps clipped onto the box can land on a theta already
+    # priced; its ratio is returned again, and it cannot be a new incumbent
+    priced = {}
 
     def objective(x):
         theta = tuple(float(t) for t in x)
+        if theta in priced:
+            return priced[theta]
         try:
             state = problem.template.build(theta)
             ratio, breakdown = _ratio(state, problem.potential)
@@ -203,6 +208,7 @@ def maximize_ratio(problem: SearchProblem, seed: int) -> SearchResult:
                 result.best_checks[spec.bound_id] = report
                 if not report.holds:
                     result.cross_check_failures.append((theta, spec.bound_id, report.slack))
+        priced[theta] = -ratio
         return -ratio
 
     n_restarts = max(1, problem.budget // 200)

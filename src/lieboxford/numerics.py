@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 __all__ = [
     "QuadratureSpec",
@@ -245,6 +246,6 @@ def find_root(f, bracket, tol: float = 1e-12) -> float:
     return float(root)
 
 
-def rng_stream(seed: int, *key: int) -> np.random.Generator:
+def rng_stream(seed: int, *key: int) -> Generator:
     """Deterministic, independent random stream for (seed, key...)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return Generator(PCG64(SeedSequence(seed, spawn_key=key)))

@@ -16,7 +16,8 @@ Families (r >= 0 throughout, all parameters strictly positive):
   RegularizedCoulomb   v_beta(r) = (sqrt(pi)/(2 beta)) e^(r^2/(4 beta^2))
                        erfc(r/(2 beta)), the effective interaction of a thin
                        cylindrical wire of radius beta; evaluated through the
-                       scaled complement erfcx to avoid overflow.
+                       scaled complement erfcx to avoid overflow (Cody's
+                       rational approximations, in this module).
   Homogeneous          v(r) = r^(eps-1), 0 < eps < 1; approaches the bare
                        Coulomb potential as eps -> 0.
 
@@ -38,7 +39,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.special
 
 from .numerics import Interval, QuadratureSpec, integrate_1d
 
@@ -245,6 +245,96 @@ class ConvexSoftCoulomb(_SoftCoulombForm):
         return self.epsilon / math.sqrt(2.0)
 
 
+# erfcx(x) = e^(x^2) erfc(x) for x >= 0 by W. J. Cody's rational
+# approximations (netlib CALERF with jint = 2; Math. Comp. 23, 631, 1969):
+# e^(x^2) (1 - x R(x^2)) on x <= 0.46875, a rational in x on (0.46875, 4],
+# one in 1/x^2 on (4, 6.71e7] and 1/(sqrt(pi) x) beyond.  Each rational is
+# Cody's Horner recurrence; at most 5 ulp from the exact value (checked
+# against mpmath).  Numerator and denominator run as the real and imaginary
+# parts of one complex array: adding a_k + i b_k and multiplying by t + 0i
+# are, part by part, Cody's real operations, in half the numpy calls.
+_CODY_SPLITS = np.array([0.46875, 4.0, 6.71e7])
+
+
+def _cody_pairs(lead, num, den):
+    """(lead + i, [a_k + i b_k]): the leading 1 is the denominator's implicit one."""
+    return complex(lead, 1.0), [complex(a, b) for a, b in zip(num, den)]
+
+
+_CODY_SMALL = _cody_pairs(
+    1.85777706184603153e-1,
+    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02, 3.20937758913846947e03),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03, 2.84423683343917062e03),
+)
+_CODY_MID = _cody_pairs(
+    2.15311535474403846e-8,
+    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01, 2.98635138197400131e02,
+     8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+     3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03),
+)
+_CODY_LARGE = _cody_pairs(
+    1.63153871373020978e-2,
+    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1, 1.60837851487422766e-2,
+     6.58749161529837803e-4),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+     2.33520497626869185e-3),
+)
+_SQRT_PI_INV = 5.6418958354775628695e-1
+
+
+def _cody_ratio(t, pairs):
+    """Cody's numerator and denominator at t: xnum = (xnum + a_k) t, xden = (xden + b_k) t."""
+    lead, steps = pairs
+    tc = t.astype(complex)
+    acc = lead * tc
+    for c in steps[:-1]:
+        acc += c
+        acc *= tc
+    acc += steps[-1]
+    return acc.real, acc.imag
+
+
+def _erfcx_sorted(y):
+    """erfcx on a 1-D array sorted ascending, x >= 0 (nan last); one slice per approximation."""
+    if len(y) and y[0] < 0:
+        raise ValueError("erfcx is evaluated on x >= 0 only")
+    out = np.empty_like(y)
+    i, j, k = np.searchsorted(y, _CODY_SPLITS, side="right").tolist()
+    if i:
+        ysq = y[:i] * y[:i]
+        xnum, xden = _cody_ratio(ysq, _CODY_SMALL)
+        xnum *= y[:i]
+        xnum /= xden
+        np.subtract(1.0, xnum, out=xnum)
+        np.multiply(np.exp(ysq, out=ysq), xnum, out=out[:i])
+    if j > i:
+        np.divide(*_cody_ratio(y[i:j], _CODY_MID), out=out[i:j])
+    if k > j:
+        ysq = y[j:k] * y[j:k]
+        np.divide(1.0, ysq, out=ysq)
+        xnum, xden = _cody_ratio(ysq, _CODY_LARGE)
+        xnum *= ysq
+        xnum /= xden
+        np.subtract(_SQRT_PI_INV, xnum, out=xnum)
+        np.divide(xnum, y[j:k], out=out[j:k])
+    if len(y) > k:
+        np.divide(_SQRT_PI_INV, y[k:], out=out[k:])
+    return out
+
+
+def _erfcx(x):
+    """erfcx(x) for x >= 0, of any shape; sorted input (quadrature nodes, gamma grids) is not re-sorted."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if (flat[1:] >= flat[:-1]).all():
+        return _erfcx_sorted(flat).reshape(x.shape)
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    out[order] = _erfcx_sorted(flat[order])
+    return out.reshape(x.shape)
+
+
 # erfcx'(x) = 2 x erfcx(x) - 2/sqrt(pi) and erfcx''(x) = 2 erfcx + 2 x erfcx'
 # cancel catastrophically for large x (both terms approach the same multiple
 # of 1/sqrt(pi)); beyond the switch point the asymptotic series in
@@ -267,7 +357,7 @@ def _erfcx_piecewise(x, direct, series):
 def _erfcx_d1(x):
     return _erfcx_piecewise(
         x,
-        lambda t: 2 * t * scipy.special.erfcx(t) - 2 / math.sqrt(math.pi),
+        lambda t: 2 * t * _erfcx(t) - 2 / math.sqrt(math.pi),
         lambda t: (2 / math.sqrt(math.pi))
         * sum(_DF[k] * (-0.5 / t / t) ** k for k in range(1, 7)),
     )
@@ -276,7 +366,7 @@ def _erfcx_d1(x):
 def _erfcx_d2(x):
     return _erfcx_piecewise(
         x,
-        lambda t: (2 + 4 * t * t) * scipy.special.erfcx(t) - 4 * t / math.sqrt(math.pi),
+        lambda t: (2 + 4 * t * t) * _erfcx(t) - 4 * t / math.sqrt(math.pi),
         lambda t: (2 / (math.sqrt(math.pi) * t))
         * sum((_DF[k] - _DF[k + 1]) * (-0.5 / t / t) ** k for k in range(1, 7)),
     )
@@ -293,7 +383,7 @@ class RegularizedCoulomb(Potential):
 
     def value(self, r):
         x = np.asarray(r, dtype=float) / (2 * self.beta)
-        return (math.sqrt(math.pi) / (2 * self.beta) * scipy.special.erfcx(x))[()]
+        return (math.sqrt(math.pi) / (2 * self.beta) * _erfcx(x))[()]
 
     def deriv1(self, r):
         x = np.asarray(r, dtype=float) / (2 * self.beta)
@@ -400,11 +490,19 @@ def default_gamma_grid(p: Potential, n: int = 200, span=(1e-4, 1e4)) -> np.ndarr
     return np.geomspace(lo * scale, hi * scale, n)
 
 
+def _grid_moments(p: Potential, grid, moments) -> tuple:
+    """(second moment, first tail moment) on the grid: ``moments`` if given, else computed."""
+    if moments is None:
+        moments = (p.second_moment(grid), p.first_moment_tail(grid))
+    return tuple(np.asarray(m, dtype=float) for m in moments)
+
+
 def certify_moment_bounds(
     p: Potential,
     constants: MomentBoundConstants,
     gamma_grid=None,
     slack: float = 1e-12,
+    moments=None,
 ) -> MomentCertification:
     """Check both moment-growth conditions on every grid gamma.
 
@@ -412,13 +510,13 @@ def certify_moment_bounds(
     relative on any grid gamma; a nan violation (moments overflowing on the
     grid) fails it.  The moments are smooth and monotone in gamma, so a dense
     log grid plus the monotonicity tests give practical coverage of the
-    continuum statement.
+    continuum statement.  ``moments`` takes (p.second_moment(grid),
+    p.first_moment_tail(grid)) from a caller that already has them.
     """
     grid = np.asarray(default_gamma_grid(p) if gamma_grid is None else gamma_grid, dtype=float)
     if np.any(grid <= 0):
         raise ValueError("gamma grid must be strictly positive")
-    second = np.asarray(p.second_moment(grid), dtype=float)
-    tail = np.asarray(p.first_moment_tail(grid), dtype=float)
+    second, tail = _grid_moments(p, grid, moments)
     bound_second = constants.c1 * np.log1p(constants.c2 * grid)
     bound_tail = constants.c3 / grid
     viol_second = (second - bound_second) / bound_second
@@ -456,15 +554,15 @@ def certified_constants(p: Potential) -> dict[str, MomentBoundConstants]:
     raise UnsupportedPotential(f"no certified moment constants for {p.family}")
 
 
-def fit_constants(p: Potential, gamma_grid=None) -> MomentBoundConstants:
+def fit_constants(p: Potential, gamma_grid=None, moments=None) -> MomentBoundConstants:
     """Smallest grid-certified constants, keeping the primary c2.
 
     Empirical values on the given grid only; no optimality claim.
+    ``moments`` as in certify_moment_bounds.
     """
     grid = np.asarray(default_gamma_grid(p) if gamma_grid is None else gamma_grid, dtype=float)
     c2 = certified_constants(p)["primary"].c2
-    second = np.asarray(p.second_moment(grid), dtype=float)
-    tail = np.asarray(p.first_moment_tail(grid), dtype=float)
+    second, tail = _grid_moments(p, grid, moments)
     c1_min = float(np.max(second / np.log1p(c2 * grid)))
     c3_min = float(np.max(tail * grid))
     return MomentBoundConstants(c1_min, c2, c3_min)

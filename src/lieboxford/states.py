@@ -80,14 +80,18 @@ beyond the ends of the grid, which the piece where a window edge leaves the
 grid interpolates.  A block whose bound, times 1 + 1e-12 against rounding, is
 below L is dropped, and the kernel scans only the surviving fine blocks.
 Every stage works on at most 2^13 blocks, or 2^13 kernel cells, at a time,
-so its work arrays stay within 64 KB each.  Only candidates below L are
-dropped, so every value is bit-identical to a full scan.
+so its work arrays stay within 64 KB each.  They are allocated once and kept
+across blocks and calls, each stage writing into them with ``out=``: a run
+of many profiles touches the same pages throughout, however the allocator
+trims its heap.  Only candidates below L are dropped, so every value is
+bit-identical to a full scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -654,59 +658,116 @@ _COARSE_CELLS = 64  # radius pieces per coarse block of the pruning pass
 _FINE_CELLS = 8  # radius pieces per fine block; the kernel scans only surviving ones
 _BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the work arrays
 
+# Work arrays of the maximal function, by name: kept across blocks and calls
+# and grown only when a request exceeds them, so that a run over many
+# profiles allocates (and page-faults) its work memory once.  Every stage
+# writes into them with ``out=`` and reads only what it wrote, so no value
+# passes from one call to the next; each thread has its own set.
+_WORK = threading.local()
+
+
+def _work(name, size, dtype=float):
+    """The first ``size`` entries of the named work array."""
+    arrays = _WORK.__dict__
+    buf = arrays.get(name)
+    if buf is None or len(buf) < size:
+        buf = arrays[name] = np.empty(max(size, _BLOCK_CELLS), dtype)
+    return buf[:size]
+
+
+def _gather(a, index, out):
+    """out[...] = a[index]; the indices are in range by construction, and
+    np.take's default mode="raise" would copy ``out`` on every call."""
+    return a.take(index, out=out, mode="clip")
+
+
+def _iota(size):
+    """arange(size), a view of one kept array."""
+    arrays = _WORK.__dict__
+    buf = arrays.get("iota")
+    if buf is None or len(buf) < size:
+        buf = arrays["iota"] = np.arange(max(size, _BLOCK_CELLS))
+    return buf[:size]
+
 
 def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
     """Exact sup of window averages about the points rho_ext[at] (vectorized).
 
     The extended arrays continue the grid flat on both sides, wide enough
-    that every window edge at +- m of the scan is in range.
+    that every window edge at +- m of the scan is in range.  Returns a view
+    of a work array, valid until the next call.
     """
-    m = m_lo[:, None] + np.arange(int(np.max(m_hi - m_lo)) + 2)
-    np.minimum(m, m_hi[:, None] + 1, out=m)
-    up = at[:, None] + m
-    dn = at[:, None] - m
-    s = rho_ext[up]
-    s += rho_ext[dn]
-    F = cum_ext[up]
-    F -= cum_ext[dn]
-    r = m * dx
+    rows, cols = len(at), int(np.max(m_hi - m_lo)) + 2
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_break = np.where(m > 0, F / (2 * r), 0.0)
-    best = np.max(a_break, axis=1)
+    def grid(name, width=cols, dtype=float):
+        return _work(name, rows * width, dtype).reshape(rows, width)
+
+    m, up, dn = grid("m", dtype=np.intp), grid("up", dtype=np.intp), grid("dn", dtype=np.intp)
+    np.add(m_lo[:, None], _iota(cols), out=m)
+    np.minimum(m, np.add(m_hi, 1, out=_work("m_top", rows, np.intp))[:, None], out=m)
+    np.add(at[:, None], m, out=up)
+    np.subtract(at[:, None], m, out=dn)
+    s, F, r, tmp = grid("s"), grid("F"), grid("r"), grid("tmp")
+    _gather(rho_ext, up, s)
+    s += _gather(rho_ext, dn, tmp)
+    _gather(cum_ext, up, F)
+    F -= _gather(cum_ext, dn, tmp)
+    np.multiply(m, dx, out=r)
+    best, row_tmp = _work("best", rows), _work("row_tmp", rows)
 
     # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b,
     # evaluated in place, operation for operation
     s0, r0 = s[:, :-1], r[:, :-1]
-    b = s[:, 1:] - s0
-    b /= dx
-    r0_sq = r0**2
+    b, r0_sq, rstar_sq = grid("b", cols - 1), grid("r0_sq", cols - 1), grid("rstar_sq", cols - 1)
+    valid, off = grid("valid", cols - 1, bool), grid("off", cols, bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rstar_sq = s0 * r0
+        np.multiply(r, 2, out=tmp)
+        np.divide(F, tmp, out=tmp)
+        np.copyto(tmp, 0.0, where=np.less_equal(m, 0, out=off))  # the r -> 0 break is rho, below
+        np.max(tmp, axis=1, out=best)
+
+        np.subtract(s[:, 1:], s0, out=b)
+        b /= dx
+        np.square(r0, out=r0_sq)
+        np.multiply(s0, r0, out=rstar_sq)
         np.subtract(F[:, :-1], rstar_sq, out=rstar_sq)
         rstar_sq *= 2
         rstar_sq /= b
         rstar_sq += r0_sq
-        valid = (b != 0) & (rstar_sq > r0_sq) & (rstar_sq < r[:, 1:] ** 2)
-        a_star = np.sqrt(np.where(valid, rstar_sq, 1.0))
+        off = off[:, :-1]
+        np.not_equal(b, 0, out=valid)
+        valid &= np.greater(rstar_sq, r0_sq, out=off)
+        valid &= np.less(rstar_sq, np.square(r[:, 1:], out=tmp[:, 1:]), out=off)
+        np.logical_not(valid, out=off)
+        np.copyto(rstar_sq, 1.0, where=off)
+        a_star = np.sqrt(rstar_sq, out=rstar_sq)
         a_star -= r0
         a_star *= b
         a_star += s0
         a_star *= 0.5
-    best = np.maximum(best, np.max(np.where(valid, a_star, 0.0), axis=1))
-    return np.maximum(best, rho_ext[at])  # r -> 0 limit is rho itself
+    np.copyto(a_star, 0.0, where=off)
+    np.maximum(best, np.max(a_star, axis=1, out=row_tmp), out=best)
+    return np.maximum(best, _gather(rho_ext, at, row_tmp), out=best)  # r -> 0 limit is rho itself
 
 
 def _raise_per_point(lower, point, values):
     """lower[p] = max(lower[p], values of the rows of p), for rows sorted by point."""
-    starts = np.flatnonzero(np.diff(point, prepend=-1))
-    p = point[starts]
-    lower[p] = np.maximum(lower[p], np.maximum.reduceat(values, starts))
+    first = _work("first", len(point), bool)
+    first[:1] = True
+    np.not_equal(point[1:], point[:-1], out=first[1:])
+    n_points = int(np.count_nonzero(first))
+    starts = np.compress(first, _iota(len(point)), out=_work("starts", n_points, np.intp))
+    p = np.compress(first, point, out=_work("points", n_points, np.intp))
+    top = np.maximum.reduceat(values, starts, out=_work("top", n_points))
+    np.maximum(_gather(lower, p, _work("at_points", n_points)), top, out=top)
+    lower[p] = top
 
 
-def _window_max(a, k):
+def _window_max(a, k, out=None):
     """out[i] = max(a[i : i + k]), windows cut off at the end of ``a``; log2(k) np.maximum steps."""
-    out = a.copy()
+    if out is None:
+        out = np.empty_like(a)
+    out[...] = a
     width = 1
     while width < k:
         step = min(width, k - width)
@@ -718,9 +779,10 @@ def _window_max(a, k):
 def _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peak, fuzz):
     """Split each row's radius pieces lo..hi into blocks of ``cells`` pieces.
 
-    Returns (point, b_lo, b_hi, edge_avg, bound) per block: the window
-    averages at both block edges, computed as _maximal_chunk computes them,
-    and a bound on every value _maximal_chunk finds on the block.
+    Returns (point, b_lo, b_hi, edge_avg, bound) per block, views of work
+    arrays valid until the next call: the window averages at both block
+    edges, computed as _maximal_chunk computes them, and a bound on every
+    value _maximal_chunk finds on the block.
 
     Between the block edges E_lo = b_lo dx and E_hi = (b_hi + 1) dx the
     window mass F(r) has slope s(r) = rho(x + r) + rho(x - r), linear on
@@ -744,25 +806,58 @@ def _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peak, fuzz):
     relative: the increments, S, and the arithmetic of the kernel and of
     the bound, which the caller's (1 + 1e-12) margin covers.
     """
-    counts = (hi - lo) // cells + 1
-    row = np.repeat(np.arange(len(lo)), counts)
-    b_lo = lo[row] + (np.arange(len(row)) - (np.cumsum(counts) - counts)[row]) * cells
-    b_hi = np.minimum(b_lo + (cells - 1), hi[row])
-    point = point[row]
-    a = at[point]
-    e_hi = b_hi + 1
-    F_lo = cum_ext[a + b_lo] - cum_ext[a - b_lo]
-    F_hi = cum_ext[a + e_hi] - cum_ext[a - e_hi]
-    r_lo = b_lo * dx
-    r_hi = e_hi * dx
-    slope = peak[a + b_lo] + peak[a - e_hi]
+    counts = np.subtract(hi, lo, out=_work("counts", len(lo), np.intp))
+    counts //= cells
+    counts += 1
+    first = np.cumsum(counts, out=_work("first_block", len(lo), np.intp))
+    n_blocks = int(first[-1])
+    first -= counts
+    # row of each block: a step of 1 at the first block of every row after the first
+    row = _work("row", n_blocks, np.intp)
+    row.fill(0)
+    row[first[1:]] = 1
+    np.cumsum(row, out=row)
+
+    def take(a, name, dtype=np.intp):
+        return _gather(a, row, _work(name, n_blocks, dtype))
+
+    # block k of row i starts (k - first[i]) cells pieces beyond lo[i]
+    b_lo = take(first, "b_lo")
+    np.subtract(_iota(n_blocks), b_lo, out=b_lo)
+    b_lo *= cells
+    b_lo += take(lo, "i_tmp")
+    b_hi = np.add(b_lo, cells - 1, out=_work("b_hi", n_blocks, np.intp))
+    np.minimum(b_hi, take(hi, "i_tmp"), out=b_hi)
+    point = take(point, "block_point")
+    a = _gather(at, point, _work("a", n_blocks, np.intp))
+    e_hi = np.add(b_hi, 1, out=_work("e_hi", n_blocks, np.intp))
+    idx = _work("i_tmp", n_blocks, np.intp)
+    F_lo, F_hi, tmp = _work("F_lo", n_blocks), _work("F_hi", n_blocks), _work("f_tmp", n_blocks)
+    _gather(cum_ext, np.add(a, b_lo, out=idx), F_lo)
+    F_lo -= _gather(cum_ext, np.subtract(a, b_lo, out=idx), tmp)
+    _gather(cum_ext, np.add(a, e_hi, out=idx), F_hi)
+    F_hi -= _gather(cum_ext, np.subtract(a, e_hi, out=idx), tmp)
+    r_lo = np.multiply(b_lo, dx, out=_work("r_lo", n_blocks))
+    r_hi = np.multiply(e_hi, dx, out=_work("r_hi", n_blocks))
+    slope = _gather(peak, np.add(a, b_lo, out=idx), _work("slope", n_blocks))
+    slope += _gather(peak, np.subtract(a, e_hi, out=idx), tmp)
+    edge_avg, bound = _work("edge_avg", n_blocks), _work("bound", n_blocks)
+    at_zero = np.equal(b_lo, 0, out=_work("at_zero", n_blocks, bool))
+    capped = _work("capped", n_blocks, bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        edge_avg = np.maximum(np.where(b_lo > 0, F_lo / (2 * r_lo), 0.0), F_hi / (2 * r_hi))
+        np.divide(F_lo, np.multiply(r_lo, 2, out=tmp), out=edge_avg)
+        np.copyto(edge_avg, 0.0, where=at_zero)
+        np.maximum(edge_avg, np.divide(F_hi, np.multiply(r_hi, 2, out=tmp), out=tmp), out=edge_avg)
         F_hi += ramp
         F_lo += (2 * cells + 2) * fuzz
-        r_c = np.clip(r_lo + (F_hi - F_lo) / slope, r_lo, r_hi)
-        bound = np.where(slope * r_lo <= F_lo, np.minimum(F_lo, F_hi) / (2 * r_lo), F_hi / (2 * r_c))
-    bound[b_lo == 0] = np.inf
+        r_c = np.subtract(F_hi, F_lo, out=_work("r_c", n_blocks))
+        r_c /= slope
+        np.clip(np.add(r_lo, r_c, out=r_c), r_lo, r_hi, out=r_c)
+        np.less_equal(np.multiply(slope, r_lo, out=tmp), F_lo, out=capped)
+        np.divide(F_hi, np.multiply(r_c, 2, out=tmp), out=bound)
+        flat = np.divide(np.minimum(F_lo, F_hi, out=r_hi), np.multiply(r_lo, 2, out=tmp), out=r_hi)
+        np.copyto(bound, flat, where=capped)
+    np.copyto(bound, np.inf, where=at_zero)
     return point, b_lo, b_hi, edge_avg, bound
 
 
@@ -771,12 +866,16 @@ def _prune_blocks(point, lo, hi, cells, at, lower, cum_ext, dx, ramp, peaks, fuz
 
     Rows are sorted by point.  The block edge averages raise ``lower``
     first; the blocks whose bound, with a (1 + 1e-12) margin, reaches it
-    are returned as (point, lo, hi), sorted by point.
+    are returned as (point, lo, hi), sorted by point, in work arrays kept
+    per ``cells`` until the next call with the same ``cells``.
     """
     point, b_lo, b_hi, edge_avg, bound = _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peaks[cells], fuzz)
     _raise_per_point(lower, point, edge_avg)
-    keep = bound * (1 + 1e-12) >= lower[point]
-    return point[keep], b_lo[keep], b_hi[keep]
+    bound *= 1 + 1e-12
+    keep = np.greater_equal(bound, _gather(lower, point, edge_avg), out=_work("keep", len(point), bool))
+    n_kept = int(np.count_nonzero(keep))
+    kept = (_work((name, cells), n_kept, np.intp) for name in ("point", "lo", "hi"))
+    return tuple(np.compress(keep, a, out=out) for a, out in zip((point, b_lo, b_hi), kept))
 
 
 def maximal_function(profile: DensityProfile) -> DensityProfile:
@@ -795,14 +894,26 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
         return DensityProfile(profile.grid, np.zeros(n), profile.n_particles)
     j0, j1 = int(nz[0]), int(nz[-1])
 
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * dx * (rho[1:] + rho[:-1]))])
     # n + 1 flat cells beyond each end hold every window edge of the scan
-    rho_ext = np.concatenate([np.zeros(n + 1), rho, np.zeros(n + 1)])
-    cum_ext = np.concatenate([np.full(n + 1, cum[0]), cum, np.full(n + 1, cum[-1])])
-    i_all = np.arange(n)
-    at = i_all + (n + 1)
-    m_lo = np.maximum(np.maximum(j0 - i_all, i_all - j1), 1) - 1
-    m_hi = np.maximum(i_all - j0, j1 - i_all) + 1
+    rho_ext = _work("rho_ext", 3 * n + 2)
+    rho_ext.fill(0.0)
+    rho_ext[n + 1 : 2 * n + 1] = rho
+    cum_ext = _work("cum_ext", 3 * n + 2)
+    cum = cum_ext[n + 1 : 2 * n + 1]
+    cum[0] = 0.0
+    np.add(rho[1:], rho[:-1], out=cum[1:])
+    cum[1:] *= 0.5 * dx
+    np.cumsum(cum[1:], out=cum[1:])
+    cum_ext[: n + 1] = cum[0]
+    cum_ext[2 * n + 1 :] = cum[-1]
+    i_all = _iota(n)
+    at = np.add(i_all, n + 1, out=_work("at", n, np.intp))
+    m_lo, m_hi, tmp = _work("m_lo", n, np.intp), _work("m_hi", n, np.intp), _work("tmp_points", n, np.intp)
+    np.maximum(np.subtract(j0, i_all, out=m_lo), np.subtract(i_all, j1, out=tmp), out=m_lo)
+    np.maximum(m_lo, 1, out=m_lo)
+    m_lo -= 1
+    np.maximum(np.subtract(i_all, j0, out=m_hi), np.subtract(j1, i_all, out=tmp), out=m_hi)
+    m_hi += 1
 
     # lower bound L <= M rho, raised by every block edge and kernel result;
     # points in groups of at most _BLOCK_CELLS coarse blocks (or one point,
@@ -810,9 +921,15 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
     # at most _BLOCK_CELLS fine blocks
     lower = rho.copy()
     ramp = 0.5 * dx * (rho[0] + rho[-1])
-    peaks = {cells: _window_max(rho_ext, cells + 1) for cells in (_COARSE_CELLS, _FINE_CELLS)}
+    peaks = {
+        cells: _window_max(rho_ext, cells + 1, _work(("peak", cells), 3 * n + 2))
+        for cells in (_COARSE_CELLS, _FINE_CELLS)
+    }
     prune = (at, lower, cum_ext, dx, ramp, peaks, 0.5 * np.spacing(cum[-1]))
-    n_coarse = np.cumsum((m_hi - m_lo) // _COARSE_CELLS + 1)
+    n_coarse = np.subtract(m_hi, m_lo, out=_work("n_coarse", n, np.intp))
+    n_coarse //= _COARSE_CELLS
+    n_coarse += 1
+    np.cumsum(n_coarse, out=n_coarse)
     per_slice = _BLOCK_CELLS // (_COARSE_CELLS // _FINE_CELLS)
     per_kernel = _BLOCK_CELLS // (_FINE_CELLS + 1)
     start = 0
@@ -825,8 +942,8 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
             pt, lo, hi = _prune_blocks(*(c[j : j + per_slice] for c in coarse), _FINE_CELLS, *prune)
             for k in range(0, len(pt), per_kernel):
                 rows = slice(k, k + per_kernel)
-                best = _maximal_chunk(at[pt[rows]], rho_ext, cum_ext, dx, lo[rows], hi[rows])
-                _raise_per_point(lower, pt[rows], best)
+                a = _gather(at, pt[rows], _work("kernel_at", len(pt[rows]), np.intp))
+                _raise_per_point(lower, pt[rows], _maximal_chunk(a, rho_ext, cum_ext, dx, lo[rows], hi[rows]))
         start = stop
     return DensityProfile(profile.grid, lower, profile.n_particles)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -253,7 +254,8 @@ class TestJobs:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        # cmd_verify imports the pool class when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         return created
 
     def test_pool_never_exceeds_the_states(self, tmp_path, pools):
@@ -283,17 +285,73 @@ class TestVerifySummary:
             assert line.endswith(f"min slack {worst['slack']:.3e} ({worst['state_id']})")
 
 
-def test_cold_start_loads_neither_interpolate_nor_optimize():
-    # scipy.interpolate and scipy.optimize add set-up time and ~25 MB of
-    # resident memory to every run, and the package needs neither
+def _package_env():
     src = str(Path(lieboxford.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = (
-        "import sys, lieboxford.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'interpolate'], ['scipy', 'optimize'])))"
-    )
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cold_start_loads_no_scipy():
+    # the package carries its own erfcx, J0, J1 and Fermi weight; scipy's
+    # import was most of the set-up time and ~19 MB of resident memory
+    probe = "import sys, lieboxford.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_battery_runs_without_scipy(tmp_path):
+    # a meta-path hook makes any scipy import raise inside the child
+    cfg = write_config(
+        tmp_path,
+        moments={"families": ["convex_soft_coulomb", "regularized_coulomb"], "n_gamma": 20},
+        maximal={"n_profiles": 2},
+    )
+    probe = f"""
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from lieboxford.cli import main
+
+codes = [main([cmd, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r} + "/" + cmd])
+         for cmd in ("verify", "moments", "hubbard", "maximal")]
+print(codes)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_default_maximal_run_keeps_its_work_memory(tmp_path):
+    # maximal_function writes into kept work arrays; when each block allocated
+    # and freed its own, glibc trimmed and re-grew its heap between blocks and
+    # the default run took 50-70 thousand minor page faults
+    probe = f"""
+import resource
+from lieboxford import cli
+
+faults = []
+ratio = cli.maximal_norm_ratio
+
+def counted(profile, p):
+    value = ratio(profile, p)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return value
+
+cli.maximal_norm_ratio = counted
+code = cli.main(["maximal", "--out", {str(tmp_path)!r}])
+print(code, len(faults), faults[-1] - faults[0])
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True
+    )
+    code, profiles, faults = map(int, out.stdout.strip().splitlines()[-1].split())
+    assert (code, profiles) == (0, 100)
+    assert faults < 1000  # after the first profile

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from lieboxford.hubbard import (
     HubbardPoint,
     OccupationVector,
+    _fermi,
+    _j0,
+    _j1,
     energy_excess_factor,
     energy_per_site,
     exchange_correlation,
@@ -16,6 +19,24 @@ from lieboxford.hubbard import (
     verify_site_occupation_bound,
 )
 from lieboxford.numerics import rng_stream
+
+
+class TestSpecialFunctions:
+    """The package's Cephes J0, J1 and Fermi weight are scipy's, bit for bit."""
+
+    def test_bessel_equal_to_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = rng_stream(16, 2)
+        # both branches (x <= 5 and beyond), the x < 1e-5 series of J0 and the ends
+        x = np.concatenate([[0.0, 1e-5, 5.0, np.nextafter(5.0, 6.0), 2e4], rng.uniform(0.0, 2e4, 60_000),
+                            rng.uniform(0.0, 10.0, 30_000), np.geomspace(1e-12, 2e4, 10_000)])
+        assert np.array_equal(_j0(x), scipy_special.j0(x))
+        assert np.array_equal(_j1(x), scipy_special.j1(x))
+
+    def test_fermi_weight_equal_to_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        z = np.concatenate([[-50.0, 0.0, 709.78, 709.79, 800.0], rng_stream(16, 3).uniform(-50.0, 800.0, 100_000)])
+        assert np.array_equal(_fermi(z), scipy_special.expit(-z))
 
 
 class TestEnergy:

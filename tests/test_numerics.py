@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx
 
 from lieboxford.numerics import (
     Interval,
@@ -16,6 +15,7 @@ from lieboxford.numerics import (
     integrate_1d_with_error,
     rng_stream,
 )
+from lieboxford.potentials import _erfcx as erfcx
 from oracles import (
     erfcx_sandwich,
     integrate_1d_components,
@@ -192,6 +192,22 @@ class TestErfcx:
         v = erfcx(x)
         assert np.all(np.diff(v) < 0)
         assert erfcx(50.0) == pytest.approx(1 / (math.sqrt(math.pi) * 50.0), rel=2e-4)
+
+    def test_within_16_ulp_of_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = rng_stream(16, 1)
+        x = np.concatenate([[0.0, 0.46875, 4.0, 1e3], rng.uniform(0.0, 5.0, 60_000), rng.uniform(0.0, 1e3, 20_000),
+                            np.geomspace(1e-12, 1e3, 20_000)])
+        ours, ref = erfcx(x), scipy_special.erfcx(x)
+        assert np.all(np.abs(ours - ref) <= 16 * np.spacing(ref))
+        # unsorted and two-dimensional input give the same values elementwise
+        order = rng.permutation(len(x))
+        assert np.array_equal(erfcx(x[order]), ours[order])
+        assert np.array_equal(erfcx(x[:100_000].reshape(400, 250)), ours[:100_000].reshape(400, 250))
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            erfcx(np.array([1.0, -0.5]))
 
     def test_derivative_identity(self):
         # erfcx'(x) = 2 x erfcx(x) - 2/sqrt(pi), against central differences.

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -405,6 +407,12 @@ def brute_force_maximal(profile, i, n_r=20000):
     return max(float(vals[i]), float(avg.max()))
 
 
+def _copied(arg):
+    if isinstance(arg, dict):
+        return {key: value.copy() for key, value in arg.items()}
+    return arg.copy() if isinstance(arg, np.ndarray) else arg
+
+
 def _assert_block_bounds_hold(prof):
     """Every block of both pruning passes, kept or dropped: kernel <= bound.
 
@@ -415,7 +423,8 @@ def _assert_block_bounds_hold(prof):
     prune = states._prune_blocks
 
     def recorded(*args):
-        calls.append(args)
+        # the passes reuse their work arrays, so each call's inputs are copied
+        calls.append(tuple(_copied(arg) for arg in args))
         return prune(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -499,6 +508,29 @@ class TestMaximalFunction:
     def test_random_profiles_within_l2_bound(self):
         for prof in _bump_profiles(rng_stream(5, 9), 20):
             assert maximal_norm_ratio(prof, 2.0) <= 4.0
+
+    def test_concurrent_threads_keep_their_own_work_arrays(self):
+        # the kept work arrays are per thread: six threads, three calls each,
+        # each on its own profile, give the values of one thread alone
+        profiles = _bump_profiles(rng_stream(5, 10), 6)
+        expect = [maximal_function(prof).values.copy() for prof in profiles]
+        got = [[] for _ in profiles]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda i=i: got[i].extend(maximal_function(profiles[i]).values for _ in range(3)))
+                for i in range(len(profiles))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for values, ref in zip(got, expect):
+            assert len(values) == 3 and all(np.array_equal(v, ref) for v in values)
 
     def test_zero_profile(self):
         grid = UniformGrid(0.0, 0.1, 32)
