@@ -417,8 +417,16 @@ class GaussianProduct(_OrbitalState):
     def correlations(self, u):
         shift, weights = self._correlation_table
         w = self.width
-        u = np.asarray(u, dtype=float)[..., None]
-        kernel = math.sqrt(math.pi) * w * np.exp(-((u - shift) ** 2) / (4 * w**2))
+        # sqrt(pi) w exp(-(u - shift)^2 / (4 w^2)) step by step in one (m, K)
+        # buffer: the bits of the one-line form without its second (m, K)
+        # temporary, which sets the peak memory of a verify run once the
+        # quadrature hands f whole endpoint-chain batches
+        kernel = np.subtract(np.asarray(u, dtype=float)[..., None], shift)
+        np.square(kernel, out=kernel)
+        np.negative(kernel, out=kernel)
+        np.divide(kernel, 4 * w**2, out=kernel)
+        np.exp(kernel, out=kernel)
+        np.multiply(math.sqrt(math.pi) * w, kernel, out=kernel)
         out = kernel @ weights
         return out[..., 0], out[..., 1]
 

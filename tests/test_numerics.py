@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieboxford.numerics import (
+    _INITIAL_PANELS,
     Interval,
     NoBracket,
     NonConvergence,
@@ -15,7 +17,9 @@ from lieboxford.numerics import (
     integrate_1d_with_error,
     rng_stream,
 )
+from lieboxford.potentials import Homogeneous
 from lieboxford.potentials import _erfcx as erfcx
+from lieboxford.states import HermiteSlater
 from oracles import (
     erfcx_sandwich,
     integrate_1d_components,
@@ -91,17 +95,42 @@ class TestIntegrate1D:
         assert lhs == pytest.approx(rhs, abs=5e-9, rel=1e-8)
 
 
+def _right_end_singularity(x):
+    # the chain speculates past the depth the oracle consumes, to nodes that
+    # round to the singular end itself; there the value is inf, and never read
+    with np.errstate(divide="ignore"):
+        return (1.0 - x) ** -0.5
+
+
+def _nan_only_deep(u):
+    # NaN only below every node the oracle evaluates (2.4e-18 and up here),
+    # so only speculated panels of the endpoint chain see it (down to 2.9e-22)
+    return np.where(u < 1e-20, np.nan, u**-0.5 * np.exp(-u))
+
+
 # (integrand, domain, spec) triples on which the package driver must repeat the
-# oracle's value and error bit for bit: a smooth integrand, an endpoint
-# singularity, an oscillatory integrand, and a budget too small to converge.
+# oracle's value and error bit for bit: a smooth integrand, endpoint
+# singularities at either end (the left one the shape of Homogeneous(0.1)'s
+# integrand, an endpoint chain of 268 splits), an interior kink, an
+# oscillatory integrand, non-finite values in speculated panels only, and
+# budgets too small to converge, one of them ending inside a chain.
 DRIVER_BATTERY = {
     "finite": (lambda x: np.exp(-((x - 0.3) ** 2)) * np.cos(x), (-2.0, 3.5), QuadratureSpec()),
     "endpoint_singularity": (lambda r: 0.75 * r**-0.5, (0.0, 1.0), QuadratureSpec(1e-13, 1e-12)),
+    "endpoint_chain": (lambda u: u**-0.9 * np.exp(-u), (0.0, 5.0), QuadratureSpec()),
+    "right_end_singularity": (_right_end_singularity, (0.0, 1.0), QuadratureSpec()),
+    "interior_kink": (lambda x: np.abs(x - 0.3), (0.0, 1.0), QuadratureSpec()),
     "oscillatory": (lambda x: np.sin(40.0 * x) * np.exp(-0.2 * x), (0.0, 25.0), QuadratureSpec()),
+    "nan_only_deep": (_nan_only_deep, (0.0, 5.0), QuadratureSpec()),
     "nonconvergence": (
         lambda r: np.exp(-r) * np.sin(50 * r),
         (0.0, 30.0),
         QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=40),
+    ),
+    "nonconvergence_in_chain": (
+        lambda u: u**-0.9 * np.exp(-u),
+        (0.0, 5.0),
+        QuadratureSpec(max_subdivisions=100),
     ),
 }
 
@@ -114,6 +143,17 @@ def _outcome(driver, f, domain, spec):
         return ("nonconvergence", err.estimate, err.error)
 
 
+def _counted(f):
+    """``f`` and a list that records the node arrays it is called on."""
+    seen = []
+
+    def g(x):
+        seen.append(x.copy())
+        return f(x)
+
+    return g, seen
+
+
 class TestDriverContract:
     @pytest.mark.parametrize("case", DRIVER_BATTERY, ids=str)
     def test_bit_identical_to_oracle(self, case):
@@ -121,8 +161,63 @@ class TestDriverContract:
         ours = _outcome(integrate_1d_with_error, f, domain, spec)
         oracle = _outcome(integrate_1d_components_with_error, f, domain, spec)
         assert ours == oracle
-        assert ours[0] == ("nonconvergence" if case == "nonconvergence" else "value")
+        assert ours[0] == ("nonconvergence" if case.startswith("nonconvergence") else "value")
         assert all(type(v) is float for v in ours[1:])
+
+    def test_endpoint_chain_takes_a_handful_of_calls(self):
+        # 268 splits: one oracle call per panel, one package call per chain
+        # batch (23 measured); one call per split would take 272
+        f, domain, spec = DRIVER_BATTERY["endpoint_chain"]
+        ours, ours_calls = _counted(f)
+        oracle, oracle_calls = _counted(f)
+        integrate_1d_with_error(ours, domain, spec)
+        integrate_1d_components_with_error(oracle, domain, spec)
+        assert len(oracle_calls) == _INITIAL_PANELS + 2 * 268
+        assert len(ours_calls) <= 28
+
+    def test_speculated_nan_is_evaluated_but_not_read(self):
+        f, domain, spec = DRIVER_BATTERY["nan_only_deep"]
+        ours, ours_calls = _counted(f)
+        oracle, oracle_calls = _counted(f)
+        integrate_1d_with_error(ours, domain, spec)
+        integrate_1d_components_with_error(oracle, domain, spec)
+        assert any(np.isnan(f(x)).any() for x in ours_calls)
+        assert not any(np.isnan(f(x)).any() for x in oracle_calls)
+
+    def test_speculated_nan_raises_when_popped(self):
+        # NaN below 1e-50: the oracle meets it too, and the package first
+        # evaluates it in a later split of a chain batch
+        f = lambda u: np.where(u < 1e-50, np.nan, u**-0.9 * np.exp(-u))
+        with pytest.raises(ValueError, match="not finite inside panel"):
+            integrate_1d_components_with_error(f, (0.0, 5.0))
+        g, seen = _counted(f)
+        with pytest.raises(ValueError) as caught:
+            integrate_1d_with_error(g, (0.0, 5.0))
+        ends = re.fullmatch(r"integrand not finite inside \[(\S+), (\S+)\]", str(caught.value))
+        lo, hi = float(ends[1]), float(ends[2])
+        assert lo == 0.0 and np.isnan(f(seen[-1])).any()
+        # the split the loop needed at the last call was wider than the one that raised
+        assert seen[-1][:30].max() > hi
+
+    @pytest.mark.parametrize("name", ["homogeneous", "hermite_slater_h", "hermite_slater_c", "erfcx"])
+    def test_integrands_batch_independent(self, name):
+        # A value that does not depend on the other nodes of its batch is why
+        # chain batches keep every panel value.  GaussianProduct and
+        # CorrelatedGaussianPair correlations are the documented exception
+        # (a BLAS product; module docstring of numerics).
+        state = HermiteSlater(3, 0.8, "symmetric", -0.2)
+        f = {
+            "homogeneous": Homogeneous(0.1).value,
+            "hermite_slater_h": lambda u: state.correlations(u)[0],
+            "hermite_slater_c": lambda u: state.correlations(u)[1],
+            "erfcx": erfcx,
+        }[name]
+        rng = rng_stream(3, 1)
+        nodes = np.concatenate([10.0 ** rng.uniform(-90, 1.5, 300), rng.uniform(0.0, 30.0, 300)])
+        batch = np.asarray(f(nodes))
+        alone = np.concatenate([np.atleast_1d(f(nodes[i : i + 1])) for i in range(len(nodes))])
+        panels = np.concatenate([f(nodes[i : i + 30]) for i in range(0, len(nodes), 30)])
+        assert batch.tobytes() == alone.tobytes() == panels.tobytes()
 
     def test_component_integrand_rejected(self):
         with pytest.raises(ValueError, match=r"\(m,\)"):

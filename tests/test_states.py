@@ -234,6 +234,19 @@ class TestCorrelations:
             for poly, rule in zip(state.correlations(0.0), state._gauss_hermite_correlations(0.0)):
                 assert np.float64(poly).tobytes() == np.float64(rule).tobytes()
 
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_gaussian_kernel_keeps_the_one_line_bits(self, symmetry):
+        # the in-place kernel against the expression it spells out, on a
+        # 3-particle state (81 shift rows) and an endpoint-chain-sized batch
+        state = GaussianProduct((-0.8, 0.1, 1.3), 0.6, symmetry)
+        shift, weights = state._correlation_table
+        w = state.width
+        u = rng_stream(11, 0).uniform(0.0, state.support.hi - state.support.lo, 480)
+        kernel = math.sqrt(math.pi) * w * np.exp(-((u[:, None] - shift) ** 2) / (4 * w**2))
+        expected = kernel @ weights
+        for got, want in zip(state.correlations(u), (expected[:, 0], expected[:, 1])):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("state", CORRELATION_STATES, ids=repr)
     def test_matches_quadrature_oracle(self, state):
         u = _separation_nodes(state)
