@@ -307,15 +307,7 @@ def cmd_hubbard(config) -> tuple[dict, int]:
                 }
             )
 
-    rng = rng_stream(config["seed"], 7)
-    min_slack, failures = math.inf, 0
-    for _ in range(n_occupations):
-        occ = hubbard_mod.OccupationVector(tuple(rng.uniform(0, 2, size=int(rng.integers(1, 13)))))
-        rep = hubbard_mod.verify_site_occupation_bound(
-            occ, t, float(rng.uniform(0, 8)), float(rng.uniform(1, 2))
-        )
-        min_slack = min(min_slack, rep["slack"])
-        failures += not rep["holds"]
+    min_slack, failures = hubbard_mod.occupation_sweep(rng_stream(config["seed"], 7), n_occupations, t)
 
     checks = {
         "min_f": min_f,

@@ -40,6 +40,7 @@ __all__ = [
     "energy_excess_factor",
     "exchange_correlation",
     "verify_site_occupation_bound",
+    "occupation_sweep",
     "lieb_wu_energy",
     "kappa_of_u",
 ]
@@ -89,6 +90,11 @@ def energy_per_site(pt: HubbardPoint):
     return (np.where(n <= 1, low, low + pt.u * (n - 1)))[()]
 
 
+def _excess_factor(n, kappa):
+    """energy_excess_factor without its range checks."""
+    return 2 * np.sin(math.pi * n / 2) - kappa * np.sin(math.pi * n / kappa)
+
+
 def energy_excess_factor(n, kappa):
     """f_n(k) = 2 sin(pi n/2) - k sin(pi n/k) on [0, 1] x [1, 2]; f >= 0."""
     n = np.asarray(n, dtype=float)
@@ -97,7 +103,7 @@ def energy_excess_factor(n, kappa):
         raise ValueError("filling must lie in [0, 1] for the excess factor")
     if np.any((kappa < 1) | (kappa > 2)):
         raise ValueError("kappa must lie in [1, 2]")
-    return (2 * np.sin(math.pi * n / 2) - kappa * np.sin(math.pi * n / kappa))[()]
+    return _excess_factor(n, kappa)[()]
 
 
 @dataclass(frozen=True)
@@ -123,13 +129,34 @@ def verify_site_occupation_bound(occ: OccupationVector, t: float, u: float, kapp
     bound is kappa-uniform), so sweeps do not depend on the half-filling
     calibration of kappa(U/t).
     """
-    sites = np.asarray(occ.sites)
+    return _site_occupation_check(np.asarray(occ.sites), t, u, kappa, energy_excess_factor)
+
+
+def _site_occupation_check(sites, t, u, kappa, excess_factor=_excess_factor) -> dict:
+    """verify_site_occupation_bound on an array of sites; the default
+    excess_factor checks no ranges."""
     m = np.minimum(sites, 2 - sites)
-    f = energy_excess_factor(m, kappa)
-    excess = (2 * t / math.pi) * f + np.where(sites > 1, u * (sites - 1), 0.0)
+    excess = (2 * t / math.pi) * excess_factor(m, kappa) + np.where(sites > 1, u * (sites - 1), 0.0)
     e_xc = excess - u * sites**2 / 4.0
     slack = float(np.sum(e_xc)) + (u / 4.0) * float(np.sum(sites**2))
     return {"slack": slack, "holds": slack >= -1e-10}
+
+
+def occupation_sweep(rng, count: int, t: float) -> tuple[float, int]:
+    """(smallest slack, failures) of verify_site_occupation_bound over ``count``
+    random cases at hopping t.
+
+    Each case draws, from ``rng`` and in this order, 1 to 12 occupations in
+    [0, 2], U in [0, 8] and kappa in [1, 2].  The draws are in range by
+    construction, so their range checks are skipped.
+    """
+    min_slack, failures = math.inf, 0
+    for _ in range(count):
+        sites = rng.uniform(0, 2, size=int(rng.integers(1, 13)))
+        rep = _site_occupation_check(sites, t, float(rng.uniform(0, 8)), float(rng.uniform(1, 2)))
+        min_slack = min(min_slack, rep["slack"])
+        failures += not rep["holds"]
+    return min_slack, failures
 
 
 # J0 and J1 as in the Cephes library (j0.c, j1.c; S. L. Moshier): a rational

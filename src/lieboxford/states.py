@@ -70,21 +70,25 @@ stationary radius of a piece; both candidate sets are enumerated.
 
 Most radii cannot win, and the scan skips them.  Each point's radius pieces
 are cut into coarse blocks of 64 pieces, and each surviving coarse block into
-fine blocks of 8.  The window average F(E)/(2 E dx) at every block edge E is
-itself a breakpoint candidate, computed with the kernel's own operations, so
-the largest of them and rho give a lower bound L <= M rho.  No candidate of a
-block [E_k, E_(k+1)] exceeds (F(E_(k+1)) + ramp)/(2 E_k dx), in floating
-point too, since the window integrals come from a monotone cumulative sum;
-ramp = dx (rho_0 + rho_end)/2 is the mass of the one-cell ramps to zero
-beyond the ends of the grid, which the piece where a window edge leaves the
-grid interpolates.  A block whose bound, times 1 + 1e-12 against rounding, is
+fine blocks of 8.  A lower bound L <= M rho starts at rho and the window
+averages at a few probe radii, and every block edge and kernel result raises
+it; each is a candidate of the full scan, computed with the kernel's own
+operations.  Two exact rules drop a block.  The edge rule reads rho alone:
+the window average A(r) = F(r)/(2r) obeys A' = (s/2 - A)/r, with
+s(r) = rho(x + r) + rho(x - r), so a block whose node sums s stay below
+2 L (1 - delta) holds no candidate above M rho; the same test caps each
+point's scan.  The blocks it keeps get window integrals and the
+slope-capped bound: F(r) <= min(F(E_lo) + (r - E_lo) S, F(E_hi) + ramp), S
+the largest node sum and ramp the mass of the one-cell ramps to zero beyond
+the grid ends.  A block whose bound, times 1 + 1e-12 against rounding, is
 below L is dropped, and the kernel scans only the surviving fine blocks.
-Every stage works on at most 2^13 blocks, or 2^13 kernel cells, at a time,
-so its work arrays stay within 64 KB each.  They are allocated once and kept
-across blocks and calls, each stage writing into them with ``out=``: a run
-of many profiles touches the same pages throughout, however the allocator
-trims its heap.  Only candidates below L are dropped, so every value is
-bit-identical to a full scan.
+_block_bounds and _prune_blocks derive both rules and their rounding
+margins.  Every stage works on at most 2^13 blocks, or 2^13 kernel cells, at
+a time, so its work arrays stay within 64 KB each.  They are allocated once
+and kept across blocks and calls, each stage writing into them with
+``out=``: a run of many profiles touches the same pages throughout, however
+the allocator trims its heap.  Only candidates that cannot exceed the final
+M rho are dropped, so every value is bit-identical to a full scan.
 """
 
 from __future__ import annotations
@@ -241,9 +245,6 @@ class TrialState:
     def rho2(self, x, y):
         raise NotImplementedError
 
-    def psi(self, *coords):
-        raise NotImplementedError
-
     def correlations(self, u):
         """(h(u), C(u)) in closed form, each of u's shape (module docstring).
 
@@ -268,9 +269,6 @@ class TrialState:
     def default_grid(self, n: int = 4096) -> UniformGrid:
         box = self.support
         return UniformGrid(box.lo, (box.hi - box.lo) / (n - 1), n)
-
-    def translated(self, delta: float) -> "TrialState":
-        raise NotImplementedError
 
     def dilated(self, lam: float) -> "TrialState":
         """State with density lam * rho(lam x)."""
@@ -345,21 +343,6 @@ class _OrbitalState(TrialState):
         phi_y = self._orbital_values(y)
         q = np.einsum("abcd,c...,d...->ab...", self._tables[3], phi_y, phi_y)
         return np.einsum("a...,b...,ab...->...", phi_x, phi_x, q)
-
-    def psi(self, *coords):
-        if len(coords) != self.n_particles:
-            raise ValueError("one coordinate array per particle")
-        coords = np.broadcast_arrays(*[np.asarray(c, float) for c in coords])
-        phi = [self._orbital_values(c) for c in coords]
-        n = self.n_particles
-        out = 0.0
-        for perm in itertools.permutations(range(n)):
-            sign = _parity(perm) if self.symmetry == "antisymmetric" else 1
-            term = phi[0][perm[0]]
-            for i in range(1, n):
-                term = term * phi[i][perm[i]]
-            out = out + sign * term
-        return out / math.sqrt(self._norm)
 
 
 def _check_symmetry(symmetry: str) -> str:
@@ -438,9 +421,6 @@ class GaussianProduct(_OrbitalState):
     def grid_halfwidth(self) -> float:
         spread = max(abs(c - self.grid_center) for c in self.centers)
         return 12 * self.width + spread
-
-    def translated(self, delta):
-        return GaussianProduct(tuple(c + delta for c in self.centers), self.width, self.symmetry)
 
     def dilated(self, lam):
         return GaussianProduct(tuple(c / lam for c in self.centers), self.width / lam, self.symmetry)
@@ -527,9 +507,6 @@ class HermiteSlater(_OrbitalState):
     @property
     def grid_halfwidth(self) -> float:
         return 12 * self.width * math.sqrt(2 * self.n_orbitals - 1)
-
-    def translated(self, delta):
-        return HermiteSlater(self.n_orbitals, self.width, self.symmetry, self.center + delta)
 
     def dilated(self, lam):
         return HermiteSlater(self.n_orbitals, self.width / lam, self.symmetry, self.center / lam)
@@ -619,11 +596,6 @@ class CorrelatedGaussianPair(TrialState):
     def grid_halfwidth(self) -> float:
         return 12 * self.width
 
-    def translated(self, delta):
-        return CorrelatedGaussianPair(
-            self.width, self.hole_depth, self.hole_width, self.center + delta
-        )
-
     def dilated(self, lam):
         return CorrelatedGaussianPair(
             self.width / lam, self.hole_depth, self.hole_width / lam, self.center / lam
@@ -664,6 +636,7 @@ def maximal_operator_norm_bound(p: float) -> float:
 
 _COARSE_CELLS = 64  # radius pieces per coarse block of the pruning pass
 _FINE_CELLS = 8  # radius pieces per fine block; the kernel scans only surviving ones
+_PROBES = 6  # probe radii per point that seed the lower bound before the coarse pass
 _BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the work arrays
 
 # Work arrays of the maximal function, by name: kept across blocks and calls
@@ -702,19 +675,20 @@ def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
     """Exact sup of window averages about the points rho_ext[at] (vectorized).
 
     The extended arrays continue the grid flat on both sides, wide enough
-    that every window edge at +- m of the scan is in range.  Returns a view
-    of a work array, valid until the next call.
+    that every window edge at +- m of the scan is in range.  The grids are
+    radius-major, (radii, points), so the sup over the radii reduces whole
+    grid rows.  Returns a view of a work array, valid until the next call.
     """
     rows, cols = len(at), int(np.max(m_hi - m_lo)) + 2
 
-    def grid(name, width=cols, dtype=float):
-        return _work(name, rows * width, dtype).reshape(rows, width)
+    def grid(name, height=cols, dtype=float):
+        return _work(name, height * rows, dtype).reshape(height, rows)
 
     m, up, dn = grid("m", dtype=np.intp), grid("up", dtype=np.intp), grid("dn", dtype=np.intp)
-    np.add(m_lo[:, None], _iota(cols), out=m)
-    np.minimum(m, np.add(m_hi, 1, out=_work("m_top", rows, np.intp))[:, None], out=m)
-    np.add(at[:, None], m, out=up)
-    np.subtract(at[:, None], m, out=dn)
+    np.add(_iota(cols)[:, None], m_lo, out=m)
+    np.minimum(m, np.add(m_hi, 1, out=_work("m_top", rows, np.intp)), out=m)
+    np.add(at, m, out=up)
+    np.subtract(at, m, out=dn)
     s, F, r, tmp = grid("s"), grid("F"), grid("r"), grid("tmp")
     _gather(rho_ext, up, s)
     s += _gather(rho_ext, dn, tmp)
@@ -724,51 +698,37 @@ def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
     best, row_tmp = _work("best", rows), _work("row_tmp", rows)
 
     # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b,
-    # evaluated in place, operation for operation
-    s0, r0 = s[:, :-1], r[:, :-1]
-    b, r0_sq, rstar_sq = grid("b", cols - 1), grid("r0_sq", cols - 1), grid("rstar_sq", cols - 1)
-    valid, off = grid("valid", cols - 1, bool), grid("off", cols, bool)
+    # evaluated in place, operation for operation; b = 0 gives r*^2 = +-inf
+    # or nan, which fails the range test as b != 0 would
+    s0, r0, r_sq = s[:-1], r[:-1], grid("r_sq")
+    b, rstar_sq = grid("b", cols - 1), grid("rstar_sq", cols - 1)
+    valid, off = grid("valid", cols - 1, bool), grid("off", cols - 1, bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.multiply(r, 2, out=tmp)
         np.divide(F, tmp, out=tmp)
-        np.copyto(tmp, 0.0, where=np.less_equal(m, 0, out=off))  # the r -> 0 break is rho, below
-        np.max(tmp, axis=1, out=best)
+        np.copyto(tmp[0], 0.0, where=np.equal(m[0], 0, out=off[0]))  # the r -> 0 break is rho, below
+        np.max(tmp, axis=0, out=best)
 
-        np.subtract(s[:, 1:], s0, out=b)
+        np.subtract(s[1:], s0, out=b)
         b /= dx
-        np.square(r0, out=r0_sq)
+        np.square(r, out=r_sq)
         np.multiply(s0, r0, out=rstar_sq)
-        np.subtract(F[:, :-1], rstar_sq, out=rstar_sq)
+        np.subtract(F[:-1], rstar_sq, out=rstar_sq)
         rstar_sq *= 2
         rstar_sq /= b
-        rstar_sq += r0_sq
-        off = off[:, :-1]
-        np.not_equal(b, 0, out=valid)
-        valid &= np.greater(rstar_sq, r0_sq, out=off)
-        valid &= np.less(rstar_sq, np.square(r[:, 1:], out=tmp[:, 1:]), out=off)
-        np.logical_not(valid, out=off)
-        np.copyto(rstar_sq, 1.0, where=off)
+        rstar_sq += r_sq[:-1]
+        np.greater(rstar_sq, r_sq[:-1], out=valid)
+        valid &= np.less(rstar_sq, r_sq[1:], out=off)
         a_star = np.sqrt(rstar_sq, out=rstar_sq)
         a_star -= r0
         a_star *= b
         a_star += s0
-        a_star *= 0.5
-    np.copyto(a_star, 0.0, where=off)
-    np.maximum(best, np.max(a_star, axis=1, out=row_tmp), out=best)
+        np.copyto(a_star, 0.0, where=np.logical_not(valid, out=off))
+    # the candidate is a_star / 2; halving is monotone, so it commutes with the sup
+    np.max(a_star, axis=0, out=row_tmp)
+    row_tmp *= 0.5
+    np.maximum(best, row_tmp, out=best)
     return np.maximum(best, _gather(rho_ext, at, row_tmp), out=best)  # r -> 0 limit is rho itself
-
-
-def _raise_per_point(lower, point, values):
-    """lower[p] = max(lower[p], values of the rows of p), for rows sorted by point."""
-    first = _work("first", len(point), bool)
-    first[:1] = True
-    np.not_equal(point[1:], point[:-1], out=first[1:])
-    n_points = int(np.count_nonzero(first))
-    starts = np.compress(first, _iota(len(point)), out=_work("starts", n_points, np.intp))
-    p = np.compress(first, point, out=_work("points", n_points, np.intp))
-    top = np.maximum.reduceat(values, starts, out=_work("top", n_points))
-    np.maximum(_gather(lower, p, _work("at_points", n_points)), top, out=top)
-    lower[p] = top
 
 
 def _window_max(a, k, out=None):
@@ -784,24 +744,63 @@ def _window_max(a, k, out=None):
     return out
 
 
-def _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peak, fuzz):
-    """Split each row's radius pieces lo..hi into blocks of ``cells`` pieces.
+def _live_blocks(point, lo, hi, cells, lower, peak, cut, floor):
+    """The blocks of ``cells`` pieces of each row's radius pieces lo..hi that
+    the edge rule of _prune_blocks keeps, as (point, b_lo, b_hi, S).
 
-    Returns (point, b_lo, b_hi, edge_avg, bound) per block, views of work
-    arrays valid until the next call: the window averages at both block
-    edges, computed as _maximal_chunk computes them, and a bound on every
-    value _maximal_chunk finds on the block.
+    Block k of a row covers pieces b_lo = lo + k cells .. b_hi <= hi, its
+    edges are E_lo = b_lo dx and E_hi = (b_hi + 1) dx.  S, the sum of
+    ``peak`` (the maximum of rho_ext over cells + 1 nodes) on each side,
+    bounds the node sums s = rho(x + r) + rho(x - r) on the block's nodes.
+    A block is dropped when S < 2 lower (1 - delta) - floor, ``cut`` being
+    2 (1 - delta).  The blocks are laid out as a (blocks of the longest row,
+    rows) grid; the returned arrays are views of work arrays, valid until
+    the next call.
+    """
+    rows, width = len(point), int(np.max(hi - lo)) // cells + 1
+
+    def grid(name, dtype=np.intp):
+        return _work(name, width * rows, dtype).reshape(width, rows)
+
+    b_lo = np.add((_iota(width) * cells)[:, None], lo, out=grid("b_lo"))
+    b_hi = np.add(b_lo, cells - 1, out=grid("b_hi"))
+    np.minimum(b_hi, hi, out=b_hi)
+    idx = grid("i_tmp")
+    # past a row's end b_lo > hi: the index may leave rho_ext (clipped), and the block is masked
+    slope = _gather(peak, np.add(point, b_lo, out=idx), grid("slope", float))
+    np.subtract(point, b_hi, out=idx)
+    idx -= 1
+    slope += _gather(peak, idx, grid("f_tmp", float))
+    threshold = _gather(lower, point, _work("threshold", rows))
+    threshold *= cut
+    threshold -= floor
+    live = np.greater_equal(slope, threshold, out=grid("live", bool))
+    live &= np.less_equal(b_lo, hi, out=grid("in_row", bool))
+    n_live = int(np.count_nonzero(live))
+    cell = np.compress(live.ravel(), _iota(width * rows), out=_work("live_cell", n_live, np.intp))
+    b_lo = _gather(b_lo.ravel(), cell, _work("live_lo", n_live, np.intp))
+    b_hi = _gather(b_hi.ravel(), cell, _work("live_hi", n_live, np.intp))
+    slope = _gather(slope.ravel(), cell, _work("live_slope", n_live))
+    point = _gather(point, np.remainder(cell, rows, out=cell), _work("live_point", n_live, np.intp))
+    return point, b_lo, b_hi, slope
+
+
+def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
+    """(edge_avg, bound) per block of at most ``cells`` pieces.
+
+    Views of work arrays valid until the next call: the larger window
+    average of the two block edges, computed as _maximal_chunk computes
+    them, and a bound on every value _maximal_chunk finds on the block.
 
     Between the block edges E_lo = b_lo dx and E_hi = (b_hi + 1) dx the
     window mass F(r) has slope s(r) = rho(x + r) + rho(x - r), linear on
-    each piece, so F(r) <= min(F_lo + (r - E_lo) S, F_hi + ramp) with S the
-    largest s on the block's nodes: at most the sum of ``peak`` (the
-    maximum of rho_ext over cells + 1 nodes) on each side.  The ramp is
-    the mass of the triangles beyond the grid ends, which the stationary
-    candidates count and cum_ext does not; those candidates, F(r*)/(2r*)
-    of a piece's quadratic mass model, obey both caps, as do the break
-    averages.  The sup of the capped mass over 2r is F_lo/(2 E_lo) when
-    S E_lo <= F_lo, else (F_hi + ramp)/(2 r_c) at the crossing
+    each piece, so F(r) <= min(F_lo + (r - E_lo) S, F_hi + ramp) with S =
+    ``slope``, the node sum bound of _live_blocks.  The ramp is the mass of
+    the triangles beyond the grid ends, which the stationary candidates
+    count and cum_ext does not; those candidates, F(r*)/(2r*) of a piece's
+    quadratic mass model, obey both caps, as do the break averages.  The
+    sup of the capped mass over 2r is F_lo/(2 E_lo) when S E_lo <= F_lo,
+    else (F_hi + ramp)/(2 r_c) at the crossing
     r_c = E_lo + (F_hi + ramp - F_lo)/S, clipped to the block; +inf at
     E_lo = 0.
 
@@ -814,41 +813,16 @@ def _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peak, fuzz):
     relative: the increments, S, and the arithmetic of the kernel and of
     the bound, which the caller's (1 + 1e-12) margin covers.
     """
-    counts = np.subtract(hi, lo, out=_work("counts", len(lo), np.intp))
-    counts //= cells
-    counts += 1
-    first = np.cumsum(counts, out=_work("first_block", len(lo), np.intp))
-    n_blocks = int(first[-1])
-    first -= counts
-    # row of each block: a step of 1 at the first block of every row after the first
-    row = _work("row", n_blocks, np.intp)
-    row.fill(0)
-    row[first[1:]] = 1
-    np.cumsum(row, out=row)
-
-    def take(a, name, dtype=np.intp):
-        return _gather(a, row, _work(name, n_blocks, dtype))
-
-    # block k of row i starts (k - first[i]) cells pieces beyond lo[i]
-    b_lo = take(first, "b_lo")
-    np.subtract(_iota(n_blocks), b_lo, out=b_lo)
-    b_lo *= cells
-    b_lo += take(lo, "i_tmp")
-    b_hi = np.add(b_lo, cells - 1, out=_work("b_hi", n_blocks, np.intp))
-    np.minimum(b_hi, take(hi, "i_tmp"), out=b_hi)
-    point = take(point, "block_point")
-    a = _gather(at, point, _work("a", n_blocks, np.intp))
+    n_blocks = len(point)
     e_hi = np.add(b_hi, 1, out=_work("e_hi", n_blocks, np.intp))
     idx = _work("i_tmp", n_blocks, np.intp)
     F_lo, F_hi, tmp = _work("F_lo", n_blocks), _work("F_hi", n_blocks), _work("f_tmp", n_blocks)
-    _gather(cum_ext, np.add(a, b_lo, out=idx), F_lo)
-    F_lo -= _gather(cum_ext, np.subtract(a, b_lo, out=idx), tmp)
-    _gather(cum_ext, np.add(a, e_hi, out=idx), F_hi)
-    F_hi -= _gather(cum_ext, np.subtract(a, e_hi, out=idx), tmp)
+    _gather(cum_ext, np.add(point, b_lo, out=idx), F_lo)
+    F_lo -= _gather(cum_ext, np.subtract(point, b_lo, out=idx), tmp)
+    _gather(cum_ext, np.add(point, e_hi, out=idx), F_hi)
+    F_hi -= _gather(cum_ext, np.subtract(point, e_hi, out=idx), tmp)
     r_lo = np.multiply(b_lo, dx, out=_work("r_lo", n_blocks))
     r_hi = np.multiply(e_hi, dx, out=_work("r_hi", n_blocks))
-    slope = _gather(peak, np.add(a, b_lo, out=idx), _work("slope", n_blocks))
-    slope += _gather(peak, np.subtract(a, e_hi, out=idx), tmp)
     edge_avg, bound = _work("edge_avg", n_blocks), _work("bound", n_blocks)
     at_zero = np.equal(b_lo, 0, out=_work("at_zero", n_blocks, bool))
     capped = _work("capped", n_blocks, bool)
@@ -866,24 +840,102 @@ def _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peak, fuzz):
         flat = np.divide(np.minimum(F_lo, F_hi, out=r_hi), np.multiply(r_lo, 2, out=tmp), out=r_hi)
         np.copyto(bound, flat, where=capped)
     np.copyto(bound, np.inf, where=at_zero)
-    return point, b_lo, b_hi, edge_avg, bound
+    return edge_avg, bound
 
 
-def _prune_blocks(point, lo, hi, cells, at, lower, cum_ext, dx, ramp, peaks, fuzz):
-    """Blocks of ``cells`` pieces (see _block_bounds) that can still reach ``lower``.
+def _prune_blocks(point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, cut, floor):
+    """Blocks of ``cells`` pieces (see _live_blocks) that can still reach ``lower``.
 
-    Rows are sorted by point.  The block edge averages raise ``lower``
-    first; the blocks whose bound, with a (1 + 1e-12) margin, reaches it
-    are returned as (point, lo, hi), sorted by point, in work arrays kept
-    per ``cells`` until the next call with the same ``cells``.
+    Two exact rules drop blocks.  The edge rule (_live_blocks) reads only
+    rho: it drops a block whose node sum bound S is below 2 L (1 - delta) -
+    floor, L = ``lower``.  The blocks it keeps get window integrals
+    (_block_bounds); their edge averages raise ``lower``, and those whose
+    slope-capped bound, with a (1 + 1e-12) margin, reaches it are returned
+    as (point, lo, hi), in work arrays kept per ``cells`` until the next
+    call with the same ``cells``.
+
+    The edge rule.  The window average A(r) = F(r)/(2r) obeys
+    A' = (s/2 - A)/r, so A falls wherever it is above s/2.  Take a run of
+    dropped pieces at a point whose final M rho is V: every s/2 on it is
+    below V (1 - delta), as L <= V.  The run starts at an edge whose
+    average is in ``lower`` (both edges of a block the rule keeps are) or
+    where F = 0 (r = 0, or m_lo at a point off the support).  So no break
+    average of the run exceeds the larger of its start average and
+    V (1 - delta), and neither exceeds V.  A stationary candidate is
+    s(r*)/2 of the piece's linear s, between the piece's end values, so
+    below V (1 - delta) too; the piece where a window edge leaves the grid
+    is no exception, and there cum_ext leaves out the ramp triangle, so its
+    break average is below the one of the piece's own mass model.
+
+    Rounding.  A stored cumsum step exceeds its increment by at most
+    ``fuzz`` (_block_bounds), two steps per piece, as if s were larger by
+    floor = 2 fuzz/dx, which the threshold subtracts; the rest is relative.
+    The exact average at an evaluated start edge may exceed its stored
+    value by 3 ulps.  While above V (1 - delta/2), A falls by at least
+    (delta V/2) dx/r per piece, at least delta V/(2 (m + 1)) over the first
+    piece, m <= n + 1 its index: more than the 6 ulps that the rounding of
+    the start and of the break averages takes, once
+    delta >= 12 (n + 2) 2^-53.  A stationary candidate is high by at most
+    (2 m + 6) ulps, r* - r0 carrying the rounding of r0 and of
+    r1 = (m + 1) dx.  delta = max(1e-9, 16 (n + 2) 2^-53) covers both: it is
+    1e-9 up to 5.6e5 grid points.
     """
-    point, b_lo, b_hi, edge_avg, bound = _block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peaks[cells], fuzz)
-    _raise_per_point(lower, point, edge_avg)
+    point, b_lo, b_hi, slope = _live_blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
+    edge_avg, bound = _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz)
+    np.maximum.at(lower, point, edge_avg)
     bound *= 1 + 1e-12
     keep = np.greater_equal(bound, _gather(lower, point, edge_avg), out=_work("keep", len(point), bool))
     n_kept = int(np.count_nonzero(keep))
     kept = (_work((name, cells), n_kept, np.intp) for name in ("point", "lo", "hi"))
     return tuple(np.compress(keep, a, out=out) for a, out in zip((point, b_lo, b_hi), kept))
+
+
+def _probe(lower, at, cum_ext, dx, m_lo, m_hi):
+    """Raise ``lower`` by the window averages at _PROBES radii of every point.
+
+    The radii run geometrically over 1..n, each clipped to the point's scan
+    m_lo + 1 .. m_hi + 1.  The averages are breakpoint candidates of
+    _maximal_chunk, computed with its operations, so ``lower`` stays a
+    lower bound on M rho, bit for bit a value of the full scan.
+    """
+    n = len(at)
+    radii = np.array(sorted({round(n ** (k / (_PROBES - 1))) for k in range(_PROBES)}), np.intp)[:, None]
+    per = _BLOCK_CELLS // len(radii)
+    for start in range(0, n, per):
+        rows = slice(start, start + per)
+        size = len(radii), len(at[rows])
+
+        def grid(name, dtype=float):
+            return _work(name, size[0] * size[1], dtype).reshape(size)
+
+        m = np.maximum(radii, m_lo[rows] + 1, out=grid("m", np.intp))
+        np.minimum(m, m_hi[rows] + 1, out=m)
+        F, tmp, idx = grid("F"), grid("tmp"), grid("up", np.intp)
+        _gather(cum_ext, np.add(at[rows], m, out=idx), F)
+        F -= _gather(cum_ext, np.subtract(at[rows], m, out=idx), tmp)
+        r = np.multiply(m, dx, out=tmp)
+        F /= np.multiply(r, 2, out=tmp)
+        np.maximum(lower[rows], np.max(F, axis=0, out=_work("best", size[1])), out=lower[rows])
+
+
+def _cap_scan(rho, lower, m_lo, m_hi, cut, floor):
+    """Lower m_hi to the farthest node that can reach the edge rule's threshold.
+
+    Beyond the distance D of the farthest node with 2 rho >= 2 lower
+    (1 - delta) - floor (two running maxima and searchsorted), every node
+    sum is below the threshold, so the pieces there are as an edge-dropped
+    block (_prune_blocks); m_hi becomes D clipped to m_lo..m_hi.
+    """
+    n = len(rho)
+    threshold = np.multiply(lower, cut, out=_work("threshold", n))
+    threshold -= floor
+    run = np.maximum.accumulate(rho, out=_work("run_max", n))
+    run *= 2
+    far = _iota(n) - np.searchsorted(run, threshold)  # from the first node at or above it
+    np.maximum.accumulate(rho[::-1], out=run)
+    run *= 2
+    np.maximum(far, n - 1 - _iota(n) - np.searchsorted(run, threshold), out=far)  # ... and to the last
+    np.clip(far, m_lo, m_hi, out=m_hi)
 
 
 def maximal_function(profile: DensityProfile) -> DensityProfile:
@@ -915,7 +967,7 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
     cum_ext[: n + 1] = cum[0]
     cum_ext[2 * n + 1 :] = cum[-1]
     i_all = _iota(n)
-    at = np.add(i_all, n + 1, out=_work("at", n, np.intp))
+    at = np.add(i_all, n + 1, out=_work("at", n, np.intp))  # the points, as indices of the extended arrays
     m_lo, m_hi, tmp = _work("m_lo", n, np.intp), _work("m_hi", n, np.intp), _work("tmp_points", n, np.intp)
     np.maximum(np.subtract(j0, i_all, out=m_lo), np.subtract(i_all, j1, out=tmp), out=m_lo)
     np.maximum(m_lo, 1, out=m_lo)
@@ -923,37 +975,44 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
     np.maximum(np.subtract(i_all, j0, out=m_hi), np.subtract(j1, i_all, out=tmp), out=m_hi)
     m_hi += 1
 
-    # lower bound L <= M rho, raised by every block edge and kernel result;
-    # points in groups of at most _BLOCK_CELLS coarse blocks (or one point,
-    # if it alone has more), the coarse survivors in slices that split into
-    # at most _BLOCK_CELLS fine blocks
-    lower = rho.copy()
+    # lower bound L <= M rho: rho and the probes, raised by every block edge
+    # and kernel result; points in groups whose padded grid of coarse blocks
+    # holds at most _BLOCK_CELLS (or one point, if it alone has more), the
+    # coarse survivors in slices that split into at most _BLOCK_CELLS fine
+    # blocks
+    lower_ext = _work("lower_ext", 3 * n + 2)  # indexed as rho_ext; only the grid is read
+    lower = lower_ext[n + 1 : 2 * n + 1]
+    lower[...] = rho
     ramp = 0.5 * dx * (rho[0] + rho[-1])
     peaks = {
         cells: _window_max(rho_ext, cells + 1, _work(("peak", cells), 3 * n + 2))
         for cells in (_COARSE_CELLS, _FINE_CELLS)
     }
-    prune = (at, lower, cum_ext, dx, ramp, peaks, 0.5 * np.spacing(cum[-1]))
+    delta = max(1e-9, 16 * (n + 2) * 2.0**-53)
+    cut, floor = 2 * (1 - delta), np.spacing(cum[-1]) / dx
+    _probe(lower, at, cum_ext, dx, m_lo, m_hi)
+    _cap_scan(rho, lower, m_lo, m_hi, cut, floor)
+    prune = (lower_ext, cum_ext, dx, ramp, peaks, 0.5 * np.spacing(cum[-1]), cut, floor)
     n_coarse = np.subtract(m_hi, m_lo, out=_work("n_coarse", n, np.intp))
     n_coarse //= _COARSE_CELLS
     n_coarse += 1
-    np.cumsum(n_coarse, out=n_coarse)
     per_slice = _BLOCK_CELLS // (_COARSE_CELLS // _FINE_CELLS)
     per_kernel = _BLOCK_CELLS // (_FINE_CELLS + 1)
     start = 0
     while start < n:
-        done = n_coarse[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(n_coarse, done + _BLOCK_CELLS, side="right")))
+        # (k + 1) x the most coarse blocks of points start..start + k: the padded grid of _live_blocks
+        padded = np.maximum.accumulate(n_coarse[start:]) * (_iota(n - start) + 1)
+        stop = start + max(1, int(np.searchsorted(padded, _BLOCK_CELLS, side="right")))
         group = slice(start, stop)
-        coarse = _prune_blocks(i_all[group], m_lo[group], m_hi[group], _COARSE_CELLS, *prune)
+        coarse = _prune_blocks(at[group], m_lo[group], m_hi[group], _COARSE_CELLS, *prune)
         for j in range(0, len(coarse[0]), per_slice):
             pt, lo, hi = _prune_blocks(*(c[j : j + per_slice] for c in coarse), _FINE_CELLS, *prune)
             for k in range(0, len(pt), per_kernel):
                 rows = slice(k, k + per_kernel)
-                a = _gather(at, pt[rows], _work("kernel_at", len(pt[rows]), np.intp))
-                _raise_per_point(lower, pt[rows], _maximal_chunk(a, rho_ext, cum_ext, dx, lo[rows], hi[rows]))
+                kernel = _maximal_chunk(pt[rows], rho_ext, cum_ext, dx, lo[rows], hi[rows])
+                np.maximum.at(lower_ext, pt[rows], kernel)
         start = stop
-    return DensityProfile(profile.grid, lower, profile.n_particles)
+    return DensityProfile(profile.grid, lower.copy(), profile.n_particles)
 
 
 def maximal_norm_ratio(profile: DensityProfile, p: float) -> float:

@@ -23,6 +23,9 @@ what the package computes another way.
                        C times v over [0, span], split at the breakpoints
   expectation_via_2d   <V> of a two-particle state on the support square
   rho2_direct          orbital pair density by the full four-index contraction
+  orbital_psi          the normalized permanent or determinant of an orbital
+                       state's orbitals, for the Pauli and norm checks
+  translated           a state moved by delta, for the translation invariances
   read_jsonl           the records of a JSON-lines report, for round trips
   maximal_function_full_scan
                        exact maximal function scanning every radius from the
@@ -31,7 +34,9 @@ what the package computes another way.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -49,7 +54,7 @@ from lieboxford.numerics import (
     QuadratureSpec,
 )
 from lieboxford.potentials import Potential
-from lieboxford.states import DensityProfile, TrialState, density
+from lieboxford.states import DensityProfile, GaussianProduct, TrialState, _parity, density
 
 
 @dataclass(frozen=True)
@@ -339,6 +344,31 @@ def rho2_direct(state, x, y):
     px = np.einsum("a...,b...->ab...", phi_x, phi_x)
     py = np.einsum("c...,d...->cd...", phi_y, phi_y)
     return np.einsum("abcd,ab...,cd...->...", state._tables[3], px, py)
+
+
+def orbital_psi(state, *coords):
+    """psi(x_1, ..., x_N) of a GaussianProduct or HermiteSlater state:
+    sum over permutations of (sign) prod_i phi_perm(i)(x_i), over sqrt(norm)."""
+    if len(coords) != state.n_particles:
+        raise ValueError("one coordinate array per particle")
+    coords = np.broadcast_arrays(*[np.asarray(c, float) for c in coords])
+    phi = [state._orbital_values(c) for c in coords]
+    n = state.n_particles
+    out = 0.0
+    for perm in itertools.permutations(range(n)):
+        sign = _parity(perm) if state.symmetry == "antisymmetric" else 1
+        term = phi[0][perm[0]]
+        for i in range(1, n):
+            term = term * phi[i][perm[i]]
+        out = out + sign * term
+    return out / math.sqrt(state._norm)
+
+
+def translated(state: TrialState, delta: float) -> TrialState:
+    """The state with density rho(x - delta)."""
+    if isinstance(state, GaussianProduct):
+        return dataclasses.replace(state, centers=tuple(c + delta for c in state.centers))
+    return dataclasses.replace(state, center=state.center + delta)
 
 
 def read_jsonl(path) -> list:

@@ -16,6 +16,7 @@ from lieboxford.hubbard import (
     exchange_correlation,
     kappa_of_u,
     lieb_wu_energy,
+    occupation_sweep,
     verify_site_occupation_bound,
 )
 from lieboxford.numerics import rng_stream
@@ -173,9 +174,22 @@ class TestSiteOccupationBound:
         rep = verify_site_occupation_bound(occ, 1.0, u, kappa)
         assert rep["holds"]
 
+    def test_sweep_is_the_checked_bound_on_its_draws(self):
+        # occupation_sweep skips the range checks of its own draws: the same bits
+        rng = rng_stream(3, 7)
+        slacks, failures = [], 0
+        for _ in range(200):
+            occ = OccupationVector(tuple(rng.uniform(0, 2, size=int(rng.integers(1, 13)))))
+            rep = verify_site_occupation_bound(occ, 0.7, float(rng.uniform(0, 8)), float(rng.uniform(1, 2)))
+            slacks.append(rep["slack"])
+            failures += not rep["holds"]
+        assert occupation_sweep(rng_stream(3, 7), 200, 0.7) == (min(slacks), failures)
+
     def test_occupation_validation(self):
         with pytest.raises(ValueError):
             OccupationVector((0.5, 2.1))
+        with pytest.raises(ValueError):
+            verify_site_occupation_bound(OccupationVector((0.5, 1.5)), 1.0, 2.0, 2.5)
 
 
 class TestKappaCalibration:

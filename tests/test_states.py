@@ -26,7 +26,14 @@ from lieboxford.states import (
     maximal_operator_norm_bound,
     random_state_suite,
 )
-from oracles import correlation, maximal_function_full_scan, rho2_direct, scaled_profile
+from oracles import (
+    correlation,
+    maximal_function_full_scan,
+    orbital_psi,
+    rho2_direct,
+    scaled_profile,
+    translated,
+)
 
 
 def uniform_profile(value=2.0, lo=0.0, hi=1.0, n=1001):
@@ -85,13 +92,13 @@ class TestDensity:
             HermiteSlater(2, 0.8),
         ):
             x = np.linspace(-5, 5, 100)
-            assert np.max(np.abs(state.psi(x, x))) <= 1e-12
+            assert np.max(np.abs(orbital_psi(state, x, x))) <= 1e-12
             assert np.max(np.abs(state.rho2(x, x))) <= 1e-12
 
     def test_psi_normalized(self):
         state = GaussianProduct((-0.8, 0.8), 0.9, "antisymmetric")
         g = state.default_grid(901)
-        psi2 = state.psi(g.x[:, None], g.x[None, :]) ** 2
+        psi2 = orbital_psi(state, g.x[:, None], g.x[None, :]) ** 2
         norm = np.trapezoid(np.trapezoid(psi2, dx=g.dx), dx=g.dx)
         assert norm == pytest.approx(1.0, abs=1e-9)
 
@@ -101,7 +108,7 @@ class TestDensity:
 
     def test_translation_moves_density(self):
         s = CorrelatedGaussianPair(1.0, 0.5, 0.7)
-        t = s.translated(2.5)
+        t = translated(s, 2.5)
         x = np.linspace(-3, 3, 21)
         assert np.allclose(s.rho(x), t.rho(x + 2.5), atol=1e-13)
 
@@ -273,7 +280,7 @@ class TestCorrelations:
     @given(trial_states(), st.floats(-5.0, 5.0))
     def test_translation_invariance(self, state, delta):
         u = _separation_nodes(state)
-        for base, moved in zip(state.correlations(u), state.translated(delta).correlations(u)):
+        for base, moved in zip(state.correlations(u), translated(state, delta).correlations(u)):
             assert np.max(np.abs(moved - base)) <= 1e-9 * np.max(np.abs(base))
 
     @settings(max_examples=40, deadline=None)
@@ -426,32 +433,80 @@ def _copied(arg):
     return arg.copy() if isinstance(arg, np.ndarray) else arg
 
 
-def _assert_block_bounds_hold(prof):
-    """Every block of both pruning passes, kept or dropped: kernel <= bound.
+def _pruning_record(prof):
+    """maximal_function(prof) with the inputs of every _prune_blocks call.
 
-    The kernel also returns rho at the point itself, which the lower bound
-    starts from, so a block is held to the larger of its bound and rho.
+    Returns (calls, M rho).  The passes reuse their work arrays, so each
+    call's inputs are copied, ``lower`` as it stood when the call began.
     """
     calls = []
     prune = states._prune_blocks
 
     def recorded(*args):
-        # the passes reuse their work arrays, so each call's inputs are copied
         calls.append(tuple(_copied(arg) for arg in args))
         return prune(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(states, "_prune_blocks", recorded)
-        maximal_function(prof)
+        values = maximal_function(prof).values.copy()
+    return calls, values
+
+
+def _kernel_max(prof, cum_ext, dx, point, b_lo, b_hi):
+    """_maximal_chunk over the given blocks, in chunks of 1024 rows."""
     n = len(prof.values)
     rho_ext = np.concatenate([np.zeros(n + 1), prof.values, np.zeros(n + 1)])  # as maximal_function extends it
-    for point, lo, hi, cells, at, _, cum_ext, dx, ramp, peaks, fuzz in calls:
-        pt, b_lo, b_hi, _, bound = states._block_bounds(point, lo, hi, cells, at, cum_ext, dx, ramp, peaks[cells], fuzz)
-        for k in range(0, len(pt), 1024):
-            rows = slice(k, k + 1024)
-            a = at[pt[rows]]
-            best = states._maximal_chunk(a, rho_ext, cum_ext, dx, b_lo[rows], b_hi[rows])
-            assert np.all(best <= np.maximum(bound[rows] * (1 + 1e-12), rho_ext[a]))
+    out = [np.zeros(0)]
+    for k in range(0, len(point), 1024):
+        rows = slice(k, k + 1024)
+        out.append(states._maximal_chunk(point[rows], rho_ext, cum_ext, dx, b_lo[rows], b_hi[rows]).copy())
+    return np.concatenate(out), rho_ext
+
+
+def _blocks(point, lo, hi, cells, lower, peak, cut, floor):
+    """(point, b_lo, b_hi, S) of _live_blocks, copied out of its work arrays."""
+    return tuple(a.copy() for a in states._live_blocks(point, lo, hi, cells, lower, peak, cut, floor))
+
+
+def _assert_block_bounds_hold(prof):
+    """Every block that the edge rule keeps, at both pruning levels, later
+    kept or dropped: kernel <= the slope-capped bound of _block_bounds.
+
+    The kernel also returns rho at the point itself, which the lower bound
+    starts from, so a block is held to the larger of its bound and rho.
+    """
+    calls, _ = _pruning_record(prof)
+    for point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, cut, floor in calls:
+        pt, b_lo, b_hi, slope = _blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
+        bound = states._block_bounds(pt, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz)[1].copy()
+        best, rho_ext = _kernel_max(prof, cum_ext, dx, pt, b_lo, b_hi)
+        assert np.all(best <= np.maximum(bound * (1 + 1e-12), rho_ext[pt]))
+
+
+def _assert_edge_rule_drops_only_losers(prof):
+    """Every block the edge rule drops, at both levels, and every radius
+    piece the scan cap cuts off, has a kernel maximum <= the final M rho at
+    its point: dropping it cannot change a bit.  Returns the blocks dropped
+    per level."""
+    calls, values = _pruning_record(prof)
+    n = len(values)
+    values_ext = np.concatenate([np.zeros(n + 1), values, np.zeros(n + 1)])  # points index the extended grid
+    i, nz = np.arange(-n - 1, 2 * n + 1), np.nonzero(prof.values)[0]
+    dropped = dict.fromkeys((states._COARSE_CELLS, states._FINE_CELLS), 0)
+    for point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, cut, floor in calls:
+        every = _blocks(point, lo, hi, cells, np.full_like(lower, -np.inf), peaks[cells], cut, floor)
+        live = _blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
+        live_keys = set(zip(live[0].tolist(), live[1].tolist()))
+        gone = np.array([key not in live_keys for key in zip(every[0].tolist(), every[1].tolist())], dtype=bool)
+        best, _ = _kernel_max(prof, cum_ext, dx, *(a[gone] for a in every[:3]))
+        assert np.all(best <= values_ext[every[0][gone]])
+        dropped[cells] += int(np.count_nonzero(gone))
+        if cells == states._COARSE_CELLS:
+            full_hi = np.maximum(i - nz[0], nz[-1] - i) + 1  # the uncapped scan, as maximal_function sets it
+            cut_off = hi < full_hi[point]
+            best, _ = _kernel_max(prof, cum_ext, dx, point[cut_off], hi[cut_off] + 1, full_hi[point[cut_off]])
+            assert np.all(best <= values_ext[point[cut_off]])
+    return dropped
 
 
 class TestWindowMax:
@@ -570,9 +625,23 @@ class TestMaximalFunction:
     def test_block_bound_covers_every_block_on_drawn_profiles(self, prof):
         _assert_block_bounds_hold(prof)
 
+    @pytest.mark.parametrize("name", sorted(CUTOFF_PROFILES))
+    def test_edge_rule_drops_only_losers(self, name):
+        # ones, plateau and indicator_wide_grid hold long runs of equal
+        # window averages, where only the margins keep the bits
+        dropped = _assert_edge_rule_drops_only_losers(CUTOFF_PROFILES[name]())
+        if name.startswith("default"):
+            assert min(dropped.values()) > 0  # the rule is not vacuous at either level
+
+    @settings(max_examples=50, deadline=None)
+    @given(spiky_profiles())
+    def test_edge_rule_drops_only_losers_on_drawn_profiles(self, prof):
+        _assert_edge_rule_drops_only_losers(prof)
+
     def test_kernel_scans_few_radii(self, monkeypatch):
         # rows x scanned radii of every kernel call on the first default
-        # profile: 29,808 with the slope-capped block bound, 99,738 with the
+        # profile: 21,330 with the edge rule ahead of the slope-capped block
+        # bound, 29,808 with the slope-capped bound alone, 99,738 with the
         # bound (F(E_hi) + ramp)/(2 E_lo) alone, 788,992 for a full scan
         cells = []
         kernel = states._maximal_chunk
@@ -584,7 +653,7 @@ class TestMaximalFunction:
         monkeypatch.setattr(states, "_maximal_chunk", counted)
         prof = _default_maximal_profile(0)
         values = maximal_function(prof).values
-        assert sum(cells) < 40_000
+        assert sum(cells) < 25_000
         assert np.array_equal(values, maximal_function_full_scan(prof).values)
 
 
