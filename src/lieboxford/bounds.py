@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,7 +66,7 @@ __all__ = [
     "BoundDef",
     "BOUNDS",
     "BoundSpec",
-    "BoundReport",
+    "REPORT_ORDER",
     "EULER_MASCHERONI",
     "rhs_contact_direct",
     "rhs_cauchy_schwarz",
@@ -134,35 +135,6 @@ class BoundSpec:
         if self.shift is not None:
             parts.append(f"c={self.shift:.6g}")
         return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    state_id: str
-    bound_id: str
-    potential: str
-    params: str
-    lhs: float
-    rhs: float
-    slack: float
-    status: str
-    proven: bool = True
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
-
-    def to_record(self) -> dict:
-        return {
-            "state_id": self.state_id,
-            "bound_id": self.bound_id,
-            "potential": self.potential,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "status": self.status,
-        }
 
 
 def _square_integral(profile: DensityProfile) -> float:
@@ -394,30 +366,38 @@ BOUNDS = {
 PROVEN_BOUND_IDS = tuple(row.id for row in BOUNDS.values() if row.proven)
 
 
+# the order of report rows, so that concurrent or re-ordered evaluation
+# cannot change the output
+REPORT_ORDER = operator.itemgetter("state_id", "bound_id", "potential", "params")
+
+
 def verify_bound(
     spec: BoundSpec,
     profile: DensityProfile,
     breakdown: EnergyBreakdown,
     state_id: str = "state",
-    tol_scale: float = 1e-6,
-) -> BoundReport:
-    """Check I_xc >= RHS for one state, given its density and its energies under spec."""
+    *,
+    tol_scale: float,
+) -> dict:
+    """Check I_xc >= RHS for one state, given its density and its energies under spec.
+
+    Returns the report row: state_id, bound_id, potential, params, lhs, rhs,
+    slack and status ("holds" or "violated").
+    """
     lhs = breakdown.i_xc
     rhs = spec.definition.rhs(profile, spec)
     slack = lhs - rhs
     tol = tol_scale * max(abs(lhs), abs(rhs), float(profile.n_particles))
-    status = "holds" if slack >= -tol else "violated"
-    return BoundReport(
-        state_id=state_id,
-        bound_id=spec.bound_id,
-        potential=spec.potential.label(),
-        params=spec.params_label(),
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        status=status,
-        proven=spec.proven,
-    )
+    return {
+        "state_id": state_id,
+        "bound_id": spec.bound_id,
+        "potential": spec.potential.label(),
+        "params": spec.params_label(),
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": slack,
+        "status": "holds" if slack >= -tol else "violated",
+    }
 
 
 def default_suite_potentials() -> dict:
@@ -456,30 +436,23 @@ def proven_bound_specs() -> list[BoundSpec]:
     return [spec for spec in bound_specs() if spec.proven]
 
 
-def run_suite(
-    states,
-    specs: list[BoundSpec] | None = None,
-    tol_scale: float = 1e-6,
-) -> list[BoundReport]:
+def run_suite(states, specs: list[BoundSpec] | None = None, *, tol_scale: float) -> list[dict]:
     """Verify every (state, bound) pair; I_xc is computed once per potential.
 
-    ``states`` is a sequence of (state_id, TrialState).  Reports come back
-    sorted by (state_id, bound_id, potential, params) so concurrent or
-    re-ordered evaluation cannot change the output.
+    ``states`` is a sequence of (state_id, TrialState).  The report rows come
+    back in REPORT_ORDER.
     """
     specs = proven_bound_specs() if specs is None else specs
-    unique: dict[str, Potential] = {}
-    for spec in specs:
-        unique.setdefault(spec.potential.label(), spec.potential)
-    reports: list[BoundReport] = []
+    unique = list(dict.fromkeys(spec.potential for spec in specs))
+    records: list[dict] = []
     for state_id, state in states:
         profile = density(state)
-        breakdowns = dict(zip(unique, interaction_energies(state, unique.values())))
+        breakdowns = dict(zip(unique, interaction_energies(state, unique)))
         for spec in specs:
-            breakdown = breakdowns[spec.potential.label()]
-            reports.append(verify_bound(spec, profile, breakdown, state_id, tol_scale))
-    reports.sort(key=lambda r: (r.state_id, r.bound_id, r.potential, r.params))
-    return reports
+            breakdown = breakdowns[spec.potential]
+            records.append(verify_bound(spec, profile, breakdown, state_id, tol_scale=tol_scale))
+    records.sort(key=REPORT_ORDER)
+    return records
 
 
 def discrepancy_records() -> list[dict]:

@@ -166,34 +166,32 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             run = functools.partial(bounds_mod.run_suite, specs=specs, tol_scale=tol)
             parts = list(pool.map(run, chunks))
-        everything = [r for part in parts for r in part]
-        everything.sort(key=lambda r: (r.state_id, r.bound_id, r.potential, r.params))
+        everything = sorted((r for part in parts for r in part), key=bounds_mod.REPORT_ORDER)
     else:
         everything = bounds_mod.run_suite(states, specs, tol_scale=tol)
-    reports = [r for r in everything if r.proven]
-    ref_reports = [r for r in everything if not r.proven]
+    reports = [r for r in everything if bounds_mod.BOUNDS[r["bound_id"]].proven]
+    ref_reports = [r for r in everything if not bounds_mod.BOUNDS[r["bound_id"]].proven]
 
     failures = 0
-    for bound_id in sorted({r.bound_id for r in reports}):
-        sub = [r for r in reports if r.bound_id == bound_id]
-        bad = sum(not r.holds for r in sub)
+    for bound_id in sorted({r["bound_id"] for r in reports}):
+        sub = [r for r in reports if r["bound_id"] == bound_id]
+        bad = sum(r["status"] != "holds" for r in sub)
         failures += bad
-        worst = min(sub, key=lambda r: r.slack)
+        worst = min(sub, key=lambda r: r["slack"])
         print(
             f"{'FAIL' if bad else 'PASS'} {bound_id}: {len(sub)} checks, "
-            f"min slack {worst.slack:.3e} ({worst.state_id})"
+            f"min slack {worst['slack']:.3e} ({worst['state_id']})"
         )
-    for bound_id in sorted({r.bound_id for r in ref_reports}):
-        sub = [r for r in ref_reports if r.bound_id == bound_id]
+    for bound_id in sorted({r["bound_id"] for r in ref_reports}):
+        sub = [r for r in ref_reports if r["bound_id"] == bound_id]
         print(
             f"NOTE {bound_id} (conjectured, reference only): held on "
-            f"{sum(r.holds for r in sub)}/{len(sub)} states"
+            f"{sum(r['status'] == 'holds' for r in sub)}/{len(sub)} states"
         )
-    records = [r.to_record() for r in reports]
     return {
-        "bound_reports.csv": records,
-        "bound_reports.jsonl": records,
-        "reference_bounds.csv": [r.to_record() for r in ref_reports],
+        "bound_reports.csv": reports,
+        "bound_reports.jsonl": reports,
+        "reference_bounds.csv": ref_reports,
     }, failures
 
 
@@ -264,7 +262,8 @@ def cmd_optimize(config) -> tuple[dict, int]:
     if not isinstance(entries, list):
         raise ConfigError(f"optimize.potentials must be a list of objects, got {entries!r}")
     potentials = [potentials_mod.from_config(entry) for entry in entries]
-    rows = explore_mod.constant_table(potentials, families, budget, config["seed"])
+    tol = _number(config["tolerance"], "tolerance", float, minimum=0.0)
+    rows = explore_mod.constant_table(potentials, families, budget, config["seed"], tol)
     failures = sum(row["cross_check_failures"] for row in rows)
     for row in rows:
         status = "FAIL" if row["cross_check_failures"] else "PASS"

@@ -54,14 +54,21 @@ def config_digest(config: dict) -> str:
 
 
 def _format_cell(value) -> str:
-    value = canonical_value(value)
+    """One CSV cell; a float (numpy scalars too) is formatted once, to 12 significant digits.
+
+    For every double, f"{v:.12g}" is the string that canonical_value's
+    rounding formats to, nan and +-inf included.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
     if value is None:
         return ""
-    return str(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    try:
+        return f"{float(value):.12g}"
+    except (TypeError, ValueError):
+        return str(canonical_value(value))
 
 
 def write_reports(records: list, path) -> None:

@@ -165,10 +165,6 @@ class UniformGrid:
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 
-    @property
-    def hi(self) -> float:
-        return self.x0 + self.dx * (self.n - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityProfile:
@@ -319,10 +315,6 @@ class _OrbitalState(TrialState):
                 "degenerate state: symmetrized orbital combination has (near-)zero norm"
             )
         return S, norm, n * w1 / norm, n * (n - 1) * w2 / norm
-
-    @property
-    def _norm(self):
-        return self._tables[1]
 
     def _overlap_matrix(self) -> np.ndarray:
         raise NotImplementedError

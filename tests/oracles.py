@@ -361,7 +361,7 @@ def orbital_psi(state, *coords):
         for i in range(1, n):
             term = term * phi[i][perm[i]]
         out = out + sign * term
-    return out / math.sqrt(state._norm)
+    return out / math.sqrt(state._tables[1])
 
 
 def translated(state: TrialState, delta: float) -> TrialState:

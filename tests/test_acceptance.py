@@ -64,12 +64,12 @@ def test_criterion_1_soundness_suite(soundness):
     assert len(states) == N_SUITE_STATES
     by_bound = {}
     for r in reports:
-        by_bound.setdefault(r.bound_id, []).append(r)
+        by_bound.setdefault(r["bound_id"], []).append(r)
     assert set(by_bound) == {
         "contact_direct", "cauchy_schwarz", "maximal_cs", "moment_split",
         "log_pointwise", "log_global", "lifted", "lundholm", "homogeneous_window",
     }
-    violations = [r for r in reports if not r.holds]
+    violations = [r for r in reports if r["status"] != "holds"]
     assert violations == []
     assert elapsed < 300.0, f"suite took {elapsed:.0f}s, target < 5 min"
     _report(
@@ -89,9 +89,9 @@ def test_criterion_2_contact_saturation(soundness):
     assert len(anti_ids) >= 20
     checked = 0
     for r in reports:
-        if r.bound_id == "contact_direct" and r.state_id in anti_ids:
+        if r["bound_id"] == "contact_direct" and r["state_id"] in anti_ids:
             # slack = I_xc - (-(1/2) int rho^2) = I_xc + (1/2) int rho^2
-            assert abs(r.slack) <= 1e-8, f"{r.state_id}: |slack| = {abs(r.slack):.2e}"
+            assert abs(r["slack"]) <= 1e-8, f"{r['state_id']}: |slack| = {abs(r['slack']):.2e}"
             checked += 1
     assert checked == len(anti_ids)
     _report(2, f"saturation |I_xc + (1/2) int rho^2| <= 1e-8 on {checked} antisymmetric pairs")
@@ -188,8 +188,8 @@ def test_criterion_7_optimizer_reaches_saturation():
     from lieboxford.potentials import Contact
 
     problem = SearchProblem(Contact(), template_by_name("separated_gaussian_pair"), 2000)
-    first = maximize_ratio(problem, seed=SUITE_SEED)
-    second = maximize_ratio(problem, seed=SUITE_SEED)
+    first = maximize_ratio(problem, seed=SUITE_SEED, tol_scale=1e-6)
+    second = maximize_ratio(problem, seed=SUITE_SEED, tol_scale=1e-6)
     assert first.best_ratio >= 0.49
     assert first.evaluations_used <= 2000
     assert first.best_theta == second.best_theta

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lieboxford
-from lieboxford import bounds, cli, states
+from lieboxford import bounds, cli, explore, states
 from lieboxford.cli import main
 from oracles import scaled_profile
 
@@ -145,6 +145,9 @@ class TestExitCodes:
             ("maximal", {"maximal": {"n_profiles": True}}),
             ("maximal", {"maximal": {"n_profiles": "2"}}),
             ("maximal", {"maximal": {"n_profiles": 2.5}}),
+            # optimize validates the tolerance of its cross-checks
+            ("optimize", {"tolerance": "x"}),
+            ("optimize", {"tolerance": -1.0}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):
@@ -194,6 +197,20 @@ class TestExitCodes:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert int(rows[0]["cross_check_failures"]) > 0
+
+    def test_optimize_hands_its_tolerance_to_every_cross_check(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recorded(*args, tol_scale, **kwargs):
+            seen.append(tol_scale)
+            return bounds.verify_bound(*args, tol_scale=tol_scale, **kwargs)
+
+        monkeypatch.setattr(explore, "verify_bound", recorded)
+        potential = {"family": "convex_soft_coulomb", "params": {"epsilon": 1.0}}
+        cfg = write_config(tmp_path, optimize={"potentials": [potential], "budget": 50})
+        assert main(["optimize", "--config", str(cfg), "--tolerance", "1e-3"]) == 0
+        assert seen
+        assert set(seen) == {1e-3}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_moment_grid_fails(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import json
+import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieboxford.report import (
@@ -67,6 +69,31 @@ class TestWriteReports:
             back = read_jsonl(path)[0]
         assert back["x"] == float(f"{x:.12g}")
         assert back["name"] == name
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(width=64))
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=sys.float_info.max)
+    @example(x=math.inf)
+    @example(x=-math.inf)
+    @example(x=math.nan)
+    def test_csv_float_cell_is_the_twelve_digit_rounding(self, x):
+        # one formatting pass gives the cell of rounding to 12 digits and
+        # formatting the rounded float again
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            write_reports([{"x": x}], path)
+            cell = path.read_text().splitlines()[1]
+        if math.isnan(x):
+            assert cell == "nan"
+        elif math.isinf(x):
+            assert cell == ("inf" if x > 0 else "-inf")
+        else:
+            assert cell == f"{float(f'{x:.12g}'):.12g}"
 
     def test_heterogeneous_rejected(self, tmp_path):
         with pytest.raises(ValueError):
