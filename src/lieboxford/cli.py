@@ -155,7 +155,7 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     # the conjectured forms ride along for reference only; their status never
     # enters the exit code
     specs = [s for s in bounds_mod.bound_specs() if s.bound_id in requested or not s.proven]
-    tol = _number(config["tolerance"], "tolerance", float, minimum=0.0)
+    tol = config["tolerance"]
 
     # one worker per chunk, never more workers than states
     workers = min(jobs, len(states))
@@ -262,8 +262,7 @@ def cmd_optimize(config) -> tuple[dict, int]:
     if not isinstance(entries, list):
         raise ConfigError(f"optimize.potentials must be a list of objects, got {entries!r}")
     potentials = [potentials_mod.from_config(entry) for entry in entries]
-    tol = _number(config["tolerance"], "tolerance", float, minimum=0.0)
-    rows = explore_mod.constant_table(potentials, families, budget, config["seed"], tol)
+    rows = explore_mod.constant_table(potentials, families, budget, config["seed"], config["tolerance"])
     failures = sum(row["cross_check_failures"] for row in rows)
     for row in rows:
         status = "FAIL" if row["cross_check_failures"] else "PASS"
@@ -290,21 +289,18 @@ def cmd_hubbard(config) -> tuple[dict, int]:
     min_f = float(np.min(f_grid))
 
     rows = []
+    n_row = np.linspace(0.0, 1.0, 21)
     for ratio, kappa in zip(ratios, kappas):
         u = ratio * t
-        for n in np.linspace(0.0, 1.0, 21):
-            pt = hubbard_mod.HubbardPoint(float(n), t, u, kappa)
-            xc = hubbard_mod.exchange_correlation(pt)
-            rows.append(
-                {
-                    "n": float(n),
-                    "kappa": kappa,
-                    "f": float(hubbard_mod.energy_excess_factor(float(n), kappa)),
-                    "e": float(hubbard_mod.energy_per_site(pt)),
-                    "e_xc": xc.e_xc,
-                    "slack": xc.e_xc + u * float(n) ** 2 / 4.0,
-                }
-            )
+        e_xc = hubbard_mod.exchange_correlation(n_row, t, u, kappa)
+        for n, f, e, xc, slack in zip(
+            n_row.tolist(),
+            hubbard_mod.energy_excess_factor(n_row, kappa).tolist(),
+            hubbard_mod.energy_per_site(n_row, t, u, kappa).tolist(),
+            e_xc.tolist(),
+            (e_xc + u * n_row**2 / 4.0).tolist(),
+        ):
+            rows.append({"n": n, "kappa": kappa, "f": f, "e": e, "e_xc": xc, "slack": slack})
 
     min_slack, failures = hubbard_mod.occupation_sweep(rng_stream(config["seed"], 7), n_occupations, t)
 
@@ -312,8 +308,7 @@ def cmd_hubbard(config) -> tuple[dict, int]:
         "min_f": min_f,
         "f_at_kappa_2": float(np.max(np.abs(hubbard_mod.energy_excess_factor(n_vals, 2.0)))),
         "half_filled_free_energy_error": abs(
-            float(hubbard_mod.energy_per_site(hubbard_mod.HubbardPoint(1.0, t, 0.0, 2.0)))
-            + 4 * t / math.pi
+            float(hubbard_mod.energy_per_site(1.0, t, 0.0, 2.0)) + 4 * t / math.pi
         ),
         "min_occupation_slack": min_slack,
     }
@@ -386,6 +381,7 @@ def main(argv=None) -> int:
             config["out"] = args.out
         if args.tolerance is not None:
             config["tolerance"] = args.tolerance
+        config["tolerance"] = _number(config["tolerance"], "tolerance", float, minimum=0.0)
         if not isinstance(config["out"], str):
             raise ConfigError(f"out must be a directory name, got {config['out']!r}")
         out = Path(config["out"])

@@ -27,136 +27,76 @@ site-occupation lower bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Interval, NoBracket, QuadratureSpec, find_root, integrate_1d
 
 __all__ = [
-    "HubbardPoint",
-    "OccupationVector",
     "energy_per_site",
     "energy_excess_factor",
     "exchange_correlation",
-    "verify_site_occupation_bound",
     "occupation_sweep",
     "lieb_wu_energy",
     "kappa_of_u",
 ]
 
 
-@dataclass(frozen=True)
-class HubbardPoint:
-    """Band filling n in [0, 2], hopping t > 0, repulsion U >= 0, kappa in [1, 2]."""
-
-    n: float
-    t: float
-    u: float
-    kappa: float
-
-    def __post_init__(self):
-        if not 0 <= self.n <= 2:
-            raise ValueError("filling must lie in [0, 2]")
-        if self.t <= 0:
-            raise ValueError("hopping must be positive")
-        if self.u < 0:
-            raise ValueError("repulsion must be nonnegative")
-        if not 1 <= self.kappa <= 2:
-            raise ValueError("kappa must lie in [1, 2]")
-
-
-@dataclass(frozen=True, eq=False)
-class OccupationVector:
-    """Site occupations n_i in [0, 2]."""
-
-    sites: tuple
-
-    def __post_init__(self):
-        sites = tuple(float(s) for s in self.sites)
-        if any(not 0 <= s <= 2 for s in sites):
-            raise ValueError("site occupations must lie in [0, 2]")
-        object.__setattr__(self, "sites", sites)
-
-
-def _energy_low(n, t, kappa):
-    return -(2 * t * kappa / math.pi) * np.sin(math.pi * np.asarray(n) / kappa)
-
-
-def energy_per_site(pt: HubbardPoint):
-    """e(n, t, U); fillings above 1 go through particle-hole reflection."""
-    n = np.asarray(pt.n, dtype=float)
-    low = _energy_low(np.minimum(n, 2 - n), pt.t, pt.kappa)
-    return (np.where(n <= 1, low, low + pt.u * (n - 1)))[()]
-
-
-def _excess_factor(n, kappa):
-    """energy_excess_factor without its range checks."""
-    return 2 * np.sin(math.pi * n / 2) - kappa * np.sin(math.pi * n / kappa)
+def energy_per_site(n, t, u, kappa):
+    """e(n, t, U) at kappa, elementwise over arrays; fillings above 1 go
+    through particle-hole reflection."""
+    n = np.asarray(n, dtype=float)
+    low = -(2 * t * kappa / math.pi) * np.sin(math.pi * np.minimum(n, 2 - n) / kappa)
+    return (np.where(n <= 1, low, low + u * (n - 1)))[()]
 
 
 def energy_excess_factor(n, kappa):
     """f_n(k) = 2 sin(pi n/2) - k sin(pi n/k) on [0, 1] x [1, 2]; f >= 0."""
     n = np.asarray(n, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
-    if np.any((n < 0) | (n > 1)):
+    if not np.all((n >= 0) & (n <= 1)):
         raise ValueError("filling must lie in [0, 1] for the excess factor")
-    if np.any((kappa < 1) | (kappa > 2)):
+    if not np.all((kappa >= 1) & (kappa <= 2)):
         raise ValueError("kappa must lie in [1, 2]")
-    return _excess_factor(n, kappa)[()]
+    return (2 * np.sin(math.pi * n / 2) - kappa * np.sin(math.pi * n / kappa))[()]
 
 
-@dataclass(frozen=True)
-class ExchangeCorrelation:
-    e_xc: float
-    excess: float      # e(n,t,U) - e(n,t,0) = (2t/pi) f >= 0
-    hartree: float     # U n^2 / 4
+def exchange_correlation(n, t, u, kappa):
+    """e_xc = e(n,t,U) - e(n,t,0) - U n^2/4, elementwise over arrays.
 
-
-def exchange_correlation(pt: HubbardPoint) -> ExchangeCorrelation:
-    """e_xc = e(n,t,U) - e(n,t,0) - U n^2/4; the noninteracting part has kappa = 2."""
-    e_int = float(energy_per_site(pt))
-    e_free = float(energy_per_site(HubbardPoint(pt.n, pt.t, 0.0, 2.0)))
-    hart = pt.u * pt.n**2 / 4.0
-    return ExchangeCorrelation(e_int - e_free - hart, e_int - e_free, hart)
-
-
-def verify_site_occupation_bound(occ: OccupationVector, t: float, u: float, kappa: float) -> dict:
-    """Check sum_i e_xc(n_i) >= -(U/4) sum_i n_i^2 at a fixed kappa.
-
-    Returns the slack (left minus right side) and the verdict, which holds
-    to an absolute tolerance of 1e-10.  Runs at any kappa in [1, 2] (the
-    bound is kappa-uniform), so sweeps do not depend on the half-filling
-    calibration of kappa(U/t).
+    Evaluated in the factorized form (2t/pi) f_m(kappa) + U (n - 1)_+ - U n^2/4
+    with m = min(n, 2 - n); a filling outside [0, 2] or a kappa outside [1, 2]
+    raises ValueError through the excess factor.
     """
-    return _site_occupation_check(np.asarray(occ.sites), t, u, kappa, energy_excess_factor)
-
-
-def _site_occupation_check(sites, t, u, kappa, excess_factor=_excess_factor) -> dict:
-    """verify_site_occupation_bound on an array of sites; the default
-    excess_factor checks no ranges."""
-    m = np.minimum(sites, 2 - sites)
-    excess = (2 * t / math.pi) * excess_factor(m, kappa) + np.where(sites > 1, u * (sites - 1), 0.0)
-    e_xc = excess - u * sites**2 / 4.0
-    slack = float(np.sum(e_xc)) + (u / 4.0) * float(np.sum(sites**2))
-    return {"slack": slack, "holds": slack >= -1e-10}
+    n = np.asarray(n, dtype=float)
+    excess = (2 * t / math.pi) * energy_excess_factor(np.minimum(n, 2 - n), kappa)
+    return (excess + np.where(n > 1, u * (n - 1), 0.0) - u * n**2 / 4.0)[()]
 
 
 def occupation_sweep(rng, count: int, t: float) -> tuple[float, int]:
-    """(smallest slack, failures) of verify_site_occupation_bound over ``count``
-    random cases at hopping t.
+    """(smallest slack, failures) of the site-occupation bound
+    sum_i e_xc(n_i) >= -(U/4) sum_i n_i^2 over ``count`` random cases at hopping t.
 
     Each case draws, from ``rng`` and in this order, 1 to 12 occupations in
-    [0, 2], U in [0, 8] and kappa in [1, 2].  The draws are in range by
-    construction, so their range checks are skipped.
+    [0, 2], U in [0, 8] and kappa in [1, 2]; the bound is kappa-uniform, so
+    the cases do not depend on the calibration kappa(U/t).  All sites go
+    through one exchange_correlation call, and a case fails when its slack
+    (left minus right side) is below -1e-10.
     """
-    min_slack, failures = math.inf, 0
+    if not count:
+        return math.inf, 0
+    sites, us, kappas = [], [], []
     for _ in range(count):
-        sites = rng.uniform(0, 2, size=int(rng.integers(1, 13)))
-        rep = _site_occupation_check(sites, t, float(rng.uniform(0, 8)), float(rng.uniform(1, 2)))
-        min_slack = min(min_slack, rep["slack"])
-        failures += not rep["holds"]
-    return min_slack, failures
+        sites.append(rng.uniform(0, 2, size=int(rng.integers(1, 13))))
+        us.append(float(rng.uniform(0, 8)))
+        kappas.append(float(rng.uniform(1, 2)))
+    sizes = [len(s) for s in sites]
+    e_xc = exchange_correlation(np.concatenate(sites), t, np.repeat(us, sizes), np.repeat(kappas, sizes))
+    slacks = [
+        float(np.sum(e)) + (u / 4.0) * float(np.sum(s**2))
+        for e, s, u in zip(np.split(e_xc, np.cumsum(sizes)[:-1]), sites, us)
+    ]
+    return min(slacks), sum(not s >= -1e-10 for s in slacks)
 
 
 # J0 and J1 as in the Cephes library (j0.c, j1.c; S. L. Moshier): a rational

@@ -15,14 +15,7 @@ import pytest
 from lieboxford.bounds import proven_bound_specs, run_suite
 from lieboxford.cli import main as cli_main
 from lieboxford.explore import SearchProblem, maximize_ratio, template_by_name
-from lieboxford.hubbard import (
-    HubbardPoint,
-    OccupationVector,
-    energy_excess_factor,
-    energy_per_site,
-    kappa_of_u,
-    verify_site_occupation_bound,
-)
+from lieboxford.hubbard import energy_excess_factor, energy_per_site, kappa_of_u, occupation_sweep
 from lieboxford.numerics import Interval, integrate_1d, rng_stream
 from lieboxford.potentials import (
     ConvexSoftCoulomb,
@@ -208,26 +201,15 @@ def test_criterion_8_hubbard():
     assert float(np.min(f_grid)) >= -1e-12
     assert np.all(energy_excess_factor(n_vals, 2.0) == 0.0)
 
-    rng = rng_stream(SUITE_SEED, 35)
-    min_slack = math.inf
-    for _ in range(10_000):
-        occ = OccupationVector(tuple(rng.uniform(0, 2, size=int(rng.integers(1, 13)))))
-        rep = verify_site_occupation_bound(
-            occ, 1.0, float(rng.uniform(0, 8)), float(rng.uniform(1, 2))
-        )
-        min_slack = min(min_slack, rep["slack"])
-        assert rep["holds"]
+    min_slack, failures = occupation_sweep(rng_stream(SUITE_SEED, 35), 10_000, 1.0)
+    assert failures == 0
     assert min_slack >= -1e-10
 
     for t in (0.7, 1.0, 2.3):
-        assert energy_per_site(HubbardPoint(1.0, t, 0.0, 2.0)) == pytest.approx(
-            -4 * t / math.pi, rel=1e-12
-        )
+        assert energy_per_site(1.0, t, 0.0, 2.0) == pytest.approx(-4 * t / math.pi, rel=1e-12)
     u, t, kappa = 2.5, 1.0, kappa_of_u(2.5)
     for n in np.linspace(1.0, 2.0, 41):
-        delta = energy_per_site(HubbardPoint(float(n), t, u, kappa)) - energy_per_site(
-            HubbardPoint(float(2 - n), t, u, kappa)
-        )
+        delta = energy_per_site(float(n), t, u, kappa) - energy_per_site(float(2 - n), t, u, kappa)
         assert delta == pytest.approx(u * (n - 1), abs=1e-12)
     _report(
         8,

@@ -98,6 +98,10 @@ class TestExitCodes:
         assert "PASS hubbard" in capsys.readouterr().out
         assert (tmp_path / "out" / "hubbard_grid.csv").exists()
 
+    def test_hubbard_without_occupation_cases(self, tmp_path):
+        cfg = write_config(tmp_path, hubbard={"n_occupations": 0})
+        assert main(["hubbard", "--config", str(cfg)]) == 0
+
     def test_maximal(self, tmp_path, capsys):
         assert main(["maximal", "--config", str(write_config(tmp_path))]) == 0
         assert "PASS maximal" in capsys.readouterr().out
@@ -145,9 +149,12 @@ class TestExitCodes:
             ("maximal", {"maximal": {"n_profiles": True}}),
             ("maximal", {"maximal": {"n_profiles": "2"}}),
             ("maximal", {"maximal": {"n_profiles": 2.5}}),
-            # optimize validates the tolerance of its cross-checks
+            # every command validates the tolerance, used or not
             ("optimize", {"tolerance": "x"}),
             ("optimize", {"tolerance": -1.0}),
+            ("maximal", {"tolerance": "x"}),
+            ("hubbard", {"tolerance": -1.0}),
+            ("moments", {"tolerance": math.inf}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):
@@ -156,6 +163,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "out").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_malformed_tolerance_flag_is_a_config_error(self, tmp_path, capsys):
+        assert main(["hubbard", "--tolerance", "-1", "--config", str(write_config(tmp_path))]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_out_under_a_regular_file_is_a_config_error(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
