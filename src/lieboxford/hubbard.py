@@ -51,14 +51,22 @@ def energy_per_site(n, t, u, kappa):
 
 
 def energy_excess_factor(n, kappa):
-    """f_n(k) = 2 sin(pi n/2) - k sin(pi n/k) on [0, 1] x [1, 2]; f >= 0."""
+    """f_n(k) = 2 sin(pi n/2) - k sin(pi n/k) on [0, 1] x [1, 2]; f >= 0.
+
+    Evaluated as 4 cos((a + b)/2) sin(h) + (2 - k) sin b, with a = pi n/2,
+    b = pi n/k and h = (a - b)/2 = pi n (k - 2)/(4 k) formed directly: the
+    two terms of the definition, and a - b, cancel as k -> 2 (small U/t).
+    At k = 2 both terms are exactly 0.
+    """
     n = np.asarray(n, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     if not np.all((n >= 0) & (n <= 1)):
         raise ValueError("filling must lie in [0, 1] for the excess factor")
     if not np.all((kappa >= 1) & (kappa <= 2)):
         raise ValueError("kappa must lie in [1, 2]")
-    return (2 * np.sin(math.pi * n / 2) - kappa * np.sin(math.pi * n / kappa))[()]
+    a, b = math.pi * n / 2, math.pi * n / kappa
+    h = math.pi * n * (kappa - 2) / (4 * kappa)
+    return (4 * np.cos((a + b) / 2) * np.sin(h) + (2 - kappa) * np.sin(b))[()]
 
 
 def exchange_correlation(n, t, u, kappa):

@@ -84,18 +84,15 @@ the grid ends.  A block whose bound, times 1 + 1e-12 against rounding, is
 below L is dropped, and the kernel scans only the surviving fine blocks.
 _block_bounds and _prune_blocks derive both rules and their rounding
 margins.  Every stage works on at most 2^13 blocks, or 2^13 kernel cells, at
-a time, so its work arrays stay within 64 KB each.  They are allocated once
-and kept across blocks and calls, each stage writing into them with
-``out=``: a run of many profiles touches the same pages throughout, however
-the allocator trims its heap.  Only candidates that cannot exceed the final
-M rho are dropped, so every value is bit-identical to a full scan.
+a time, so each of its temporaries stays within 64 KB and in cache.  Only
+candidates that cannot exceed the final M rho are dropped, so every value is
+bit-identical to a full scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -629,38 +626,7 @@ def maximal_operator_norm_bound(p: float) -> float:
 _COARSE_CELLS = 64  # radius pieces per coarse block of the pruning pass
 _FINE_CELLS = 8  # radius pieces per fine block; the kernel scans only surviving ones
 _PROBES = 6  # probe radii per point that seed the lower bound before the coarse pass
-_BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the work arrays
-
-# Work arrays of the maximal function, by name: kept across blocks and calls
-# and grown only when a request exceeds them, so that a run over many
-# profiles allocates (and page-faults) its work memory once.  Every stage
-# writes into them with ``out=`` and reads only what it wrote, so no value
-# passes from one call to the next; each thread has its own set.
-_WORK = threading.local()
-
-
-def _work(name, size, dtype=float):
-    """The first ``size`` entries of the named work array."""
-    arrays = _WORK.__dict__
-    buf = arrays.get(name)
-    if buf is None or len(buf) < size:
-        buf = arrays[name] = np.empty(max(size, _BLOCK_CELLS), dtype)
-    return buf[:size]
-
-
-def _gather(a, index, out):
-    """out[...] = a[index]; the indices are in range by construction, and
-    np.take's default mode="raise" would copy ``out`` on every call."""
-    return a.take(index, out=out, mode="clip")
-
-
-def _iota(size):
-    """arange(size), a view of one kept array."""
-    arrays = _WORK.__dict__
-    buf = arrays.get("iota")
-    if buf is None or len(buf) < size:
-        buf = arrays["iota"] = np.arange(max(size, _BLOCK_CELLS))
-    return buf[:size]
+_BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the temporaries
 
 
 def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
@@ -669,65 +635,36 @@ def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
     The extended arrays continue the grid flat on both sides, wide enough
     that every window edge at +- m of the scan is in range.  The grids are
     radius-major, (radii, points), so the sup over the radii reduces whole
-    grid rows.  Returns a view of a work array, valid until the next call.
+    grid rows.
     """
-    rows, cols = len(at), int(np.max(m_hi - m_lo)) + 2
+    cols = int(np.max(m_hi - m_lo)) + 2
+    m = np.minimum(np.arange(cols)[:, None] + m_lo, m_hi + 1)
+    up, dn = at + m, at - m
+    s = rho_ext[up] + rho_ext[dn]
+    F = cum_ext[up] - cum_ext[dn]
+    r = m * dx
 
-    def grid(name, height=cols, dtype=float):
-        return _work(name, height * rows, dtype).reshape(height, rows)
-
-    m, up, dn = grid("m", dtype=np.intp), grid("up", dtype=np.intp), grid("dn", dtype=np.intp)
-    np.add(_iota(cols)[:, None], m_lo, out=m)
-    np.minimum(m, np.add(m_hi, 1, out=_work("m_top", rows, np.intp)), out=m)
-    np.add(at, m, out=up)
-    np.subtract(at, m, out=dn)
-    s, F, r, tmp = grid("s"), grid("F"), grid("r"), grid("tmp")
-    _gather(rho_ext, up, s)
-    s += _gather(rho_ext, dn, tmp)
-    _gather(cum_ext, up, F)
-    F -= _gather(cum_ext, dn, tmp)
-    np.multiply(m, dx, out=r)
-    best, row_tmp = _work("best", rows), _work("row_tmp", rows)
-
-    # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b,
-    # evaluated in place, operation for operation; b = 0 gives r*^2 = +-inf
-    # or nan, which fails the range test as b != 0 would
-    s0, r0, r_sq = s[:-1], r[:-1], grid("r_sq")
-    b, rstar_sq = grid("b", cols - 1), grid("rstar_sq", cols - 1)
-    valid, off = grid("valid", cols - 1, bool), grid("off", cols - 1, bool)
+    # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b;
+    # b = 0 gives r*^2 = +-inf or nan, which fails the range test as b != 0 would
+    s0, r0, r_sq = s[:-1], r[:-1], np.square(r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(r, 2, out=tmp)
-        np.divide(F, tmp, out=tmp)
-        np.copyto(tmp[0], 0.0, where=np.equal(m[0], 0, out=off[0]))  # the r -> 0 break is rho, below
-        np.max(tmp, axis=0, out=best)
+        avg = F / (r * 2)
+        avg[0, m[0] == 0] = 0.0  # the r -> 0 break is rho, below
+        best = np.max(avg, axis=0)
 
-        np.subtract(s[1:], s0, out=b)
-        b /= dx
-        np.square(r, out=r_sq)
-        np.multiply(s0, r0, out=rstar_sq)
-        np.subtract(F[:-1], rstar_sq, out=rstar_sq)
-        rstar_sq *= 2
-        rstar_sq /= b
-        rstar_sq += r_sq[:-1]
-        np.greater(rstar_sq, r_sq[:-1], out=valid)
-        valid &= np.less(rstar_sq, r_sq[1:], out=off)
-        a_star = np.sqrt(rstar_sq, out=rstar_sq)
-        a_star -= r0
-        a_star *= b
-        a_star += s0
-        np.copyto(a_star, 0.0, where=np.logical_not(valid, out=off))
+        b = (s[1:] - s0) / dx
+        rstar_sq = (F[:-1] - s0 * r0) * 2 / b + r_sq[:-1]
+        valid = (rstar_sq > r_sq[:-1]) & (rstar_sq < r_sq[1:])
+        a_star = (np.sqrt(rstar_sq) - r0) * b + s0
+        a_star[~valid] = 0.0
     # the candidate is a_star / 2; halving is monotone, so it commutes with the sup
-    np.max(a_star, axis=0, out=row_tmp)
-    row_tmp *= 0.5
-    np.maximum(best, row_tmp, out=best)
-    return np.maximum(best, _gather(rho_ext, at, row_tmp), out=best)  # r -> 0 limit is rho itself
+    best = np.maximum(best, np.max(a_star, axis=0) * 0.5)
+    return np.maximum(best, rho_ext[at])  # r -> 0 limit is rho itself
 
 
-def _window_max(a, k, out=None):
+def _window_max(a, k):
     """out[i] = max(a[i : i + k]), windows cut off at the end of ``a``; log2(k) np.maximum steps."""
-    if out is None:
-        out = np.empty_like(a)
-    out[...] = a
+    out = a.copy()
     width = 1
     while width < k:
         step = min(width, k - width)
@@ -746,43 +683,23 @@ def _live_blocks(point, lo, hi, cells, lower, peak, cut, floor):
     bounds the node sums s = rho(x + r) + rho(x - r) on the block's nodes.
     A block is dropped when S < 2 lower (1 - delta) - floor, ``cut`` being
     2 (1 - delta).  The blocks are laid out as a (blocks of the longest row,
-    rows) grid; the returned arrays are views of work arrays, valid until
-    the next call.
+    rows) grid and returned in its row-major order.
     """
-    rows, width = len(point), int(np.max(hi - lo)) // cells + 1
-
-    def grid(name, dtype=np.intp):
-        return _work(name, width * rows, dtype).reshape(width, rows)
-
-    b_lo = np.add((_iota(width) * cells)[:, None], lo, out=grid("b_lo"))
-    b_hi = np.add(b_lo, cells - 1, out=grid("b_hi"))
-    np.minimum(b_hi, hi, out=b_hi)
-    idx = grid("i_tmp")
+    width = int(np.max(hi - lo)) // cells + 1
+    b_lo = (np.arange(width) * cells)[:, None] + lo
+    b_hi = np.minimum(b_lo + (cells - 1), hi)
     # past a row's end b_lo > hi: the index may leave rho_ext (clipped), and the block is masked
-    slope = _gather(peak, np.add(point, b_lo, out=idx), grid("slope", float))
-    np.subtract(point, b_hi, out=idx)
-    idx -= 1
-    slope += _gather(peak, idx, grid("f_tmp", float))
-    threshold = _gather(lower, point, _work("threshold", rows))
-    threshold *= cut
-    threshold -= floor
-    live = np.greater_equal(slope, threshold, out=grid("live", bool))
-    live &= np.less_equal(b_lo, hi, out=grid("in_row", bool))
-    n_live = int(np.count_nonzero(live))
-    cell = np.compress(live.ravel(), _iota(width * rows), out=_work("live_cell", n_live, np.intp))
-    b_lo = _gather(b_lo.ravel(), cell, _work("live_lo", n_live, np.intp))
-    b_hi = _gather(b_hi.ravel(), cell, _work("live_hi", n_live, np.intp))
-    slope = _gather(slope.ravel(), cell, _work("live_slope", n_live))
-    point = _gather(point, np.remainder(cell, rows, out=cell), _work("live_point", n_live, np.intp))
-    return point, b_lo, b_hi, slope
+    slope = peak.take(point + b_lo, mode="clip") + peak[point - b_hi - 1]
+    live = (slope >= lower[point] * cut - floor) & (b_lo <= hi)
+    return np.broadcast_to(point, live.shape)[live], b_lo[live], b_hi[live], slope[live]
 
 
 def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
     """(edge_avg, bound) per block of at most ``cells`` pieces.
 
-    Views of work arrays valid until the next call: the larger window
-    average of the two block edges, computed as _maximal_chunk computes
-    them, and a bound on every value _maximal_chunk finds on the block.
+    The larger window average of the two block edges, computed as
+    _maximal_chunk computes them, and a bound on every value _maximal_chunk
+    finds on the block.
 
     Between the block edges E_lo = b_lo dx and E_hi = (b_hi + 1) dx the
     window mass F(r) has slope s(r) = rho(x + r) + rho(x - r), linear on
@@ -805,33 +722,21 @@ def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
     relative: the increments, S, and the arithmetic of the kernel and of
     the bound, which the caller's (1 + 1e-12) margin covers.
     """
-    n_blocks = len(point)
-    e_hi = np.add(b_hi, 1, out=_work("e_hi", n_blocks, np.intp))
-    idx = _work("i_tmp", n_blocks, np.intp)
-    F_lo, F_hi, tmp = _work("F_lo", n_blocks), _work("F_hi", n_blocks), _work("f_tmp", n_blocks)
-    _gather(cum_ext, np.add(point, b_lo, out=idx), F_lo)
-    F_lo -= _gather(cum_ext, np.subtract(point, b_lo, out=idx), tmp)
-    _gather(cum_ext, np.add(point, e_hi, out=idx), F_hi)
-    F_hi -= _gather(cum_ext, np.subtract(point, e_hi, out=idx), tmp)
-    r_lo = np.multiply(b_lo, dx, out=_work("r_lo", n_blocks))
-    r_hi = np.multiply(e_hi, dx, out=_work("r_hi", n_blocks))
-    edge_avg, bound = _work("edge_avg", n_blocks), _work("bound", n_blocks)
-    at_zero = np.equal(b_lo, 0, out=_work("at_zero", n_blocks, bool))
-    capped = _work("capped", n_blocks, bool)
+    e_hi = b_hi + 1
+    F_lo = cum_ext[point + b_lo] - cum_ext[point - b_lo]
+    F_hi = cum_ext[point + e_hi] - cum_ext[point - e_hi]
+    r_lo, r_hi = b_lo * dx, e_hi * dx
+    at_zero = b_lo == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(F_lo, np.multiply(r_lo, 2, out=tmp), out=edge_avg)
-        np.copyto(edge_avg, 0.0, where=at_zero)
-        np.maximum(edge_avg, np.divide(F_hi, np.multiply(r_hi, 2, out=tmp), out=tmp), out=edge_avg)
+        edge_avg = F_lo / (r_lo * 2)
+        edge_avg[at_zero] = 0.0
+        edge_avg = np.maximum(edge_avg, F_hi / (r_hi * 2))
         F_hi += ramp
         F_lo += (2 * cells + 2) * fuzz
-        r_c = np.subtract(F_hi, F_lo, out=_work("r_c", n_blocks))
-        r_c /= slope
-        np.clip(np.add(r_lo, r_c, out=r_c), r_lo, r_hi, out=r_c)
-        np.less_equal(np.multiply(slope, r_lo, out=tmp), F_lo, out=capped)
-        np.divide(F_hi, np.multiply(r_c, 2, out=tmp), out=bound)
-        flat = np.divide(np.minimum(F_lo, F_hi, out=r_hi), np.multiply(r_lo, 2, out=tmp), out=r_hi)
-        np.copyto(bound, flat, where=capped)
-    np.copyto(bound, np.inf, where=at_zero)
+        r_c = np.clip(r_lo + (F_hi - F_lo) / slope, r_lo, r_hi)
+        capped = slope * r_lo <= F_lo
+        bound = np.where(capped, np.minimum(F_lo, F_hi) / (r_lo * 2), F_hi / (r_c * 2))
+    bound[at_zero] = np.inf
     return edge_avg, bound
 
 
@@ -843,8 +748,7 @@ def _prune_blocks(point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, c
     floor, L = ``lower``.  The blocks it keeps get window integrals
     (_block_bounds); their edge averages raise ``lower``, and those whose
     slope-capped bound, with a (1 + 1e-12) margin, reaches it are returned
-    as (point, lo, hi), in work arrays kept per ``cells`` until the next
-    call with the same ``cells``.
+    as (point, lo, hi).
 
     The edge rule.  The window average A(r) = F(r)/(2r) obeys
     A' = (s/2 - A)/r, so A falls wherever it is above s/2.  Take a run of
@@ -875,11 +779,8 @@ def _prune_blocks(point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, c
     point, b_lo, b_hi, slope = _live_blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
     edge_avg, bound = _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz)
     np.maximum.at(lower, point, edge_avg)
-    bound *= 1 + 1e-12
-    keep = np.greater_equal(bound, _gather(lower, point, edge_avg), out=_work("keep", len(point), bool))
-    n_kept = int(np.count_nonzero(keep))
-    kept = (_work((name, cells), n_kept, np.intp) for name in ("point", "lo", "hi"))
-    return tuple(np.compress(keep, a, out=out) for a, out in zip((point, b_lo, b_hi), kept))
+    keep = bound * (1 + 1e-12) >= lower[point]
+    return point[keep], b_lo[keep], b_hi[keep]
 
 
 def _probe(lower, at, cum_ext, dx, m_lo, m_hi):
@@ -895,19 +796,10 @@ def _probe(lower, at, cum_ext, dx, m_lo, m_hi):
     per = _BLOCK_CELLS // len(radii)
     for start in range(0, n, per):
         rows = slice(start, start + per)
-        size = len(radii), len(at[rows])
-
-        def grid(name, dtype=float):
-            return _work(name, size[0] * size[1], dtype).reshape(size)
-
-        m = np.maximum(radii, m_lo[rows] + 1, out=grid("m", np.intp))
-        np.minimum(m, m_hi[rows] + 1, out=m)
-        F, tmp, idx = grid("F"), grid("tmp"), grid("up", np.intp)
-        _gather(cum_ext, np.add(at[rows], m, out=idx), F)
-        F -= _gather(cum_ext, np.subtract(at[rows], m, out=idx), tmp)
-        r = np.multiply(m, dx, out=tmp)
-        F /= np.multiply(r, 2, out=tmp)
-        np.maximum(lower[rows], np.max(F, axis=0, out=_work("best", size[1])), out=lower[rows])
+        m = np.minimum(np.maximum(radii, m_lo[rows] + 1), m_hi[rows] + 1)
+        F = cum_ext[at[rows] + m] - cum_ext[at[rows] - m]
+        F /= m * dx * 2
+        np.maximum(lower[rows], np.max(F, axis=0), out=lower[rows])
 
 
 def _cap_scan(rho, lower, m_lo, m_hi, cut, floor):
@@ -919,15 +811,12 @@ def _cap_scan(rho, lower, m_lo, m_hi, cut, floor):
     block (_prune_blocks); m_hi becomes D clipped to m_lo..m_hi.
     """
     n = len(rho)
-    threshold = np.multiply(lower, cut, out=_work("threshold", n))
-    threshold -= floor
-    run = np.maximum.accumulate(rho, out=_work("run_max", n))
-    run *= 2
-    far = _iota(n) - np.searchsorted(run, threshold)  # from the first node at or above it
-    np.maximum.accumulate(rho[::-1], out=run)
-    run *= 2
-    np.maximum(far, n - 1 - _iota(n) - np.searchsorted(run, threshold), out=far)  # ... and to the last
-    np.clip(far, m_lo, m_hi, out=m_hi)
+    threshold = lower * cut - floor
+    i = np.arange(n)
+    # distances from the first node at or above the threshold and to the last
+    first = i - np.searchsorted(np.maximum.accumulate(rho) * 2, threshold)
+    last = n - 1 - i - np.searchsorted(np.maximum.accumulate(rho[::-1]) * 2, threshold)
+    np.clip(np.maximum(first, last), m_lo, m_hi, out=m_hi)
 
 
 def maximal_function(profile: DensityProfile) -> DensityProfile:
@@ -947,53 +836,36 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
     j0, j1 = int(nz[0]), int(nz[-1])
 
     # n + 1 flat cells beyond each end hold every window edge of the scan
-    rho_ext = _work("rho_ext", 3 * n + 2)
-    rho_ext.fill(0.0)
-    rho_ext[n + 1 : 2 * n + 1] = rho
-    cum_ext = _work("cum_ext", 3 * n + 2)
-    cum = cum_ext[n + 1 : 2 * n + 1]
-    cum[0] = 0.0
-    np.add(rho[1:], rho[:-1], out=cum[1:])
-    cum[1:] *= 0.5 * dx
-    np.cumsum(cum[1:], out=cum[1:])
-    cum_ext[: n + 1] = cum[0]
-    cum_ext[2 * n + 1 :] = cum[-1]
-    i_all = _iota(n)
-    at = np.add(i_all, n + 1, out=_work("at", n, np.intp))  # the points, as indices of the extended arrays
-    m_lo, m_hi, tmp = _work("m_lo", n, np.intp), _work("m_hi", n, np.intp), _work("tmp_points", n, np.intp)
-    np.maximum(np.subtract(j0, i_all, out=m_lo), np.subtract(i_all, j1, out=tmp), out=m_lo)
-    np.maximum(m_lo, 1, out=m_lo)
-    m_lo -= 1
-    np.maximum(np.subtract(i_all, j0, out=m_hi), np.subtract(j1, i_all, out=tmp), out=m_hi)
-    m_hi += 1
+    flat = np.zeros(n + 1)
+    rho_ext = np.concatenate([flat, rho, flat])
+    cum = np.cumsum((rho[1:] + rho[:-1]) * (0.5 * dx))
+    cum_ext = np.concatenate([flat, [0.0], cum, np.full(n + 1, cum[-1])])
+    i = np.arange(n)
+    at = i + (n + 1)  # the points, as indices of the extended arrays
+    m_lo = np.maximum(np.maximum(j0 - i, i - j1), 1) - 1
+    m_hi = np.maximum(i - j0, j1 - i) + 1
 
     # lower bound L <= M rho: rho and the probes, raised by every block edge
     # and kernel result; points in groups whose padded grid of coarse blocks
     # holds at most _BLOCK_CELLS (or one point, if it alone has more), the
     # coarse survivors in slices that split into at most _BLOCK_CELLS fine
     # blocks
-    lower_ext = _work("lower_ext", 3 * n + 2)  # indexed as rho_ext; only the grid is read
+    lower_ext = rho_ext.copy()  # indexed as rho_ext; only the grid is read
     lower = lower_ext[n + 1 : 2 * n + 1]
-    lower[...] = rho
     ramp = 0.5 * dx * (rho[0] + rho[-1])
-    peaks = {
-        cells: _window_max(rho_ext, cells + 1, _work(("peak", cells), 3 * n + 2))
-        for cells in (_COARSE_CELLS, _FINE_CELLS)
-    }
+    peaks = {cells: _window_max(rho_ext, cells + 1) for cells in (_COARSE_CELLS, _FINE_CELLS)}
     delta = max(1e-9, 16 * (n + 2) * 2.0**-53)
     cut, floor = 2 * (1 - delta), np.spacing(cum[-1]) / dx
     _probe(lower, at, cum_ext, dx, m_lo, m_hi)
     _cap_scan(rho, lower, m_lo, m_hi, cut, floor)
     prune = (lower_ext, cum_ext, dx, ramp, peaks, 0.5 * np.spacing(cum[-1]), cut, floor)
-    n_coarse = np.subtract(m_hi, m_lo, out=_work("n_coarse", n, np.intp))
-    n_coarse //= _COARSE_CELLS
-    n_coarse += 1
+    n_coarse = (m_hi - m_lo) // _COARSE_CELLS + 1
     per_slice = _BLOCK_CELLS // (_COARSE_CELLS // _FINE_CELLS)
     per_kernel = _BLOCK_CELLS // (_FINE_CELLS + 1)
     start = 0
     while start < n:
         # (k + 1) x the most coarse blocks of points start..start + k: the padded grid of _live_blocks
-        padded = np.maximum.accumulate(n_coarse[start:]) * (_iota(n - start) + 1)
+        padded = np.maximum.accumulate(n_coarse[start:]) * np.arange(1, n - start + 1)
         stop = start + max(1, int(np.searchsorted(padded, _BLOCK_CELLS, side="right")))
         group = slice(start, stop)
         coarse = _prune_blocks(at[group], m_lo[group], m_hi[group], _COARSE_CELLS, *prune)
@@ -1008,9 +880,17 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
 
 
 def maximal_norm_ratio(profile: DensityProfile, p: float) -> float:
-    """||M rho||_p / ||rho||_p; the caller compares it with M_p."""
-    num = density_power_integral(maximal_function(profile), p)
-    den = density_power_integral(profile, p)
+    """||M rho||_p / ||rho||_p; the caller compares it with M_p.
+
+    Both integrands are divided by the peak of rho before the power, so that
+    no power overflows at large p.  The peak of rho is also the peak of M rho:
+    every window average is at most max rho.
+    """
+    peak, dx = profile.values.max(), profile.grid.dx
+    if p < 1 or peak == 0:
+        raise ValueError("the norm ratio needs a power >= 1 and a nonzero profile")
+    num = trapezoid_richardson((maximal_function(profile).values / peak) ** p, dx)
+    den = trapezoid_richardson((profile.values / peak) ** p, dx)
     return (num / den) ** (1.0 / p)
 
 

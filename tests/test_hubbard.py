@@ -94,6 +94,28 @@ class TestExcessFactor:
         for kappa in (1.0, 1.5, 2.0):
             assert energy_excess_factor(0.0, kappa) == 0.0
 
+    def test_accurate_as_kappa_nears_two(self):
+        # 50-digit mpmath values of 2 sin(pi n/2) - k sin(pi n/k) at the float
+        # kappa_of_u(U/t) for U/t = 1e-4, 1e-2 and 1; near kappa = 2 the two
+        # terms cancel, which cost the difference form up to 1.5e-9 relative
+        n = np.array([0.05, 0.1, 0.25, 0.5, 0.75, 1.0])
+        cases = {
+            1.999960730457121: [
+                6.3379542908171445e-9, 5.0609848301054547e-8, 7.8057514446123722e-7,
+                5.9591804697952553e-6, 1.8576607420583767e-5, 3.9270494140663035e-5,
+            ],
+            1.9960851458573365: [
+                6.3368312031304365e-7, 5.0600698064788212e-6, 7.8041426733714335e-5,
+                5.9574044327154251e-4, 1.8568116659814639e-3, 3.9243265752707806e-3,
+            ],
+            1.699389477915481: [
+                6.2140861050705985e-5, 4.9603044852540722e-4, 7.6313132106728309e-3,
+                5.7731598957422859e-2, 1.7714964396932639e-1, 3.657927407354697e-1,
+            ],
+        }
+        for kappa, expect in cases.items():
+            assert energy_excess_factor(n, kappa) == pytest.approx(expect, rel=1e-12, abs=0)
+
     def test_nonnegative_on_grid(self):
         n = np.linspace(0, 1, 200)
         kappa = np.linspace(1, 2, 200)

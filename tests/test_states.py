@@ -436,7 +436,7 @@ def _copied(arg):
 def _pruning_record(prof):
     """maximal_function(prof) with the inputs of every _prune_blocks call.
 
-    Returns (calls, M rho).  The passes reuse their work arrays, so each
+    Returns (calls, M rho).  The passes raise ``lower`` in place, so each
     call's inputs are copied, ``lower`` as it stood when the call began.
     """
     calls = []
@@ -459,13 +459,8 @@ def _kernel_max(prof, cum_ext, dx, point, b_lo, b_hi):
     out = [np.zeros(0)]
     for k in range(0, len(point), 1024):
         rows = slice(k, k + 1024)
-        out.append(states._maximal_chunk(point[rows], rho_ext, cum_ext, dx, b_lo[rows], b_hi[rows]).copy())
+        out.append(states._maximal_chunk(point[rows], rho_ext, cum_ext, dx, b_lo[rows], b_hi[rows]))
     return np.concatenate(out), rho_ext
-
-
-def _blocks(point, lo, hi, cells, lower, peak, cut, floor):
-    """(point, b_lo, b_hi, S) of _live_blocks, copied out of its work arrays."""
-    return tuple(a.copy() for a in states._live_blocks(point, lo, hi, cells, lower, peak, cut, floor))
 
 
 def _assert_block_bounds_hold(prof):
@@ -477,8 +472,8 @@ def _assert_block_bounds_hold(prof):
     """
     calls, _ = _pruning_record(prof)
     for point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, cut, floor in calls:
-        pt, b_lo, b_hi, slope = _blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
-        bound = states._block_bounds(pt, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz)[1].copy()
+        pt, b_lo, b_hi, slope = states._live_blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
+        bound = states._block_bounds(pt, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz)[1]
         best, rho_ext = _kernel_max(prof, cum_ext, dx, pt, b_lo, b_hi)
         assert np.all(best <= np.maximum(bound * (1 + 1e-12), rho_ext[pt]))
 
@@ -494,8 +489,8 @@ def _assert_edge_rule_drops_only_losers(prof):
     i, nz = np.arange(-n - 1, 2 * n + 1), np.nonzero(prof.values)[0]
     dropped = dict.fromkeys((states._COARSE_CELLS, states._FINE_CELLS), 0)
     for point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, cut, floor in calls:
-        every = _blocks(point, lo, hi, cells, np.full_like(lower, -np.inf), peaks[cells], cut, floor)
-        live = _blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
+        every = states._live_blocks(point, lo, hi, cells, np.full_like(lower, -np.inf), peaks[cells], cut, floor)
+        live = states._live_blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
         live_keys = set(zip(live[0].tolist(), live[1].tolist()))
         gone = np.array([key not in live_keys for key in zip(every[0].tolist(), every[1].tolist())], dtype=bool)
         best, _ = _kernel_max(prof, cum_ext, dx, *(a[gone] for a in every[:3]))
@@ -577,9 +572,9 @@ class TestMaximalFunction:
         for prof in _bump_profiles(rng_stream(5, 9), 20):
             assert maximal_norm_ratio(prof, 2.0) <= 4.0
 
-    def test_concurrent_threads_keep_their_own_work_arrays(self):
-        # the kept work arrays are per thread: six threads, three calls each,
-        # each on its own profile, give the values of one thread alone
+    def test_concurrent_threads_give_single_thread_values(self):
+        # six threads, three calls each, each on its own profile, give the
+        # values of one thread alone
         profiles = _bump_profiles(rng_stream(5, 10), 6)
         expect = [maximal_function(prof).values.copy() for prof in profiles]
         got = [[] for _ in profiles]
@@ -604,6 +599,8 @@ class TestMaximalFunction:
         grid = UniformGrid(0.0, 0.1, 32)
         prof = DensityProfile(grid, np.zeros(32), 0.0)
         assert np.all(maximal_function(prof).values == 0.0)
+        with pytest.raises(ValueError):
+            maximal_norm_ratio(prof, 2.0)
 
     @pytest.mark.parametrize("name", sorted(CUTOFF_PROFILES))
     def test_bit_identical_to_full_scan(self, name):
