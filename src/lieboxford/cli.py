@@ -202,47 +202,15 @@ def cmd_moments(config) -> tuple[dict, int]:
         raise ConfigError(f"moments.gamma_span must be [lo, hi], got {span!r}")
     n_gamma = _number(section["n_gamma"], "moments.n_gamma", minimum=1)
     parameters = _numbers(section["parameters"], "moments.parameters")
-    rows, failures = [], 0
+    rows = []
     for family in _names(section["families"], "moments.families"):
         # unknown families (bare Coulomb included) get their error from from_config
         names = potentials_mod._FAMILY_MAP.get(family, (None, ()))[1]
         for param in parameters:
             pot = potentials_mod.from_config({"family": family, "params": dict.fromkeys(names, param)})
             grid = potentials_mod.default_gamma_grid(pot, n_gamma, span)
-            # both moments once per potential, for every variant and the fit
-            moments = (pot.second_moment(grid), pot.first_moment_tail(grid))
-            for variant, constants in potentials_mod.certified_constants(pot).items():
-                cert = potentials_mod.certify_moment_bounds(pot, constants, grid, moments=moments)
-                failures += not cert.passed
-                rows.append(
-                    {
-                        "potential": pot.label(),
-                        "variant": variant,
-                        "c1": constants.c1,
-                        "c2": constants.c2,
-                        "c3": constants.c3,
-                        "n_gamma": cert.n_gamma,
-                        "max_rel_violation": cert.max_relative_violation,
-                        "status": "pass" if cert.passed else "fail",
-                    }
-                )
-            # the smallest constants that hold on the grid, so they violate
-            # nothing there, unless the moments overflowed and they are not finite
-            fitted = potentials_mod.fit_constants(pot, grid, moments)
-            finite = all(math.isfinite(c) for c in (fitted.c1, fitted.c2, fitted.c3))
-            failures += not finite
-            rows.append(
-                {
-                    "potential": pot.label(),
-                    "variant": "grid_fitted_empirical",
-                    "c1": fitted.c1,
-                    "c2": fitted.c2,
-                    "c3": fitted.c3,
-                    "n_gamma": n_gamma,
-                    "max_rel_violation": 0.0 if finite else math.nan,
-                    "status": "pass" if finite else "fail",
-                }
-            )
+            rows.extend(potentials_mod.certify_moment_bounds(pot, grid))
+    failures = sum(row["status"] == "fail" for row in rows)
     for row in rows:
         print(f"{row['status'].upper():4s} {row['potential']} {row['variant']}")
     return {

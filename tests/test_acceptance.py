@@ -118,16 +118,19 @@ def test_criterion_4_moment_certification():
         primary = certified_constants(p)["primary"]
         assert primary.c1 == 2.0 and primary.c3 == 2.0
         assert primary.c2 == pytest.approx(math.sqrt(2.0) / eps)
-        assert certify_moment_bounds(p, primary, np.geomspace(*grid_span, 200) * eps).passed
+        rows = {r["variant"]: r for r in certify_moment_bounds(p, np.geomspace(*grid_span, 200) * eps)}
+        assert rows["primary"]["status"] == "pass"
     for beta in (0.1, 1.0, 10.0):
         p = RegularizedCoulomb(beta)
         primary = certified_constants(p)["primary"]
         assert primary.c1 == 4.0 and primary.c3 == 4.0
         assert primary.c2 == pytest.approx(math.sqrt(math.pi) / (4 * beta))
         grid = np.geomspace(*grid_span, 200) * beta
-        assert certify_moment_bounds(p, primary, grid).passed
+        rows = {r["variant"]: r for r in certify_moment_bounds(p, grid)}
+        assert rows["primary"]["status"] == "pass"
         tight = MomentBoundConstants(primary.c1, primary.c2, 3.0)
-        assert certify_moment_bounds(p, tight, grid).passed
+        assert certified_constants(p)["tight_c3"] == tight
+        assert rows["tight_c3"]["status"] == "pass"
     _report(4, "constants (2, sqrt2/eps, 2) and (4, sqrt(pi)/4beta, 4) certified; tail constant 3 too")
 
 

@@ -241,6 +241,36 @@ class TestExitCodes:
         assert fitted and "pass" not in {r["status"] for r in fitted}
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_tiny_moment_grid_passes(self, tmp_path, capsys):
+        # the second moment is O(gamma^3) or smaller here, far below its by-parts terms
+        families = ["convex_soft_coulomb", "regularized_coulomb"]
+        cfg = write_config(
+            tmp_path, moments={"families": families, "n_gamma": 20, "gamma_span": [1e-12, 1e-8]}
+        )
+        assert main(["moments", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_underflowing_moment_grid_fails(self, tmp_path, capsys):
+        # the second moment underflows to 0, so the fitted c1 is 0 and its rows fail
+        families = ["convex_soft_coulomb", "regularized_coulomb"]
+        cfg = write_config(
+            tmp_path, moments={"families": families, "n_gamma": 20, "gamma_span": [1e-300, 1e-200]}
+        )
+        assert main(["moments", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "moment_certifications.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        fitted = [r for r in rows if r["variant"] == "grid_fitted_empirical"]
+        assert len(fitted) == 2
+        assert all(r["status"] == "fail" and r["max_rel_violation"] == "nan" for r in fitted)
+        assert {r["status"] for r in rows if r not in fitted} == {"pass"}
+
+    def test_extreme_length_scales_fail_quietly(self, tmp_path, capsys):
+        # 1e-300: the squares in v' and v'' underflow to 0; 1e300: r^2 v'' overflows
+        cfg = write_config(tmp_path, moments={"parameters": [1e-300, 1e300]})
+        assert main(["moments", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ""
+
 
 class TestDeterminism:
     def test_identical_seed_byte_identical_reports(self, tmp_path):

@@ -19,9 +19,9 @@ from lieboxford.potentials import (
     certified_constants,
     certify_moment_bounds,
     default_gamma_grid,
-    fit_constants,
     from_config,
 )
+from lieboxford import potentials
 from oracles import ShiftedPotential, erfcx_sandwich, integrate_1d_components
 
 SMOOTH_FAMILIES = [
@@ -137,6 +137,24 @@ class TestMoments:
         for p in (SoftCoulomb(1.0), ConvexSoftCoulomb(1.0), RegularizedCoulomb(1.0)):
             assert p.second_moment(0.0) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            (SoftCoulomb(1.0), (-3.3333332433333352e-13, -3.3324334672448931e-7, -4.1386459670409417e-5)),
+            (ConvexSoftCoulomb(1.0), (2.5656625110263346e-17, 2.5322290166164682e-9, 1.4995608723806397e-6)),
+            (RegularizedCoulomb(1.0), (1.4769198824010211e-13, 1.4646110659822045e-7, 1.7702155469665205e-5)),
+        ],
+        ids=["soft", "convex_soft", "regularized"],
+    )
+    def test_small_gamma_second_moment(self, p, expected):
+        # 50-digit mpmath values of g^2 v'(g) - 2 g v(g) + 2 int_0^g v at
+        # g = 1e-4, 1e-2 and 0.05 (a length scale of 1), where the double
+        # precision by-parts terms cancel
+        gammas = np.array([1e-4, 1e-2, 0.05])
+        assert p.second_moment(gammas) == pytest.approx(expected, rel=1e-11, abs=0)
+        for g, value in zip(gammas, expected):
+            assert p.second_moment(g) == pytest.approx(value, rel=1e-11, abs=0)
+
     def test_regularized_tail_bound(self):
         # tail moment <= 3/gamma (improved tail constant)
         p = RegularizedCoulomb(0.9)
@@ -181,42 +199,57 @@ class TestIntegralValue:
                 p.integral_value()
 
 
+def certification_rows(p) -> dict:
+    """certify_moment_bounds rows of ``p`` by variant, on the default moments grid."""
+    grid = default_gamma_grid(p, 200, (1e-4, 1e4))
+    return {row["variant"]: row for row in certify_moment_bounds(p, grid)}
+
+
 class TestCertification:
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
     def test_convex_soft_primary_constants(self, eps):
-        p = ConvexSoftCoulomb(eps)
-        report = certify_moment_bounds(p, certified_constants(p)["primary"])
-        assert report.passed
-        assert report.max_relative_violation <= 0
+        row = certification_rows(ConvexSoftCoulomb(eps))["primary"]
+        assert row["status"] == "pass"
+        assert row["max_rel_violation"] <= 0
 
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
     def test_convex_soft_secondary_c2(self, eps):
-        p = ConvexSoftCoulomb(eps)
-        assert certify_moment_bounds(p, certified_constants(p)["secondary_c2"]).passed
+        assert certification_rows(ConvexSoftCoulomb(eps))["secondary_c2"]["status"] == "pass"
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     def test_regularized_constants_including_tight_tail(self, beta):
-        p = RegularizedCoulomb(beta)
-        variants = certified_constants(p)
-        assert certify_moment_bounds(p, variants["primary"]).passed
-        assert certify_moment_bounds(p, variants["tight_c3"]).passed
+        rows = certification_rows(RegularizedCoulomb(beta))
+        assert rows["primary"]["status"] == "pass"
+        assert rows["tight_c3"]["status"] == "pass"
 
-    def test_homogeneous_fails(self):
-        p = Homogeneous(0.5)
-        report = certify_moment_bounds(p, MomentBoundConstants(2.0, 1.0, 2.0))
-        assert not report.passed
-        assert report.max_relative_violation > 0
+    def test_homogeneous_fails(self, monkeypatch):
+        # r^(-1/2) has no certified constants; too small ones are caught
+        monkeypatch.setattr(
+            potentials, "certified_constants", lambda p: {"primary": MomentBoundConstants(2.0, 1.0, 2.0)}
+        )
+        row = certification_rows(Homogeneous(0.5))["primary"]
+        assert row["status"] == "fail"
+        assert row["max_rel_violation"] > 0
 
-    def test_fit_constants_are_certified_and_no_larger(self):
-        p = ConvexSoftCoulomb(1.0)
-        fitted = fit_constants(p)
-        assert certify_moment_bounds(p, fitted, slack=1e-9).passed
-        primary = certified_constants(p)["primary"]
-        assert fitted.c1 <= primary.c1 + 1e-12
-        assert fitted.c3 <= primary.c3 + 1e-12
+    def test_fit_constants_are_certified_and_no_larger(self, monkeypatch):
+        for p in [ConvexSoftCoulomb(x) for x in (0.1, 1.0, 10.0)] + [
+            RegularizedCoulomb(x) for x in (0.1, 1.0, 10.0)
+        ]:
+            primary = certified_constants(p)["primary"]
+            row = certification_rows(p)["grid_fitted_empirical"]
+            assert row["status"] == "pass" and row["max_rel_violation"] == 0.0
+            assert row["c2"] == primary.c2
+            assert row["c1"] <= primary.c1 + 1e-12
+            assert row["c3"] <= primary.c3 + 1e-12
+            fitted = MomentBoundConstants(row["c1"], row["c2"], row["c3"])
+            monkeypatch.setattr(potentials, "certified_constants", lambda p: {"primary": fitted})
+            refit = certification_rows(p)["primary"]
+            monkeypatch.undo()
+            assert refit["status"] == "pass"
+            assert refit["max_rel_violation"] <= 1e-12
 
     def test_gamma_grid_spans_scale(self):
-        grid = default_gamma_grid(RegularizedCoulomb(10.0))
+        grid = default_gamma_grid(RegularizedCoulomb(10.0), 200, (1e-4, 1e4))
         assert grid[0] == pytest.approx(1e-3)
         assert grid[-1] == pytest.approx(1e5)
         assert len(grid) == 200
