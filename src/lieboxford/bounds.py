@@ -115,7 +115,7 @@ class BoundSpec:
             )
         if not self.definition.valid(self):
             raise IncompatibleSpec(
-                f"bound {self.bound_id!r} rejects parameters ({self.params_label() or 'none'})"
+                f"bound {self.bound_id!r} rejects parameters ({self.params_label or 'none'})"
             )
 
     @property
@@ -126,6 +126,12 @@ class BoundSpec:
     def proven(self) -> bool:
         return self.definition.proven
 
+    # both labels go into every report row of the spec, so each is formatted once
+    @functools.cached_property
+    def potential_label(self) -> str:
+        return self.potential.label()
+
+    @functools.cached_property
     def params_label(self) -> str:
         parts = []
         if self.gamma is not None:
@@ -391,8 +397,8 @@ def verify_bound(
     return {
         "state_id": state_id,
         "bound_id": spec.bound_id,
-        "potential": spec.potential.label(),
-        "params": spec.params_label(),
+        "potential": spec.potential_label,
+        "params": spec.params_label,
         "lhs": lhs,
         "rhs": rhs,
         "slack": slack,

@@ -208,7 +208,10 @@ def cmd_moments(config) -> tuple[dict, int]:
         names = potentials_mod._FAMILY_MAP.get(family, (None, ()))[1]
         for param in parameters:
             pot = potentials_mod.from_config({"family": family, "params": dict.fromkeys(names, param)})
-            grid = potentials_mod.default_gamma_grid(pot, n_gamma, span)
+            try:
+                grid = potentials_mod.default_gamma_grid(pot, n_gamma, span)
+            except ValueError as err:
+                raise ConfigError(f"moments.gamma_span: {err}") from None
             rows.extend(potentials_mod.certify_moment_bounds(pot, grid))
     failures = sum(row["status"] == "fail" for row in rows)
     for row in rows:

@@ -9,17 +9,20 @@ totals and heap keys are Python floats.  ``f`` is called on the nodes of both
 halves of a split, and, where the loop bisects toward one end again and again
 (an endpoint singularity), on those of up to 15 further splits toward that end
 in the same call, once that chain of bisections is 4 steps long; their halves
-wait until the loop pops them.  Each panel is reduced by its own dot products
-on a view of the batched values, which keeps the bits of a one-panel call; one
-(n, 15) matrix product (BLAS gemv) rounds differently.  So a value is that of
-one split at a time whenever ``f`` gives each node the same bits whatever else
-is in its batch.  The package's integrands do, except the correlations of
-``GaussianProduct`` and ``CorrelatedGaussianPair``: they end in a BLAS product
-over the batch, whose last bit depends on the batch's row count, so their
-energies can move by an ulp-sized amount when the batching changes.  Kronrod
-nodes are interior; only a panel narrower than the float spacing at an end
-puts a node on the end itself.  Speculated panels reach that depth sooner, and
-a non-finite value there raises only if the loop pops the panel.
+wait until the loop pops them.  Each rule's sums over every panel of a call
+are one numpy reduction over the (n, 15) value block, which sums each row in
+an order fixed by its length alone (pairwise summation), so a panel keeps the
+bits of its own one-panel call; an (n, 15) BLAS gemv would round differently
+as n changes.  A value is thus that of one split at a time whenever ``f``
+gives each node the same bits whatever else is in its batch.  The package's
+integrands do, except the correlations of ``GaussianProduct`` and
+``CorrelatedGaussianPair``: they end in a BLAS product over the batch, whose
+last bit depends on the batch's row count, so their energies can move by an
+ulp-sized amount when the batching changes.  Kronrod nodes are interior; only
+a panel narrower than the float spacing at an end puts a node on the end
+itself.  Speculated panels reach that depth sooner, and a non-finite value
+there raises only if the loop pops the panel.  Finite values whose weighted
+sum overflows (numpy warns, by its ``over`` setting) never converge.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ _WK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
+# Gauss weights of the 7 odd-indexed Kronrod nodes, _XK[1::2].
 _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
@@ -136,9 +139,10 @@ _CHAIN_CAP = 16
 def _panels(f, lo, hi):
     """(Kronrod estimate, |K - G| error) of each panel [lo_i, hi_i], or None where f is not finite.
 
-    Every panel's nodes go to ``f`` in one call; each panel is reduced by its
-    own dot products (module docstring).  A non-finite panel is returned as
-    None, so a speculated panel raises only when the loop consumes it.
+    Every panel's nodes go to ``f`` in one call, and each rule sums every
+    panel in one ordered reduction (module docstring).  A non-finite panel is
+    returned as None, so a speculated panel raises only when the loop
+    consumes it; its values are zeroed first, so no inf - inf warns.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -148,14 +152,16 @@ def _panels(f, lo, hi):
     if fx.shape != (x.size,):
         raise ValueError("integrand must map an (m,) node array to (m,) values")
     fx = fx.reshape(x.shape)
-    out = []
-    for h, row, finite in zip(half.tolist(), fx, np.isfinite(fx).all(axis=1).tolist()):
-        if finite:
-            k = h * float(row @ _WK)
-            out.append((k, abs(k - h * float(row[_GAUSS_IDX] @ _WG))))
-        else:
-            out.append(None)
-    return out
+    finite = np.logical_and.reduce(np.isfinite(fx), axis=1)
+    ok = finite.tolist()
+    if False in ok:
+        fx = np.where(finite[:, None], fx, 0.0)
+    kronrod = np.add.reduce(fx * _WK, axis=1).tolist()
+    gauss = np.add.reduce(fx[:, 1::2] * _WG, axis=1).tolist()
+    return [
+        (k := h * sk, abs(k - h * sg)) if row_ok else None
+        for h, sk, sg, row_ok in zip(half.tolist(), kronrod, gauss, ok)
+    ]
 
 
 def _finite(panels, lo, hi):

@@ -397,13 +397,14 @@ class RegularizedCoulomb(Potential):
         x = np.asarray(r, dtype=float) / (2 * self.beta)
         return (math.sqrt(math.pi) / (2 * self.beta) * _erfcx(x))[()]
 
+    # numpy's beta**k is Python's pow, but overflows to inf instead of raising
     def deriv1(self, r):
         x = np.asarray(r, dtype=float) / (2 * self.beta)
-        return (math.sqrt(math.pi) / (4 * self.beta**2) * _erfcx_d1(x))[()]
+        return (math.sqrt(math.pi) / (4 * np.float64(self.beta) ** 2) * _erfcx_d1(x))[()]
 
     def deriv2(self, r):
         x = np.asarray(r, dtype=float) / (2 * self.beta)
-        return (math.sqrt(math.pi) / (8 * self.beta**3) * _erfcx_d2(x))[()]
+        return (math.sqrt(math.pi) / (8 * np.float64(self.beta) ** 3) * _erfcx_d2(x))[()]
 
     def _integral_to(self, gamma):
         # no elementary antiderivative; quadrature over sorted segments keeps
@@ -480,10 +481,11 @@ class MomentBoundConstants:
 
 
 def default_gamma_grid(p: Potential, n: int, span) -> np.ndarray:
-    """n log-spaced gammas over span, scaled by the potential's length scale."""
-    lo, hi = span
-    scale = p.length_scale
-    return np.geomspace(lo * scale, hi * scale, n)
+    """n log-spaced gammas over span times the length scale; ValueError if an end is 0 or inf."""
+    lo, hi = (end * p.length_scale for end in span)
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(f"span {list(span)} times the length scale of {p.label()} is [{lo:g}, {hi:g}]")
+    return np.geomspace(lo, hi, n)
 
 
 def certified_constants(p: Potential) -> dict[str, MomentBoundConstants]:

@@ -82,9 +82,8 @@ def write_reports(records: list, path) -> None:
         raise ValueError(f"unknown report format {path.suffix!r} of {path}")
     records = list(records)
     keys = sorted(records[0].keys()) if records else []
-    for rec in records:
-        if sorted(rec.keys()) != keys:
-            raise ValueError("records must be homogeneous per file")
+    if any(rec.keys() != records[0].keys() for rec in records):
+        raise ValueError("records must be homogeneous per file")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if path.suffix == ".csv":
             writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
@@ -92,8 +91,19 @@ def write_reports(records: list, path) -> None:
             for rec in records:
                 writer.writerow([_format_cell(rec[k]) for k in keys])
         else:
+            # canonical_json(rec) of each row, its keys sorted once
+            order = sorted(keys, key=str)  # canonical_value makes every key a str
+            prefixes = [json.dumps(str(k)) + ":" for k in order]
             for rec in records:
-                fh.write(canonical_json(rec) + "\n")
+                cells = [p + _json_value(rec[k]) for p, k in zip(prefixes, order)]
+                fh.write("{" + ",".join(cells) + "}\n")
+
+
+def _json_value(value) -> str:
+    """``canonical_json(value)``; a finite float or a string is formatted directly."""
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(float(f"{value:.12g}"))
+    return json.dumps(value) if isinstance(value, str) else canonical_json(value)
 
 
 def write_manifest(config: dict, path) -> None:

@@ -294,7 +294,7 @@ PINNED_BATTERY = (
 
 class TestBoundTable:
     def test_proven_battery_is_pinned(self):
-        got = [(s.bound_id, s.potential.label(), s.params_label()) for s in proven_bound_specs()]
+        got = [(s.bound_id, s.potential_label, s.params_label) for s in proven_bound_specs()]
         assert len(PINNED_BATTERY) == 103
         assert got == PINNED_BATTERY
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,30 @@ class TestExitCodes:
         cfg = write_config(tmp_path, moments={"parameters": [1e-300, 1e300]})
         assert main(["moments", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == ""
+
+    def test_huge_beta_fails_quietly(self, tmp_path, capsys):
+        # beta**2 and beta**3 overflow to inf, so v' and v'' are 0 and the rows fail
+        cfg = write_config(tmp_path, moments={"families": ["regularized_coulomb"], "parameters": [1e300]})
+        assert main(["moments", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "moment_certifications.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 and {r["status"] for r in rows} == {"fail"}
+
+    @pytest.mark.parametrize(
+        "parameter, span, end",
+        [(1e-100, [1e-300, 1.0], r"\[0, "), (1e10, [1e-3, 1e300], r", inf\]")],
+        ids=["underflow", "overflow"],
+    )
+    def test_gamma_span_end_outside_the_doubles(self, tmp_path, capsys, parameter, span, end):
+        moments = {"families": ["convex_soft_coulomb"], "parameters": [parameter], "gamma_span": span}
+        cfg = write_config(tmp_path, moments=moments)
+        assert main(["moments", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: moments.gamma_span")
+        assert f"convex_soft_coulomb(epsilon={parameter:g})" in err
+        assert re.search(end, err)
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from lieboxford.numerics import (
     NoBracket,
     NonConvergence,
     QuadratureSpec,
+    _panels,
     find_root,
     integrate_1d,
     integrate_1d_with_error,
@@ -218,6 +219,30 @@ class TestDriverContract:
         alone = np.concatenate([np.atleast_1d(f(nodes[i : i + 1])) for i in range(len(nodes))])
         panels = np.concatenate([f(nodes[i : i + 30]) for i in range(0, len(nodes), 30)])
         assert batch.tobytes() == alone.tobytes() == panels.tobytes()
+
+    def test_panel_sums_do_not_depend_on_the_batch(self):
+        # Each panel's sums are ordered row sums, not one (n, 15) gemv, so the
+        # 32 panels of one call, a non-finite one (+inf and -inf, whose sum
+        # would warn) and an overflowing one among them, each have the bits of
+        # their own one-panel call.
+        ends = np.sort(10.0 ** rng_stream(3, 2).uniform(-6.0, 2.0, 33))
+
+        def f(x):
+            values = np.sin(7.0 * x) * np.exp(-x) / x**0.3
+            values[(x > ends[5]) & (x < ends[6])] = np.inf
+            values[(x > 0.5 * (ends[5] + ends[6])) & (x < ends[6])] = -np.inf
+            values[(x > ends[20]) & (x < ends[21])] = 1e308
+            return values
+
+        def bits(panels):
+            return [None if p is None else np.array(p).tobytes() for p in panels]
+
+        with np.errstate(over="ignore"):
+            batch = _panels(f, ends[:-1], ends[1:])
+            alone = [_panels(f, ends[i : i + 1], ends[i + 1 : i + 2])[0] for i in range(32)]
+        assert [i for i, p in enumerate(batch) if p is None] == [5]
+        assert batch[20][0] == math.inf and math.isnan(batch[20][1])
+        assert bits(batch) == bits(alone)
 
     def test_component_integrand_rejected(self):
         with pytest.raises(ValueError, match=r"\(m,\)"):

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,24 @@ class TestWriteReports:
             assert cell == ("inf" if x > 0 else "-inf")
         else:
             assert cell == f"{float(f'{x:.12g}'):.12g}"
+
+    def test_jsonl_lines_are_canonical_json(self, tmp_path):
+        # the writer's direct float and string paths, and its fallback for
+        # everything else, give the lines of canonical_json
+        rows = [
+            {"lhs": -0.1 - 0.2, "slack": math.nan, "Label": 'c="1,2" é', "n": 3, "ok": True,
+             "none": None, "f32": np.float32(0.1), "f64": np.float64(1 / 3), "i64": np.int64(-7),
+             "nested": {"z": [math.inf, 0.1 + 0.2], 2: -math.inf, "a": (np.float64(2.5), None)}},
+            {"lhs": 5e-324, "slack": math.inf, "Label": "", "n": -0, "ok": False,
+             "none": None, "f32": np.float32(-math.inf), "f64": np.float64(-math.inf), "i64": np.int64(0),
+             "nested": []},
+            {"lhs": -0.0, "slack": -math.inf, "Label": "s\n\t\\", "n": 2**70, "ok": True,
+             "none": None, "f32": np.float32(math.nan), "f64": np.float64(1e300), "i64": np.int64(2**62),
+             "nested": {}},
+        ]
+        path = tmp_path / "c.jsonl"
+        write_reports(rows, path)
+        assert path.read_text(encoding="utf-8").splitlines() == [canonical_json(r) for r in rows]
 
     def test_heterogeneous_rejected(self, tmp_path):
         with pytest.raises(ValueError):
