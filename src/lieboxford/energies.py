@@ -13,8 +13,7 @@ u = x - y:
 where h(u) = int rho2(y+u, y) dy is the pair-separation density (even, total
 mass N(N-1) over the line) and C(u) = int rho(x) rho(x+u) dx the density
 autocorrelation.  Every trial state gives both in closed form
-(``TrialState.correlations``: Gaussian integrals for the Gaussian families,
-an exact degree-4 polynomial in u^2 times a Gaussian for HermiteSlater; see
+(``TrialState.correlations``: one finite sum of Gaussian terms per state; see
 the states module), and the outer passes read them at their own quadrature
 nodes, with no u grid and no interpolant in between.  Each potential gets its
 own outer passes in u, split at its breakpoints, and its own error estimate.

@@ -14,15 +14,12 @@ are one numpy reduction over the (n, 15) value block, which sums each row in
 an order fixed by its length alone (pairwise summation), so a panel keeps the
 bits of its own one-panel call; an (n, 15) BLAS gemv would round differently
 as n changes.  A value is thus that of one split at a time whenever ``f``
-gives each node the same bits whatever else is in its batch.  The package's
-integrands do, except the correlations of ``GaussianProduct`` and
-``CorrelatedGaussianPair``: they end in a BLAS product over the batch, whose
-last bit depends on the batch's row count, so their energies can move by an
-ulp-sized amount when the batching changes.  Kronrod nodes are interior; only
-a panel narrower than the float spacing at an end puts a node on the end
-itself.  Speculated panels reach that depth sooner, and a non-finite value
-there raises only if the loop pops the panel.  Finite values whose weighted
-sum overflows (numpy warns, by its ``over`` setting) never converge.
+gives each node the same bits whatever else is in its batch, as every
+integrand of the package does.  Kronrod nodes are interior; only a panel
+narrower than the float spacing at an end puts a node on the end itself.
+Speculated panels reach that depth sooner, and a non-finite value there
+raises only if the loop pops the panel.  Finite values whose weighted sum
+overflows (numpy warns, by its ``over`` setting) never converge.
 """
 
 from __future__ import annotations

@@ -171,13 +171,18 @@ class ApproxContact(Potential):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
+    # sigma^2 as numpy's power, which overflows to inf instead of raising
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(r < self.sigma, 2.0 / self.sigma - 2.0 * r / self.sigma**2, 0.0)[()]
+        with np.errstate(over="ignore"):
+            sigma_sq = np.float64(self.sigma) ** 2
+        return np.where(r < self.sigma, 2.0 / self.sigma - 2.0 * r / sigma_sq, 0.0)[()]
 
     def deriv1(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(r < self.sigma, -2.0 / self.sigma**2, 0.0)[()]
+        with np.errstate(over="ignore"):
+            sigma_sq = np.float64(self.sigma) ** 2
+        return np.where(r < self.sigma, -2.0 / sigma_sq, 0.0)[()]
 
     def deriv2(self, r):
         raise DistributionalDerivative(

@@ -11,31 +11,27 @@ Wavefunction families (N in {2, 3}):
                            parametric short-range correlation hole,
                            psi ~ G(x) G(y) (1 - h exp(-(x-y)^2/(2 s^2))).
 
-For the orbital families, the one-body density and the pair density are
-evaluated through the permutation algebra
+For the orbital families the one-body density and the pair weights come from
+the permutation algebra, with weights built from orbital overlaps:
 
   rho(x)    = sum_ab W1[a,b] phi_a(x) phi_b(x),
-  rho2(x,y) = sum_abcd W2[a,b,c,d] phi_a(x) phi_b(x) phi_c(y) phi_d(y),
+  rho2(x,y) = sum_abcd W2[a,b,c,d] phi_a(x) phi_b(x) phi_c(y) phi_d(y).
 
-with weights built from orbital overlaps, so no quadrature enters the
-densities themselves.  rho2 integrates to N(N-1) and its diagonal drives the
-contact interaction.  It is evaluated as
-
-  rho2(x,y) = sum_ab phi_a(x) phi_b(x) Q_ab(y),
-  Q_ab(y)   = sum_cd W2[a,b,c,d] phi_c(y) phi_d(y),
-
-with the orbitals of x and of y evaluated on each argument's own shape: the
-N^4-term contraction Q runs on the y nodes only, and the broadcast (x, y)
-grid costs N^2 terms per point.  Hermite orbitals are built by recurrence:
-the physicists' H_k = 2u H_(k-1) - 2(k-1) H_(k-2) is run in its scaled form
+Hermite orbitals are built by recurrence: the physicists'
+H_k = 2u H_(k-1) - 2(k-1) H_(k-2) is run in its scaled form
 H_k(u) = 2^(k/2) He_k(t), t = sqrt(2) u, He_k = t He_(k-1) - (k-1) He_(k-2),
 which for k <= 2 is operation for operation what scipy.special.eval_hermite
 computes, so the orbital values do not depend on which of the two is used.
 
-Every family also gives its two correlation functions in closed form,
-``correlations(u) -> (h(u), C(u))`` with
+Every family gives its correlation functions h(u) = int rho2(y+u, y) dy and
+C(u) = int rho(y) rho(y+u) dy as one table of Gaussian terms, a row
+(h_k, c_k, m_k, a_k, j_k) each:
 
-  h(u) = int rho2(y+u, y) dy,      C(u) = int rho(y) rho(y+u) dy.
+  (h(u), C(u)) = sum_k (h_k, c_k) (u/l)^(2 j_k) exp(-a_k (u - m_k)^2),
+
+l the state's length.  ``TrialState.correlations`` evaluates any table on an
+(n nodes, K rows) block and sums each node's row with one numpy reduction,
+whose order depends on K alone, so no value depends on the rest of its batch.
 
 GaussianProduct: each orbital product is one Gaussian,
 P_ab = phi_a phi_b = A_ab exp(-(x - m_ab)^2 / (2 w^2)) with
@@ -44,23 +40,37 @@ the two centers, so
 
   int P_ab(y+u) P_cd(y) dy = A_ab A_cd sqrt(pi) w exp(-(u - m_ab + m_cd)^2 / (4 w^2)),
 
-weighted by W2 for h and by W1 (x) W1 for C.  The forms are exact, but for a
-near-degenerate determinant (close centers, large W1 of both signs) the
-81-term sum of C cancels: on the default 200-state suite C(0) is good to
-7e-13 relative, against 3e-15 typical.  CorrelatedGaussianPair: rho2
-is the envelope's pair density times (1 - h e^(-u^2/2s^2))^2, a function of
-u alone, and rho is a sum of three centred Gaussians, so h is one Gaussian
-integral and C nine.  HermiteSlater: under y = c + w (tau/sqrt(2) - u/(2w))
-the integrand of h or C is e^(-tau^2) e^(-u^2/(2w^2)) times a polynomial in
-tau and u of degree at most 4(N-1) <= 8 (four orbitals, each a polynomial of
-degree <= N-1 times a Gaussian), so the 5-node Gauss-Hermite rule, exact to
-degree 9, integrates it exactly, reading its nodes through rho2 and rho.
-Both functions are even, so each is e^(-s/2) P(s) with P of degree 4 in
-s = u^2/w^2.  The rule fixes P once per state, at u/w in {0, 1/2, 1, 3/2, 2},
-and ``correlations`` evaluates P by Horner's rule, about a sixth of the
-rule's cost.  h(0) and C(0) are the rule's own values, bit for bit, and on
-the default suites P agrees with the rule to 2e-14 of the maximum on the
-separation span.
+weighted by W2 for h and by W1 (x) W1 for C.  The shift m_ab - m_cd is
+e . mu / 2, e = e_a + e_b - e_c - e_d, so the N^4 index rows fall into 5
+(N = 2) or 19 (N = 3) rows of one shift each, their weights summed by
+math.fsum.  For a near-degenerate determinant (close centers, large W1 of
+both signs) the rows cancel: on the 121 GaussianProduct states of the
+default 200-state suite C is good to 1.2e-12 of its maximum, against 4e-16
+typical.  CorrelatedGaussianPair: rho2 is the envelope's pair density times
+(1 - h e^(-u^2/2s^2))^2, whose three terms are the three h rows, and rho is
+a sum of three centred Gaussians, so C has nine rows, one per pair of them.
+
+HermiteSlater: for orthonormal orbitals phi_0 .. phi_(N-1) the determinant
+(upper sign) and the permanent (lower sign) have rho = sum_k phi_k^2 and
+
+  rho2(x, y) = rho(x) rho(y) -+ g(x, y)^2 - (1 -+ 1) sum_k phi_k(x)^2 phi_k(y)^2,
+
+g(x, y) = sum_k phi_k(x) phi_k(y), so h = C -+ X - (1 -+ 1) D, with C, X
+and D sums of overlaps int f_kl(y+u) f_mn(y) dy, f_kl = phi_k phi_l.  At
+unit width and centre 0, f_kl = H_k H_l e^(-y^2) / (sqrt(pi) sqrt(2^k k! 2^l l!)),
+and with z = y + u/2
+
+  e^(-(y+u)^2 - y^2) = e^(-u^2/2) e^(-2 z^2),
+  int z^(2i) e^(-2 z^2) dz = sqrt(pi/2) (2i - 1)!! / 4^i,
+
+so every overlap is e^(-u^2/2) / sqrt(2 pi) times a polynomial in u with
+rational coefficients, even in u.  With width w, h(u) = h_1(u/w)/w, so both
+functions are e^(-s/2) P(s) / (w sqrt(2 pi)), s = u^2/w^2, and P, listed in
+_OSCILLATOR_POLYNOMIALS, depends on (N, symmetry) alone; its rows are
+p_j s^j e^(-s/2) / (w sqrt(2 pi)), l = w.  Every p_j is dyadic, so exact as
+a float.  As int s^j e^(-s/2) du = w sqrt(2 pi) (2j - 1)!!, sum_j p_j (2j - 1)!!
+is N(N - 1) for h and N^2 for C, and h(0) = 0 on the antisymmetric states.
+The tests rederive P in rational arithmetic.
 
 The Hardy-Littlewood maximal function of a grid profile is computed exactly
 for the piecewise-linear interpolant: on each radius piece [m dx, (m+1) dx]
@@ -95,6 +105,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,28 +131,32 @@ __all__ = [
 SUPPORT_TRUNCATION = 1e-14
 
 
-def _hermite_rule_5():
-    """5-node Gauss-Hermite rule for int f(tau) e^(-tau^2), exact to degree 9.
+# P(s) of HermiteSlater's h and C (module docstring): (h, C) coefficients of
+# s^0, s^1, ... per (N, symmetry)
+_OSCILLATOR_POLYNOMIALS = {
+    (2, "symmetric"): ((2.0, 11 / 4), (0.0, 1 / 2), (0.0, 1 / 4)),
+    (2, "antisymmetric"): ((0.0, 11 / 4), (2.0, 1 / 2), (0.0, 1 / 4)),
+    (3, "symmetric"): (
+        (21 / 4, 321 / 64), (-3 / 2, 21 / 16), (3 / 4, 21 / 32), (0.0, -1 / 16), (0.0, 1 / 64)
+    ),
+    (3, "antisymmetric"): (
+        (0.0, 321 / 64), (27 / 4, 21 / 16), (-3 / 2, 21 / 32), (1 / 4, -1 / 16), (0.0, 1 / 64)
+    ),
+}
 
-    The nodes are the roots of H_5 = 32 tau^5 - 160 tau^3 + 120 tau,
-    tau^2 in {0, (5 -+ sqrt(10))/2}, with weights sqrt(pi) (8/15) and
-    sqrt(pi) (7 +- 2 sqrt(10))/60.  numpy's hermgauss(5) agrees to 6e-17, but
-    its eigensolver's first call costs every process 1 MB of resident memory.
+
+class _Terms(NamedTuple):
+    """(h(u), C(u)) = sum_k (h_k, c_k) (u/length)^(2 power_k) exp(-rate_k (u - centre_k)^2).
+
+    One entry per row k in each array; ``power`` None means every power is 0.
     """
-    r = math.sqrt(10.0)
-    inner, outer = math.sqrt((5 - r) / 2), math.sqrt((5 + r) / 2)
-    w_inner, w_outer = (7 + 2 * r) / 60, (7 - 2 * r) / 60
-    tau = np.array([-outer, -inner, 0.0, inner, outer])
-    weight = math.sqrt(math.pi) * np.array([w_outer, w_inner, 8 / 15, w_inner, w_outer])
-    return tau, weight
 
-
-# covers the degree-8 polynomials of HermiteSlater's h and C at N = 3
-_HERMITE_RULE = _hermite_rule_5()
-
-# s = (u/w)^2 at u/w in {0, 1/2, 1, 3/2, 2}: the interpolation nodes of the
-# degree-4 polynomial in s behind HermiteSlater's h and C
-_HERMITE_SAMPLES = (0.0, 0.25, 1.0, 2.25, 4.0)
+    h: np.ndarray
+    c: np.ndarray
+    centre: np.ndarray
+    rate: np.ndarray
+    power: np.ndarray | None = None
+    length: float = 1.0
 
 
 class NormalizationDrift(RuntimeError):
@@ -227,7 +242,7 @@ def density_power_integral(profile: DensityProfile, p: float) -> float:
 
 
 class TrialState:
-    """Common surface: densities, pair densities, correlation functions, support interval."""
+    """Common surface: densities, correlation functions, support interval."""
 
     n_particles: int
     symmetry: str
@@ -235,15 +250,25 @@ class TrialState:
     def rho(self, x):
         raise NotImplementedError
 
-    def rho2(self, x, y):
+    @property
+    def _terms(self) -> _Terms:
+        """The Gaussian-term table of h and C (module docstring)."""
         raise NotImplementedError
 
     def correlations(self, u):
-        """(h(u), C(u)) in closed form, each of u's shape (module docstring).
+        """(h(u), C(u)) from the state's term table, each of u's shape (module docstring).
 
         h(u) = int rho2(y+u, y) dy, C(u) = int rho(y) rho(y+u) dy.
         """
-        raise NotImplementedError
+        t = self._terms
+        x = np.asarray(u, dtype=float)[..., None]
+        terms = np.subtract(x, t.centre)  # (..., K), one row of terms per node
+        np.square(terms, out=terms)
+        terms *= -t.rate
+        np.exp(terms, out=terms)
+        if t.power is not None:
+            terms *= np.square(x / t.length) ** t.power
+        return np.add.reduce(terms * t.h, axis=-1), np.add.reduce(terms * t.c, axis=-1)
 
     @property
     def grid_center(self) -> float:
@@ -326,13 +351,6 @@ class _OrbitalState(TrialState):
         w1 = self._tables[2]
         return np.einsum("ab,a...,b...->...", w1, phi, phi)
 
-    def rho2(self, x, y):
-        # no broadcast of x and y: Q_ab(y) is contracted on y's own nodes
-        phi_x = self._orbital_values(x)
-        phi_y = self._orbital_values(y)
-        q = np.einsum("abcd,c...,d...->ab...", self._tables[3], phi_y, phi_y)
-        return np.einsum("a...,b...,ab...->...", phi_x, phi_x, q)
-
 
 def _check_symmetry(symmetry: str) -> str:
     if symmetry not in ("symmetric", "antisymmetric"):
@@ -373,34 +391,27 @@ class GaussianProduct(_OrbitalState):
         return norm * np.exp(-((x - mu) ** 2) / (4 * self.width**2))
 
     @cached_property
-    def _correlation_table(self):
-        """Shifts m_ab - m_cd and their (h, C) weights, one row per (a, b, c, d)."""
+    def _terms(self):
+        """One row per shift m_ab - m_cd = e . mu / 2, e = e_a + e_b - e_c - e_d."""
         s, _, w1, w2 = self._tables
-        amp = s / math.sqrt(2 * math.pi * self.width**2)
-        mu = np.asarray(self.centers)
-        mid = 0.5 * (mu[:, None] + mu[None, :])
-        pair = amp[:, :, None, None] * amp[None, None, :, :]
-        shift = (mid[:, :, None, None] - mid[None, None, :, :]).ravel()
-        weights = np.stack(
-            [(w2 * pair).ravel(), (w1[:, :, None, None] * w1 * pair).ravel()], axis=-1
+        n, w = self.n_particles, self.width
+        amp = (s / math.sqrt(2 * math.pi * w**2)).tolist()
+        w1, w2 = w1.tolist(), w2.tolist()
+        groups = {}  # e -> (h weights, C weights) of its (a, b, c, d) rows
+        for a, b, c, d in itertools.product(range(n), repeat=4):
+            e = tuple((a == i) + (b == i) - (c == i) - (d == i) for i in range(n))
+            pair = amp[a][b] * amp[c][d]
+            h_weights, c_weights = groups.setdefault(e, ([], []))
+            h_weights.append(w2[a][b][c][d] * pair)
+            c_weights.append(w1[a][b] * w1[c][d] * pair)
+        keys = sorted(groups)
+        scale = math.sqrt(math.pi) * w
+        return _Terms(
+            h=np.array([scale * math.fsum(groups[e][0]) for e in keys]),
+            c=np.array([scale * math.fsum(groups[e][1]) for e in keys]),
+            centre=np.array([math.fsum(k * mu for k, mu in zip(e, self.centers)) / 2 for e in keys]),
+            rate=np.full(len(keys), 1 / (4 * w**2)),
         )
-        return shift, weights
-
-    def correlations(self, u):
-        shift, weights = self._correlation_table
-        w = self.width
-        # sqrt(pi) w exp(-(u - shift)^2 / (4 w^2)) step by step in one (m, K)
-        # buffer: the bits of the one-line form without its second (m, K)
-        # temporary, which sets the peak memory of a verify run once the
-        # quadrature hands f whole endpoint-chain batches
-        kernel = np.subtract(np.asarray(u, dtype=float)[..., None], shift)
-        np.square(kernel, out=kernel)
-        np.negative(kernel, out=kernel)
-        np.divide(kernel, 4 * w**2, out=kernel)
-        np.exp(kernel, out=kernel)
-        np.multiply(math.sqrt(math.pi) * w, kernel, out=kernel)
-        out = kernel @ weights
-        return out[..., 0], out[..., 1]
 
     @property
     def grid_center(self) -> float:
@@ -451,43 +462,20 @@ class HermiteSlater(_OrbitalState):
             rows.append(norm * (he[k] * 2.0 ** (k / 2)) * env)  # H_k(u) = 2^(k/2) He_k(t)
         return np.stack(rows)
 
-    def _gauss_hermite_correlations(self, u):
-        """(h(u), C(u)) by the 5-node Gauss-Hermite rule, exact (module docstring)."""
-        tau, omega = _HERMITE_RULE
-        u = np.asarray(u, dtype=float)[..., None]
-        y = self.center + self.width * tau / math.sqrt(2.0) - 0.5 * u
-        weight = self.width / math.sqrt(2.0) * omega * np.exp(tau**2)
-        h = self.rho2(y + u, y) @ weight
-        c = (self.rho(y) * self.rho(y + u)) @ weight
-        return h, c
-
     @cached_property
-    def _correlation_polynomial(self):
-        """Newton coefficients d_0..d_4 of P, shape (5, 2): (h, C) = e^(-s/2) P(s), s = u^2/w^2.
-
-        P interpolates the Gauss-Hermite values at the _HERMITE_SAMPLES, each
-        from its own scalar call, so d_0 = P(0) is the rule's (h(0), C(0)).
-        """
-        nodes = np.array(_HERMITE_SAMPLES)
-        table = np.array(
-            [self._gauss_hermite_correlations(self.width * math.sqrt(s)) for s in _HERMITE_SAMPLES]
-        ) * np.exp(0.5 * nodes)[:, None]
-        coeffs = [table[0]]
-        for k in range(1, len(nodes)):  # divided differences
-            table = (table[1:] - table[:-1]) / (nodes[k:] - nodes[:-k])[:, None]
-            coeffs.append(table[0])
-        return np.array(coeffs)
-
-    def correlations(self, u):
-        s = ((np.asarray(u, dtype=float) / self.width) ** 2)[..., None]
-        coeffs = self._correlation_polynomial
-        out = coeffs[-1] * (s - _HERMITE_SAMPLES[-2])
-        for node, c in zip(_HERMITE_SAMPLES[-3::-1], coeffs[-2:0:-1]):
-            out += c
-            out *= s - node
-        out += coeffs[0]  # the last factor was s - 0, so at u = 0 this is d_0 itself
-        out *= np.exp(-0.5 * s)
-        return out[..., 0], out[..., 1]
+    def _terms(self):
+        """Rows p_j (u/w)^(2j) exp(-u^2/(2 w^2)) / (w sqrt(2 pi)) of the derived P."""
+        poly = np.array(_OSCILLATOR_POLYNOMIALS[self.n_orbitals, self.symmetry])
+        scale = self.width * math.sqrt(2 * math.pi)
+        rows = len(poly)
+        return _Terms(
+            h=poly[:, 0] / scale,
+            c=poly[:, 1] / scale,
+            centre=np.zeros(rows),
+            rate=np.full(rows, 0.5 / self.width**2),
+            power=np.arange(rows, dtype=float),
+            length=self.width,
+        )
 
     @property
     def grid_center(self) -> float:
@@ -535,16 +523,6 @@ class CorrelatedGaussianPair(TrialState):
         ]
         return ints[0] - 2 * h * ints[1] + h**2 * ints[2]
 
-    def psi(self, x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        w, s, h, mu = self.width, self.hole_width, self.hole_depth, self.center
-        envelope = np.exp(-((x - mu) ** 2 + (y - mu) ** 2) / (4 * w**2))
-        hole = 1.0 - h * np.exp(-((x - y) ** 2) / (2 * s**2))
-        return envelope * hole / math.sqrt(self._norm)
-
-    def rho2(self, x, y):
-        return 2.0 * self.psi(x, y) ** 2
-
     @cached_property
     def _gaussians(self):
         """Amplitudes A_k and exponents g_k of rho(x) = sum_k A_k exp(-g_k (x - mu)^2).
@@ -566,16 +544,20 @@ class CorrelatedGaussianPair(TrialState):
         amps, exps = self._gaussians
         return sum(a * np.exp(-g * d2) for a, g in zip(amps, exps))
 
-    def correlations(self, u):
-        u = np.asarray(u, dtype=float)
+    @cached_property
+    def _terms(self):
+        """Three h rows, the terms of (1 - h E)^2, and nine C rows, a pair of rho's Gaussians each."""
         w, s, h = self.width, self.hole_width, self.hole_depth
-        hole = 1.0 - h * np.exp(-(u**2) / (2 * s**2))
-        pair = 2.0 / self._norm * math.sqrt(math.pi) * w * np.exp(-(u**2) / (4 * w**2)) * hole**2
+        pair = 2.0 / self._norm * math.sqrt(math.pi) * w
         amps, exps = self._gaussians
-        total = exps[:, None] + exps[None, :]
-        coeff = (amps[:, None] * amps[None, :] * np.sqrt(math.pi / total)).ravel()
-        rate = (exps[:, None] * exps[None, :] / total).ravel()
-        return pair, np.exp(-(u[..., None] ** 2) * rate) @ coeff
+        rows = [
+            (pair * coeff, 0.0, 1 / (4 * w**2) + k / (2 * s**2))
+            for coeff, k in ((1.0, 0), (-2 * h, 1), (h * h, 2))
+        ]
+        for (a_i, g_i), (a_j, g_j) in itertools.product(zip(amps, exps), repeat=2):
+            rows.append((0.0, a_i * a_j * math.sqrt(math.pi / (g_i + g_j)), g_i * g_j / (g_i + g_j)))
+        h_coef, c_coef, rate = np.array(rows).T
+        return _Terms(h_coef, c_coef, np.zeros(len(rows)), rate)
 
     @property
     def grid_center(self) -> float:

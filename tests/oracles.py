@@ -22,9 +22,21 @@ what the package computes another way.
   separation_integrals (<V>, D) as one vector-valued pass of the exact h and
                        C times v over [0, span], split at the breakpoints
   expectation_via_2d   <V> of a two-particle state on the support square
+  rho2                 the pair density rho2(x, y) of any trial state: the
+                       orbital states' through Q_ab(y), the correlated
+                       pair's through pair_psi
   rho2_direct          orbital pair density by the full four-index contraction
+  pair_psi             psi(x, y) of a CorrelatedGaussianPair
+  HERMITE_RULE         the 5-node Gauss-Hermite rule, exact to degree 9
+  gauss_hermite_correlations
+                       HermiteSlater's (h(u), C(u)) by that rule through rho2
+                       and rho, exact since both integrands are e^(-tau^2)
+                       times a polynomial of degree <= 8
   orbital_psi          the normalized permanent or determinant of an orbital
                        state's orbitals, for the Pauli and norm checks
+  NEAR_DEGENERATE_PRODUCT
+                       h and C of the default suite's worst-conditioned
+                       GaussianProduct to 30 digits at six separations
   translated           a state moved by delta, for the translation invariances
   read_jsonl           the records of a JSON-lines report, for round trips
   maximal_function_full_scan
@@ -53,7 +65,14 @@ from lieboxford.numerics import (
     QuadratureSpec,
 )
 from lieboxford.potentials import Potential
-from lieboxford.states import DensityProfile, GaussianProduct, TrialState, _parity, density
+from lieboxford.states import (
+    CorrelatedGaussianPair,
+    DensityProfile,
+    GaussianProduct,
+    TrialState,
+    _parity,
+    density,
+)
 
 
 @dataclass(frozen=True)
@@ -286,7 +305,7 @@ def correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
 
         def integrand(y):
             if pair:
-                return state.rho2(y[None, :] + u[:, None], y[None, :])
+                return rho2(state, y[None, :] + u[:, None], y[None, :])
             return state.rho(y)[None, :] * state.rho(y[None, :] + u[:, None])
 
         return integrate_1d_components(integrand, state.support, inner)
@@ -327,9 +346,69 @@ def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | N
     )
 
     def f(x, y):
-        return 0.5 * state.rho2(x, y) * p.value(np.abs(x - y))
+        return 0.5 * rho2(state, x, y) * p.value(np.abs(x - y))
 
     return integrate_2d(f, box, box, spec)
+
+
+def rho2(state: TrialState, x, y):
+    """rho2(x, y), integrating to N(N-1), on the broadcast shape of x and y.
+
+    For the orbital states sum_ab phi_a(x) phi_b(x) Q_ab(y) with
+    Q_ab(y) = sum_cd W2[a,b,c,d] phi_c(y) phi_d(y), contracted on y's own
+    nodes; for the correlated pair 2 psi(x, y)^2.
+    """
+    if isinstance(state, CorrelatedGaussianPair):
+        return 2.0 * pair_psi(state, x, y) ** 2
+    phi_x = state._orbital_values(x)
+    phi_y = state._orbital_values(y)
+    q = np.einsum("abcd,c...,d...->ab...", state._tables[3], phi_y, phi_y)
+    return np.einsum("a...,b...,ab...->...", phi_x, phi_x, q)
+
+
+def pair_psi(state: CorrelatedGaussianPair, x, y):
+    """The normalized psi(x, y) of a CorrelatedGaussianPair (its class docstring)."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    w, s, h, mu = state.width, state.hole_width, state.hole_depth, state.center
+    envelope = np.exp(-((x - mu) ** 2 + (y - mu) ** 2) / (4 * w**2))
+    hole = 1.0 - h * np.exp(-((x - y) ** 2) / (2 * s**2))
+    return envelope * hole / math.sqrt(state._norm)
+
+
+def _hermite_rule_5():
+    """5-node Gauss-Hermite rule for int f(tau) e^(-tau^2), exact to degree 9.
+
+    The nodes are the roots of H_5 = 32 tau^5 - 160 tau^3 + 120 tau,
+    tau^2 in {0, (5 -+ sqrt(10))/2}, with weights sqrt(pi) (8/15) and
+    sqrt(pi) (7 +- 2 sqrt(10))/60.
+    """
+    r = math.sqrt(10.0)
+    inner, outer = math.sqrt((5 - r) / 2), math.sqrt((5 + r) / 2)
+    w_inner, w_outer = (7 + 2 * r) / 60, (7 - 2 * r) / 60
+    tau = np.array([-outer, -inner, 0.0, inner, outer])
+    weight = math.sqrt(math.pi) * np.array([w_outer, w_inner, 8 / 15, w_inner, w_outer])
+    return tau, weight
+
+
+HERMITE_RULE = _hermite_rule_5()
+
+
+def gauss_hermite_correlations(state, u):
+    """(h(u), C(u)) of a HermiteSlater state by the 5-node Gauss-Hermite rule.
+
+    Under y = c + w (tau/sqrt(2) - u/(2w)) the integrand of h or C is
+    e^(-tau^2) e^(-u^2/(2w^2)) times a polynomial in tau of degree at most
+    4(N-1) <= 8 (four orbitals, each a polynomial of degree <= N-1 times a
+    Gaussian), so the rule integrates it exactly, reading its nodes through
+    rho2 and rho.
+    """
+    tau, omega = HERMITE_RULE
+    u = np.asarray(u, dtype=float)[..., None]
+    y = state.center + state.width * tau / math.sqrt(2.0) - 0.5 * u
+    weight = state.width / math.sqrt(2.0) * omega * np.exp(tau**2)
+    h = rho2(state, y + u, y) @ weight
+    c = (state.rho(y) * state.rho(y + u)) @ weight
+    return h, c
 
 
 def rho2_direct(state, x, y):
@@ -363,6 +442,29 @@ def orbital_psi(state, *coords):
             term = term * phi[i][perm[i]]
         out = out + sign * term
     return out / math.sqrt(state._tables[1])
+
+
+# The default suite's state s018 (seed 20240801), whose C rows cancel most:
+# sum |c_k| / C(0) = 1.7e4.  (u, h(u), C(u)) at u/w in {0, 1/2, 1, 2, 4, 8},
+# computed with mpmath at 40 digits from the float parameters and u taken as
+# exact: the overlaps, the permutation sums W1, W2 and the norm, and the N^4
+# Gaussian integrals of the states module docstring.  h(0) is 0 exactly, by
+# antisymmetry.
+NEAR_DEGENERATE_PRODUCT = {
+    "state": {
+        "centers": (-1.33609811739033, 1.2827427714614215, 2.8362004142414543),
+        "width": 2.465225492275787,
+        "symmetry": "antisymmetric",
+    },
+    "values": [
+        (0.0, "0", "0.552347508203780171526954971451"),
+        (1.2326127461378935, "0.0774316720021736556460280595112", "0.53692920089463022472355492596"),
+        (2.465225492275787, "0.242701229284541896730437976706", "0.500637695462268671556439586716"),
+        (4.930450984551574, "0.388173536048744697501330624938", "0.41311793885179156292743882937"),
+        (9.860901969103148, "0.189364705199502514484610416087", "0.197775162428838554995135706272"),
+        (19.721803938206296, "0.000246671436202379916271922980133", "0.000414439169153140470090295311381"),
+    ],
+}
 
 
 def translated(state: TrialState, delta: float) -> TrialState:

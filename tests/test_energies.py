@@ -30,6 +30,7 @@ from oracles import (
     expectation_via_2d,
     integrate_1d_components,
     integrate_2d,
+    rho2,
     separation_integrals,
     translated,
     window_mass,
@@ -81,7 +82,7 @@ def test_contact_breakdown_is_half_h0_and_c0(kind):
     assert b.quadrature_error_estimate == 0.0
     # the diagonal route: <delta> = (1/2) int rho2(x, x) dx by adaptive quadrature
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-14)
-    direct = integrate_1d_components(lambda x: 0.5 * state.rho2(x, x), state.support, spec)
+    direct = integrate_1d_components(lambda x: 0.5 * rho2(state, x, x), state.support, spec)
     assert abs(b.expectation_v - direct) <= 1e-12 * max(1.0, abs(b.expectation_v))
 
 
@@ -160,10 +161,10 @@ class TestIndirectEnergy:
         box = (-9.0, 9.0)
         spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
         base = integrate_2d(
-            lambda x, y: 0.5 * state.rho2(x, y) * p.value(np.abs(x - y)), box, box, spec
+            lambda x, y: 0.5 * rho2(state, x, y) * p.value(np.abs(x - y)), box, box, spec
         )
         swapped = integrate_2d(
-            lambda x, y: 0.5 * state.rho2(y, x) * p.value(np.abs(x - y)), box, box, spec
+            lambda x, y: 0.5 * rho2(state, y, x) * p.value(np.abs(x - y)), box, box, spec
         )
         assert abs(base - swapped) < 1e-10
 
@@ -241,9 +242,9 @@ class TestWindowMass:
         # int alpha(r, z)^2 dz <= (2r)^2 int rho^2
         for _, state in random_state_suite(4, 13):
             prof = density(state)
-            rho2 = density_power_integral(prof, 2.0)
+            rho_sq = density_power_integral(prof, 2.0)
             z = prof.x
             for r in (0.1, 1.0, 10.0):
                 alpha = window_mass(state, r, z, prof)
                 lhs = np.trapezoid(alpha**2, dx=prof.grid.dx)
-                assert lhs <= 4 * r * r * rho2 * (1 + 1e-9)
+                assert lhs <= 4 * r * r * rho_sq * (1 + 1e-9)

@@ -20,7 +20,7 @@ from lieboxford.numerics import (
 )
 from lieboxford.potentials import Homogeneous
 from lieboxford.potentials import _erfcx as erfcx
-from lieboxford.states import HermiteSlater
+from lieboxford.states import CorrelatedGaussianPair, GaussianProduct, HermiteSlater
 from oracles import (
     erfcx_sandwich,
     integrate_1d_components,
@@ -155,6 +155,18 @@ def _counted(f):
     return g, seen
 
 
+# h and C of one state of each kind, as the energies' integrands read them
+CORRELATION_KINDS = {
+    f"{kind}_{part}": (lambda u, state=state, k=k: state.correlations(u)[k])
+    for kind, state in (
+        ("hermite_slater", HermiteSlater(3, 0.8, "symmetric", -0.2)),
+        ("gaussian_product", GaussianProduct((-0.8, 0.1, 1.3), 0.6, "antisymmetric")),
+        ("correlated_pair", CorrelatedGaussianPair(0.9, 0.5, 0.6, center=0.4)),
+    )
+    for k, part in enumerate("hc")
+}
+
+
 class TestDriverContract:
     @pytest.mark.parametrize("case", DRIVER_BATTERY, ids=str)
     def test_bit_identical_to_oracle(self, case):
@@ -200,25 +212,18 @@ class TestDriverContract:
         # the split the loop needed at the last call was wider than the one that raised
         assert seen[-1][:30].max() > hi
 
-    @pytest.mark.parametrize("name", ["homogeneous", "hermite_slater_h", "hermite_slater_c", "erfcx"])
+    @pytest.mark.parametrize("name", ["homogeneous", "erfcx", *CORRELATION_KINDS])
     def test_integrands_batch_independent(self, name):
         # A value that does not depend on the other nodes of its batch is why
-        # chain batches keep every panel value.  GaussianProduct and
-        # CorrelatedGaussianPair correlations are the documented exception
-        # (a BLAS product; module docstring of numerics).
-        state = HermiteSlater(3, 0.8, "symmetric", -0.2)
-        f = {
-            "homogeneous": Homogeneous(0.1).value,
-            "hermite_slater_h": lambda u: state.correlations(u)[0],
-            "hermite_slater_c": lambda u: state.correlations(u)[1],
-            "erfcx": erfcx,
-        }[name]
+        # chain batches keep every panel value.
+        f = {"homogeneous": Homogeneous(0.1).value, "erfcx": erfcx, **CORRELATION_KINDS}[name]
         rng = rng_stream(3, 1)
         nodes = np.concatenate([10.0 ** rng.uniform(-90, 1.5, 300), rng.uniform(0.0, 30.0, 300)])
         batch = np.asarray(f(nodes))
         alone = np.concatenate([np.atleast_1d(f(nodes[i : i + 1])) for i in range(len(nodes))])
+        scalars = np.array([f(x) for x in nodes])
         panels = np.concatenate([f(nodes[i : i + 30]) for i in range(0, len(nodes), 30)])
-        assert batch.tobytes() == alone.tobytes() == panels.tobytes()
+        assert batch.tobytes() == alone.tobytes() == scalars.tobytes() == panels.tobytes()
 
     def test_panel_sums_do_not_depend_on_the_batch(self):
         # Each panel's sums are ordered row sums, not one (n, 15) gemv, so the

@@ -48,6 +48,15 @@ class TestValues:
         assert p.value(2.0) == 0.0
         assert p.integral_value() == 1.0
 
+    def test_approx_contact_huge_sigma(self):
+        # sigma^2 overflows to inf: v = 2/sigma - 0 and v' = -0 inside, with
+        # no OverflowError and no warning
+        p = ApproxContact(1e300)
+        r = np.array([0.0, 1.0, 1e299, 2e300])
+        assert p.value(r).tolist() == [2e-300, 2e-300, 2e-300, 0.0]
+        assert p.deriv1(r).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert p.value(0.5) == 2e-300 and p.deriv1(0.5) == 0.0
+
     def test_contact_not_pointwise(self):
         with pytest.raises(ContactNotPointwise):
             Contact().value(1.0)

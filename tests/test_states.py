@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from lieboxford.states import (
     HermiteSlater,
     NormalizationDrift,
     UniformGrid,
-    _HERMITE_RULE,
     density,
     density_power_integral,
     maximal_function,
@@ -27,9 +27,13 @@ from lieboxford.states import (
     random_state_suite,
 )
 from oracles import (
+    HERMITE_RULE,
+    NEAR_DEGENERATE_PRODUCT,
     correlation,
+    gauss_hermite_correlations,
     maximal_function_full_scan,
     orbital_psi,
+    rho2,
     rho2_direct,
     scaled_profile,
     translated,
@@ -75,7 +79,7 @@ class TestDensity:
     def test_pair_density_mass(self):
         state = GaussianProduct((-1.0, 0.5, 1.8), 0.8, "antisymmetric")
         g = state.default_grid(801)
-        r2 = state.rho2(g.x[:, None], g.x[None, :])
+        r2 = rho2(state, g.x[:, None], g.x[None, :])
         mass = np.trapezoid(np.trapezoid(r2, dx=g.dx), dx=g.dx)
         n = state.n_particles
         assert mass == pytest.approx(n * (n - 1), rel=1e-8)
@@ -93,7 +97,7 @@ class TestDensity:
         ):
             x = np.linspace(-5, 5, 100)
             assert np.max(np.abs(orbital_psi(state, x, x))) <= 1e-12
-            assert np.max(np.abs(state.rho2(x, x))) <= 1e-12
+            assert np.max(np.abs(rho2(state, x, x))) <= 1e-12
 
     def test_psi_normalized(self):
         state = GaussianProduct((-0.8, 0.8), 0.9, "antisymmetric")
@@ -145,7 +149,7 @@ class TestPairDensityKernel:
     def test_matches_direct_contraction(self, state):
         for x, y in _call_shapes(state):
             direct = rho2_direct(state, x, y)
-            fast = state.rho2(x, y)
+            fast = rho2(state, x, y)
             assert fast.shape == direct.shape
             assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
@@ -158,7 +162,7 @@ class TestPairDensityKernel:
         vars(state)["_tables"] = state._tables[:3] + (weights,)
         for x, y in _call_shapes(state):
             direct = rho2_direct(state, x, y)
-            assert np.max(np.abs(state.rho2(x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
+            assert np.max(np.abs(rho2(state, x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
             assert np.max(np.abs(rho2_direct(state, y, x) - direct)) > 1e-3 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("width, center", [(1.0, 0.0), (0.45, 1.7)])
@@ -219,9 +223,85 @@ def _separation_nodes(state):
     return np.unique(np.concatenate([head, np.linspace(lead, span, n_tail)]))
 
 
+# sqrt(2 pi) to 49 significant digits
+_SQRT_2PI = Fraction("2.50662827463100050241576528481104525300698674061")
+
+
+def _poly_mul(p, q):
+    """Product of polynomials in (z, u) held as {(power of z, power of u): coefficient}."""
+    out = {}
+    for (i, j), a in p.items():
+        for (k, m), b in q.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + a * b
+    return out
+
+
+def _hermite_at(k, shift):
+    """The physicists' H_k(z + shift u), by H_k = 2t H_(k-1) - 2(k-1) H_(k-2)."""
+    two_t = {(1, 0): Fraction(2), (0, 1): 2 * shift}
+    h = [{(0, 0): Fraction(1)}, two_t]
+    for m in range(2, k + 1):
+        nxt = _poly_mul(two_t, h[m - 1])
+        for key, a in h[m - 2].items():
+            nxt[key] = nxt.get(key, 0) - 2 * (m - 1) * a
+        h.append(nxt)
+    return h[k]
+
+
+def _overlap(k, l, m, n):
+    """sqrt(2 pi) e^(u^2/2) int f_kl(y+u) f_mn(y) dy, f_kl = phi_k phi_l at unit
+    width, as {power of u: coefficient}.
+
+    f_kl = H_k H_l e^(-y^2) / (sqrt(pi) sqrt(2^k k! 2^l l!)); with y = z - u/2
+    the Gaussians are e^(-u^2/2) e^(-2 z^2), and
+    int z^(2i) e^(-2 z^2) dz = sqrt(pi/2) (2i - 1)!! / 4^i.
+    """
+    half = Fraction(1, 2)
+    poly = _poly_mul(
+        _poly_mul(_hermite_at(k, half), _hermite_at(l, half)),
+        _poly_mul(_hermite_at(m, -half), _hermite_at(n, -half)),
+    )
+    norm_sq = math.prod(2**i * math.factorial(i) for i in (k, l, m, n))
+    norm = math.isqrt(norm_sq)
+    assert norm * norm == norm_sq
+    out = {}
+    for (i, j), a in poly.items():
+        if i % 2 == 0:
+            moment = Fraction(math.prod(range(1, i, 2)), 4 ** (i // 2))  # over sqrt(pi/2)
+            out[j] = out.get(j, 0) + a * moment / norm
+    return out
+
+
+def _hermite_table(n, symmetry):
+    """(p_j of h, p_j of C) rows of HermiteSlater, derived as the states module docstring does:
+    h = C - X for the determinant and C + X - 2 D for the permanent."""
+    pairs = [(k, l) for k in range(n) for l in range(n)]
+    parts = {
+        "C": [_overlap(k, k, l, l) for k, l in pairs],
+        "X": [_overlap(k, l, k, l) for k, l in pairs],
+        "D": [_overlap(k, k, k, k) for k in range(n)],
+    }
+    total = {name: {} for name in parts}
+    for name, terms in parts.items():
+        for term in terms:
+            for j, a in term.items():
+                total[name][j] = total[name].get(j, 0) + a
+    sign = -1 if symmetry == "antisymmetric" else 1
+    degree = max(total["C"])
+    rows = []
+    for j in range(degree + 1):
+        c = total["C"].get(j, 0)
+        h = c + sign * total["X"].get(j, 0) - (1 + sign) * total["D"].get(j, 0)
+        if j % 2:
+            assert h == c == 0  # both are even in u
+        else:
+            rows.append((Fraction(h), Fraction(c)))
+    return rows
+
+
 class TestCorrelations:
     def test_hermite_rule_is_numpys(self):
-        for ours, numpys in zip(_HERMITE_RULE, np.polynomial.hermite.hermgauss(5)):
+        for ours, numpys in zip(HERMITE_RULE, np.polynomial.hermite.hermgauss(5)):
             assert np.max(np.abs(ours - numpys)) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -229,30 +309,55 @@ class TestCorrelations:
     def test_hermite_polynomial_matches_gauss_hermite_route(self, n, symmetry):
         state = HermiteSlater(n, 0.7, symmetry, 0.4)
         u = np.linspace(0.0, state.support.hi - state.support.lo, 20001)
-        for poly, rule in zip(state.correlations(u), state._gauss_hermite_correlations(u)):
+        for poly, rule in zip(state.correlations(u), gauss_hermite_correlations(state, u)):
             assert np.max(np.abs(poly - rule)) <= 1e-13 * np.max(np.abs(rule))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
-    def test_hermite_polynomial_is_the_rule_at_contact(self, n, symmetry):
-        # Contact rows read h(0) and C(0), so they must not move by a bit
+    def test_hermite_table_is_derived(self, n, symmetry):
+        # the module docstring's derivation, in rational arithmetic
+        assert _hermite_table(n, symmetry) == [
+            tuple(Fraction(p) for p in row) for row in states._OSCILLATOR_POLYNOMIALS[n, symmetry]
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_hermite_table_sum_rules(self, n, symmetry):
+        # int s^j e^(-s/2) du / (w sqrt(2 pi)) = (2j - 1)!!, so the table's
+        # masses are sum_j p_j (2j - 1)!!: N(N - 1) for h and N^2 for C
+        rows = states._OSCILLATOR_POLYNOMIALS[n, symmetry]
+        h, c = (
+            sum(Fraction(row[k]) * math.prod(range(1, 2 * j, 2)) for j, row in enumerate(rows))
+            for k in (0, 1)
+        )
+        assert (h, c) == (n * (n - 1), n * n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_hermite_table_at_contact(self, n, symmetry):
+        # Contact rows read h(0) and C(0): p_0 / (w sqrt(2 pi)) to 2 ulp,
+        # and h(0) is exactly 0 on the antisymmetric states (the Pauli hole)
+        p0 = [Fraction(p) for p in states._OSCILLATOR_POLYNOMIALS[n, symmetry][0]]
         for width, center in [(0.7, 0.4), (2.3, -0.9), (0.31, 0.0)]:
             state = HermiteSlater(n, width, symmetry, center)
-            for poly, rule in zip(state.correlations(0.0), state._gauss_hermite_correlations(0.0)):
-                assert np.float64(poly).tobytes() == np.float64(rule).tobytes()
+            contact = state.correlations(0.0)
+            if symmetry == "antisymmetric":
+                assert contact[0] == 0.0
+            for got, p in zip(contact, p0):
+                exact = p / (Fraction(width) * _SQRT_2PI)
+                assert abs(Fraction(float(got)) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
-    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
-    def test_gaussian_kernel_keeps_the_one_line_bits(self, symmetry):
-        # the in-place kernel against the expression it spells out, on a
-        # 3-particle state (81 shift rows) and an endpoint-chain-sized batch
-        state = GaussianProduct((-0.8, 0.1, 1.3), 0.6, symmetry)
-        shift, weights = state._correlation_table
-        w = state.width
-        u = rng_stream(11, 0).uniform(0.0, state.support.hi - state.support.lo, 480)
-        kernel = math.sqrt(math.pi) * w * np.exp(-((u[:, None] - shift) ** 2) / (4 * w**2))
-        expected = kernel @ weights
-        for got, want in zip(state.correlations(u), (expected[:, 0], expected[:, 1])):
-            assert got.tobytes() == want.tobytes()
+    def test_near_degenerate_product_accuracy(self):
+        # the default suite's worst-conditioned GaussianProduct: its C rows
+        # cancel by a factor 1.7e4 (sum |c_k| / C(0)); h and C against
+        # 30-digit values, to 1e-12 of max C
+        state = GaussianProduct(**NEAR_DEGENERATE_PRODUCT["state"])
+        values = zip(*NEAR_DEGENERATE_PRODUCT["values"])
+        u, h_exact, c_exact = (np.array(col, dtype=float) for col in values)
+        h, c = state.correlations(u)
+        scale = np.max(np.abs(c_exact))
+        assert np.max(np.abs(h - h_exact)) <= 1e-12 * scale
+        assert np.max(np.abs(c - c_exact)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("state", CORRELATION_STATES, ids=repr)
     def test_matches_quadrature_oracle(self, state):
