@@ -16,14 +16,14 @@ autocorrelation.  Every trial state gives both in closed form
 (``TrialState.correlations``: one finite sum of Gaussian terms per state; see
 the states module), and the outer passes read them at their own quadrature
 nodes, with no u grid and no interpolant in between.  Each potential gets its
-own outer passes in u, split at its breakpoints, and its own error estimate.
-Within one call the closed forms are evaluated once per distinct node set:
-the h and C passes of a potential, and the passes of every potential of the
-batch, start on the same panels and share those values through a dict keyed
-by the node array's bytes.  The products h v and C v of a potential are
-shared the same way, so v too is evaluated once per node set.  The contact
-potential acts at zero separation instead, so its breakdown is two
-closed-form values with no quadrature, and its error estimate is 0:
+own outer passes in u, split at its breakpoints, and its own error estimate:
+one adaptive integral per piece for <V> and one for D.  All of them run in
+one many-job call of ``integrate_1d_with_error`` with (h, C) as its basis
+and v as each job's weight, so each round evaluates the closed forms once on
+the nodes of every pending panel of the batch, and each value has the bits
+of its integral run alone.  The contact potential acts at zero separation
+instead, so its breakdown is two closed-form values with no quadrature, and
+its error estimate is 0:
 
   <delta> = (1/2) int rho2(x, x) dx = h(0) / 2,      D = (1/2) int rho^2 = C(0) / 2.
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 # integrate_1d is unused here, but bench/test_smoke.py checks that the layer
 # tracer rebinds it by name in this module
-from .numerics import Interval, QuadratureSpec, integrate_1d, integrate_1d_with_error  # noqa: F401
+from .numerics import QuadratureSpec, integrate_1d, integrate_1d_with_error  # noqa: F401
 from .potentials import Contact, Potential
 from .states import TrialState
 
@@ -61,12 +61,11 @@ class EnergyBreakdown:
     quadrature_error_estimate: float
 
 
-def _integrate_separation(fv, span: float, p: Potential) -> tuple:
-    """int_0^span fv(u) du for fv = f v, split at the potential's non-smooth radii."""
-    edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
+def _piecewise(results, pieces: int) -> tuple:
+    """(value, error) summed over the next ``pieces`` results, piece by piece."""
     total, err = 0.0, 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, e = integrate_1d_with_error(fv, Interval(a, b), DEFAULT_SPEC)
+    for _ in range(pieces):
+        val, e = next(results)
         total += val
         err += e
     return total, err
@@ -78,30 +77,28 @@ def indirect_energy(state: TrialState, p: Potential) -> EnergyBreakdown:
 
 
 def interaction_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
-    """Breakdowns for many potentials; the non-contact ones share h and C per node set."""
+    """Breakdowns for many potentials; every integral of the batch in one many-job call."""
+    potentials = list(potentials)
     span = state.support.hi - state.support.lo
-    at_nodes = {}  # node bytes -> (h, C), for the whole batch
-
-    out = []
+    jobs, pieces = [], []  # pieces per potential; 0 for the contact potential
     for p in potentials:
         if isinstance(p, Contact):
+            pieces.append(0)
+            continue
+        edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
+        for component in (0, 1):  # h v, then C v
+            jobs += [(component, p.value, piece) for piece in zip(edges[:-1], edges[1:])]
+        pieces.append(len(edges) - 1)
+    results = iter(integrate_1d_with_error(state.correlations, jobs, DEFAULT_SPEC))
+
+    out = []
+    for p, n in zip(potentials, pieces):
+        if n == 0:
             h0, c0 = state.correlations(0.0)
             expectation, har, err = 0.5 * float(h0), 0.5 * float(c0), 0.0
         else:
-            weighted = {}  # node bytes -> (h v, C v), for this potential
-
-            def products(u):
-                key = u.tobytes()
-                if key not in weighted:
-                    if key not in at_nodes:
-                        at_nodes[key] = state.correlations(u)
-                    h, c = at_nodes[key]
-                    v = p.value(u)
-                    weighted[key] = (h * v, c * v)
-                return weighted[key]
-
-            expectation, e1 = _integrate_separation(lambda u: products(u)[0], span, p)
-            har, e2 = _integrate_separation(lambda u: products(u)[1], span, p)
+            expectation, e1 = _piecewise(results, n)
+            har, e2 = _piecewise(results, n)
             err = e1 + e2
         out.append(EnergyBreakdown(expectation, har, expectation - har, err))
     return out

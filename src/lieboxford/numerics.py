@@ -20,6 +20,21 @@ narrower than the float spacing at an end puts a node on the end itself.
 Speculated panels reach that depth sooner, and a non-finite value there
 raises only if the loop pops the panel.  Finite values whose weighted sum
 overflows (numpy warns, by its ``over`` setting) never converge.
+
+The loop is a generator (``_adaptive``): it yields the panel ends it needs
+next and is sent their sums, so one loop serves two drivers.  The lone
+driver sends it ``f``'s sums.  The many-job driver (``_lockstep``, the
+many-job form of ``integrate_1d_with_error``) runs many loops in rounds, for
+jobs that integrate one component of a shared basis f(x) = (f_0(x), f_1(x),
+...) times a weight of their own: each round it evaluates the basis once on
+the nodes of every distinct pending request, each weight once per request
+that needs it, and sums every (job, panel) row in one reduction per rule.
+Each loop keeps its own heap, so a job gets the panels, pops and totals of
+its lone run on ``basis(x)[component] * weight(x)``, bit for bit, whenever
+the basis and the weights are batch independent as above.  A job that would
+raise alone (a non-finite panel it consumes, NonConvergence) makes the call
+raise that same error, the first such job in list order winning, as in a
+loop of lone calls.
 """
 
 from __future__ import annotations
@@ -133,22 +148,22 @@ _CHAIN_START = 4
 _CHAIN_CAP = 16
 
 
-def _panels(f, lo, hi):
-    """(Kronrod estimate, |K - G| error) of each panel [lo_i, hi_i], or None where f is not finite.
-
-    Every panel's nodes go to ``f`` in one call, and each rule sums every
-    panel in one ordered reduction (module docstring).  A non-finite panel is
-    returned as None, so a speculated panel raises only when the loop
-    consumes it; its values are zeroed first, so no inf - inf warns.
-    """
+def _nodes(lo, hi):
+    """Kronrod nodes, (n, 15), of the panels [lo_i, hi_i], and their half-widths as floats."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
-    fx = np.asarray(f(x.ravel()), dtype=float)
-    if fx.shape != (x.size,):
-        raise ValueError("integrand must map an (m,) node array to (m,) values")
-    fx = fx.reshape(x.shape)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * _XK, half.tolist()
+
+
+def _sums(fx, half):
+    """(Kronrod estimate, |K - G| error) of each row of the (n, 15) value block, or None where it is not finite.
+
+    Each rule sums every row in one ordered reduction (module docstring).  A
+    non-finite row is returned as None, so a speculated panel raises only
+    when the loop consumes it; its values are zeroed first, so no inf - inf
+    warns.
+    """
     finite = np.logical_and.reduce(np.isfinite(fx), axis=1)
     ok = finite.tolist()
     if False in ok:
@@ -157,8 +172,17 @@ def _panels(f, lo, hi):
     gauss = np.add.reduce(fx[:, 1::2] * _WG, axis=1).tolist()
     return [
         (k := h * sk, abs(k - h * sg)) if row_ok else None
-        for h, sk, sg, row_ok in zip(half.tolist(), kronrod, gauss, ok)
+        for h, sk, sg, row_ok in zip(half, kronrod, gauss, ok)
     ]
+
+
+def _panels(f, lo, hi):
+    """_sums of each panel [lo_i, hi_i], every panel's nodes going to ``f`` in one call."""
+    x, half = _nodes(lo, hi)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    if fx.shape != (x.size,):
+        raise ValueError("integrand must map an (m,) node array to (m,) values")
+    return _sums(fx.reshape(x.shape), half)
 
 
 def _finite(panels, lo, hi):
@@ -181,23 +205,19 @@ def _chain(a, b, left, n):
         lo += (a, mid)
         hi += (mid, b)
         a, b = (a, mid) if left else (mid, b)
-    return lo, hi
+    return tuple(lo), tuple(hi)
 
 
-def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
-    """Adaptively integrate ``f`` over the finite ``domain``; returns (value, error) as floats.
+def _adaptive(domain: Interval, spec: QuadratureSpec):
+    """The adaptive loop of one integral over the non-empty ``domain``, as a generator.
 
-    ``f`` maps an ``(m,)`` node array to ``(m,)`` values.  Raises
-    NonConvergence when the subdivision budget is exhausted before the
-    tolerance is met.
+    It yields the ends (lo, hi) of the panels it needs next, as two tuples,
+    and is sent their _panels values; it returns (value, error) as floats,
+    or raises ValueError (f not finite on a panel it consumes) or
+    NonConvergence.
     """
-    spec = spec or QuadratureSpec()
-    domain = Interval.of(domain)
-    if domain.lo == domain.hi:
-        return 0.0, 0.0
-
     edges = np.linspace(domain.lo, domain.hi, _INITIAL_PANELS + 1).tolist()
-    first = _finite(_panels(f, edges[:-1], edges[1:]), domain.lo, domain.hi)
+    first = _finite((yield tuple(edges[:-1]), tuple(edges[1:])), domain.lo, domain.hi)
     heap, total, total_err = [], -0.0, -0.0  # x + -0.0 is x, bit for bit
     for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], first)):
         total += k
@@ -210,10 +230,10 @@ def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
     # continues the chain toward that half's outer end (or starts one, when
     # the step before went the other way).  From step _CHAIN_START on, a step
     # whose split is not yet known splits the popped panel and the next
-    # panels toward that end in one integrand call, as many splits as the
-    # chain has steps so far (at most _CHAIN_CAP), so each batch doubles the
-    # chain it covers.  ``ahead`` keeps their halves until they are popped.
-    # Pops, heap keys and totals are those of one split at a time.
+    # panels toward that end in one request, as many splits as the chain has
+    # steps so far (at most _CHAIN_CAP), so each batch doubles the chain it
+    # covers.  ``ahead`` keeps their halves until they are popped.  Pops,
+    # heap keys and totals are those of one split at a time.
     ahead, last, toward, run = {}, (None, None, None), None, 0
     for counter in range(_INITIAL_PANELS, _INITIAL_PANELS + 2 * spec.max_subdivisions, 2):
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
@@ -227,7 +247,7 @@ def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
         if halves is None:
             n = min(run, _CHAIN_CAP) if run >= _CHAIN_START else 1
             lo, hi = _chain(a, b, step == "lo", n)
-            values = _panels(f, lo, hi)
+            values = yield lo, hi
             for j in range(2, len(values), 2):
                 ahead[lo[j], hi[j + 1]] = values[j : j + 2]
             halves = values[:2]
@@ -245,6 +265,98 @@ def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
         estimate=total,
         error=total_err,
     )
+
+
+def _lockstep(basis, jobs, spec: QuadratureSpec) -> list:
+    """The many-job form of integrate_1d_with_error: every job's loop, one round at a time.
+
+    A round groups the live jobs by request, evaluates ``basis`` once on the
+    nodes of every distinct request and each job's weight once per request
+    it is in, and sums every (job, panel) row with one _sums call.
+    """
+    out = [(0.0, 0.0)] * len(jobs)
+    slots = {}  # weight -> its index in ``weights``
+    live = []  # [job index, loop, component, weight slot, request]
+    for i, (component, weight, domain) in enumerate(jobs):
+        domain = Interval.of(domain)
+        if domain.lo < domain.hi:
+            loop = _adaptive(domain, spec)
+            live.append([i, loop, component, slots.setdefault(weight, len(slots)), next(loop)])
+    weights = list(slots)
+    failed = None  # (job index, error) of the first failing job
+    while live:
+        groups = {}
+        for job in live:
+            groups.setdefault(job[4], []).append(job)
+        lo, hi = [], []
+        for request in groups:
+            lo += request[0]
+            hi += request[1]
+        x, half = _nodes(lo, hi)
+        x = x.ravel()
+        fx = np.asarray(basis(x), dtype=float)
+        if fx.ndim != 2 or fx.shape[1] != x.size:
+            raise ValueError("basis must map an (m,) node array to (k, m) values")
+        rows, row_half, order, start = [], [], [], 0
+        for request, members in groups.items():
+            stop = start + len(request[0])
+            nodes = slice(start * len(_XK), stop * len(_XK))
+            weighted = {}
+            for job in members:
+                slot = job[3]
+                if slot not in weighted:
+                    weighted[slot] = weights[slot](x[nodes])
+                rows.append(fx[job[2], nodes] * weighted[slot])
+            row_half += half[start:stop] * len(members)
+            order += members
+            start = stop
+        sums = _sums(np.concatenate(rows).reshape(-1, len(_XK)), row_half)
+        live, start = [], 0
+        for job in order:
+            stop = start + len(job[4][0])
+            try:
+                job[4] = job[1].send(sums[start:stop])
+                live.append(job)
+            except StopIteration as done:
+                out[job[0]] = done.value
+            except (ValueError, NonConvergence) as err:
+                if failed is None or job[0] < failed[0]:
+                    failed = (job[0], err)
+            start = stop
+        if failed is not None:  # a later job's result would not be returned
+            live = [job for job in live if job[0] < failed[0]]
+    if failed is not None:
+        raise failed[1]
+    return out
+
+
+def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
+    """Adaptively integrate ``f`` over the finite ``domain``; returns (value, error) as floats.
+
+    ``f`` maps an ``(m,)`` node array to ``(m,)`` values, and ``domain`` is
+    an Interval or a (lo, hi) tuple.  Raises NonConvergence when the
+    subdivision budget is exhausted before the tolerance is met.
+
+    Many-job form: ``domain`` a list of jobs (component, weight, domain) and
+    ``f`` a basis mapping an ``(m,)`` node array to ``(k, m)`` values; job j
+    integrates ``f(x)[component] * weight(x)`` over its domain.  Returns one
+    (value, error) per job, each with the bits of that job's lone call, or
+    raises the error of the first job (in list order) whose lone call
+    raises (module docstring).
+    """
+    spec = spec or QuadratureSpec()
+    if isinstance(domain, list):
+        return _lockstep(f, domain, spec)
+    domain = Interval.of(domain)
+    if domain.lo == domain.hi:
+        return 0.0, 0.0
+    loop = _adaptive(domain, spec)
+    request = next(loop)
+    try:
+        while True:
+            request = loop.send(_panels(f, *request))
+    except StopIteration as done:
+        return done.value
 
 
 def integrate_1d(f, domain, spec: QuadratureSpec | None = None):

@@ -94,7 +94,9 @@ the grid ends.  A block whose bound, times 1 + 1e-12 against rounding, is
 below L is dropped, and the kernel scans only the surviving fine blocks.
 _block_bounds and _prune_blocks derive both rules and their rounding
 margins.  Every stage works on at most 2^13 blocks, or 2^13 kernel cells, at
-a time, so each of its temporaries stays within 64 KB and in cache.  Only
+a time, so each of its arrays stays within 64 KB and in cache; the block and
+kernel grids are work arrays kept across steps and calls, so that a run over
+many profiles does not page-fault them in again at every step.  Only
 candidates that cannot exceed the final M rho are dropped, so every value is
 bit-identical to a full scan.
 """
@@ -103,6 +105,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -256,7 +259,7 @@ class TrialState:
         raise NotImplementedError
 
     def correlations(self, u):
-        """(h(u), C(u)) from the state's term table, each of u's shape (module docstring).
+        """(h(u), C(u)) from the state's term table, one (2,) + u.shape array (module docstring).
 
         h(u) = int rho2(y+u, y) dy, C(u) = int rho(y) rho(y+u) dy.
         """
@@ -268,7 +271,7 @@ class TrialState:
         np.exp(terms, out=terms)
         if t.power is not None:
             terms *= np.square(x / t.length) ** t.power
-        return np.add.reduce(terms * t.h, axis=-1), np.add.reduce(terms * t.c, axis=-1)
+        return np.array((np.add.reduce(terms * t.h, axis=-1), np.add.reduce(terms * t.c, axis=-1)))
 
     @property
     def grid_center(self) -> float:
@@ -317,6 +320,7 @@ class _OrbitalState(TrialState):
     def _tables(self):
         n = self.n_particles
         S = self._overlap_matrix()
+        overlap = S.tolist()
         perms = list(itertools.permutations(range(n)))
         if self.symmetry == "antisymmetric":
             signs = [_parity(p) for p in perms]
@@ -327,7 +331,7 @@ class _OrbitalState(TrialState):
         w2 = np.zeros((n, n, n, n)) if n >= 2 else None
         for sg, s_sign in zip(perms, signs):
             for tg, t_sign in zip(perms, signs):
-                overlaps = [S[sg[i], tg[i]] for i in range(n)]
+                overlaps = [overlap[sg[i]][tg[i]] for i in range(n)]
                 coeff = s_sign * t_sign
                 norm += coeff * math.prod(overlaps)
                 w1[sg[0], tg[0]] += coeff * math.prod(overlaps[1:])
@@ -608,7 +612,29 @@ def maximal_operator_norm_bound(p: float) -> float:
 _COARSE_CELLS = 64  # radius pieces per coarse block of the pruning pass
 _FINE_CELLS = 8  # radius pieces per fine block; the kernel scans only surviving ones
 _PROBES = 6  # probe radii per point that seed the lower bound before the coarse pass
-_BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the temporaries
+_BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the work arrays
+
+# The work arrays of the block and kernel stages, one per dtype, kept per
+# thread across steps and calls, so that a run over many profiles touches the
+# same pages throughout.  Freed with each step, a stage's arrays would hand
+# the heap top back to the system whenever glibc's trim threshold is at its
+# 128 KiB default, and the next step would fault it in again.
+_WORK = threading.local()
+
+
+def _work(count, shape, dtype=float):
+    """``count`` arrays of ``shape``, views of the work array of ``dtype``.
+
+    Each call reuses the memory of the last, so a stage takes all its arrays
+    of one dtype in one call, reads only what it wrote and returns none of
+    them.  The first holds 8 x _BLOCK_CELLS, more than a stage takes at the
+    default sizes; pages it never writes are never resident.
+    """
+    size = count * math.prod(shape)
+    buf = _WORK.__dict__.get(dtype)
+    if buf is None or buf.size < size:
+        buf = _WORK.__dict__[dtype] = np.empty(max(size, 8 * _BLOCK_CELLS), dtype)
+    return buf[:size].reshape((count, *shape))
 
 
 def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
@@ -619,25 +645,38 @@ def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
     radius-major, (radii, points), so the sup over the radii reduces whole
     grid rows.
     """
-    cols = int(np.max(m_hi - m_lo)) + 2
-    m = np.minimum(np.arange(cols)[:, None] + m_lo, m_hi + 1)
-    up, dn = at + m, at - m
-    s = rho_ext[up] + rho_ext[dn]
-    F = cum_ext[up] - cum_ext[dn]
-    r = m * dx
+    rows, cols = len(at), int(np.max(m_hi - m_lo)) + 2
+    m, up, dn = _work(3, (cols, rows), np.intp)
+    s, F, r, r_sq, tmp, b, rstar_sq = _work(7, (cols, rows))
+    b, rstar_sq = b[:-1], rstar_sq[:-1]  # one per piece
+    np.minimum(np.add(np.arange(cols)[:, None], m_lo, out=m), m_hi + 1, out=m)
+    rho_ext.take(np.add(at, m, out=up), out=s, mode="clip")  # in range by construction
+    s += rho_ext.take(np.subtract(at, m, out=dn), out=tmp, mode="clip")
+    cum_ext.take(up, out=F, mode="clip")
+    F -= cum_ext.take(dn, out=tmp, mode="clip")
+    np.multiply(m, dx, out=r)
 
-    # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b;
-    # b = 0 gives r*^2 = +-inf or nan, which fails the range test as b != 0 would
-    s0, r0, r_sq = s[:-1], r[:-1], np.square(r)
+    # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b,
+    # in place, operation for operation; b = 0 gives r*^2 = +-inf or nan,
+    # which fails the range test as b != 0 would
+    s0, r0 = s[:-1], r[:-1]
+    np.square(r, out=r_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        avg = F / (r * 2)
+        avg = np.divide(F, np.multiply(r, 2, out=tmp), out=tmp)
         avg[0, m[0] == 0] = 0.0  # the r -> 0 break is rho, below
         best = np.max(avg, axis=0)
 
-        b = (s[1:] - s0) / dx
-        rstar_sq = (F[:-1] - s0 * r0) * 2 / b + r_sq[:-1]
+        np.subtract(s[1:], s0, out=b)
+        b /= dx
+        np.subtract(F[:-1], np.multiply(s0, r0, out=rstar_sq), out=rstar_sq)
+        rstar_sq *= 2
+        rstar_sq /= b
+        rstar_sq += r_sq[:-1]
         valid = (rstar_sq > r_sq[:-1]) & (rstar_sq < r_sq[1:])
-        a_star = (np.sqrt(rstar_sq) - r0) * b + s0
+        a_star = np.sqrt(rstar_sq, out=rstar_sq)
+        a_star -= r0
+        a_star *= b
+        a_star += s0
         a_star[~valid] = 0.0
     # the candidate is a_star / 2; halving is monotone, so it commutes with the sup
     best = np.maximum(best, np.max(a_star, axis=0) * 0.5)
@@ -667,13 +706,18 @@ def _live_blocks(point, lo, hi, cells, lower, peak, cut, floor):
     2 (1 - delta).  The blocks are laid out as a (blocks of the longest row,
     rows) grid and returned in its row-major order.
     """
-    width = int(np.max(hi - lo)) // cells + 1
-    b_lo = (np.arange(width) * cells)[:, None] + lo
-    b_hi = np.minimum(b_lo + (cells - 1), hi)
+    rows, width = len(point), int(np.max(hi - lo)) // cells + 1
+    b_lo, b_hi, idx = _work(3, (width, rows), np.intp)
+    slope, tmp = _work(2, (width, rows))
+    np.add((np.arange(width) * cells)[:, None], lo, out=b_lo)
+    np.minimum(np.add(b_lo, cells - 1, out=b_hi), hi, out=b_hi)
     # past a row's end b_lo > hi: the index may leave rho_ext (clipped), and the block is masked
-    slope = peak.take(point + b_lo, mode="clip") + peak[point - b_hi - 1]
-    live = (slope >= lower[point] * cut - floor) & (b_lo <= hi)
-    return np.broadcast_to(point, live.shape)[live], b_lo[live], b_hi[live], slope[live]
+    peak.take(np.add(point, b_lo, out=idx), out=slope, mode="clip")
+    np.subtract(point, b_hi, out=idx)
+    idx -= 1
+    slope += peak.take(idx, out=tmp, mode="clip")
+    cell = np.flatnonzero((slope >= lower[point] * cut - floor) & (b_lo <= hi))
+    return point[cell % rows], b_lo.take(cell), b_hi.take(cell), slope.take(cell)
 
 
 def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
@@ -704,20 +748,29 @@ def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
     relative: the increments, S, and the arithmetic of the kernel and of
     the bound, which the caller's (1 + 1e-12) margin covers.
     """
-    e_hi = b_hi + 1
-    F_lo = cum_ext[point + b_lo] - cum_ext[point - b_lo]
-    F_hi = cum_ext[point + e_hi] - cum_ext[point - e_hi]
-    r_lo, r_hi = b_lo * dx, e_hi * dx
+    n = len(point)
+    e_hi, idx = _work(2, (n,), np.intp)
+    F_lo, F_hi, r_lo, r_hi, r_c, avg_lo, tmp = _work(7, (n,))
+    np.add(b_hi, 1, out=e_hi)
+    cum_ext.take(np.add(point, b_lo, out=idx), out=F_lo, mode="clip")
+    F_lo -= cum_ext.take(np.subtract(point, b_lo, out=idx), out=tmp, mode="clip")
+    cum_ext.take(np.add(point, e_hi, out=idx), out=F_hi, mode="clip")
+    F_hi -= cum_ext.take(np.subtract(point, e_hi, out=idx), out=tmp, mode="clip")
+    np.multiply(b_lo, dx, out=r_lo)
+    np.multiply(e_hi, dx, out=r_hi)
     at_zero = b_lo == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        edge_avg = F_lo / (r_lo * 2)
-        edge_avg[at_zero] = 0.0
-        edge_avg = np.maximum(edge_avg, F_hi / (r_hi * 2))
+        np.divide(F_lo, np.multiply(r_lo, 2, out=tmp), out=avg_lo)
+        avg_lo[at_zero] = 0.0
+        edge_avg = np.maximum(avg_lo, np.divide(F_hi, np.multiply(r_hi, 2, out=tmp), out=tmp))
         F_hi += ramp
         F_lo += (2 * cells + 2) * fuzz
-        r_c = np.clip(r_lo + (F_hi - F_lo) / slope, r_lo, r_hi)
-        capped = slope * r_lo <= F_lo
-        bound = np.where(capped, np.minimum(F_lo, F_hi) / (r_lo * 2), F_hi / (r_c * 2))
+        np.subtract(F_hi, F_lo, out=r_c)
+        r_c /= slope
+        np.clip(np.add(r_lo, r_c, out=r_c), r_lo, r_hi, out=r_c)
+        capped = np.multiply(slope, r_lo, out=tmp) <= F_lo
+        flat = np.divide(np.minimum(F_lo, F_hi, out=r_hi), np.multiply(r_lo, 2, out=tmp), out=r_hi)
+        bound = np.where(capped, flat, np.divide(F_hi, np.multiply(r_c, 2, out=tmp), out=tmp))
     bound[at_zero] = np.inf
     return edge_avg, bound
 

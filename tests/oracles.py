@@ -21,6 +21,9 @@ what the package computes another way.
                        u node, the route the states' closed forms replace
   separation_integrals (<V>, D) as one vector-valued pass of the exact h and
                        C times v over [0, span], split at the breakpoints
+  lone_energies        interaction_energies with every piece's h v and C v
+                       through its own integrate_1d_with_error call, which
+                       the package's many-job call must equal bit for bit
   expectation_via_2d   <V> of a two-particle state on the support square
   rho2                 the pair density rho2(x, y) of any trial state: the
                        orbital states' through Q_ab(y), the correlated
@@ -55,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lieboxford.energies import DEFAULT_SPEC, EnergyBreakdown
 from lieboxford.numerics import (
     _INITIAL_PANELS,
     _WG,
@@ -63,8 +67,9 @@ from lieboxford.numerics import (
     Interval,
     NonConvergence,
     QuadratureSpec,
+    integrate_1d_with_error,
 )
-from lieboxford.potentials import Potential
+from lieboxford.potentials import Contact, Potential
 from lieboxford.states import (
     CorrelatedGaussianPair,
     DensityProfile,
@@ -329,6 +334,36 @@ def separation_integrals(state: TrialState, p: Potential, spec: QuadratureSpec):
         total += value
         err += e
     return total, err
+
+
+def lone_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
+    """``interaction_energies`` with every integral run alone.
+
+    Each piece of [0, span], split at the potential's breakpoints, gets its
+    own ``integrate_1d_with_error`` call for h v and one for C v, summed
+    piece by piece from 0.0; the contact potential reads h(0)/2 and C(0)/2.
+    """
+    span = state.support.hi - state.support.lo
+    out = []
+    for p in potentials:
+        if isinstance(p, Contact):
+            h0, c0 = state.correlations(0.0)
+            out.append(EnergyBreakdown(0.5 * float(h0), 0.5 * float(c0), 0.5 * float(h0) - 0.5 * float(c0), 0.0))
+            continue
+        edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
+        parts = []
+        for component in (0, 1):
+            total, err = 0.0, 0.0
+            for a, b in zip(edges[:-1], edges[1:]):
+                val, e = integrate_1d_with_error(
+                    lambda u: state.correlations(u)[component] * p.value(u), Interval(a, b), DEFAULT_SPEC
+                )
+                total += val
+                err += e
+            parts.append((total, err))
+        (expectation, e1), (hartree, e2) = parts
+        out.append(EnergyBreakdown(expectation, hartree, expectation - hartree, e1 + e2))
+    return out
 
 
 def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | None = None):

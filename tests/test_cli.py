@@ -420,11 +420,16 @@ print(codes)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
 def test_default_maximal_run_takes_few_page_faults(tmp_path):
-    # the default run takes about 32 minor page faults after its first
-    # profile; a maximal_function whose per-block temporaries made glibc trim
-    # and re-grow its heap between blocks took 50-70 thousand
-    probe = f"""
+    # measured with a bytecode cache: compiling from source frees large
+    # mapped blocks, which raises glibc's heap trim threshold and hides a
+    # heap top that is trimmed and faulted in again between blocks, so the
+    # first run compiles every module it imports into a temporary cache and
+    # the second, which reads it, is counted.  The default run takes a few
+    # hundred minor page faults after its first profile; block temporaries
+    # freed at every step took 15-25 thousand
+    probe = """
 import resource
+import sys
 from lieboxford import cli
 
 faults = []
@@ -436,12 +441,16 @@ def counted(profile, p):
     return value
 
 cli.maximal_norm_ratio = counted
-code = cli.main(["maximal", "--out", {str(tmp_path)!r}])
+code = cli.main(["maximal", "--out", sys.argv[1]])
 print(code, len(faults), faults[-1] - faults[0])
 """
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True
-    )
+    env = dict(_package_env(), PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    for run in ("compiles", "cached"):
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / run)], env=env, capture_output=True, text=True, check=True
+        )
+    assert any((tmp_path / "pycache").rglob("states*.pyc"))
     code, profiles, faults = map(int, out.stdout.strip().splitlines()[-1].split())
     assert (code, profiles) == (0, 100)
     assert faults < 1000  # after the first profile

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
     expectation_via_2d,
     integrate_1d_components,
     integrate_2d,
+    lone_energies,
     rho2,
     separation_integrals,
     translated,
@@ -84,6 +86,21 @@ def test_contact_breakdown_is_half_h0_and_c0(kind):
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-14)
     direct = integrate_1d_components(lambda x: 0.5 * rho2(state, x, x), state.support, spec)
     assert abs(b.expectation_v - direct) <= 1e-12 * max(1.0, abs(b.expectation_v))
+
+
+def _bits(breakdowns):
+    return [tuple(float(v).hex() for v in dataclasses.astuple(b)) for b in breakdowns]
+
+
+@pytest.mark.parametrize("kind", SUITE_KINDS)
+def test_batch_equals_lone_runs_bit_for_bit(kind):
+    # one many-job quadrature for the whole batch gives every field the bits
+    # of its integrals run one by one
+    state = SUITE_KINDS[kind]
+    pots = list(default_suite_potentials().values())
+    lone = _bits(lone_energies(state, pots))
+    assert _bits(interaction_energies(state, pots)) == lone
+    assert _bits([indirect_energy(state, p) for p in pots]) == lone
 
 
 # Homogeneous is left out: its outer passes integrate the weak singularity

@@ -262,6 +262,99 @@ class TestDriverContract:
         assert math.isnan(caught.value.estimate)
 
 
+def _basis(x):
+    """Three components for the many-job tests: smooth, a bump and a square-root cusp at 0."""
+    return np.stack([np.exp(-0.3 * x) * np.cos(x), 1.0 / (1.0 + (x - 2.0) ** 2), np.sqrt(x) * np.exp(-x)])
+
+
+def _lone(job, spec):
+    """("value", v, err), ("nonconvergence", estimate, err) or ("not finite", message) of one job run alone."""
+    component, weight, domain = job
+    try:
+        return _outcome(integrate_1d_with_error, lambda x: _basis(x)[component] * weight(x), domain, spec)
+    except ValueError as err:
+        return ("not finite", str(err))
+
+
+def _batch(jobs, spec):
+    """The many-job call, its outcomes in the form of _lone, or the one it raises."""
+    try:
+        return [("value", *r) for r in integrate_1d_with_error(_basis, list(jobs), spec)]
+    except NonConvergence as err:
+        return ("nonconvergence", err.estimate, err.error)
+    except ValueError as err:
+        return ("not finite", str(err))
+
+
+def _bits(outcome):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in o) for o in outcome]
+
+
+SMOOTH = np.cos
+SINGULAR = Homogeneous(0.1).value  # u^-0.9: an endpoint chain at 0
+STEEP = lambda x: np.exp(-8.0 * x)
+NOT_FINITE = lambda x: np.where(np.abs(x - 0.7) < 0.2, np.nan, 1.0)
+OSCILLATORY = lambda x: np.sin(50.0 * x)
+MANY_JOBS = [
+    (0, SMOOTH, (0.0, 5.0)),
+    (1, SMOOTH, (0.0, 5.0)),
+    (2, SINGULAR, (0.0, 5.0)),
+    (0, SINGULAR, (0.0, 1.0)),
+    (1, STEEP, (1.0, 5.0)),
+    (2, STEEP, (0.0, 5.0)),
+    (0, STEEP, (3.0, 3.0)),  # empty
+    (1, SINGULAR, (0.0, 5.0)),
+]
+
+
+class TestManyJobs:
+    def test_every_job_has_the_bits_of_its_lone_run(self):
+        spec = QuadratureSpec()
+        assert _bits(_batch(MANY_JOBS, spec)) == _bits([_lone(job, spec) for job in MANY_JOBS])
+        assert integrate_1d_with_error(_basis, [], spec) == []
+
+    def test_one_basis_call_per_round(self):
+        # every live job has one request per round, so there are as many
+        # rounds as the longest lone run has integrand calls, and shared
+        # requests are evaluated once
+        spec = QuadratureSpec()
+        basis, rounds = _counted(_basis)
+        integrate_1d_with_error(basis, MANY_JOBS, spec)
+        longest = 0
+        for component, weight, domain in MANY_JOBS:
+            f, calls = _counted(lambda x: _basis(x)[component] * weight(x))
+            integrate_1d_with_error(f, domain, spec)
+            longest = max(longest, len(calls))
+        assert len(rounds) == longest
+        assert len(rounds[0]) == 3 * _INITIAL_PANELS * 15  # three distinct domains
+
+    def test_a_non_finite_job_raises_as_alone(self):
+        spec = QuadratureSpec()
+        lone = _lone((1, NOT_FINITE, (0.0, 5.0)), spec)
+        assert lone[0] == "not finite"
+        assert _batch([MANY_JOBS[0], (1, NOT_FINITE, (0.0, 5.0)), MANY_JOBS[2]], spec) == lone
+
+    def test_a_job_out_of_budget_raises_its_own_nonconvergence(self):
+        spec = QuadratureSpec(max_subdivisions=60)
+        lone = _lone((0, OSCILLATORY, (0.0, 30.0)), spec)
+        assert lone[0] == "nonconvergence"
+        jobs = [MANY_JOBS[1], (0, OSCILLATORY, (0.0, 30.0)), MANY_JOBS[4]]
+        assert _bits([_batch(jobs, spec)]) == _bits([lone])
+
+    def test_the_first_failing_job_in_list_order_raises(self):
+        # the non-finite job fails in the first round, the oscillatory one
+        # only when its budget is spent; the one listed first raises, as in
+        # a loop of lone runs
+        spec = QuadratureSpec(max_subdivisions=60)
+        late, early = (0, OSCILLATORY, (0.0, 30.0)), (1, NOT_FINITE, (0.0, 5.0))
+        assert _batch([late, early], spec) == _lone(late, spec)
+        assert _batch([early, late], spec) == _lone(early, spec)
+
+    def test_basis_of_one_component_rejected(self):
+        with pytest.raises(ValueError, match=r"\(k, m\)"):
+            integrate_1d_with_error(np.exp, [(0, SMOOTH, (0.0, 1.0))])
+
+
 class TestIntegrate2D:
     def test_unit_square(self):
         val = integrate_2d(lambda x, y: np.ones_like(x), (0.0, 1.0), (0.0, 1.0))
