@@ -22,13 +22,13 @@ raises only if the loop pops the panel.  Finite values whose weighted sum
 overflows (numpy warns, by its ``over`` setting) never converge.
 
 The loop is a generator (``_adaptive``): it yields the panel ends it needs
-next and is sent their sums, so one loop serves two drivers.  The lone
-driver sends it ``f``'s sums.  The many-job driver (``_lockstep``, the
-many-job form of ``integrate_1d_with_error``) runs many loops in rounds, for
-jobs that integrate one component of a shared basis f(x) = (f_0(x), f_1(x),
-...) times a weight of their own: each round it evaluates the basis once on
-the nodes of every distinct pending request, each weight once per request
-that needs it, and sums every (job, panel) row in one reduction per rule.
+next and is sent their sums.  One driver (``_lockstep``) runs every loop, in
+rounds, for jobs that integrate one component of a shared basis
+f(x) = (f_0(x), f_1(x), ...) times a weight of their own: each round it
+evaluates the basis once on the nodes of every distinct pending request,
+each weight once per request that needs it, and sums every (job, panel) row
+in one reduction per rule.  A lone integral is its one-job case, ``f`` as a
+1-row basis with no weight, so each of its rounds is one call of ``f``.
 Each loop keeps its own heap, so a job gets the panels, pops and totals of
 its lone run on ``basis(x)[component] * weight(x)``, bit for bit, whenever
 the basis and the weights are batch independent as above.  A job that would
@@ -176,13 +176,18 @@ def _sums(fx, half):
     ]
 
 
+def _values(f, x):
+    """``f`` on the (m,) node array ``x``, as an (m,) float array."""
+    fx = np.asarray(f(x), dtype=float)
+    if fx.shape != x.shape:
+        raise ValueError("integrand must map an (m,) node array to (m,) values")
+    return fx
+
+
 def _panels(f, lo, hi):
     """_sums of each panel [lo_i, hi_i], every panel's nodes going to ``f`` in one call."""
     x, half = _nodes(lo, hi)
-    fx = np.asarray(f(x.ravel()), dtype=float)
-    if fx.shape != (x.size,):
-        raise ValueError("integrand must map an (m,) node array to (m,) values")
-    return _sums(fx.reshape(x.shape), half)
+    return _sums(_values(f, x.ravel()).reshape(x.shape), half)
 
 
 def _finite(panels, lo, hi):
@@ -212,7 +217,7 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
     """The adaptive loop of one integral over the non-empty ``domain``, as a generator.
 
     It yields the ends (lo, hi) of the panels it needs next, as two tuples,
-    and is sent their _panels values; it returns (value, error) as floats,
+    and is sent their _sums values; it returns (value, error) as floats,
     or raises ValueError (f not finite on a panel it consumes) or
     NonConvergence.
     """
@@ -268,7 +273,7 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
 
 
 def _lockstep(basis, jobs, spec: QuadratureSpec) -> list:
-    """The many-job form of integrate_1d_with_error: every job's loop, one round at a time.
+    """The driver of both forms of integrate_1d_with_error: every job's loop, one round at a time.
 
     A round groups the live jobs by request, evaluates ``basis`` once on the
     nodes of every distinct request and each job's weight once per request
@@ -276,12 +281,13 @@ def _lockstep(basis, jobs, spec: QuadratureSpec) -> list:
     """
     out = [(0.0, 0.0)] * len(jobs)
     slots = {}  # weight -> its index in ``weights``
-    live = []  # [job index, loop, component, weight slot, request]
+    live = []  # [job index, loop, component, weight slot or None, request]
     for i, (component, weight, domain) in enumerate(jobs):
         domain = Interval.of(domain)
         if domain.lo < domain.hi:
             loop = _adaptive(domain, spec)
-            live.append([i, loop, component, slots.setdefault(weight, len(slots)), next(loop)])
+            slot = None if weight is None else slots.setdefault(weight, len(slots))
+            live.append([i, loop, component, slot, next(loop)])
     weights = list(slots)
     failed = None  # (job index, error) of the first failing job
     while live:
@@ -303,10 +309,12 @@ def _lockstep(basis, jobs, spec: QuadratureSpec) -> list:
             nodes = slice(start * len(_XK), stop * len(_XK))
             weighted = {}
             for job in members:
-                slot = job[3]
-                if slot not in weighted:
-                    weighted[slot] = weights[slot](x[nodes])
-                rows.append(fx[job[2], nodes] * weighted[slot])
+                row, slot = fx[job[2], nodes], job[3]
+                if slot is not None:
+                    if slot not in weighted:
+                        weighted[slot] = weights[slot](x[nodes])
+                    row = row * weighted[slot]
+                rows.append(row)
             row_half += half[start:stop] * len(members)
             order += members
             start = stop
@@ -335,28 +343,22 @@ def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
 
     ``f`` maps an ``(m,)`` node array to ``(m,)`` values, and ``domain`` is
     an Interval or a (lo, hi) tuple.  Raises NonConvergence when the
-    subdivision budget is exhausted before the tolerance is met.
+    subdivision budget is exhausted before the tolerance is met.  This is
+    the one-job case of the many-job form: ``f`` as a 1-row basis, and no
+    weight.
 
     Many-job form: ``domain`` a list of jobs (component, weight, domain) and
     ``f`` a basis mapping an ``(m,)`` node array to ``(k, m)`` values; job j
-    integrates ``f(x)[component] * weight(x)`` over its domain.  Returns one
-    (value, error) per job, each with the bits of that job's lone call, or
-    raises the error of the first job (in list order) whose lone call
-    raises (module docstring).
+    integrates ``f(x)[component] * weight(x)`` over its domain, or
+    ``f(x)[component]`` itself where its weight is None (a unit weight, with
+    no multiply).  Returns one (value, error) per job, each with the bits of
+    that job's lone call, or raises the error of the first job (in list
+    order) whose lone call raises (module docstring).
     """
     spec = spec or QuadratureSpec()
     if isinstance(domain, list):
         return _lockstep(f, domain, spec)
-    domain = Interval.of(domain)
-    if domain.lo == domain.hi:
-        return 0.0, 0.0
-    loop = _adaptive(domain, spec)
-    request = next(loop)
-    try:
-        while True:
-            request = loop.send(_panels(f, *request))
-    except StopIteration as done:
-        return done.value
+    return _lockstep(lambda x: _values(f, x)[None], [(0, None, domain)], spec)[0]
 
 
 def integrate_1d(f, domain, spec: QuadratureSpec | None = None):

@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import Interval, QuadratureSpec, _panels, integrate_1d
+from .numerics import QuadratureSpec, _panels, integrate_1d_with_error
 
 __all__ = [
     "Potential",
@@ -412,19 +412,16 @@ class RegularizedCoulomb(Potential):
         return (math.sqrt(math.pi) / (8 * np.float64(self.beta) ** 3) * _erfcx_d2(x))[()]
 
     def _integral_to(self, gamma):
-        # no elementary antiderivative; quadrature over sorted segments keeps
-        # a gamma grid to one pass
+        # no elementary antiderivative: one many-job quadrature prices the
+        # segments between the sorted, distinct positive gammas, and their
+        # running sum from 0.0 is the value at each (0.0 at gamma <= 0)
         g = np.atleast_1d(gamma)
+        ends = sorted(set(g[g > 0].tolist()))
+        jobs = [(0, None, piece) for piece in zip([0.0, *ends[:-1]], ends)]
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-        acc = 0.0
-        prev = 0.0
-        cumulative = np.empty_like(g)
-        for idx in np.argsort(g):
-            if g[idx] > prev:
-                acc += integrate_1d(self.value, Interval(prev, g[idx]), spec)
-                prev = g[idx]
-            cumulative[idx] = acc
-        return cumulative.reshape(np.shape(gamma))
+        parts = integrate_1d_with_error(lambda r: self.value(r)[None], jobs, spec)
+        cumulative = np.cumsum([0.0] + [value for value, _ in parts])
+        return cumulative[np.searchsorted(ends, g, side="right")].reshape(np.shape(gamma))
 
     @property
     def length_scale(self) -> float:

@@ -4,11 +4,13 @@ Draws the states of the default ``lieboxford verify`` run (200 states) at
 each seed given on the command line, or at the default seed 20240801 when
 none is given, prices each against the 8 default suite potentials with one
 ``interaction_energies`` call, and compares every ``EnergyBreakdown`` field
-with ``oracles.lone_energies`` (one ``integrate_1d_with_error`` call per
-piece and part) by its bits.  Exits 1 on any mismatch.  Per seed it also
-prints the rounds of the many-job quadrature (one (h, C) evaluation each),
-the ``TrialState.correlations`` calls, and the nodes evaluated and
-distinct per state, so that a loss of sharing shows in the log.  Not
+with ``oracles.lone_energies`` by its bits.  The lone runs go through the
+oracle driver ``integrate_1d_components_with_error``, one call per piece and
+part, since the package's own lone form is its many-job driver with one job.
+Exits 1 on any mismatch.  Per seed it also prints the rounds of the many-job
+quadrature (one (h, C) evaluation each), the ``TrialState.correlations``
+calls, and the nodes evaluated and distinct per state, so that a loss of
+sharing shows in the log.  Not
 collected by pytest; run it as
 
     PYTHONPATH=src:tests python tests/check_energies_lone_runs.py [SEED ...]

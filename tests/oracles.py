@@ -22,8 +22,11 @@ what the package computes another way.
   separation_integrals (<V>, D) as one vector-valued pass of the exact h and
                        C times v over [0, span], split at the breakpoints
   lone_energies        interaction_energies with every piece's h v and C v
-                       through its own integrate_1d_with_error call, which
-                       the package's many-job call must equal bit for bit
+                       through its own call of the oracle driver above,
+                       which the package's many-job call must equal bit for
+                       bit
+  segment_integral_to  int_0^gamma v over a gamma array, one lone integral per
+                       segment between the sorted gammas, summed in order
   expectation_via_2d   <V> of a two-particle state on the support square
   rho2                 the pair density rho2(x, y) of any trial state: the
                        orbital states' through Q_ab(y), the correlated
@@ -67,7 +70,6 @@ from lieboxford.numerics import (
     Interval,
     NonConvergence,
     QuadratureSpec,
-    integrate_1d_with_error,
 )
 from lieboxford.potentials import Contact, Potential
 from lieboxford.states import (
@@ -84,7 +86,7 @@ from lieboxford.states import (
 class ShiftedPotential(Potential):
     """v - c: a constant downshift.
 
-    Pointwise values and derivatives pass through (derivatives unchanged);
+    Pointwise values, derivatives (unchanged) and breakpoints pass through;
     moments and integrals are not defined for the shifted object.
     """
 
@@ -100,6 +102,9 @@ class ShiftedPotential(Potential):
 
     def deriv2(self, r):
         return self.base.deriv2(r)
+
+    def breakpoints(self) -> tuple:
+        return self.base.breakpoints()
 
     @property
     def length_scale(self) -> float:
@@ -340,8 +345,10 @@ def lone_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
     """``interaction_energies`` with every integral run alone.
 
     Each piece of [0, span], split at the potential's breakpoints, gets its
-    own ``integrate_1d_with_error`` call for h v and one for C v, summed
-    piece by piece from 0.0; the contact potential reads h(0)/2 and C(0)/2.
+    own call of the oracle driver ``integrate_1d_components_with_error`` for
+    h v and one for C v, summed piece by piece from 0.0; the contact
+    potential reads h(0)/2 and C(0)/2.  The package's own lone form is its
+    many-job driver with one job, so it would not be an independent route.
     """
     span = state.support.hi - state.support.lo
     out = []
@@ -355,7 +362,7 @@ def lone_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
         for component in (0, 1):
             total, err = 0.0, 0.0
             for a, b in zip(edges[:-1], edges[1:]):
-                val, e = integrate_1d_with_error(
+                val, e = integrate_1d_components_with_error(
                     lambda u: state.correlations(u)[component] * p.value(u), Interval(a, b), DEFAULT_SPEC
                 )
                 total += val
@@ -364,6 +371,26 @@ def lone_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
         (expectation, e1), (hartree, e2) = parts
         out.append(EnergyBreakdown(expectation, hartree, expectation - hartree, e1 + e2))
     return out
+
+
+def segment_integral_to(p: Potential, gamma, spec: QuadratureSpec):
+    """int_0^gamma v at each gamma, one lone integral per segment between the sorted gammas.
+
+    The sequential route of ``RegularizedCoulomb._integral_to``: the
+    segments in ascending order, each through its own call of the oracle
+    driver, summed from 0.0; a repeated gamma adds no segment and a gamma
+    <= 0 reads 0.0.
+    """
+    g = np.atleast_1d(gamma)
+    acc = 0.0
+    prev = 0.0
+    cumulative = np.empty_like(g)
+    for idx in np.argsort(g):
+        if g[idx] > prev:
+            acc += integrate_1d_components(p.value, Interval(prev, g[idx]), spec)
+            prev = g[idx]
+        cumulative[idx] = acc
+    return cumulative.reshape(np.shape(gamma))
 
 
 def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | None = None):

@@ -247,6 +247,23 @@ class TestInvariances:
             scale = max(abs(expected), state.n_particles)
             assert abs(b1.i_xc - expected) <= 1e-9 * scale, p.label()
 
+    # v -> v - c adds c N / 2 to I_xc, since int h = N(N-1)/2 and int C = N^2/2.
+    # Measured worst on 1,000 drawn states, as a share of the largest of N and
+    # the four integrals: 2.3e-11, and 4.1e-9 on Homogeneous(0.1), whose
+    # u^(eps-1) at contact the outer passes leave biased.  Integrated across
+    # the kink of ApproxContact(0.5) as one piece, 21% of 200 drawn states
+    # were above 2e-10, up to 5.2e-9.
+    @settings(max_examples=15, deadline=None)
+    @given(trial_states(), st.floats(-2.0, 2.0))
+    def test_shift_law(self, state, c):
+        base = interaction_energies(state, SUITE_POINTWISE)
+        lifted = interaction_energies(state, [ShiftedPotential(p, c) for p in SUITE_POINTWISE])
+        n = state.n_particles
+        for p, b0, b1 in zip(SUITE_POINTWISE, base, lifted):
+            scale = max(abs(b0.expectation_v), abs(b0.hartree), abs(b1.expectation_v), abs(b1.hartree), n)
+            tol = 2e-8 if isinstance(p, Homogeneous) else 2e-10
+            assert abs(b1.i_xc - b0.i_xc - c * n / 2) <= tol * scale, p.label()
+
 
 class TestWindowMass:
     def test_limits(self):

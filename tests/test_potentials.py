@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lieboxford.numerics import Interval, NonConvergence, integrate_1d, rng_stream
+from lieboxford.numerics import Interval, NonConvergence, QuadratureSpec, integrate_1d, rng_stream
 from lieboxford.potentials import (
     ApproxContact,
     Contact,
@@ -22,7 +22,7 @@ from lieboxford.potentials import (
     from_config,
 )
 from lieboxford import potentials
-from oracles import ShiftedPotential, erfcx_sandwich, integrate_1d_components
+from oracles import ShiftedPotential, erfcx_sandwich, integrate_1d_components, segment_integral_to
 
 SMOOTH_FAMILIES = [
     lambda p: SoftCoulomb(p),
@@ -199,6 +199,27 @@ class TestMoments:
         r = np.geomspace(1e-4, 1e3, 200)
         upper = math.sqrt(math.pi) / (2 * p.beta) * erfcx_sandwich(r / (2 * p.beta))[1]
         assert np.all(np.asarray(p.value(r)) <= upper * (1 + 1e-13))
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_regularized_integral_to_is_one_call_with_the_segment_bits(self, beta, monkeypatch):
+        # unsorted, with duplicates, 0 and a negative value: every segment
+        # between the distinct positive gammas in one many-job call, with the
+        # bits of the segments run one by one and summed in order
+        gammas = np.array([3.0, 0.5, -1.0, 12.0, 3.0, 0.0, 1e-3, 0.5, 7.25])
+        calls = []
+        quadrature = potentials.integrate_1d_with_error
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "integrate_1d_with_error", counted)
+        p = RegularizedCoulomb(beta)
+        ours = p._integral_to(gammas)
+        reference = segment_integral_to(p, gammas, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
+        assert ours.tobytes() == reference.tobytes()
+        assert len(calls) == 1
+        assert ours[2] == ours[5] == 0.0
 
 
 class TestIntegralValue:
