@@ -31,8 +31,8 @@ declares the bound to hold when slack = LHS - RHS >= -tol with
 tol = tol_scale * max(|LHS|, |RHS|, N).  The quadratic bounds
 (contact_direct, cauchy_schwarz, maximal_cs, moment_split, log_global,
 lifted, homogeneous_window) read int rho^2 = C(0), the closed form that
-``density`` puts on the profile and the Hartree term of the contact energy
-reads too; on a profile without it they raise ValueError.  log_pointwise,
+``density`` puts on the profile and the contact energy reads too; on a
+profile without it they raise ValueError.  log_pointwise,
 lundholm and rasanen have no closed form and integrate on the grid profile
 (trapezoid_richardson).
 """
@@ -244,14 +244,13 @@ def homogeneous_window_coefficients(epsilon: float) -> dict:
 
 
 def rhs_homogeneous_window(profile: DensityProfile, epsilon: float) -> float:
-    """The unit-window homogeneous bound with the computed quadratic coefficient.
+    """The unit-window homogeneous bound: the moment split of r^(eps-1) at gamma = 1.
 
-    The published coefficient is recorded, not verified: see
-    homogeneous_window_coefficients and discrepancy_records.
+    Its quadratic coefficient is the computed one; the published one is
+    recorded, not verified: see homogeneous_window_coefficients and
+    discrepancy_records.
     """
-    coefs = homogeneous_window_coefficients(epsilon)
-    linear = coefs["linear_coefficient"] * profile.n_particles
-    return -coefs["computed_quadratic_coefficient"] * _square_integral(profile) - linear
+    return rhs_moment_split(profile, Homogeneous(epsilon), 1.0)
 
 
 def rhs_rasanen(profile: DensityProfile, epsilon: float) -> float:

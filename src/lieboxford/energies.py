@@ -1,8 +1,10 @@
-"""Interaction energies: pair expectation, Hartree term, indirect energy.
+"""Interaction energies: the indirect energy I_xc = <V> - D and its error.
 
 Two entry points: ``interaction_energies(state, potentials)`` prices a whole
 batch of potentials for one state, and ``indirect_energy(state, p)`` is its
-single-potential form.  Both return EnergyBreakdown records.
+single-potential form.  Both return EnergyBreakdown records: I_xc and a
+quadrature error estimate, the one number per (state, potential) that the
+bounds are statements about.
 
 Everything reduces to one-dimensional integrals in the separation coordinate
 u = x - y:
@@ -16,14 +18,14 @@ autocorrelation.  Every trial state gives both in closed form
 (``TrialState.correlations``: one finite sum of Gaussian terms per state; see
 the states module), and the outer passes read them at their own quadrature
 nodes, with no u grid and no interpolant in between.  Each potential gets its
-own outer passes in u, split at its breakpoints, and its own error estimate:
-one adaptive integral per piece for <V> and one for D.  All of them run in
-one many-job call of ``integrate_1d_with_error`` with (h, C) as its basis
-and v as each job's weight, so each round evaluates the closed forms once on
-the nodes of every pending panel of the batch, and each value has the bits
-of its integral run alone.  The contact potential acts at zero separation
-instead, so its breakdown is two closed-form values with no quadrature, and
-its error estimate is 0:
+own outer passes in u, split at its breakpoints: one adaptive integral per
+piece of h v and one of C v, and I_xc is their difference, with the sum of
+their error estimates.  All of them run in one many-job call of
+``integrate_1d_with_error`` with (h, C) as its basis and v as each job's
+weight, so each round evaluates the closed forms once on the nodes of every
+pending panel of the batch, and each value has the bits of its integral run
+alone.  The contact potential acts at zero separation instead, so its I_xc
+is closed-form, with no quadrature and an error estimate of 0:
 
   <delta> = (1/2) int rho2(x, x) dx = h(0) / 2,      D = (1/2) int rho^2 = C(0) / 2.
 
@@ -53,10 +55,8 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Expectation, Hartree term, and their difference I_xc = <V> - D."""
+    """The indirect energy I_xc = <V> - D and the error estimate of its quadrature."""
 
-    expectation_v: float
-    hartree: float
     i_xc: float
     quadrature_error_estimate: float
 
@@ -72,12 +72,12 @@ def _piecewise(results, pieces: int) -> tuple:
 
 
 def indirect_energy(state: TrialState, p: Potential) -> EnergyBreakdown:
-    """Full breakdown for one (state, potential) pair; I_xc = <V> - D."""
+    """I_xc = <V> - D of one (state, potential) pair, with its error estimate."""
     return interaction_energies(state, [p])[0]
 
 
 def interaction_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
-    """Breakdowns for many potentials; every integral of the batch in one many-job call."""
+    """I_xc of many potentials; every integral of the batch in one many-job call."""
     potentials = list(potentials)
     span = state.support.hi - state.support.lo
     jobs, pieces = [], []  # pieces per potential; 0 for the contact potential
@@ -92,13 +92,12 @@ def interaction_energies(state: TrialState, potentials) -> list[EnergyBreakdown]
     results = iter(integrate_1d_with_error(state.correlations, jobs, DEFAULT_SPEC))
 
     out = []
-    for p, n in zip(potentials, pieces):
+    for n in pieces:
         if n == 0:
             h0, c0 = state.correlations(0.0)
-            expectation, har, err = 0.5 * float(h0), 0.5 * float(c0), 0.0
+            out.append(EnergyBreakdown(0.5 * float(h0) - 0.5 * float(c0), 0.0))
         else:
             expectation, e1 = _piecewise(results, n)
-            har, e2 = _piecewise(results, n)
-            err = e1 + e2
-        out.append(EnergyBreakdown(expectation, har, expectation - har, err))
+            hartree, e2 = _piecewise(results, n)
+            out.append(EnergyBreakdown(expectation - hartree, e1 + e2))
     return out

@@ -587,6 +587,9 @@ def from_config(entry: dict) -> Potential:
     if unknown:
         raise UnsupportedPotential(f"unknown parameters {sorted(unknown)} for family {family!r}")
     try:
+        # booleans and strings are not numbers, as for every other config number
+        if any(isinstance(params[n], bool) or not isinstance(params[n], (int, float)) for n in names):
+            raise ValueError(f"parameters must be numbers, got {params!r}")
         values = {name: float(params[name]) for name in names}
         if not all(math.isfinite(v) for v in values.values()):
             raise ValueError(f"parameters must be finite, got {params!r}")

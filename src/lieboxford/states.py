@@ -209,10 +209,6 @@ class DensityProfile:
             vals = np.where(vals < SUPPORT_TRUNCATION * peak, 0.0, vals)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
     def mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.grid.dx))
 
@@ -286,10 +282,6 @@ class TrialState:
         """grid_center +- grid_halfwidth: the density is negligible outside."""
         c, w = self.grid_center, self.grid_halfwidth
         return Interval(c - w, c + w)
-
-    def default_grid(self, n: int = 4096) -> UniformGrid:
-        box = self.support
-        return UniformGrid(box.lo, (box.hi - box.lo) / (n - 1), n)
 
     def dilated(self, lam: float) -> "TrialState":
         """State with density lam * rho(lam x)."""
@@ -577,7 +569,7 @@ class CorrelatedGaussianPair(TrialState):
         )
 
 
-def density(state: TrialState, grid: UniformGrid | None = None, n: int = 4096) -> DensityProfile:
+def density(state: TrialState, grid: UniformGrid | None = None) -> DensityProfile:
     """Sample the one-body density on a grid; the mass must equal N.
 
     The profile carries int rho^2 = C(0) of ``state.correlations``, the one
@@ -586,7 +578,9 @@ def density(state: TrialState, grid: UniformGrid | None = None, n: int = 4096) -
     number by more than 1e-6 relative (a symptom of a grid that does not
     cover the state).
     """
-    grid = grid or state.default_grid(n)
+    if grid is None:  # 4096 points spanning the support
+        box = state.support
+        grid = UniformGrid(box.lo, (box.hi - box.lo) / 4095, 4096)
     values = np.asarray(state.rho(grid.x), dtype=float)
     rho_sq = float(state.correlations(0.0)[1])
     profile = DensityProfile(grid, np.clip(values, 0.0, None), state.n_particles, rho_sq)

@@ -3,8 +3,9 @@
 Draws the states of the default ``lieboxford verify`` run (200 states) at
 each seed given on the command line, or at the default seed 20240801 when
 none is given, prices each against the 8 default suite potentials with one
-``interaction_energies`` call, and compares every ``EnergyBreakdown`` field
-with ``oracles.lone_energies`` by its bits.  The lone runs go through the
+``interaction_energies`` call, and compares both fields of each
+``EnergyBreakdown``, I_xc and its error estimate, with those of
+``oracles.lone_energies`` by their bits.  The lone runs go through the
 oracle driver ``integrate_1d_components_with_error``, one call per piece and
 part, since the package's own lone form is its many-job driver with one job.
 Exits 1 on any mismatch.  Per seed it also prints the rounds of the many-job
@@ -18,7 +19,6 @@ collected by pytest; run it as
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from collections import Counter
 
@@ -29,7 +29,7 @@ from oracles import lone_energies
 
 
 def _bits(breakdowns):
-    return [tuple(float(v).hex() for v in dataclasses.astuple(b)) for b in breakdowns]
+    return [(float(b.i_xc).hex(), float(b.quadrature_error_estimate).hex()) for b in breakdowns]
 
 
 def _priced(state, potentials, counts):

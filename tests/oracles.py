@@ -22,9 +22,10 @@ what the package computes another way.
   separation_integrals (<V>, D) as one vector-valued pass of the exact h and
                        C times v over [0, span], split at the breakpoints
   lone_energies        interaction_energies with every piece's h v and C v
-                       through its own call of the oracle driver above,
-                       which the package's many-job call must equal bit for
-                       bit
+                       through its own call of the oracle driver above, as
+                       LoneEnergies records that keep <V> and D; their I_xc
+                       and error estimate the package's many-job call must
+                       equal bit for bit
   segment_integral_to  int_0^gamma v over a gamma array, one lone integral per
                        segment between the sorted gammas, summed in order
   expectation_via_2d   <V> of a two-particle state on the support square
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lieboxford.energies import DEFAULT_SPEC, EnergyBreakdown
+from lieboxford.energies import DEFAULT_SPEC
 from lieboxford.numerics import (
     _INITIAL_PANELS,
     _WG,
@@ -132,7 +133,7 @@ def window_mass(state: TrialState, r: float, z, profile: DensityProfile | None =
     if r < 0:
         raise ValueError("window radius must be nonnegative")
     prof = profile if profile is not None else density(state)
-    x = prof.x
+    x = prof.grid.x
     vals = prof.values
     dx = prof.grid.dx
     cum = np.concatenate([[0.0], np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))])
@@ -341,21 +342,33 @@ def separation_integrals(state: TrialState, p: Potential, spec: QuadratureSpec):
     return total, err
 
 
-def lone_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
-    """``interaction_energies`` with every integral run alone.
+@dataclass(frozen=True)
+class LoneEnergies:
+    """<V>, the Hartree term D, I_xc = <V> - D and the summed error estimate."""
+
+    expectation_v: float
+    hartree: float
+    i_xc: float
+    quadrature_error_estimate: float
+
+
+def lone_energies(state: TrialState, potentials) -> list[LoneEnergies]:
+    """``interaction_energies`` with every integral run alone, <V> and D kept.
 
     Each piece of [0, span], split at the potential's breakpoints, gets its
     own call of the oracle driver ``integrate_1d_components_with_error`` for
     h v and one for C v, summed piece by piece from 0.0; the contact
     potential reads h(0)/2 and C(0)/2.  The package's own lone form is its
     many-job driver with one job, so it would not be an independent route.
+    I_xc and the error estimate have the bits of the package's; <V> and D
+    are the two integrals that it subtracts.
     """
     span = state.support.hi - state.support.lo
     out = []
     for p in potentials:
         if isinstance(p, Contact):
             h0, c0 = state.correlations(0.0)
-            out.append(EnergyBreakdown(0.5 * float(h0), 0.5 * float(c0), 0.5 * float(h0) - 0.5 * float(c0), 0.0))
+            out.append(LoneEnergies(0.5 * float(h0), 0.5 * float(c0), 0.5 * float(h0) - 0.5 * float(c0), 0.0))
             continue
         edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
         parts = []
@@ -369,7 +382,7 @@ def lone_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
                 err += e
             parts.append((total, err))
         (expectation, e1), (hartree, e2) = parts
-        out.append(EnergyBreakdown(expectation, hartree, expectation - hartree, e1 + e2))
+        out.append(LoneEnergies(expectation, hartree, expectation - hartree, e1 + e2))
     return out
 
 

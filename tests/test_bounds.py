@@ -27,7 +27,6 @@ from lieboxford.bounds import (
     run_suite,
 )
 from lieboxford.cli import DEFAULT_CONFIG
-from lieboxford.energies import indirect_energy
 from lieboxford.potentials import (
     ApproxContact,
     Contact,
@@ -178,10 +177,24 @@ class TestOneSquareIntegral:
         state = SUITE_KINDS[kind]
         prof = density(state)
         assert prof.square_integral == float(state.correlations(0.0)[1])
-        assert rhs_contact_direct(prof) == -indirect_energy(state, Contact()).hartree
+        assert rhs_contact_direct(prof) == -0.5 * float(state.correlations(0.0)[1])
         # the grid rule is the independent reference for int rho^2
         grid = density_power_integral(prof, 2.0)
         assert abs(prof.square_integral - grid) <= 1e-11 * grid
+
+    @pytest.mark.parametrize("kind", SUITE_KINDS)
+    def test_homogeneous_window_is_the_unit_moment_split(self, kind):
+        # the window bound is the moment split at gamma = 1, and the ledger's
+        # coefficients give its bits too
+        prof = density(SUITE_KINDS[kind])
+        for eps in (0.1, 0.25, 0.5, 0.75, 0.9):
+            coefs = homogeneous_window_coefficients(eps)
+            ledger = (
+                -coefs["computed_quadratic_coefficient"] * prof.square_integral
+                - coefs["linear_coefficient"] * prof.n_particles
+            )
+            rhs = rhs_homogeneous_window(prof, eps)
+            assert rhs == rhs_moment_split(prof, Homogeneous(eps), 1.0) == ledger, eps
 
     def test_quadratic_rhs_needs_the_closed_form(self):
         prof = density(SUITE_KINDS["gauss3a"])

@@ -162,6 +162,9 @@ class TestExitCodes:
             ("maximal", {"tolerance": "x"}),
             ("hubbard", {"tolerance": -1.0}),
             ("moments", {"tolerance": math.inf}),
+            # a potential parameter is a number too: float() would read 1.0 and 0.5
+            ("optimize", {"optimize": {"potentials": [{"family": "soft_coulomb", "params": {"epsilon": True}}]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "soft_coulomb", "params": {"epsilon": "0.5"}}]}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -44,19 +43,20 @@ ANTI_PAIR = GaussianProduct((-0.8, 0.8), 0.9, "antisymmetric")
 
 
 class TestContact:
+    # <delta> = h(0)/2 and D = C(0)/2 in closed form; I_xc is their difference
     def test_symmetric_gaussian_pair_expectation(self):
         # int phi^4 = 1/(2 sqrt(pi)) for phi^2 the standard normal density
-        val = indirect_energy(GAUSS_PAIR, Contact()).expectation_v
+        val = 0.5 * GAUSS_PAIR.correlations(0.0)[0]
         assert val == pytest.approx(1 / (2 * math.sqrt(math.pi)), rel=1e-9)
 
     def test_antisymmetric_expectation_vanishes(self):
-        assert indirect_energy(ANTI_PAIR, Contact()).expectation_v == pytest.approx(0.0, abs=1e-12)
+        assert 0.5 * ANTI_PAIR.correlations(0.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_breakdown_anchor(self):
         b = indirect_energy(GAUSS_PAIR, Contact())
-        assert b.hartree == pytest.approx(1 / math.sqrt(math.pi), rel=1e-9)
         assert b.i_xc == pytest.approx(-1 / (2 * math.sqrt(math.pi)), rel=1e-9)
-        assert b.i_xc == b.expectation_v - b.hartree  # identity, exact
+        h0, c0 = GAUSS_PAIR.correlations(0.0)
+        assert b.i_xc == 0.5 * h0 - 0.5 * c0  # identity, exact
 
     def test_antisymmetric_ixc_is_minus_half_density_square(self):
         b = indirect_energy(ANTI_PAIR, Contact())
@@ -80,22 +80,23 @@ def test_contact_breakdown_is_half_h0_and_c0(kind):
     state = SUITE_KINDS[kind]
     b = indirect_energy(state, Contact())
     h0, c0 = state.correlations(0.0)
-    assert (b.expectation_v, b.hartree) == (0.5 * h0, 0.5 * c0)
+    assert b.i_xc == 0.5 * h0 - 0.5 * c0
     assert b.quadrature_error_estimate == 0.0
     # the diagonal route: <delta> = (1/2) int rho2(x, x) dx by adaptive quadrature
+    expectation = 0.5 * h0
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-14)
     direct = integrate_1d_components(lambda x: 0.5 * rho2(state, x, x), state.support, spec)
-    assert abs(b.expectation_v - direct) <= 1e-12 * max(1.0, abs(b.expectation_v))
+    assert abs(expectation - direct) <= 1e-12 * max(1.0, abs(expectation))
 
 
 def _bits(breakdowns):
-    return [tuple(float(v).hex() for v in dataclasses.astuple(b)) for b in breakdowns]
+    return [(float(b.i_xc).hex(), float(b.quadrature_error_estimate).hex()) for b in breakdowns]
 
 
 @pytest.mark.parametrize("kind", SUITE_KINDS)
 def test_batch_equals_lone_runs_bit_for_bit(kind):
-    # one many-job quadrature for the whole batch gives every field the bits
-    # of its integrals run one by one
+    # one many-job quadrature for the whole batch gives I_xc and its error
+    # estimate the bits of the integrals run one by one
     state = SUITE_KINDS[kind]
     pots = list(default_suite_potentials().values())
     lone = _bits(lone_energies(state, pots))
@@ -130,8 +131,8 @@ class TestMollifierSweep:
         # v_sigma(|x_i - x_j|) mollifies 2*delta (even extension carries mass 2),
         # so the sweep approaches twice the contact values as a Cauchy sequence.
         state = CorrelatedGaussianPair(1.0, 0.4, 0.8)
-        e_contact = indirect_energy(state, Contact()).expectation_v
-        sweep = [indirect_energy(state, ApproxContact(s)).expectation_v for s in (1.0, 0.1, 0.01)]
+        e_contact = 0.5 * state.correlations(0.0)[0]
+        sweep = [b.expectation_v for b in lone_energies(state, [ApproxContact(s) for s in (1.0, 0.1, 0.01)])]
         gaps = [abs(a - b) for a, b in zip(sweep, sweep[1:])]
         assert gaps[1] < gaps[0]
         assert gaps[1] < 1e-3
@@ -140,19 +141,21 @@ class TestMollifierSweep:
 
 class TestHartree:
     def test_contact_gaussian_density(self):
-        hartree = indirect_energy(GAUSS_PAIR, Contact()).hartree
+        # D = C(0)/2 = (1/2) int rho^2 with rho = 2 phi^2
+        hartree = 0.5 * GAUSS_PAIR.correlations(0.0)[1]
         assert hartree == pytest.approx(1 / math.sqrt(math.pi), rel=1e-9)
 
     def test_positive_for_nonnegative_potentials(self):
         for _, state in random_state_suite(5, 21):
-            assert indirect_energy(state, ConvexSoftCoulomb(0.7)).hartree > 0
+            assert lone_energies(state, [ConvexSoftCoulomb(0.7)])[0].hartree > 0
 
 
 class TestIndirectEnergy:
     def test_identity_and_error_estimate(self):
-        for p in (ApproxContact(0.5), ConvexSoftCoulomb(1.0), Homogeneous(0.5)):
+        pots = (ApproxContact(0.5), ConvexSoftCoulomb(1.0), Homogeneous(0.5))
+        for p, lone in zip(pots, lone_energies(ANTI_PAIR, pots)):
             b = indirect_energy(ANTI_PAIR, p)
-            assert b.i_xc == b.expectation_v - b.hartree
+            assert b.i_xc == lone.expectation_v - lone.hartree
             assert 0 <= b.quadrature_error_estimate < 1e-6 * max(1.0, abs(b.i_xc))
 
     def test_batch_matches_single(self):
@@ -165,8 +168,9 @@ class TestIndirectEnergy:
             assert b.quadrature_error_estimate == single.quadrature_error_estimate
 
     def test_separation_route_matches_2d_quadrature(self):
-        for p in (ConvexSoftCoulomb(1.0), RegularizedCoulomb(1.2)):
-            fast = indirect_energy(GAUSS_PAIR, p).expectation_v
+        pots = (ConvexSoftCoulomb(1.0), RegularizedCoulomb(1.2))
+        for p, lone in zip(pots, lone_energies(GAUSS_PAIR, pots)):
+            fast = lone.expectation_v
             slow = expectation_via_2d(GAUSS_PAIR, p)
             assert fast == pytest.approx(slow, rel=1e-7)
 
@@ -188,15 +192,14 @@ class TestIndirectEnergy:
     def test_translation_invariance(self):
         state = CorrelatedGaussianPair(0.9, 0.5, 0.6)
         moved = translated(state, 3.1)
-        for p in (Contact(), ConvexSoftCoulomb(1.0)):
-            b0 = indirect_energy(state, p)
-            b1 = indirect_energy(moved, p)
+        pots = (Contact(), ConvexSoftCoulomb(1.0))
+        for b0, b1 in zip(lone_energies(state, pots), lone_energies(moved, pots)):
             assert b1.expectation_v == pytest.approx(b0.expectation_v, rel=1e-8)
             assert b1.hartree == pytest.approx(b0.hartree, rel=1e-8)
 
     def test_three_particle_slater(self):
         state = HermiteSlater(3, 1.0)
-        b = indirect_energy(state, ConvexSoftCoulomb(1.0))
+        (b,) = lone_energies(state, [ConvexSoftCoulomb(1.0)])
         assert b.expectation_v > 0
         assert b.hartree > 0
         # pair-separation mass equals the number of pairs
@@ -213,9 +216,11 @@ class TestIndirectEnergy:
         reg = RegularizedCoulomb(beta)
         c = reg.value(0.0)
         assert c == pytest.approx(math.sqrt(math.pi) / (2 * beta))
-        base = indirect_energy(GAUSS_PAIR, reg)
-        lifted = indirect_energy(GAUSS_PAIR, ShiftedPotential(reg, c))
+        pots = [reg, ShiftedPotential(reg, c)]
+        base, lifted = interaction_energies(GAUSS_PAIR, pots)
         assert lifted.i_xc - base.i_xc == pytest.approx(c, rel=1e-7)
+        # <V> moves by -c times the N(N-1)/2 = 1 pairs, D by -c N^2/2 = -2c
+        base, lifted = lone_energies(GAUSS_PAIR, pots)
         assert lifted.expectation_v - base.expectation_v == pytest.approx(-c, rel=1e-7)
         assert lifted.hartree - base.hartree == pytest.approx(-2 * c, rel=1e-7)
 
@@ -256,11 +261,15 @@ class TestInvariances:
     @settings(max_examples=15, deadline=None)
     @given(trial_states(), st.floats(-2.0, 2.0))
     def test_shift_law(self, state, c):
+        shifted = [ShiftedPotential(p, c) for p in SUITE_POINTWISE]
         base = interaction_energies(state, SUITE_POINTWISE)
-        lifted = interaction_energies(state, [ShiftedPotential(p, c) for p in SUITE_POINTWISE])
+        lifted = interaction_energies(state, shifted)
+        # the scale reads the four integrals off the lone runs, which have
+        # the package's bits (test_batch_equals_lone_runs_bit_for_bit)
+        integrals = zip(lone_energies(state, SUITE_POINTWISE), lone_energies(state, shifted))
         n = state.n_particles
-        for p, b0, b1 in zip(SUITE_POINTWISE, base, lifted):
-            scale = max(abs(b0.expectation_v), abs(b0.hartree), abs(b1.expectation_v), abs(b1.hartree), n)
+        for p, b0, b1, (l0, l1) in zip(SUITE_POINTWISE, base, lifted, integrals):
+            scale = max(abs(l0.expectation_v), abs(l0.hartree), abs(l1.expectation_v), abs(l1.hartree), n)
             tol = 2e-8 if isinstance(p, Homogeneous) else 2e-10
             assert abs(b1.i_xc - b0.i_xc - c * n / 2) <= tol * scale, p.label()
 
@@ -277,7 +286,7 @@ class TestWindowMass:
         for _, state in random_state_suite(4, 13):
             prof = density(state)
             rho_sq = density_power_integral(prof, 2.0)
-            z = prof.x
+            z = prof.grid.x
             for r in (0.1, 1.0, 10.0):
                 alpha = window_mass(state, r, z, prof)
                 lhs = np.trapezoid(alpha**2, dx=prof.grid.dx)

@@ -321,3 +321,9 @@ class TestSerialization:
     def test_missing_parameter(self):
         with pytest.raises(UnsupportedPotential):
             from_config({"family": "approx_contact", "params": {}})
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_boolean_or_string_parameter_rejected(self, value):
+        # float() would read them as 1.0 and 0.5
+        with pytest.raises(UnsupportedPotential, match="must be numbers"):
+            from_config({"family": "soft_coulomb", "params": {"epsilon": value}})

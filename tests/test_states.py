@@ -40,6 +40,12 @@ from oracles import (
 )
 
 
+def support_grid(state, n):
+    """n points spanning the state's support (the default grid has 4096)."""
+    box = state.support
+    return UniformGrid(box.lo, (box.hi - box.lo) / (n - 1), n)
+
+
 def uniform_profile(value=2.0, lo=0.0, hi=1.0, n=1001):
     grid = UniformGrid(lo, (hi - lo) / (n - 1), n)
     return DensityProfile(grid, np.full(n, float(value)), value * (hi - lo))
@@ -50,7 +56,7 @@ class TestDensity:
         # both orbitals phi with phi^2 the standard normal density
         s = GaussianProduct((0.0, 0.0), 1.0, "symmetric")
         prof = density(s)
-        pdf = np.exp(-prof.x**2 / 2) / math.sqrt(2 * math.pi)
+        pdf = np.exp(-prof.grid.x**2 / 2) / math.sqrt(2 * math.pi)
         assert np.allclose(prof.values, 2 * pdf, atol=1e-12)
 
     def test_hermite_slater_density_is_orbital_sum(self):
@@ -78,7 +84,7 @@ class TestDensity:
 
     def test_pair_density_mass(self):
         state = GaussianProduct((-1.0, 0.5, 1.8), 0.8, "antisymmetric")
-        g = state.default_grid(801)
+        g = support_grid(state, 801)
         r2 = rho2(state, g.x[:, None], g.x[None, :])
         mass = np.trapezoid(np.trapezoid(r2, dx=g.dx), dx=g.dx)
         n = state.n_particles
@@ -101,7 +107,7 @@ class TestDensity:
 
     def test_psi_normalized(self):
         state = GaussianProduct((-0.8, 0.8), 0.9, "antisymmetric")
-        g = state.default_grid(901)
+        g = support_grid(state, 901)
         psi2 = orbital_psi(state, g.x[:, None], g.x[None, :]) ** 2
         norm = np.trapezoid(np.trapezoid(psi2, dx=g.dx), dx=g.dx)
         assert norm == pytest.approx(1.0, abs=1e-9)
@@ -513,7 +519,7 @@ def spiky_profiles(draw):
 
 def brute_force_maximal(profile, i, n_r=20000):
     """Dense-radius oracle for the window average supremum at grid point i."""
-    x = profile.x
+    x = profile.grid.x
     xi = x[i]
     dx = profile.grid.dx
     vals = profile.values
@@ -627,12 +633,14 @@ class TestWindowMax:
 
 class TestMaximalFunction:
     def test_exceeds_density_pointwise(self):
-        prof = density(CorrelatedGaussianPair(0.9, 0.4, 0.6), n=1024)
+        state = CorrelatedGaussianPair(0.9, 0.4, 0.6)
+        prof = density(state, support_grid(state, 1024))
         m = maximal_function(prof)
         assert np.all(m.values >= prof.values - 1e-13)
 
     def test_positively_homogeneous(self):
-        prof = density(GaussianProduct((0.0, 1.0), 0.8), n=1024)
+        state = GaussianProduct((0.0, 1.0), 0.8)
+        prof = density(state, support_grid(state, 1024))
         m1 = maximal_function(prof)
         m3 = maximal_function(scaled_profile(prof, 3.0))
         assert np.allclose(m3.values, 3 * m1.values, rtol=1e-12)
