@@ -21,20 +21,22 @@ Every bound states I_xc(psi) >= RHS(rho_psi).  The implemented family:
                        reference only; excluded from the proven set)
 
 ``BOUNDS`` is the one table of the family: for each bound the potential
-classes it applies to, its right-hand side, the parameter grid of the
-verification battery, whether it is proven, and whether search incumbents
-are cross-checked against it.  Adding a bound is adding one row.
+classes it applies to, the per-state functionals and the spec constants its
+right-hand side reads, the parameter grid of the verification battery,
+whether it is proven, and whether search incumbents are cross-checked
+against it.  Adding a bound is adding one row.
 
-verify_bound takes LHS = I_xc from the state's energy breakdown and the RHS
-from its density profile, both computed once per state by run_suite, and
-declares the bound to hold when slack = LHS - RHS >= -tol with
-tol = tol_scale * max(|LHS|, |RHS|, N).  The quadratic bounds
-(contact_direct, cauchy_schwarz, maximal_cs, moment_split, log_global,
-lifted, homogeneous_window) read int rho^2 = C(0), the closed form that
-``density`` puts on the profile and the contact energy reads too; on a
-profile without it they raise ValueError.  log_pointwise,
-lundholm and rasanen have no closed form and integrate on the grid profile
-(trapezoid_richardson).
+The per-state functionals are N, int rho^2 = C(0) (the closed form that
+``density`` puts on the profile and the contact energy reads too; a
+quadratic bound raises ValueError on a profile without it) and at most one
+grid integral (trapezoid_richardson): log_pointwise's per potential,
+lundholm's and rasanen's per exponent.  The spec constants are the moment
+pairs and the certified constants; ``bound_specs`` prices each potential's
+moment_split gamma grid in one array call.  run_suite evaluates a battery
+as one (state x spec) table: the functionals of all states as columns, each
+right-hand side once per spec on them, with the floating-point operations of
+verify_bound's one state.  A check holds when slack = LHS - RHS >= -tol,
+tol = tol_scale * max(|LHS|, |RHS|, N).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,6 +61,7 @@ from .potentials import (
     SoftCoulomb,
     certified_constants,
 )
+from .report import Table
 from .states import DensityProfile, density, density_power_integral, trapezoid_richardson
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
     "BoundDef",
     "BOUNDS",
     "BoundSpec",
+    "StateFunctionals",
     "REPORT_ORDER",
     "EULER_MASCHERONI",
     "rhs_contact_direct",
@@ -98,6 +102,9 @@ class BoundSpec:
     """One bound to check: identity, potential, and bound parameters.
 
     ``alpha=None`` in log_global means "use the particle number".
+    ``constants`` are the spec's constants (BoundDef.constants).  They are
+    priced alone, unless ``priced`` hands in the values that ``bound_specs``
+    priced with the rest of the battery.
     """
 
     bound_id: str
@@ -105,8 +112,10 @@ class BoundSpec:
     gamma: float | None = None
     alpha: float | None = None
     shift: float | None = None
+    priced: InitVar[object] = None
+    constants: object = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, priced):
         if self.bound_id not in BOUNDS:
             raise IncompatibleSpec(f"unknown bound id {self.bound_id!r}")
         if not isinstance(self.potential, self.definition.applies_to):
@@ -117,6 +126,10 @@ class BoundSpec:
             raise IncompatibleSpec(
                 f"bound {self.bound_id!r} rejects parameters ({self.params_label or 'none'})"
             )
+        if priced is None:
+            params = {"gamma": self.gamma, "alpha": self.alpha, "shift": self.shift}
+            (priced,) = self.definition.constants(self.potential, [params])
+        object.__setattr__(self, "constants", priced)
 
     @property
     def definition(self) -> BoundDef:
@@ -143,11 +156,39 @@ class BoundSpec:
         return ",".join(parts)
 
 
-def _square_integral(profile: DensityProfile) -> float:
-    """int rho^2 = C(0) of the state behind the profile (see ``density``)."""
-    if profile.square_integral is None:
+@dataclass(frozen=True, eq=False)
+class StateFunctionals:
+    """N, int rho^2 and the declared grid integrals of a battery's states, as columns.
+
+    A right-hand side reads it in place of a density profile and gives one
+    value per state; ``grid`` maps each grid-integral key (fn, *args) to its
+    column.
+    """
+
+    n_particles: np.ndarray
+    square_integral: np.ndarray
+    grid: dict
+
+
+def _square_integral(x: DensityProfile | StateFunctionals):
+    """int rho^2 = C(0) of the state behind the profile (see ``density``), or its column."""
+    if x.square_integral is None:
         raise ValueError("quadratic bounds read int rho^2 = C(0): this profile has no state")
-    return profile.square_integral
+    return x.square_integral
+
+
+def _grid_integral(x: DensityProfile | StateFunctionals, fn, *args):
+    """fn(profile, *args) on a profile; on StateFunctionals, the column it holds for that key."""
+    if isinstance(x, StateFunctionals):
+        return x.grid[(fn, *args)]
+    return fn(x, *args)
+
+
+def _log1p(x):
+    """math.log1p of a float, or of each value of a column (np.log1p can differ by an ulp)."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.log1p(v) for v in x.tolist()])
+    return math.log1p(x)
 
 
 def rhs_contact_direct(profile: DensityProfile) -> float:
@@ -165,20 +206,25 @@ def rhs_maximal_cs(profile: DensityProfile, p: Potential) -> float:
     return 16.0 * rhs_cauchy_schwarz(profile, p)
 
 
-@functools.lru_cache(maxsize=256)
-def _moments(p: Potential, gamma: float) -> tuple[float, float]:
-    """(int_0^gamma v'' r^2, int_gamma^inf v'' r): the same for every state."""
-    return float(p.second_moment(gamma)), float(p.first_moment_tail(gamma))
+def _moment_pairs(p: Potential, gammas: list) -> list[tuple[float, float]]:
+    """(int_0^g v'' r^2, int_g^inf v'' r) at each gamma g; each moment is one array call over all of them."""
+    g = np.array(gammas, dtype=float)
+    return list(zip(p.second_moment(g).tolist(), p.first_moment_tail(g).tolist()))
+
+
+def _split(x, second: float, tail: float):
+    """The window split with moments (second, tail): quadratic term inside, linear (N) term outside."""
+    return -0.5 * _square_integral(x) * second - 0.5 * x.n_particles * tail
 
 
 def rhs_moment_split(profile: DensityProfile, p: Potential, gamma: float) -> float:
     """Window split at gamma: quadratic term inside, linear (N) term outside."""
-    n = profile.n_particles
-    second, tail = _moments(p, float(gamma))
-    return -0.5 * _square_integral(profile) * second - 0.5 * n * tail
+    return _split(profile, *_moment_pairs(p, [gamma])[0])
 
 
-def _log_pointwise_field(rho: np.ndarray, constants: MomentBoundConstants) -> np.ndarray:
+def _log_pointwise_integral(profile: DensityProfile, constants: MomentBoundConstants) -> float:
+    """int rho^2 [A1 + c1 ln(1 + c2 e^-3/rho)] on the profile grid."""
+    rho = profile.values
     a1 = constants.c1 * (math.log(2.0) + 3.0) + constants.c3
     out = np.zeros_like(rho)
     mask = rho > 0
@@ -186,13 +232,12 @@ def _log_pointwise_field(rho: np.ndarray, constants: MomentBoundConstants) -> np
     out[mask] = rho[mask] ** 2 * (
         a1 + constants.c1 * np.log1p(constants.c2 * math.exp(-3.0) / rho[mask])
     )
-    return out
+    return trapezoid_richardson(out, profile.grid.dx)
 
 
 def rhs_log_pointwise(profile: DensityProfile, constants: MomentBoundConstants) -> float:
     """-8 int rho^2 [A1 + c1 ln(1 + c2 e^-3/rho)], A1 = c1(ln 2 + 3) + c3."""
-    field = _log_pointwise_field(profile.values, constants)
-    return -8.0 * trapezoid_richardson(field, profile.grid.dx)
+    return -8.0 * _grid_integral(profile, _log_pointwise_integral, constants)
 
 
 def rhs_log_global(
@@ -202,9 +247,9 @@ def rhs_log_global(
 ) -> float:
     """-(1/2) int rho^2 [N c3/alpha + c1 ln(1 + alpha c2 / int rho^2)], alpha > 0 (see BOUNDS)."""
     n = profile.n_particles
-    a = float(n) if alpha is None else alpha
+    a = n if alpha is None else alpha
     rho_sq = _square_integral(profile)
-    return -0.5 * rho_sq * (n * constants.c3 / a + constants.c1 * math.log1p(a * constants.c2 / rho_sq))
+    return -0.5 * rho_sq * (n * constants.c3 / a + constants.c1 * _log1p(a * constants.c2 / rho_sq))
 
 
 def rhs_lifted(profile: DensityProfile, constants: MomentBoundConstants, shift: float) -> float:
@@ -222,7 +267,7 @@ def lundholm_coefficient(epsilon: float) -> float:
 
 def rhs_lundholm(profile: DensityProfile, epsilon: float) -> float:
     """Lundholm et al. bound for v = r^(eps-1): -coef * int rho^(2-eps)."""
-    return -lundholm_coefficient(epsilon) * density_power_integral(profile, 2.0 - epsilon)
+    return -lundholm_coefficient(epsilon) * _grid_integral(profile, density_power_integral, 2.0 - epsilon)
 
 
 def homogeneous_window_coefficients(epsilon: float) -> dict:
@@ -253,33 +298,46 @@ def rhs_homogeneous_window(profile: DensityProfile, epsilon: float) -> float:
     return rhs_moment_split(profile, Homogeneous(epsilon), 1.0)
 
 
+def _rasanen_integral(profile: DensityProfile, epsilon: float) -> float:
+    """int rho^2 (K1 + ln(K2/(eps rho))) on the profile grid."""
+    k1, k2 = 1.5 - EULER_MASCHERONI, 2.0 / math.pi
+    rho = profile.values
+    out = np.zeros_like(rho)
+    mask = rho > 0
+    out[mask] = rho[mask] ** 2 * (k1 + np.log(k2 / (epsilon * rho[mask])))
+    return trapezoid_richardson(out, profile.grid.dx)
+
+
 def rhs_rasanen(profile: DensityProfile, epsilon: float) -> float:
     """Conjectured soft-Coulomb reference bound -int rho^2 (K1 + ln(K2/(eps rho))).
 
     K1 = 3/2 - gamma_E and K2 = 2/pi.  Reference only (its integrand changes
     sign for large rho); never part of the proven verification set.
     """
-    k1, k2 = 1.5 - EULER_MASCHERONI, 2.0 / math.pi
-    rho = profile.values
-    out = np.zeros_like(rho)
-    mask = rho > 0
-    out[mask] = rho[mask] ** 2 * (k1 + np.log(k2 / (epsilon * rho[mask])))
-    return -trapezoid_richardson(out, profile.grid.dx)
+    return -_grid_integral(profile, _rasanen_integral, epsilon)
 
 
 @dataclass(frozen=True)
 class BoundDef:
     """One row of the bound table.
 
-    ``rhs(profile, spec)`` is the right-hand side, ``param_grid(potential)``
-    the BoundSpec keyword sets of the verification battery, ``valid(spec)``
-    whether the bound takes the spec's parameters, and ``cross_check`` marks
-    the bounds search incumbents are verified against (default parameters).
+    ``rhs(x, spec)`` is the right-hand side, where ``x`` is one state's
+    density profile or a battery's StateFunctionals; it reads N
+    (``x.n_particles``), int rho^2 and the one grid integral that
+    ``grid_integral(spec)`` declares as a key (fn, *args), or None.
+    ``constants(potential, params)`` prices the spec constants of the
+    potential's specs with keyword sets ``params``, together.
+    ``param_grid(potential)`` gives the BoundSpec keyword sets of the
+    verification battery, ``valid(spec)`` whether the bound takes the spec's
+    parameters, and ``cross_check`` marks the bounds search incumbents are
+    verified against (default parameters).
     """
 
     id: str
     applies_to: tuple
-    rhs: Callable[[DensityProfile, BoundSpec], float]
+    rhs: Callable[[DensityProfile | StateFunctionals, BoundSpec], object]
+    grid_integral: Callable[[BoundSpec], tuple | None] = lambda s: None
+    constants: Callable[[Potential, list], list] = lambda p, params: [None] * len(params)
     param_grid: Callable[[Potential], list] = lambda p: [{}]
     valid: Callable[[BoundSpec], bool] = lambda s: True
     proven: bool = True
@@ -300,8 +358,8 @@ def _valid_gamma(s: BoundSpec) -> bool:
     return s.gamma > 0 or not isinstance(s.potential, Homogeneous)
 
 
-def _primary(s: BoundSpec) -> MomentBoundConstants:
-    return certified_constants(s.potential)["primary"]
+def _primary(p: Potential, params: list) -> list:
+    return [certified_constants(p)["primary"]] * len(params)
 
 
 _LOG = (ConvexSoftCoulomb, RegularizedCoulomb)
@@ -310,32 +368,36 @@ BOUNDS = {
     row.id: row
     for row in (
         BoundDef(
-            "contact_direct", (Contact,), lambda rho, s: rhs_contact_direct(rho), cross_check=True
+            "contact_direct", (Contact,), lambda x, s: rhs_contact_direct(x), cross_check=True
         ),
         BoundDef(
             "cauchy_schwarz",
             (ApproxContact,),
-            lambda rho, s: rhs_cauchy_schwarz(rho, s.potential),
+            lambda x, s: rhs_cauchy_schwarz(x, s.potential),
             cross_check=True,
         ),
-        BoundDef("maximal_cs", (ApproxContact,), lambda rho, s: rhs_maximal_cs(rho, s.potential)),
+        BoundDef("maximal_cs", (ApproxContact,), lambda x, s: rhs_maximal_cs(x, s.potential)),
         BoundDef(
             "moment_split",
             (ApproxContact, ConvexSoftCoulomb, RegularizedCoulomb, Homogeneous),
-            lambda rho, s: rhs_moment_split(rho, s.potential, s.gamma),
+            lambda x, s: _split(x, *s.constants),
+            constants=lambda p, params: _moment_pairs(p, [k["gamma"] for k in params]),
             param_grid=_gamma_sweep,
             valid=_valid_gamma,
         ),
         BoundDef(
             "log_pointwise",
             _LOG,
-            lambda rho, s: rhs_log_pointwise(rho, _primary(s)),
+            lambda x, s: rhs_log_pointwise(x, s.constants),
+            grid_integral=lambda s: (_log_pointwise_integral, s.constants),
+            constants=_primary,
             cross_check=True,
         ),
         BoundDef(
             "log_global",
             _LOG,
-            lambda rho, s: rhs_log_global(rho, _primary(s), s.alpha),
+            lambda x, s: rhs_log_global(x, s.constants, s.alpha),
+            constants=_primary,
             param_grid=lambda p: [{"alpha": a} for a in (0.1, 1.0, 10.0, None)],
             valid=lambda s: s.alpha is None or s.alpha > 0,
             cross_check=True,
@@ -343,26 +405,30 @@ BOUNDS = {
         BoundDef(
             "lifted",
             _LOG,
-            lambda rho, s: rhs_lifted(rho, _primary(s), s.shift),
+            lambda x, s: rhs_lifted(x, s.constants, s.shift),
+            constants=_primary,
             param_grid=lambda p: [{"shift": c} for c in (0.5, 2.0)],
             valid=lambda s: s.shift is not None and s.shift > 0,
         ),
         BoundDef(
             "lundholm",
             (Homogeneous,),
-            lambda rho, s: rhs_lundholm(rho, s.potential.epsilon),
+            lambda x, s: rhs_lundholm(x, s.potential.epsilon),
+            grid_integral=lambda s: (density_power_integral, 2.0 - s.potential.epsilon),
             cross_check=True,
         ),
         BoundDef(
             "homogeneous_window",
             (Homogeneous,),
-            lambda rho, s: rhs_homogeneous_window(rho, s.potential.epsilon),
+            lambda x, s: _split(x, *s.constants),
+            constants=lambda p, params: _moment_pairs(Homogeneous(p.epsilon), [1.0] * len(params)),
             cross_check=True,
         ),
         BoundDef(
             "rasanen",
             (SoftCoulomb,),
-            lambda rho, s: rhs_rasanen(rho, s.potential.epsilon),
+            lambda x, s: rhs_rasanen(x, s.potential.epsilon),
+            grid_integral=lambda s: (_rasanen_integral, s.potential.epsilon),
             proven=False,
         ),
     )
@@ -372,8 +438,13 @@ PROVEN_BOUND_IDS = tuple(row.id for row in BOUNDS.values() if row.proven)
 
 
 # the order of report rows, so that concurrent or re-ordered evaluation
-# cannot change the output
+# cannot change the output: by state, then by the labels of the spec
 REPORT_ORDER = operator.itemgetter("state_id", "bound_id", "potential", "params")
+
+
+def _holds(lhs, rhs, slack, n, tol_scale: float):
+    """slack >= -tol with tol = tol_scale * max(|lhs|, |rhs|, N), for one state or for columns of states."""
+    return slack >= -(tol_scale * np.maximum(np.maximum(abs(lhs), abs(rhs)), n))
 
 
 def verify_bound(
@@ -387,12 +458,12 @@ def verify_bound(
     """Check I_xc >= RHS for one state, given its density and its energies under spec.
 
     Returns the report row: state_id, bound_id, potential, params, lhs, rhs,
-    slack and status ("holds" or "violated").
+    slack and status ("holds" or "violated").  It is run_suite's row for
+    that state and spec, bit for bit.
     """
     lhs = breakdown.i_xc
     rhs = spec.definition.rhs(profile, spec)
     slack = lhs - rhs
-    tol = tol_scale * max(abs(lhs), abs(rhs), float(profile.n_particles))
     return {
         "state_id": state_id,
         "bound_id": spec.bound_id,
@@ -401,7 +472,7 @@ def verify_bound(
         "lhs": lhs,
         "rhs": rhs,
         "slack": slack,
-        "status": "holds" if slack >= -tol else "violated",
+        "status": "holds" if _holds(lhs, rhs, slack, profile.n_particles, tol_scale) else "violated",
     }
 
 
@@ -423,7 +494,8 @@ def bound_specs() -> list[BoundSpec]:
     """Every table row over its parameter grid, for each potential it applies to.
 
     Per potential, its own bounds come first and the bounds shared with more
-    families (the window split) last.
+    families (the window split) last.  The constants of a row's specs on one
+    potential are priced together, once.
     """
     specs: list[BoundSpec] = []
     for p in default_suite_potentials().values():
@@ -432,7 +504,9 @@ def bound_specs() -> list[BoundSpec]:
             key=lambda row: len(row.applies_to),
         )
         for row in rows:
-            specs.extend(BoundSpec(row.id, p, **params) for params in row.param_grid(p))
+            grid = row.param_grid(p)
+            for params, priced in zip(grid, row.constants(p, grid)):
+                specs.append(BoundSpec(row.id, p, **params, priced=priced))
     return specs
 
 
@@ -441,23 +515,50 @@ def proven_bound_specs() -> list[BoundSpec]:
     return [spec for spec in bound_specs() if spec.proven]
 
 
-def run_suite(states, specs: list[BoundSpec] | None = None, *, tol_scale: float) -> list[dict]:
+def run_suite(states, specs: list[BoundSpec] | None = None, *, tol_scale: float) -> Table:
     """Verify every (state, bound) pair; I_xc is computed once per potential.
 
-    ``states`` is a sequence of (state_id, TrialState).  The report rows come
-    back in REPORT_ORDER.
+    ``states`` is a sequence of (state_id, TrialState).  Each state's
+    density profile gives N, int rho^2 and every grid integral the specs
+    declare, and is then dropped; each right-hand side is evaluated once, on
+    the columns of all states.  The report rows come back as a Table, in
+    REPORT_ORDER: states sorted, each with its rows in one spec order.
     """
     specs = proven_bound_specs() if specs is None else specs
     unique = list(dict.fromkeys(spec.potential for spec in specs))
-    records: list[dict] = []
-    for state_id, state in states:
+    keys = [key for key in dict.fromkeys(s.definition.grid_integral(s) for s in specs) if key is not None]
+    states = sorted(states, key=operator.itemgetter(0))
+    rows = []  # per state: N, int rho^2, the grid integrals, then I_xc per potential
+    for _, state in states:
         profile = density(state)
-        breakdowns = dict(zip(unique, interaction_energies(state, unique)))
-        for spec in specs:
-            breakdown = breakdowns[spec.potential]
-            records.append(verify_bound(spec, profile, breakdown, state_id, tol_scale=tol_scale))
-    records.sort(key=REPORT_ORDER)
-    return records
+        rows.append(
+            [profile.n_particles, profile.square_integral]
+            + [fn(profile, *args) for fn, *args in keys]
+            + [b.i_xc for b in interaction_energies(state, unique)]
+        )
+    columns = np.array(rows, dtype=float).reshape(len(states), 2 + len(keys) + len(unique)).T
+    x = StateFunctionals(columns[0], columns[1], dict(zip(keys, columns[2:])))
+    lhs_of = dict(zip(unique, columns[2 + len(keys):]))
+    ids = [state_id for state_id, _ in states]
+
+    # (spec, state) blocks, read state-major by the final transposes
+    order = sorted(specs, key=lambda s: (s.bound_id, s.potential_label, s.params_label))
+    lhs = np.array([lhs_of[s.potential] for s in order]).reshape(len(order), len(ids))
+    rhs = np.array([np.broadcast_to(s.definition.rhs(x, s), len(ids)) for s in order]).reshape(lhs.shape)
+    slack = lhs - rhs
+    holds = _holds(lhs, rhs, slack, x.n_particles, tol_scale)
+    return Table(
+        {
+            "state_id": [sid for sid in ids for _ in order],
+            "bound_id": [s.bound_id for s in order] * len(ids),
+            "potential": [s.potential_label for s in order] * len(ids),
+            "params": [s.params_label for s in order] * len(ids),
+            "lhs": lhs.T.ravel(),
+            "rhs": rhs.T.ravel(),
+            "slack": slack.T.ravel(),
+            "status": np.where(holds.T, "holds", "violated").ravel().tolist(),
+        }
+    )
 
 
 def discrepancy_records() -> list[dict]:

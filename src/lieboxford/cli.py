@@ -165,34 +165,43 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
         chunks = [states[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             run = functools.partial(bounds_mod.run_suite, specs=specs, tol_scale=tol)
-            parts = list(pool.map(run, chunks))
-        everything = sorted((r for part in parts for r in part), key=bounds_mod.REPORT_ORDER)
+            everything = report_mod.Table.concat(list(pool.map(run, chunks)))
+        # each part is in REPORT_ORDER, so a stable sort by state restores it
+        everything = everything.take(np.argsort(everything.columns["state_id"], kind="stable"))
     else:
         everything = bounds_mod.run_suite(states, specs, tol_scale=tol)
-    reports = [r for r in everything if bounds_mod.BOUNDS[r["bound_id"]].proven]
-    ref_reports = [r for r in everything if not bounds_mod.BOUNDS[r["bound_id"]].proven]
+    proven = np.isin(everything.columns["bound_id"], bounds_mod.PROVEN_BOUND_IDS)
+    reports = everything.take(np.flatnonzero(proven))
+    ref_reports = everything.take(np.flatnonzero(~proven))
 
     failures = 0
-    for bound_id in sorted({r["bound_id"] for r in reports}):
-        sub = [r for r in reports if r["bound_id"] == bound_id]
-        bad = sum(r["status"] != "holds" for r in sub)
-        failures += bad
-        worst = min(sub, key=lambda r: r["slack"])
+    for bound_id, rows, holds in _by_bound(reports):
+        failures += len(rows) - int(holds.sum())
+        slack = reports.columns["slack"][rows]
+        worst = int(np.argmin(slack))  # the first of the least, in row order
         print(
-            f"{'FAIL' if bad else 'PASS'} {bound_id}: {len(sub)} checks, "
-            f"min slack {worst['slack']:.3e} ({worst['state_id']})"
+            f"{'PASS' if holds.all() else 'FAIL'} {bound_id}: {len(rows)} checks, "
+            f"min slack {slack[worst]:.3e} ({reports.columns['state_id'][rows[worst]]})"
         )
-    for bound_id in sorted({r["bound_id"] for r in ref_reports}):
-        sub = [r for r in ref_reports if r["bound_id"] == bound_id]
+    for bound_id, rows, holds in _by_bound(ref_reports):
         print(
             f"NOTE {bound_id} (conjectured, reference only): held on "
-            f"{sum(r['status'] == 'holds' for r in sub)}/{len(sub)} states"
+            f"{int(holds.sum())}/{len(rows)} states"
         )
     return {
         "bound_reports.csv": reports,
         "bound_reports.jsonl": reports,
         "reference_bounds.csv": ref_reports,
     }, failures
+
+
+def _by_bound(table):
+    """(bound_id, its row indices, whether each of those rows holds) per bound id of the table, sorted."""
+    bound_ids = np.array(table.columns["bound_id"], dtype=str)
+    holds = np.array(table.columns["status"]) == "holds"
+    for bound_id in sorted(set(table.columns["bound_id"])):
+        rows = np.flatnonzero(bound_ids == bound_id)
+        yield bound_id, rows, holds[rows]
 
 
 def cmd_moments(config) -> tuple[dict, int]:

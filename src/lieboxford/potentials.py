@@ -389,6 +389,12 @@ def _erfcx_d2(x):
     )
 
 
+# Segments per quadrature call of RegularizedCoulomb._integral_to: the
+# default 200-point moments grid is one call, and a denser grid's peak memory
+# stays that of one full call (about 4.4 kB per segment).
+_SEGMENTS_PER_CALL = 256
+
+
 @dataclass(frozen=True)
 class RegularizedCoulomb(Potential):
     beta: float
@@ -412,14 +418,18 @@ class RegularizedCoulomb(Potential):
         return (math.sqrt(math.pi) / (8 * np.float64(self.beta) ** 3) * _erfcx_d2(x))[()]
 
     def _integral_to(self, gamma):
-        # no elementary antiderivative: one many-job quadrature prices the
+        # no elementary antiderivative: many-job quadratures price the
         # segments between the sorted, distinct positive gammas, and their
-        # running sum from 0.0 is the value at each (0.0 at gamma <= 0)
+        # running sum from 0.0 is the value at each (0.0 at gamma <= 0).  A
+        # call takes at most _SEGMENTS_PER_CALL segments, which bounds its
+        # work arrays; each segment has the bits of its lone run either way.
         g = np.atleast_1d(gamma)
         ends = sorted(set(g[g > 0].tolist()))
         jobs = [(0, None, piece) for piece in zip([0.0, *ends[:-1]], ends)]
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-        parts = integrate_1d_with_error(lambda r: self.value(r)[None], jobs, spec)
+        parts = []
+        for i in range(0, len(jobs), _SEGMENTS_PER_CALL):
+            parts += integrate_1d_with_error(lambda r: self.value(r)[None], jobs[i : i + _SEGMENTS_PER_CALL], spec)
         cumulative = np.cumsum([0.0] + [value for value, _ in parts])
         return cumulative[np.searchsorted(ends, g, side="right")].reshape(np.shape(gamma))
 

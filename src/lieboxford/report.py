@@ -7,11 +7,14 @@ are canonicalized to 12 significant digits, and line endings are fixed.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import MODULES, __version__
 
@@ -21,6 +24,7 @@ __all__ = [
     "config_digest",
     "write_manifest",
     "write_reports",
+    "Table",
 ]
 
 
@@ -71,39 +75,109 @@ def _format_cell(value) -> str:
         return str(canonical_value(value))
 
 
-def write_reports(records: list, path) -> None:
-    """Write homogeneous records as CSV or JSONL, by the suffix of ``path``; byte-deterministic.
+def _json_float(cell: str) -> str:
+    """canonical_json of a float, given its CSV cell f"{v:.12g}".
 
-    Columns come from the sorted union of the first record's keys; every
-    record must carry the same keys.
+    A fixed-point cell with a decimal point is already repr of the rounded
+    float: at most 12 digits name one double, and repr writes the shortest
+    digits that name it.  Integral values, exponents (repr moves to them at
+    1e16, not 1e12; subnormals have fewer digits), nan and +-inf differ.
+    """
+    if "." in cell and "e" not in cell:
+        return cell
+    if cell in ("nan", "inf", "-inf"):
+        return json.dumps(cell)
+    return repr(float(cell))
+
+
+def _cells(column) -> tuple[list, list]:
+    """(CSV cells, canonical_json values) of a column; each float is formatted once, for both."""
+    if isinstance(column, np.ndarray):
+        cells = [f"{v:.12g}" for v in column.tolist()]
+        return cells, [s if "." in s and "e" not in s else _json_float(s) for s in cells]
+    cells = [_format_cell(v) for v in column]
+    # a string column repeats a few labels: each is encoded once
+    strings = {v: json.dumps(v) for v in {v for v in column if isinstance(v, str)}}
+    return cells, [
+        strings[v] if isinstance(v, str) else _json_float(s) if isinstance(v, float) else canonical_json(v)
+        for v, s in zip(column, cells)
+    ]
+
+
+class Table:
+    """Homogeneous report rows held as columns; each cell is formatted once for every file written from it.
+
+    ``columns`` maps each key to its column, all of one length: a float
+    numpy array, or a list of values of any kind canonical_value takes.  As
+    a sequence, a table holds its rows as dicts.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    @classmethod
+    def of(cls, records) -> Table:
+        """The table of a list of dicts, which must all carry the same keys."""
+        records = list(records)
+        keys = records[0].keys() if records else {}
+        if any(rec.keys() != keys for rec in records):
+            raise ValueError("records must be homogeneous per file")
+        return cls({k: [rec[k] for rec in records] for k in keys})
+
+    @classmethod
+    def concat(cls, tables: list[Table]) -> Table:
+        """The rows of every table in turn; the tables share their keys and column kinds."""
+        return cls({
+            k: np.concatenate([t.columns[k] for t in tables]) if isinstance(col, np.ndarray)
+            else [v for t in tables for v in t.columns[k]]
+            for k, col in tables[0].columns.items()
+        })
+
+    def take(self, rows) -> Table:
+        """The table of the rows at the indices ``rows``, in that order."""
+        return Table({
+            k: col[rows] if isinstance(col, np.ndarray) else [col[i] for i in rows]
+            for k, col in self.columns.items()
+        })
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, i: int) -> dict:
+        return {k: col[i].item() if isinstance(col, np.ndarray) else col[i] for k, col in self.columns.items()}
+
+    def __iter__(self):
+        values = [col.tolist() if isinstance(col, np.ndarray) else col for col in self.columns.values()]
+        return (dict(zip(self.columns, row)) for row in zip(*values))
+
+    @functools.cached_property
+    def cells(self) -> dict:
+        """Each column's (CSV cells, canonical_json values)."""
+        return {k: _cells(col) for k, col in self.columns.items()}
+
+
+def write_reports(records, path) -> None:
+    """Write a Table or homogeneous records as CSV or JSONL, by the suffix of ``path``; byte-deterministic.
+
+    Columns come in sorted key order.  A JSONL line is canonical_json of its
+    row, and a CSV float cell f"{v:.12g}"; a Table formats each of its cells
+    once, for all the files written from it.
     """
     path = Path(path)
     if path.suffix not in (".csv", ".jsonl"):
         raise ValueError(f"unknown report format {path.suffix!r} of {path}")
-    records = list(records)
-    keys = sorted(records[0].keys()) if records else []
-    if any(rec.keys() != records[0].keys() for rec in records):
-        raise ValueError("records must be homogeneous per file")
+    table = records if isinstance(records, Table) else Table.of(records)
+    keys = sorted(table.columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if path.suffix == ".csv":
             writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
             writer.writerow(keys)
-            for rec in records:
-                writer.writerow([_format_cell(rec[k]) for k in keys])
+            writer.writerows(zip(*(table.cells[k][0] for k in keys)))
         else:
-            # canonical_json(rec) of each row, its keys sorted once
-            order = sorted(keys, key=str)  # canonical_value makes every key a str
-            prefixes = [json.dumps(str(k)) + ":" for k in order]
-            for rec in records:
-                cells = [p + _json_value(rec[k]) for p, k in zip(prefixes, order)]
-                fh.write("{" + ",".join(cells) + "}\n")
-
-
-def _json_value(value) -> str:
-    """``canonical_json(value)``; a finite float or a string is formatted directly."""
-    if isinstance(value, float) and math.isfinite(value):
-        return repr(float(f"{value:.12g}"))
-    return json.dumps(value) if isinstance(value, str) else canonical_json(value)
+            # canonical_json's key order: canonical_value makes every key a str
+            order = sorted(keys, key=str)
+            line = ",".join(json.dumps(str(k)).replace("%", "%%") + ":%s" for k in order)
+            fh.writelines("{" + line % row + "}\n" for row in zip(*(table.cells[k][1] for k in order)))
 
 
 def write_manifest(config: dict, path) -> None:

@@ -7,6 +7,7 @@ from lieboxford import bounds
 from lieboxford.bounds import (
     BOUNDS,
     PROVEN_BOUND_IDS,
+    REPORT_ORDER,
     BoundSpec,
     IncompatibleSpec,
     default_suite_potentials,
@@ -25,8 +26,10 @@ from lieboxford.bounds import (
     rhs_moment_split,
     rhs_rasanen,
     run_suite,
+    verify_bound,
 )
 from lieboxford.cli import DEFAULT_CONFIG
+from lieboxford.energies import interaction_energies
 from lieboxford.potentials import (
     ApproxContact,
     Contact,
@@ -383,21 +386,44 @@ class TestSuite:
         keys = [(r["state_id"], r["bound_id"], r["potential"], r["params"]) for r in reports]
         assert keys == sorted(keys)
 
-    def test_moments_computed_once_per_potential_and_gamma(self, monkeypatch):
+    def test_moments_priced_once_per_potential(self, monkeypatch):
         # the 20 moment_split gammas of RegularizedCoulomb(1) cost one int_0^g v
-        # each, however many states share them
+        # for the whole grid, however many states share them
         calls = []
         integral_to = RegularizedCoulomb._integral_to
 
         def counted(p, gamma):
-            calls.append(gamma)
+            calls.append(np.atleast_1d(gamma).tolist())
             return integral_to(p, gamma)
 
         monkeypatch.setattr(RegularizedCoulomb, "_integral_to", counted)
-        bounds._moments.cache_clear()
         reports = run_suite(random_state_suite(3, 7), tol_scale=TOL)
         assert {r["state_id"] for r in reports} == {"s000", "s001", "s002"}
-        assert len(calls) == 20
+        assert calls == [np.geomspace(1e-2, 1e2, 20).tolist()]
+
+    @pytest.mark.parametrize("kind", SUITE_KINDS)
+    def test_table_rows_are_the_one_state_rows(self, kind):
+        # every default spec, proven and reference, on one state of each kind:
+        # the columnar table gives verify_bound's row bit for bit, in REPORT_ORDER
+        state = SUITE_KINDS[kind]
+        specs = bounds.bound_specs()
+        assert {(s.bound_id, s.params_label) for s in specs} >= {
+            ("log_global", "alpha=N"), ("homogeneous_window", ""), ("rasanen", ""),
+        }
+        table = list(run_suite([(kind, state)], specs, tol_scale=TOL))
+        profile = density(state)
+        potentials = list(dict.fromkeys(s.potential for s in specs))
+        breakdowns = dict(zip(potentials, interaction_energies(state, potentials)))
+        one_state = [
+            verify_bound(s, profile, breakdowns[s.potential], kind, tol_scale=TOL) for s in specs
+        ]
+
+        def bits(row):
+            return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+
+        assert len(table) == len(specs)
+        assert [bits(r) for r in table] == [bits(r) for r in sorted(one_state, key=REPORT_ORDER)]
+        assert [REPORT_ORDER(r) for r in table] == sorted(REPORT_ORDER(r) for r in table)
 
     def test_default_specs_cover_all_bound_ids(self):
         ids = {s.bound_id for s in proven_bound_specs()}

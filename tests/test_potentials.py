@@ -22,6 +22,7 @@ from lieboxford.potentials import (
     from_config,
 )
 from lieboxford import potentials
+from lieboxford.report import write_reports
 from oracles import ShiftedPotential, erfcx_sandwich, integrate_1d_components, segment_integral_to
 
 SMOOTH_FAMILIES = [
@@ -220,6 +221,32 @@ class TestMoments:
         assert ours.tobytes() == reference.tobytes()
         assert len(calls) == 1
         assert ours[2] == ours[5] == 0.0
+
+    def test_dense_regularized_grid_caps_each_call(self, monkeypatch, tmp_path):
+        # 6,000 gammas run in calls of at most _SEGMENTS_PER_CALL segments; the
+        # largest integrand batch is a full call's first round, 4 panels of 15
+        # nodes per segment, and the report equals one uncapped call's
+        p = RegularizedCoulomb(1.0)
+        grid = default_gamma_grid(p, 6000, [1e-4, 1e4])
+        calls, batches = [], []
+        quadrature = potentials.integrate_1d_with_error
+
+        def recorded(f, jobs, spec):
+            calls.append(len(jobs))
+            return quadrature(lambda x: batches.append(x.size) or f(x), jobs, spec)
+
+        monkeypatch.setattr(potentials, "integrate_1d_with_error", recorded)
+        cap = potentials._SEGMENTS_PER_CALL
+        assert cap >= 200  # the default moments grid stays one call
+        write_reports(certify_moment_bounds(p, grid), tmp_path / "capped.csv")
+        assert calls == [cap] * (6000 // cap) + [6000 % cap]
+        assert max(batches) == cap * 4 * 15
+        monkeypatch.setattr(potentials, "_SEGMENTS_PER_CALL", 10**9)
+        calls.clear()
+        batches.clear()
+        write_reports(certify_moment_bounds(p, grid), tmp_path / "uncapped.csv")
+        assert calls == [6000] and max(batches) == 6000 * 4 * 15
+        assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "uncapped.csv").read_bytes()
 
 
 class TestIntegralValue:

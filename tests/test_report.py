@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieboxford.report import (
+    Table,
     canonical_json,
+    canonical_value,
     config_digest,
     write_manifest,
     write_reports,
@@ -113,6 +115,30 @@ class TestWriteReports:
         path = tmp_path / "c.jsonl"
         write_reports(rows, path)
         assert path.read_text(encoding="utf-8").splitlines() == [canonical_json(r) for r in rows]
+
+    def test_table_formats_each_float_once_for_both_files(self, tmp_path):
+        # where f"{v:.12g}" and repr of the rounded float part ways: integral
+        # values, -0.0, exponents from 1e12 to 1e16 and subnormals, nan and
+        # +-inf; a float column (numpy array) and a list of numpy scalars
+        values = [
+            3.0, -0.0, 0.0, -2.0, 1e-5, 1.5e-5, 0.0001, 1e12, 1.234567891234e12, 9.99999999999e15,
+            123456789012345.6, 1e16, 2.5e17, 5e-324, 1e-310, 0.1 + 0.2, -1 / 3,
+            math.nan, math.inf, -math.inf,
+        ]
+        scalars = [np.float64(v) for v in values]
+        table = Table({"x": np.array(values), "y": scalars})
+        write_reports(table, tmp_path / "t.csv")
+        write_reports(table, tmp_path / "t.jsonl")
+        cells = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        expect = [f"{canonical_value(v):.12g}" if math.isfinite(v) else canonical_value(v) for v in values]
+        assert cells == [[e, e] for e in expect]
+        lines = (tmp_path / "t.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines == [canonical_json({"x": v, "y": s}) for v, s in zip(values, scalars)]
+        # the same bytes as the records' own write
+        records = [{"x": v, "y": s} for v, s in zip(values, scalars)]
+        for suffix in ("csv", "jsonl"):
+            write_reports(records, tmp_path / f"r.{suffix}")
+            assert (tmp_path / f"r.{suffix}").read_bytes() == (tmp_path / f"t.{suffix}").read_bytes()
 
     def test_heterogeneous_rejected(self, tmp_path):
         with pytest.raises(ValueError):
