@@ -1,10 +1,10 @@
 """Interaction energies: the indirect energy I_xc = <V> - D and its error.
 
-Two entry points: ``interaction_energies(state, potentials)`` prices a whole
-batch of potentials for one state, and ``indirect_energy(state, p)`` is its
-single-potential form.  Both return EnergyBreakdown records: I_xc and a
-quadrature error estimate, the one number per (state, potential) that the
-bounds are statements about.
+Two entry points: ``interaction_energies(pairs)`` prices many
+(state, potentials) pairs in one call, and ``indirect_energy(state, p)`` is
+its one-pair, one-potential form.  Both return EnergyBreakdown records: I_xc
+and a quadrature error estimate, the one number per (state, potential) that
+the bounds are statements about.
 
 Everything reduces to one-dimensional integrals in the separation coordinate
 u = x - y:
@@ -20,12 +20,14 @@ the states module), and the outer passes read them at their own quadrature
 nodes, with no u grid and no interpolant in between.  Each potential gets its
 own outer passes in u, split at its breakpoints: one adaptive integral per
 piece of h v and one of C v, and I_xc is their difference, with the sum of
-their error estimates.  All of them run in one many-job call of
-``integrate_1d_with_error`` with (h, C) as its basis and v as each job's
-weight, so each round evaluates the closed forms once on the nodes of every
-pending panel of the batch, and each value has the bits of its integral run
-alone.  The contact potential acts at zero separation instead, so its I_xc
-is closed-form, with no quadrature and an error estimate of 0:
+their error estimates.  All of them, for every pair of the call, run in
+one many-job call of ``integrate_1d_with_error``: each job names its
+state's (h, C) as its basis and takes v as its weight, so each round
+evaluates each state's closed forms once on the nodes of all its pending
+panels and each potential once on the nodes of every state that needs it,
+and each value has the bits of its integral run alone.  The contact
+potential acts at zero separation instead, so its I_xc is closed-form, with
+no quadrature and an error estimate of 0:
 
   <delta> = (1/2) int rho2(x, x) dx = h(0) / 2,      D = (1/2) int rho^2 = C(0) / 2.
 
@@ -73,31 +75,40 @@ def _piecewise(results, pieces: int) -> tuple:
 
 def indirect_energy(state: TrialState, p: Potential) -> EnergyBreakdown:
     """I_xc = <V> - D of one (state, potential) pair, with its error estimate."""
-    return interaction_energies(state, [p])[0]
+    return interaction_energies([(state, [p])])[0][0]
 
 
-def interaction_energies(state: TrialState, potentials) -> list[EnergyBreakdown]:
-    """I_xc of many potentials; every integral of the batch in one many-job call."""
-    potentials = list(potentials)
-    span = state.support.hi - state.support.lo
-    jobs, pieces = [], []  # pieces per potential; 0 for the contact potential
-    for p in potentials:
-        if isinstance(p, Contact):
-            pieces.append(0)
-            continue
-        edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
-        for component in (0, 1):  # h v, then C v
-            jobs += [(component, p.value, piece) for piece in zip(edges[:-1], edges[1:])]
-        pieces.append(len(edges) - 1)
-    results = iter(integrate_1d_with_error(state.correlations, jobs, DEFAULT_SPEC))
+def interaction_energies(pairs) -> list[list[EnergyBreakdown]]:
+    """I_xc of each potential of each (state, potentials) pair; every integral of them in one many-job call.
+
+    Returns, per pair, one EnergyBreakdown per potential.  Each job names
+    its state's (h, C) as its basis, so the call has no shared one.
+    """
+    jobs, pieces = [], []  # per pair: its state and the pieces per potential, 0 for the contact potential
+    for state, potentials in pairs:
+        span = state.support.hi - state.support.lo
+        counts = []
+        for p in potentials:
+            if isinstance(p, Contact):
+                counts.append(0)
+                continue
+            edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
+            for component in (0, 1):  # h v, then C v
+                jobs += [(component, p.value, piece, state.correlations) for piece in zip(edges[:-1], edges[1:])]
+            counts.append(len(edges) - 1)
+        pieces.append((state, counts))
+    results = iter(integrate_1d_with_error(None, jobs, DEFAULT_SPEC))
 
     out = []
-    for n in pieces:
-        if n == 0:
-            h0, c0 = state.correlations(0.0)
-            out.append(EnergyBreakdown(0.5 * float(h0) - 0.5 * float(c0), 0.0))
-        else:
-            expectation, e1 = _piecewise(results, n)
-            hartree, e2 = _piecewise(results, n)
-            out.append(EnergyBreakdown(expectation - hartree, e1 + e2))
+    for state, counts in pieces:
+        breakdowns = []
+        for n in counts:
+            if n == 0:
+                h0, c0 = state.correlations(0.0)
+                breakdowns.append(EnergyBreakdown(0.5 * float(h0) - 0.5 * float(c0), 0.0))
+            else:
+                expectation, e1 = _piecewise(results, n)
+                hartree, e2 = _piecewise(results, n)
+                breakdowns.append(EnergyBreakdown(expectation - hartree, e1 + e2))
+        out.append(breakdowns)
     return out

@@ -9,6 +9,13 @@ I_xc >= -C int rho^2.  Observed ratios are empirical lower estimates of the
 best constant, never tightness claims.  Search is Nelder-Mead over the
 template's box with seeded random restarts; every incumbent is cross-checked
 against the proven bounds for the same potential.
+
+Nelder-Mead and the search around it are generators that yield the points
+and the (state, potential) pairs they need priced.  constant_table runs all
+its searches in lockstep: each step prices the pending pair of every live
+search in one interaction_energies call, whose values have the bits of a
+lone call, so each search gets the result of its run alone.
+maximize_ratio is the one-search case.
 """
 
 from __future__ import annotations
@@ -19,18 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BOUNDS, BoundSpec, verify_bound
-from .energies import indirect_energy
+from .energies import indirect_energy, interaction_energies
 # integrate_1d is unused here, but bench/test_smoke.py checks that the layer
 # tracer rebinds it by name in this module
 from .numerics import integrate_1d, rng_stream  # noqa: F401
 from .potentials import Potential
-from .states import (
-    CorrelatedGaussianPair,
-    GaussianProduct,
-    HermiteSlater,
-    TrialState,
-    density,
-)
+from .states import CorrelatedGaussianPair, GaussianProduct, HermiteSlater, density
 
 __all__ = [
     "ObjectiveEvaluationFailed",
@@ -83,16 +84,12 @@ class SearchResult:
     best_checks: dict = field(default_factory=dict)  # bound id -> the incumbent's report row
 
 
-def _ratio(state: TrialState, potential: Potential) -> tuple:
-    breakdown = indirect_energy(state, potential)
-    rho_sq = float(state.correlations(0.0)[1])  # int rho^2 = C(0)
-    return -breakdown.i_xc / rho_sq, breakdown
+def _nelder_mead(x0, lo, hi, max_evals):
+    """Minimize over the box; standard coefficients (1, 2, 0.5, 0.5).
 
-
-def _nelder_mead(f, x0, lo, hi, max_evals):
-    """Minimize f over the box; standard coefficients (1, 2, 0.5, 0.5).
-
-    The simplex starts at 5% of the box width.  Returns (x, fx, evals).
+    A generator: it yields each point to evaluate, clipped onto the box,
+    and is sent the objective's value there.  The simplex starts at 5% of
+    the box width.  Returns (x, fx, evals).
     """
     dim = len(x0)
     evals = 0
@@ -100,7 +97,7 @@ def _nelder_mead(f, x0, lo, hi, max_evals):
     def feval(x):
         nonlocal evals
         evals += 1
-        return f(np.clip(x, lo, hi))
+        return (yield np.clip(x, lo, hi))
 
     step = 0.05 * (hi - lo)
     simplex = [np.array(x0, dtype=float)]
@@ -113,7 +110,7 @@ def _nelder_mead(f, x0, lo, hi, max_evals):
         if evals >= max_evals:
             values.append(math.inf)
             continue
-        values.append(feval(v))
+        values.append((yield from feval(v)))
 
     while evals < max_evals:
         order = np.argsort(values, kind="stable")
@@ -123,7 +120,7 @@ def _nelder_mead(f, x0, lo, hi, max_evals):
             break
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + 1.0 * (centroid - simplex[-1])
-        fr = feval(reflected)
+        fr = yield from feval(reflected)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
@@ -132,7 +129,7 @@ def _nelder_mead(f, x0, lo, hi, max_evals):
                 simplex[-1], values[-1] = reflected, fr
                 break
             expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = feval(expanded)
+            fe = yield from feval(expanded)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
@@ -141,7 +138,7 @@ def _nelder_mead(f, x0, lo, hi, max_evals):
         if evals >= max_evals:
             break
         contracted = centroid + 0.5 * (simplex[-1] - centroid)
-        fc = feval(contracted)
+        fc = yield from feval(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
@@ -149,19 +146,18 @@ def _nelder_mead(f, x0, lo, hi, max_evals):
             if evals >= max_evals:
                 break
             simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-            values[i] = feval(simplex[i])
+            values[i] = yield from feval(simplex[i])
 
     best = int(np.argmin(values))
     return simplex[best], values[best], evals
 
 
-def maximize_ratio(problem: SearchProblem, seed: int, tol_scale: float) -> SearchResult:
-    """Nelder-Mead with seeded random restarts; deterministic given the seed.
+def _search(problem: SearchProblem, seed: int, tol_scale: float):
+    """The search of maximize_ratio, as a generator.
 
-    restarts = max(1, budget // 200); incumbents are recorded in the trace
-    (strict improvements only, so ties resolve to first-found) and verified
-    against the proven bounds for the potential at relative tolerance
-    ``tol_scale`` (see verify_bound).
+    It yields each (state, potential) pair it needs priced and is sent its
+    EnergyBreakdown, or has the pricing's error thrown in; it returns the
+    SearchResult.
     """
     lo = np.array([b[0] for b in problem.template.bounds], dtype=float)
     hi = np.array([b[1] for b in problem.template.bounds], dtype=float)
@@ -182,7 +178,9 @@ def maximize_ratio(problem: SearchProblem, seed: int, tol_scale: float) -> Searc
             return priced[theta]
         try:
             state = problem.template.build(theta)
-            ratio, breakdown = _ratio(state, problem.potential)
+            breakdown = yield state, problem.potential
+            rho_sq = float(state.correlations(0.0)[1])  # int rho^2 = C(0)
+            ratio = -breakdown.i_xc / rho_sq
         except ObjectiveEvaluationFailed:
             raise
         except Exception as err:
@@ -211,9 +209,79 @@ def maximize_ratio(problem: SearchProblem, seed: int, tol_scale: float) -> Searc
         remaining = min(per_restart, problem.budget - result.evaluations_used)
         if remaining <= 0:
             break
-        _, _, used = _nelder_mead(objective, x0, lo, hi, remaining)
-        result.evaluations_used += used
+        walk = _nelder_mead(x0, lo, hi, remaining)
+        try:
+            x = next(walk)
+            while True:
+                x = walk.send((yield from objective(x)))
+        except StopIteration as done:
+            result.evaluations_used += done.value[2]
     return result
+
+
+def _price(pairs) -> list:
+    """(EnergyBreakdown, None) or (None, error) per (state, potential) pair.
+
+    One interaction_energies call prices them all; if it raises, each pair
+    is priced alone, so that every pair gets the outcome of its own call.
+    """
+    try:
+        return [(b, None) for (b,) in interaction_energies([(state, [p]) for state, p in pairs])]
+    except Exception:
+        out = []
+        for state, p in pairs:
+            try:
+                out.append((indirect_energy(state, p), None))
+            except Exception as err:
+                out.append((None, err))
+        return out
+
+
+def _run_searches(searches) -> list[SearchResult]:
+    """Every search generator (see _search) to its end, in lockstep.
+
+    Each step prices the pending pair of every live search with one _price
+    call, so each search gets the values of its run alone.  A search that
+    raises makes the call raise that error, the first such search in list
+    order winning, as in a loop of lone runs: the searches before it run to
+    completion and those after it stop.
+    """
+    out = [None] * len(searches)
+    failed = None  # (search index, error) of the first failing search
+    steps = [(i, search, None, None) for i, search in enumerate(searches)]
+    while steps:
+        pending = []
+        for i, search, breakdown, error in steps:
+            try:
+                pair = search.send(breakdown) if error is None else search.throw(error)
+            except StopIteration as done:
+                out[i] = done.value
+            except Exception as err:
+                if failed is None or i < failed[0]:
+                    failed = (i, err)
+            else:
+                pending.append((i, search, pair))
+        if failed is not None:  # a later search's result would not be returned
+            pending = [step for step in pending if step[0] < failed[0]]
+        if not pending:
+            break
+        priced = _price([pair for _, _, pair in pending])
+        steps = [(i, search, *outcome) for (i, search, _), outcome in zip(pending, priced)]
+    if failed is not None:
+        raise failed[1]
+    return out
+
+
+def maximize_ratio(problem: SearchProblem, seed: int, tol_scale: float) -> SearchResult:
+    """Nelder-Mead with seeded random restarts; deterministic given the seed.
+
+    restarts = max(1, budget // 200); incumbents are recorded in the trace
+    (strict improvements only, so ties resolve to first-found) and verified
+    against the proven bounds for the potential at relative tolerance
+    ``tol_scale`` (see verify_bound).  The one-search case of the lockstep
+    that constant_table runs.
+    """
+    return _run_searches([_search(problem, seed, tol_scale)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +346,31 @@ def constant_table(potentials, families, budget: int, seed: int, tol_scale: floa
     counts the incumbents that violated a proven bound at relative tolerance
     ``tol_scale`` (0 when all held).
     """
+    cells = [(potential, family) for potential in potentials for family in families]
+    searches = [
+        _table_search(potential, family, budget, seed + 1000 * pot_idx + fam_idx, tol_scale)
+        for pot_idx, potential in enumerate(potentials)
+        for fam_idx, family in enumerate(families)
+    ]
     rows = []
-    for pot_idx, potential in enumerate(potentials):
-        for fam_idx, family in enumerate(families):
-            problem = SearchProblem(potential, template_by_name(family), budget)
-            res = maximize_ratio(problem, seed + 1000 * pot_idx + fam_idx, tol_scale)
-            # log_pointwise is a cross-check bound: the incumbent's report has it
-            log_check = res.best_checks.get("log_pointwise")
-            rows.append(
-                {
-                    "potential": potential.label(),
-                    "family": family,
-                    "best_ratio": res.best_ratio,
-                    "best_theta": ";".join(f"{t:.8g}" for t in res.best_theta),
-                    "evaluations": res.evaluations_used,
-                    "proven_bound_fraction": (
-                        log_check["lhs"] / log_check["rhs"] if log_check else ""
-                    ),
-                    "cross_check_failures": len(res.cross_check_failures),
-                }
-            )
+    for (potential, family), res in zip(cells, _run_searches(searches)):
+        # log_pointwise is a cross-check bound: the incumbent's report has it
+        log_check = res.best_checks.get("log_pointwise")
+        rows.append(
+            {
+                "potential": potential.label(),
+                "family": family,
+                "best_ratio": res.best_ratio,
+                "best_theta": ";".join(f"{t:.8g}" for t in res.best_theta),
+                "evaluations": res.evaluations_used,
+                "proven_bound_fraction": log_check["lhs"] / log_check["rhs"] if log_check else "",
+                "cross_check_failures": len(res.cross_check_failures),
+            }
+        )
     return rows
+
+
+def _table_search(potential, family, budget, seed, tol_scale):
+    """The search of one table cell; its problem is built when the search starts, as in a loop."""
+    problem = SearchProblem(potential, template_by_name(family), budget)
+    return (yield from _search(problem, seed, tol_scale))

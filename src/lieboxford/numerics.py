@@ -23,18 +23,21 @@ overflows (numpy warns, by its ``over`` setting) never converge.
 
 The loop is a generator (``_adaptive``): it yields the panel ends it needs
 next and is sent their sums.  One driver (``_lockstep``) runs every loop, in
-rounds, for jobs that integrate one component of a shared basis
-f(x) = (f_0(x), f_1(x), ...) times a weight of their own: each round it
-evaluates the basis once on the nodes of every distinct pending request,
-each weight once per request that needs it, and sums every (job, panel) row
-in one reduction per rule.  A lone integral is its one-job case, ``f`` as a
-1-row basis with no weight, so each of its rounds is one call of ``f``.
-Each loop keeps its own heap, so a job gets the panels, pops and totals of
-its lone run on ``basis(x)[component] * weight(x)``, bit for bit, whenever
-the basis and the weights are batch independent as above.  A job that would
-raise alone (a non-finite panel it consumes, NonConvergence) makes the call
-raise that same error, the first such job in list order winning, as in a
-loop of lone calls.
+rounds, for jobs that each integrate one component of a basis
+f(x) = (f_0(x), f_1(x), ...) times a weight of their own; a job reads the
+basis of the call or names its own, so one call can carry the integrals of
+many states.  Each round forms the nodes of every distinct pending request
+in one call, evaluates each basis once, on the contiguous nodes of its
+requests, and each weight once, on the nodes of every request that needs
+it, and sums every (job, panel) row in one reduction per rule.  A lone
+integral is its one-job case, ``f`` as a 1-row basis with no weight, so
+each of its rounds is one call of ``f``.  Each loop keeps its own heap, so
+a job gets the panels, pops and totals of its lone run on
+``basis(x)[component] * weight(x)``, bit for bit, whenever the bases and
+the weights are batch independent as above.  A job that would raise alone
+(a non-finite panel it consumes, NonConvergence) makes the call raise that
+same error, the first such job in list order winning, as in a loop of lone
+calls.
 """
 
 from __future__ import annotations
@@ -272,58 +275,84 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
     )
 
 
-def _lockstep(basis, jobs, spec: QuadratureSpec) -> list:
+def _lockstep(f, jobs, spec: QuadratureSpec) -> list:
     """The driver of both forms of integrate_1d_with_error: every job's loop, one round at a time.
 
-    A round groups the live jobs by request, evaluates ``basis`` once on the
-    nodes of every distinct request and each job's weight once per request
-    it is in, and sums every (job, panel) row with one _sums call.
+    A round groups the live jobs by basis and, within a basis, by request,
+    forms the nodes of every request in one _nodes call, evaluates each
+    basis once on the contiguous panels of its requests and each weight
+    once on the panels of the requests that need it, and sums every
+    (job, panel) row with one _sums call.
     """
     out = [(0.0, 0.0)] * len(jobs)
-    slots = {}  # weight -> its index in ``weights``
-    live = []  # [job index, loop, component, weight slot or None, request]
-    for i, (component, weight, domain) in enumerate(jobs):
+    bases, weights = {}, {}  # callable -> its slot
+    live = []  # [job index, loop, basis slot, component, weight slot or None, request]
+    for i, (component, weight, domain, *own) in enumerate(jobs):
         domain = Interval.of(domain)
         if domain.lo < domain.hi:
             loop = _adaptive(domain, spec)
-            slot = None if weight is None else slots.setdefault(weight, len(slots))
-            live.append([i, loop, component, slot, next(loop)])
-    weights = list(slots)
+            basis = bases.setdefault(own[0] if own else f, len(bases))
+            slot = None if weight is None else weights.setdefault(weight, len(weights))
+            live.append([i, loop, basis, component, slot, next(loop)])
+    bases, weights = list(bases), list(weights)
+    width = len(_XK)
     failed = None  # (job index, error) of the first failing job
     while live:
-        groups = {}
+        groups = {}  # basis slot -> request -> its jobs
         for job in live:
-            groups.setdefault(job[4], []).append(job)
-        lo, hi = [], []
-        for request in groups:
-            lo += request[0]
-            hi += request[1]
+            groups.setdefault(job[2], {}).setdefault(job[5], []).append(job)
+        # a block per request: its basis slot, its nodes in the round and in
+        # its basis's values, and its jobs; a span per basis: its nodes
+        blocks, spans, wanted, lo, hi = [], {}, {}, [], []
+        for slot, requests in groups.items():
+            first = len(lo)
+            for request, members in requests.items():
+                a = len(lo)
+                lo += request[0]
+                hi += request[1]
+                nodes = slice(a * width, len(lo) * width)
+                local = slice(nodes.start - first * width, nodes.stop - first * width)
+                for job in members:
+                    if job[4] is not None:
+                        wanted.setdefault(job[4], {})[len(blocks)] = nodes
+                blocks.append((slot, nodes, local, members))
+            spans[slot] = slice(first * width, len(lo) * width)
         x, half = _nodes(lo, hi)
         x = x.ravel()
-        fx = np.asarray(basis(x), dtype=float)
-        if fx.ndim != 2 or fx.shape[1] != x.size:
-            raise ValueError("basis must map an (m,) node array to (k, m) values")
-        rows, row_half, order, start = [], [], [], 0
-        for request, members in groups.items():
-            stop = start + len(request[0])
-            nodes = slice(start * len(_XK), stop * len(_XK))
-            weighted = {}
+        values = {}  # basis slot -> its (k, m) values on the nodes of its span
+        for slot, nodes in spans.items():
+            fx = np.asarray(bases[slot](x[nodes]), dtype=float)
+            if fx.ndim != 2 or fx.shape[1] != nodes.stop - nodes.start:
+                raise ValueError("basis must map an (m,) node array to (k, m) values")
+            values[slot] = fx
+        weighted = {}  # (weight slot, block index) -> the weight on the block's nodes
+        for slot, needed in wanted.items():
+            if len(needed) == 1:  # the block's own nodes, a view
+                ((index, nodes),) = needed.items()
+                weighted[slot, index] = weights[slot](x[nodes])
+                continue
+            parts = [x[nodes] for nodes in needed.values()]
+            fw = weights[slot](np.concatenate(parts))
+            start = 0
+            for index, part in zip(needed, parts):
+                weighted[slot, index] = fw[start : start + part.size]
+                start += part.size
+        rows, row_half, order = [], [], []
+        for index, (slot, nodes, local, members) in enumerate(blocks):
+            fx = values[slot][:, local]
             for job in members:
-                row, slot = fx[job[2], nodes], job[3]
-                if slot is not None:
-                    if slot not in weighted:
-                        weighted[slot] = weights[slot](x[nodes])
-                    row = row * weighted[slot]
+                row = fx[job[3]]
+                if job[4] is not None:
+                    row = row * weighted[job[4], index]
                 rows.append(row)
-            row_half += half[start:stop] * len(members)
+            row_half += half[nodes.start // width : nodes.stop // width] * len(members)
             order += members
-            start = stop
-        sums = _sums(np.concatenate(rows).reshape(-1, len(_XK)), row_half)
+        sums = _sums(np.concatenate(rows).reshape(-1, width), row_half)
         live, start = [], 0
         for job in order:
-            stop = start + len(job[4][0])
+            stop = start + len(job[5][0])
             try:
-                job[4] = job[1].send(sums[start:stop])
+                job[5] = job[1].send(sums[start:stop])
                 live.append(job)
             except StopIteration as done:
                 out[job[0]] = done.value
@@ -347,13 +376,15 @@ def integrate_1d_with_error(f, domain, spec: QuadratureSpec | None = None):
     the one-job case of the many-job form: ``f`` as a 1-row basis, and no
     weight.
 
-    Many-job form: ``domain`` a list of jobs (component, weight, domain) and
-    ``f`` a basis mapping an ``(m,)`` node array to ``(k, m)`` values; job j
-    integrates ``f(x)[component] * weight(x)`` over its domain, or
-    ``f(x)[component]`` itself where its weight is None (a unit weight, with
-    no multiply).  Returns one (value, error) per job, each with the bits of
-    that job's lone call, or raises the error of the first job (in list
-    order) whose lone call raises (module docstring).
+    Many-job form: ``domain`` a list of jobs (component, weight, domain) or
+    (component, weight, domain, basis), and ``f`` the basis of the jobs that
+    name none (None if every job names one); a basis maps an ``(m,)`` node
+    array to ``(k, m)`` values.  Job j integrates
+    ``basis(x)[component] * weight(x)`` over its domain, or
+    ``basis(x)[component]`` itself where its weight is None (a unit weight,
+    with no multiply).  Returns one (value, error) per job, each with the
+    bits of that job's lone call, or raises the error of the first job (in
+    list order) whose lone call raises (module docstring).
     """
     spec = spec or QuadratureSpec()
     if isinstance(domain, list):

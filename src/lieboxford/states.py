@@ -277,9 +277,9 @@ class TrialState:
     def grid_halfwidth(self) -> float:
         raise NotImplementedError
 
-    @property
+    @cached_property
     def support(self) -> Interval:
-        """grid_center +- grid_halfwidth: the density is negligible outside."""
+        """grid_center +- grid_halfwidth: the density is negligible outside; computed once per state."""
         c, w = self.grid_center, self.grid_halfwidth
         return Interval(c - w, c + w)
 
@@ -415,7 +415,8 @@ class GaussianProduct(_OrbitalState):
 
     @property
     def grid_halfwidth(self) -> float:
-        spread = max(abs(c - self.grid_center) for c in self.centers)
+        center = self.grid_center
+        spread = max(abs(c - center) for c in self.centers)
         return 12 * self.width + spread
 
     def dilated(self, lam):

@@ -413,7 +413,7 @@ class TestSuite:
         table = list(run_suite([(kind, state)], specs, tol_scale=TOL))
         profile = density(state)
         potentials = list(dict.fromkeys(s.potential for s in specs))
-        breakdowns = dict(zip(potentials, interaction_energies(state, potentials)))
+        breakdowns = dict(zip(potentials, interaction_energies([(state, potentials)])[0]))
         one_state = [
             verify_bound(s, profile, breakdowns[s.potential], kind, tol_scale=TOL) for s in specs
         ]

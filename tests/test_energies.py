@@ -100,8 +100,41 @@ def test_batch_equals_lone_runs_bit_for_bit(kind):
     state = SUITE_KINDS[kind]
     pots = list(default_suite_potentials().values())
     lone = _bits(lone_energies(state, pots))
-    assert _bits(interaction_energies(state, pots)) == lone
+    assert _bits(interaction_energies([(state, pots)])[0]) == lone
     assert _bits([indirect_energy(state, p) for p in pots]) == lone
+
+
+def test_many_states_equal_their_lone_calls_bit_for_bit():
+    # one call for one state of each kind against the 8 default potentials:
+    # every state gets the bits of its own call, and of the lone integrals
+    pots = list(default_suite_potentials().values())
+    many = interaction_energies([(state, pots) for state in SUITE_KINDS.values()])
+    assert len(many) == len(SUITE_KINDS)
+    for state, breakdowns in zip(SUITE_KINDS.values(), many):
+        assert _bits(breakdowns) == _bits(interaction_energies([(state, pots)])[0])
+        assert _bits(breakdowns) == _bits(lone_energies(state, pots))
+
+
+class NotFiniteBeyond30(ConvexSoftCoulomb):
+    """A convex soft Coulomb that is NaN beyond r = 30, inside the support spans of the Hermite states only."""
+
+    def value(self, r):
+        return np.where(np.asarray(r) > 30.0, np.nan, super().value(r))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_failing_later_state_raises_as_the_state_by_state_loop(reverse):
+    # herm2 and herm3 both fail; the one listed first raises its own error
+    states = list(SUITE_KINDS.values())[:: -1 if reverse else 1]
+    pots = [ConvexSoftCoulomb(1.0), NotFiniteBeyond30(1.0)]
+    with pytest.raises(ValueError) as loop:
+        for state in states:
+            interaction_energies([(state, pots)])
+    with pytest.raises(ValueError) as many:
+        interaction_energies([(state, pots) for state in states])
+    assert str(many.value) == str(loop.value)
+    failing = SUITE_KINDS["herm3" if reverse else "herm2"]
+    assert f"{failing.support.hi - failing.support.lo}]" in str(many.value)
 
 
 # Homogeneous is left out: its outer passes integrate the weak singularity
@@ -119,7 +152,7 @@ def test_energies_match_tight_separation_integrals(kind):
     # piece, by the oracle driver at a spec 1000x tighter than the default
     state = SUITE_KINDS[kind]
     tight = QuadratureSpec(1e-13, 1e-12, 40000)
-    for p, b in zip(ORACLE_POTENTIALS, interaction_energies(state, ORACLE_POTENTIALS)):
+    for p, b in zip(ORACLE_POTENTIALS, interaction_energies([(state, ORACLE_POTENTIALS)])[0]):
         (expectation, hartree), _ = separation_integrals(state, p, tight)
         error = abs(b.i_xc - (expectation - hartree))
         assert error <= 1e-11 * max(abs(b.i_xc), state.n_particles), p.label()
@@ -160,7 +193,7 @@ class TestIndirectEnergy:
 
     def test_batch_matches_single(self):
         pots = [Contact(), ConvexSoftCoulomb(1.0), Homogeneous(0.3)]
-        batch = interaction_energies(ANTI_PAIR, pots)
+        batch = interaction_energies([(ANTI_PAIR, pots)])[0]
         for p, b in zip(pots, batch):
             single = indirect_energy(ANTI_PAIR, p)
             assert b.i_xc == pytest.approx(single.i_xc, rel=1e-10)
@@ -217,7 +250,7 @@ class TestIndirectEnergy:
         c = reg.value(0.0)
         assert c == pytest.approx(math.sqrt(math.pi) / (2 * beta))
         pots = [reg, ShiftedPotential(reg, c)]
-        base, lifted = interaction_energies(GAUSS_PAIR, pots)
+        base, lifted = interaction_energies([(GAUSS_PAIR, pots)])[0]
         assert lifted.i_xc - base.i_xc == pytest.approx(c, rel=1e-7)
         # <V> moves by -c times the N(N-1)/2 = 1 pairs, D by -c N^2/2 = -2c
         base, lifted = lone_energies(GAUSS_PAIR, pots)
@@ -234,8 +267,8 @@ class TestInvariances:
     @settings(max_examples=15, deadline=None)
     @given(trial_states(), st.floats(-5.0, 5.0))
     def test_translation_invariance(self, state, delta):
-        base = interaction_energies(state, SUITE_POINTWISE)
-        moved = interaction_energies(translated(state, delta), SUITE_POINTWISE)
+        base = interaction_energies([(state, SUITE_POINTWISE)])[0]
+        moved = interaction_energies([(translated(state, delta), SUITE_POINTWISE)])[0]
         for p, b0, b1 in zip(SUITE_POINTWISE, base, moved):
             scale = max(abs(b0.i_xc), state.n_particles)
             assert abs(b1.i_xc - b0.i_xc) <= 1e-9 * scale, p.label()
@@ -245,8 +278,8 @@ class TestInvariances:
     def test_homogeneous_dilation_scaling(self, state, lam):
         # density lam rho(lam x) and v(r) = r^(eps-1): I_xc scales by lam^(1-eps)
         pots = [Homogeneous(eps) for eps in (0.1, 0.5, 0.9)]
-        base = interaction_energies(state, pots)
-        dilated = interaction_energies(state.dilated(lam), pots)
+        base = interaction_energies([(state, pots)])[0]
+        dilated = interaction_energies([(state.dilated(lam), pots)])[0]
         for p, b0, b1 in zip(pots, base, dilated):
             expected = lam ** (1.0 - p.epsilon) * b0.i_xc
             scale = max(abs(expected), state.n_particles)
@@ -262,8 +295,8 @@ class TestInvariances:
     @given(trial_states(), st.floats(-2.0, 2.0))
     def test_shift_law(self, state, c):
         shifted = [ShiftedPotential(p, c) for p in SUITE_POINTWISE]
-        base = interaction_energies(state, SUITE_POINTWISE)
-        lifted = interaction_energies(state, shifted)
+        base = interaction_energies([(state, SUITE_POINTWISE)])[0]
+        lifted = interaction_energies([(state, shifted)])[0]
         # the scale reads the four integrals off the lone runs, which have
         # the package's bits (test_batch_equals_lone_runs_bit_for_bit)
         integrals = zip(lone_energies(state, SUITE_POINTWISE), lone_energies(state, shifted))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lieboxford import bounds, explore
@@ -11,7 +12,7 @@ from lieboxford.explore import (
     maximize_ratio,
     template_by_name,
 )
-from lieboxford.potentials import Contact, ConvexSoftCoulomb
+from lieboxford.potentials import Contact, ConvexSoftCoulomb, RegularizedCoulomb
 
 TOL = DEFAULT_CONFIG["tolerance"]
 
@@ -112,19 +113,19 @@ class TestConstantTable:
         # the row reads the last incumbent's log_pointwise cross-check, which
         # priced the profile it built: one density per incumbent, none rebuilt
         calls, results = [], []
-        original_density, original_search = explore.density, explore.maximize_ratio
+        original_density, original_run = explore.density, explore._run_searches
 
         def counted(state):
             calls.append(state)
             return original_density(state)
 
-        def recorded(problem, seed, tol_scale):
-            results.append(original_search(problem, seed, tol_scale))
-            return results[-1]
+        def recorded(searches):
+            results.extend(original_run(searches))
+            return list(results)
 
         monkeypatch.setattr(explore, "density", counted)
         monkeypatch.setattr(bounds, "density", counted)
-        monkeypatch.setattr(explore, "maximize_ratio", recorded)
+        monkeypatch.setattr(explore, "_run_searches", recorded)
         potential = ConvexSoftCoulomb(1.0)
         rows = constant_table([potential], ["equal_gaussian_pair"], 60, 3, TOL)
         (res,) = results
@@ -133,3 +134,83 @@ class TestConstantTable:
         log_bound = bounds.BOUNDS["log_pointwise"]
         rhs = log_bound.rhs(original_density(state), bounds.BoundSpec(log_bound.id, potential))
         assert rows[0]["proven_bound_fraction"] == indirect_energy(state, potential).i_xc / rhs
+
+
+class TestLockstep:
+    """constant_table runs its searches in lockstep; each equals its lone maximize_ratio run."""
+
+    def test_table_equals_sequential_searches(self, monkeypatch):
+        potentials = [ConvexSoftCoulomb(1.0), RegularizedCoulomb(1.0)]
+        families = ["correlated_pair", "separated_gaussian_pair"]
+        sequential = [
+            maximize_ratio(SearchProblem(potential, template_by_name(family), 50), 11 + 1000 * i + j, TOL)
+            for i, potential in enumerate(potentials)
+            for j, family in enumerate(families)
+        ]
+        results, original = [], explore._run_searches
+
+        def recorded(searches):
+            results.extend(original(searches))
+            return list(results)
+
+        monkeypatch.setattr(explore, "_run_searches", recorded)
+        rows = constant_table(potentials, families, 50, 11, TOL)
+        assert len(rows) == len(results) == 4
+        for res, alone in zip(results, sequential):
+            assert res.best_theta == alone.best_theta
+            assert res.best_ratio == alone.best_ratio
+            assert res.evaluations_used == alone.evaluations_used
+            assert res.trace == alone.trace
+            assert res.best_checks == alone.best_checks
+            assert res.cross_check_failures == alone.cross_check_failures
+
+    @staticmethod
+    def _breaking(after):
+        """A correlated_pair template whose build raises from its (after + 1)-th call on."""
+        good = template_by_name("correlated_pair")
+        calls = []
+
+        def build(theta):
+            calls.append(theta)
+            if len(calls) > after:
+                raise RuntimeError(f"broken after {after}")
+            return good.build(theta)
+
+        return StateTemplate(f"broken_after_{after}", good.bounds, build)
+
+    def test_broken_second_search_raises_its_own_error(self, monkeypatch):
+        monkeypatch.setitem(explore.TEMPLATES, "broken", self._breaking(0))
+        with pytest.raises(ObjectiveEvaluationFailed) as alone:
+            maximize_ratio(SearchProblem(Contact(), self._breaking(0), 60), 5 + 1, TOL)
+        with pytest.raises(ObjectiveEvaluationFailed) as table:
+            constant_table([Contact()], ["correlated_pair", "broken"], 60, 5, TOL)
+        assert table.value.theta == alone.value.theta is not None
+        assert str(table.value) == str(alone.value)
+
+    def test_broken_first_search_raises_its_error_not_a_later_ones(self, monkeypatch):
+        # the second search breaks at its first build, the first only at its
+        # sixth: a loop of lone runs never reaches the second
+        monkeypatch.setitem(explore.TEMPLATES, "late", self._breaking(5))
+        monkeypatch.setitem(explore.TEMPLATES, "early", self._breaking(0))
+        with pytest.raises(ObjectiveEvaluationFailed) as alone:
+            maximize_ratio(SearchProblem(Contact(), self._breaking(5), 60), 5, TOL)
+        with pytest.raises(ObjectiveEvaluationFailed) as table:
+            constant_table([Contact()], ["late", "early"], 60, 5, TOL)
+        assert table.value.theta == alone.value.theta is not None
+        assert str(table.value) == str(alone.value) == f"objective failed at theta={alone.value.theta}: broken after 5"
+
+    def test_a_search_whose_pricing_fails_raises_its_own_error(self):
+        # the shared energies call raises, so each pending pair is priced
+        # alone and the failing search gets its own error thrown in
+        class NotFiniteBeyondOne(ConvexSoftCoulomb):
+            def value(self, r):
+                return np.where(np.asarray(r) > 1.0, np.nan, super().value(r))
+
+        bad = NotFiniteBeyondOne(1.0)
+        with pytest.raises(ObjectiveEvaluationFailed) as alone:
+            maximize_ratio(SearchProblem(bad, template_by_name("correlated_pair"), 50), 3 + 1000, TOL)
+        with pytest.raises(ObjectiveEvaluationFailed) as table:
+            constant_table([ConvexSoftCoulomb(1.0), bad], ["correlated_pair"], 50, 3, TOL)
+        assert table.value.theta == alone.value.theta is not None
+        assert str(table.value) == str(alone.value)
+        assert "integrand not finite" in str(table.value)

@@ -267,11 +267,17 @@ def _basis(x):
     return np.stack([np.exp(-0.3 * x) * np.cos(x), 1.0 / (1.0 + (x - 2.0) ** 2), np.sqrt(x) * np.exp(-x)])
 
 
+def _other_basis(x):
+    """Two components of a second basis: a shifted bump and a square-root cusp at 0 under a log."""
+    return np.stack([np.exp(-((x - 1.0) ** 2)), np.log1p(np.sqrt(x))])
+
+
 def _lone(job, spec):
     """("value", v, err), ("nonconvergence", estimate, err) or ("not finite", message) of one job run alone."""
-    component, weight, domain = job
+    component, weight, domain, *own = job
+    basis = own[0] if own else _basis
     try:
-        return _outcome(integrate_1d_with_error, lambda x: _basis(x)[component] * weight(x), domain, spec)
+        return _outcome(integrate_1d_with_error, lambda x: basis(x)[component] * weight(x), domain, spec)
     except ValueError as err:
         return ("not finite", str(err))
 
@@ -349,6 +355,45 @@ class TestManyJobs:
         late, early = (0, OSCILLATORY, (0.0, 30.0)), (1, NOT_FINITE, (0.0, 5.0))
         assert _batch([late, early], spec) == _lone(late, spec)
         assert _batch([early, late], spec) == _lone(early, spec)
+
+    def test_jobs_naming_their_own_basis_have_the_bits_of_their_lone_runs(self):
+        spec = QuadratureSpec()
+        own = [
+            (0, SMOOTH, (0.0, 5.0), _other_basis),
+            (1, SINGULAR, (0.0, 5.0), _other_basis),
+            (1, STEEP, (0.0, 2.0), _other_basis),
+        ]
+        jobs = MANY_JOBS[:3] + own + MANY_JOBS[3:]
+        assert _bits(_batch(jobs, spec)) == _bits([_lone(job, spec) for job in jobs])
+        # with every job naming its basis, the call needs no shared one
+        alone = [integrate_1d_with_error(None, [job], spec)[0] for job in own]
+        assert integrate_1d_with_error(None, own, spec) == alone
+
+    def test_each_basis_and_weight_once_per_round(self):
+        # a round calls the bases, then the weights; none of them twice
+        events = []
+
+        def logged(name, f):
+            return lambda x: events.append(name) or f(x)
+
+        weights = {name: logged(name, w) for name, w in (("smooth", SMOOTH), ("singular", SINGULAR), ("steep", STEEP))}
+        other = logged("other", _other_basis)
+        jobs = [
+            (0, weights["smooth"], (0.0, 5.0)),
+            (2, weights["singular"], (0.0, 5.0)),
+            (1, weights["steep"], (1.0, 5.0)),
+            (0, weights["smooth"], (0.0, 5.0), other),
+            (1, weights["singular"], (0.0, 1.0), other),
+        ]
+        integrate_1d_with_error(logged("basis", _basis), jobs, QuadratureSpec())
+        rounds = [[]]
+        for name in events:
+            if name in ("basis", "other") and rounds[-1] and rounds[-1][-1] not in ("basis", "other"):
+                rounds.append([])
+            rounds[-1].append(name)
+        assert rounds[0] == ["basis", "other", "smooth", "singular", "steep"]
+        assert all(len(set(r)) == len(r) for r in rounds)
+        assert len(rounds) > 5
 
     def test_basis_of_one_component_rejected(self):
         with pytest.raises(ValueError, match=r"\(k, m\)"):

@@ -782,3 +782,10 @@ class TestRandomSuite:
         assert syms == {"symmetric", "antisymmetric"}
         for _, s in suite[:10]:
             assert density(s).mass() == pytest.approx(s.n_particles, rel=1e-8)
+
+    def test_support_computed_once_per_state(self):
+        # one Interval per state, grid_center +- grid_halfwidth
+        for _, s in random_state_suite(40, 3):
+            box = s.support
+            assert s.support is box
+            assert (box.lo, box.hi) == (s.grid_center - s.grid_halfwidth, s.grid_center + s.grid_halfwidth)
