@@ -224,13 +224,25 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
     or raises ValueError (f not finite on a panel it consumes) or
     NonConvergence.
     """
-    edges = np.linspace(domain.lo, domain.hi, _INITIAL_PANELS + 1).tolist()
+    # the edges of np.linspace(lo, hi, _INITIAL_PANELS + 1), bit for bit:
+    # i * spacing + lo, or (i / _INITIAL_PANELS) * delta + lo where the
+    # spacing underflows to 0 (subnormal widths), and hi itself
+    start, stop = float(domain.lo), float(domain.hi)
+    delta = stop - start
+    spacing = delta / _INITIAL_PANELS
+    if spacing == 0:
+        edges = [i / _INITIAL_PANELS * delta + start for i in range(_INITIAL_PANELS)]
+    else:
+        edges = [i * spacing + start for i in range(_INITIAL_PANELS)]
+    edges.append(stop)
     first = _finite((yield tuple(edges[:-1]), tuple(edges[1:])), domain.lo, domain.hi)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
     heap, total, total_err = [], -0.0, -0.0  # x + -0.0 is x, bit for bit
     for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], first)):
         total += k
         total_err += e
-        heapq.heappush(heap, (-e, i, a, b, k, e))
+        heappush(heap, (-e, i, a, b, k, e))
 
     # Heap ties break by creation order.  A NaN total comes with an inf or
     # NaN error, which stays in total_err, so it never converges.
@@ -242,15 +254,15 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
     # steps so far (at most _CHAIN_CAP), so each batch doubles the chain it
     # covers.  ``ahead`` keeps their halves until they are popped.  Pops,
     # heap keys and totals are those of one split at a time.
-    ahead, last, toward, run = {}, (None, None, None), None, 0
+    ahead, last_a, last_mid, last_b, toward, run = {}, None, None, None, None, 0
     for counter in range(_INITIAL_PANELS, _INITIAL_PANELS + 2 * spec.max_subdivisions, 2):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+        if total_err <= max(abs_tol, rel_tol * abs(total)):
             return total, total_err
-        _, _, a, b, k, e = heapq.heappop(heap)
+        _, _, a, b, k, e = heappop(heap)
         mid = 0.5 * (a + b)
-        step = "lo" if (a, b) == last[:2] else "hi" if (a, b) == last[1:] else None
+        step = "lo" if a == last_a and b == last_mid else "hi" if a == last_mid and b == last_b else None
         run = 0 if step is None else run + 1 if step == toward else 1
-        last, toward = (a, mid, b), step
+        last_a, last_mid, last_b, toward = a, mid, b, step
         halves = ahead.pop((a, b), None)
         if halves is None:
             n = min(run, _CHAIN_CAP) if run >= _CHAIN_START else 1
@@ -262,10 +274,10 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
         (k1, e1), (k2, e2) = _finite(halves, a, b)
         total = total - k + k1 + k2
         total_err = total_err - e + e1 + e2
-        heapq.heappush(heap, (-e1, counter, a, mid, k1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, b, k2, e2))
+        heappush(heap, (-e1, counter, a, mid, k1, e1))
+        heappush(heap, (-e2, counter + 1, mid, b, k2, e2))
 
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    if total_err <= max(abs_tol, rel_tol * abs(total)):
         return total, total_err
     raise NonConvergence(
         f"quadrature did not converge after {spec.max_subdivisions} subdivisions "

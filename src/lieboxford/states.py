@@ -93,12 +93,14 @@ the largest node sum and ramp the mass of the one-cell ramps to zero beyond
 the grid ends.  A block whose bound, times 1 + 1e-12 against rounding, is
 below L is dropped, and the kernel scans only the surviving fine blocks.
 _block_bounds and _prune_blocks derive both rules and their rounding
-margins.  Every stage works on at most 2^13 blocks, or 2^13 kernel cells, at
-a time, so each of its arrays stays within 64 KB and in cache; the block and
-kernel grids are work arrays kept across steps and calls, so that a run over
-many profiles does not page-fault them in again at every step.  Only
-candidates that cannot exceed the final M rho are dropped, so every value is
-bit-identical to a full scan.
+margins.  Every stage works in steps of at most 2^15 blocks, or 2^15 kernel
+cells, so a default 1024-point profile takes one step per stage, and the
+per-call cost of its numpy passes is paid once.  A float array of such a step
+is 256 KiB, above glibc's 128 KiB mmap threshold: as a temporary it would be
+mapped, faulted in and unmapped at every step.  So every array of a step is a
+view of a work array kept per thread across steps and calls, and no step
+allocates a block at that threshold.  Only candidates that cannot exceed the
+final M rho are dropped, so every value is bit-identical to a full scan.
 """
 
 from __future__ import annotations
@@ -607,29 +609,50 @@ def maximal_operator_norm_bound(p: float) -> float:
 _COARSE_CELLS = 64  # radius pieces per coarse block of the pruning pass
 _FINE_CELLS = 8  # radius pieces per fine block; the kernel scans only surviving ones
 _PROBES = 6  # probe radii per point that seed the lower bound before the coarse pass
-_BLOCK_CELLS = 1 << 13  # blocks, or rows x radius columns, per vectorized step; bounds the work arrays
+_BLOCK_CELLS = 1 << 15  # blocks, or rows x radius columns, per vectorized step: a default profile takes one
+_NONZERO_CELLS = 1 << 13  # mask cells per np.flatnonzero call: its index array stays within 64 KiB
 
-# The work arrays of the block and kernel stages, one per dtype, kept per
-# thread across steps and calls, so that a run over many profiles touches the
-# same pages throughout.  Freed with each step, a stage's arrays would hand
-# the heap top back to the system whenever glibc's trim threshold is at its
-# 128 KiB default, and the next step would fault it in again.
+# The per-step arrays of every stage, kept per thread across steps and calls.
+# At 2^15 cells a step's float array is 256 KiB, above glibc's 128 KiB mmap
+# threshold: as a temporary it would be mapped and unmapped at every step and
+# its pages faulted in again, so every array of a step is a view of a work
+# array of its slot and dtype.  Slots: "step", the arrays a stage reads only
+# while it runs; "live", the blocks _live_blocks returns; "bounds", those of
+# _block_bounds; ("kept", cells), the blocks _prune_blocks keeps at a level,
+# which the next level and the kernel read across its steps.  A ufunc call
+# takes a 64 KiB buffer for each broadcast operand, so no call of a stage
+# broadcasts two.
 _WORK = threading.local()
 
 
-def _work(count, shape, dtype=float):
-    """``count`` arrays of ``shape``, views of the work array of ``dtype``.
+def _work(slot, count, shape, dtype=float):
+    """``count`` arrays of ``shape``, views of the work array of ``slot`` and ``dtype``.
 
-    Each call reuses the memory of the last, so a stage takes all its arrays
-    of one dtype in one call, reads only what it wrote and returns none of
-    them.  The first holds 8 x _BLOCK_CELLS, more than a stage takes at the
-    default sizes; pages it never writes are never resident.
+    Each call reuses the memory of the last of its slot and dtype, so a
+    stage takes all its arrays of one slot and dtype in one call, and what
+    a stage returns is valid until its next call.  A work array first holds
+    8 x _BLOCK_CELLS, more than a stage takes at the default sizes; pages it
+    never writes are never resident.
     """
     size = count * math.prod(shape)
-    buf = _WORK.__dict__.get(dtype)
+    buf = _WORK.__dict__.get((slot, dtype))
     if buf is None or buf.size < size:
-        buf = _WORK.__dict__[dtype] = np.empty(max(size, 8 * _BLOCK_CELLS), dtype)
+        buf = _WORK.__dict__[slot, dtype] = np.empty(max(size, 8 * _BLOCK_CELLS), dtype)
     return buf[:size].reshape((count, *shape))
+
+
+def _nonzero(mask, out):
+    """The flat indices of the true cells of ``mask``, a view of the front of ``out``.
+
+    np.flatnonzero runs on _NONZERO_CELLS cells at a time, so that no index
+    array it returns reaches the mmap threshold.
+    """
+    mask, out, count = mask.reshape(-1), out.reshape(-1), 0
+    for start in range(0, mask.size, _NONZERO_CELLS):
+        cells = np.flatnonzero(mask[start : start + _NONZERO_CELLS])
+        np.add(cells, start, out=out[count : count + len(cells)])
+        count += len(cells)
+    return out[:count]
 
 
 def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
@@ -641,21 +664,23 @@ def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
     grid rows.
     """
     rows, cols = len(at), int(np.max(m_hi - m_lo)) + 2
-    m, up, dn = _work(3, (cols, rows), np.intp)
-    s, F, r, r_sq, tmp, b, rstar_sq = _work(7, (cols, rows))
-    b, rstar_sq = b[:-1], rstar_sq[:-1]  # one per piece
-    np.minimum(np.add(np.arange(cols)[:, None], m_lo, out=m), m_hi + 1, out=m)
-    rho_ext.take(np.add(at, m, out=up), out=s, mode="clip")  # in range by construction
-    s += rho_ext.take(np.subtract(at, m, out=dn), out=tmp, mode="clip")
-    cum_ext.take(up, out=F, mode="clip")
-    F -= cum_ext.take(dn, out=tmp, mode="clip")
+    m, idx = _work("step", 2, (cols, rows), np.intp)
+    s, F, r, tmp, b = _work("step", 5, (cols, rows))
+    valid, below = _work("step", 2, (cols - 1, rows), bool)
+    b = b[:-1]  # one per piece
+    np.copyto(m, np.arange(cols)[:, None])
+    m += m_lo
+    np.minimum(m, m_hi + 1, out=m)
+    rho_ext.take(np.add(at, m, out=idx), out=s, mode="clip")  # in range by construction
+    cum_ext.take(idx, out=F, mode="clip")
+    s += rho_ext.take(np.subtract(at, m, out=idx), out=tmp, mode="clip")
+    F -= cum_ext.take(idx, out=tmp, mode="clip")
     np.multiply(m, dx, out=r)
 
     # stationary radius inside each piece: r*^2 = r_m^2 + 2 (F_m - s_m r_m)/b,
-    # in place, operation for operation; b = 0 gives r*^2 = +-inf or nan,
+    # in place in F, operation for operation; b = 0 gives r*^2 = +-inf or nan,
     # which fails the range test as b != 0 would
-    s0, r0 = s[:-1], r[:-1]
-    np.square(r, out=r_sq)
+    s0, r0, rstar_sq, r_sq = s[:-1], r[:-1], F[:-1], tmp
     with np.errstate(divide="ignore", invalid="ignore"):
         avg = np.divide(F, np.multiply(r, 2, out=tmp), out=tmp)
         avg[0, m[0] == 0] = 0.0  # the r -> 0 break is rho, below
@@ -663,16 +688,17 @@ def _maximal_chunk(at, rho_ext, cum_ext, dx, m_lo, m_hi):
 
         np.subtract(s[1:], s0, out=b)
         b /= dx
-        np.subtract(F[:-1], np.multiply(s0, r0, out=rstar_sq), out=rstar_sq)
+        np.subtract(rstar_sq, np.multiply(s0, r0, out=tmp[:-1]), out=rstar_sq)
         rstar_sq *= 2
         rstar_sq /= b
-        rstar_sq += r_sq[:-1]
-        valid = (rstar_sq > r_sq[:-1]) & (rstar_sq < r_sq[1:])
+        rstar_sq += np.square(r, out=r_sq)[:-1]
+        np.greater(rstar_sq, r_sq[:-1], out=valid)
+        valid &= np.less(rstar_sq, r_sq[1:], out=below)
         a_star = np.sqrt(rstar_sq, out=rstar_sq)
         a_star -= r0
         a_star *= b
         a_star += s0
-        a_star[~valid] = 0.0
+        np.copyto(a_star, 0.0, where=np.logical_not(valid, out=valid))
     # the candidate is a_star / 2; halving is monotone, so it commutes with the sup
     best = np.maximum(best, np.max(a_star, axis=0) * 0.5)
     return np.maximum(best, rho_ext[at])  # r -> 0 limit is rho itself
@@ -699,24 +725,40 @@ def _live_blocks(point, lo, hi, cells, lower, peak, cut, floor):
     bounds the node sums s = rho(x + r) + rho(x - r) on the block's nodes.
     A block is dropped when S < 2 lower (1 - delta) - floor, ``cut`` being
     2 (1 - delta).  The blocks are laid out as a (blocks of the longest row,
-    rows) grid and returned in its row-major order.
+    rows) grid and returned in its row-major order, as views of the "live"
+    work arrays.
     """
-    rows, width = len(point), int(np.max(hi - lo)) // cells + 1
-    b_lo, b_hi, idx = _work(3, (width, rows), np.intp)
-    slope, tmp = _work(2, (width, rows))
-    np.add((np.arange(width) * cells)[:, None], lo, out=b_lo)
+    rows = len(point)
+    (span,) = _work("step", 1, (rows,), np.intp)
+    width = int(np.max(np.subtract(hi, lo, out=span))) // cells + 1
+    b_lo, b_hi, idx = _work("step", 3, (width, rows), np.intp)
+    slope, tmp = _work("step", 2, (width, rows))
+    live, inside = _work("step", 2, (width, rows), bool)
+    np.copyto(b_lo, (np.arange(width) * cells)[:, None])
+    b_lo += lo
     np.minimum(np.add(b_lo, cells - 1, out=b_hi), hi, out=b_hi)
     # past a row's end b_lo > hi: the index may leave rho_ext (clipped), and the block is masked
     peak.take(np.add(point, b_lo, out=idx), out=slope, mode="clip")
     np.subtract(point, b_hi, out=idx)
     idx -= 1
     slope += peak.take(idx, out=tmp, mode="clip")
-    cell = np.flatnonzero((slope >= lower[point] * cut - floor) & (b_lo <= hi))
-    return point[cell % rows], b_lo.take(cell), b_hi.take(cell), slope.take(cell)
+    threshold = lower.take(point, out=tmp[0], mode="clip")
+    threshold *= cut
+    threshold -= floor
+    np.greater_equal(slope, threshold, out=live)
+    live &= np.less_equal(b_lo, hi, out=inside)
+    cell = _nonzero(live, idx)
+    out_point, out_lo, out_hi = _work("live", 3, (len(cell),), np.intp)
+    (out_slope,) = _work("live", 1, (len(cell),))
+    b_lo.take(cell, out=out_lo, mode="clip")
+    b_hi.take(cell, out=out_hi, mode="clip")
+    slope.take(cell, out=out_slope, mode="clip")
+    point.take(np.remainder(cell, rows, out=b_lo.reshape(-1)[: len(cell)]), out=out_point, mode="clip")
+    return out_point, out_lo, out_hi, out_slope
 
 
 def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
-    """(edge_avg, bound) per block of at most ``cells`` pieces.
+    """(edge_avg, bound) per block of at most ``cells`` pieces, views of the "bounds" work arrays.
 
     The larger window average of the two block edges, computed as
     _maximal_chunk computes them, and a bound on every value _maximal_chunk
@@ -744,8 +786,10 @@ def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
     the bound, which the caller's (1 + 1e-12) margin covers.
     """
     n = len(point)
-    e_hi, idx = _work(2, (n,), np.intp)
-    F_lo, F_hi, r_lo, r_hi, r_c, avg_lo, tmp = _work(7, (n,))
+    e_hi, idx = _work("step", 2, (n,), np.intp)
+    F_lo, F_hi, r_lo, r_hi, r_c, tmp = _work("step", 6, (n,))
+    at_zero, capped = _work("step", 2, (n,), bool)
+    edge_avg, bound = _work("bounds", 2, (n,))
     np.add(b_hi, 1, out=e_hi)
     cum_ext.take(np.add(point, b_lo, out=idx), out=F_lo, mode="clip")
     F_lo -= cum_ext.take(np.subtract(point, b_lo, out=idx), out=tmp, mode="clip")
@@ -753,20 +797,21 @@ def _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz):
     F_hi -= cum_ext.take(np.subtract(point, e_hi, out=idx), out=tmp, mode="clip")
     np.multiply(b_lo, dx, out=r_lo)
     np.multiply(e_hi, dx, out=r_hi)
-    at_zero = b_lo == 0
+    np.equal(b_lo, 0, out=at_zero)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(F_lo, np.multiply(r_lo, 2, out=tmp), out=avg_lo)
-        avg_lo[at_zero] = 0.0
-        edge_avg = np.maximum(avg_lo, np.divide(F_hi, np.multiply(r_hi, 2, out=tmp), out=tmp))
+        np.divide(F_lo, np.multiply(r_lo, 2, out=tmp), out=edge_avg)
+        np.copyto(edge_avg, 0.0, where=at_zero)
+        np.maximum(edge_avg, np.divide(F_hi, np.multiply(r_hi, 2, out=tmp), out=tmp), out=edge_avg)
         F_hi += ramp
         F_lo += (2 * cells + 2) * fuzz
         np.subtract(F_hi, F_lo, out=r_c)
         r_c /= slope
         np.clip(np.add(r_lo, r_c, out=r_c), r_lo, r_hi, out=r_c)
-        capped = np.multiply(slope, r_lo, out=tmp) <= F_lo
+        np.less_equal(np.multiply(slope, r_lo, out=tmp), F_lo, out=capped)
+        np.divide(F_hi, np.multiply(r_c, 2, out=tmp), out=bound)
         flat = np.divide(np.minimum(F_lo, F_hi, out=r_hi), np.multiply(r_lo, 2, out=tmp), out=r_hi)
-        bound = np.where(capped, flat, np.divide(F_hi, np.multiply(r_c, 2, out=tmp), out=tmp))
-    bound[at_zero] = np.inf
+        np.copyto(bound, flat, where=capped)
+    np.copyto(bound, np.inf, where=at_zero)
     return edge_avg, bound
 
 
@@ -778,7 +823,7 @@ def _prune_blocks(point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, c
     floor, L = ``lower``.  The blocks it keeps get window integrals
     (_block_bounds); their edge averages raise ``lower``, and those whose
     slope-capped bound, with a (1 + 1e-12) margin, reaches it are returned
-    as (point, lo, hi).
+    as (point, lo, hi), views of the ("kept", cells) work arrays.
 
     The edge rule.  The window average A(r) = F(r)/(2r) obeys
     A' = (s/2 - A)/r, so A falls wherever it is above s/2.  Take a run of
@@ -809,8 +854,16 @@ def _prune_blocks(point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, c
     point, b_lo, b_hi, slope = _live_blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
     edge_avg, bound = _block_bounds(point, b_lo, b_hi, slope, cum_ext, dx, ramp, cells, fuzz)
     np.maximum.at(lower, point, edge_avg)
-    keep = bound * (1 + 1e-12) >= lower[point]
-    return point[keep], b_lo[keep], b_hi[keep]
+    n = len(point)
+    (idx,) = _work("step", 1, (n,), np.intp)
+    (reach,) = _work("step", 1, (n,))
+    (keep,) = _work("step", 1, (n,), bool)
+    bound *= 1 + 1e-12
+    cell = _nonzero(np.greater_equal(bound, lower.take(point, out=reach, mode="clip"), out=keep), idx)
+    kept = _work(("kept", cells), 3, (len(cell),), np.intp)
+    for blocks, out in zip((point, b_lo, b_hi), kept):
+        blocks.take(cell, out=out, mode="clip")
+    return tuple(kept)
 
 
 def _probe(lower, at, cum_ext, dx, m_lo, m_hi):
@@ -826,9 +879,13 @@ def _probe(lower, at, cum_ext, dx, m_lo, m_hi):
     per = _BLOCK_CELLS // len(radii)
     for start in range(0, n, per):
         rows = slice(start, start + per)
-        m = np.minimum(np.maximum(radii, m_lo[rows] + 1), m_hi[rows] + 1)
-        F = cum_ext[at[rows] + m] - cum_ext[at[rows] - m]
-        F /= m * dx * 2
+        m, idx = _work("step", 2, (len(radii), len(at[rows])), np.intp)
+        F, tmp = _work("step", 2, m.shape)
+        np.copyto(m, radii)
+        np.minimum(np.maximum(m, m_lo[rows] + 1, out=m), m_hi[rows] + 1, out=m)
+        cum_ext.take(np.add(at[rows], m, out=idx), out=F, mode="clip")
+        F -= cum_ext.take(np.subtract(at[rows], m, out=idx), out=tmp, mode="clip")
+        F /= np.multiply(np.multiply(m, dx, out=tmp), 2, out=tmp)
         np.maximum(lower[rows], np.max(F, axis=0), out=lower[rows])
 
 

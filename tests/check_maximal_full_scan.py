@@ -1,20 +1,23 @@
 """Check that maximal_function matches the full-scan oracle bit for bit.
 
-Draws the profiles of the default ``lieboxford maximal`` run (100 profiles)
-at each seed given on the command line, or at the default seed 20240801
-when none is given, and compares each with
-``oracles.maximal_function_full_scan`` by ``array_equal``.  Exits 1 on any
-mismatch.  Per seed it also prints the pruning counts: blocks evaluated
-(the edge rule kept them, so they got window integrals) and kept (the
-slope-capped bound kept them) at each level, and the kernel cells, rows x
-scanned radii, so that a loss of pruning power shows in the log.  Not
-collected by pytest; run it as
+Draws the profiles of a ``lieboxford maximal`` run at each seed given on
+the command line, or at the default seed 20240801 when none is given, and
+compares each with ``oracles.maximal_function_full_scan`` by
+``array_equal``.  The run is the default one (100 profiles of 1024 points)
+unless ``--profiles`` or ``--grid-points`` sets its ``n_profiles`` or
+``grid_points``; at 4096 points a scan takes many point groups, fine slices
+and kernel steps.  Exits 1 on any mismatch.  Per seed it also prints the pruning
+counts: blocks evaluated (the edge rule kept them, so they got window
+integrals) and kept (the slope-capped bound kept them) at each level, and
+the kernel cells, rows x scanned radii, so that a loss of pruning power
+shows in the log.  Not collected by pytest; run it as
 
-    PYTHONPATH=src:tests python tests/check_maximal_full_scan.py [SEED ...]
+    PYTHONPATH=src:tests python tests/check_maximal_full_scan.py [--profiles K] [--grid-points N] [SEED ...]
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from collections import Counter
 
@@ -52,11 +55,16 @@ def _counted(counts):
 
 
 def main(argv: list[str]) -> int:
-    count = DEFAULT_CONFIG["maximal"]["n_profiles"]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", nargs="*", type=int, default=[DEFAULT_CONFIG["seed"]])
+    parser.add_argument("--profiles", type=int, default=DEFAULT_CONFIG["maximal"]["n_profiles"])
+    parser.add_argument("--grid-points", type=int, default=DEFAULT_CONFIG["maximal"]["grid_points"])
+    args = parser.parse_args(argv)
+    count, n_points = args.profiles, args.grid_points
     failed = False
     originals = {name: getattr(states, name) for name in ("_block_bounds", "_prune_blocks", "_maximal_chunk")}
-    for seed in [int(arg) for arg in argv] or [DEFAULT_CONFIG["seed"]]:
-        profiles = _bump_profiles(rng_stream(seed, 3), count)
+    for seed in args.seeds:
+        profiles = _bump_profiles(rng_stream(seed, 3), count, n_points)
         counts = Counter()
         for name, wrapped in _counted(counts).items():
             setattr(states, name, wrapped)
@@ -72,7 +80,7 @@ def main(argv: list[str]) -> int:
         ]
         for k in bad:
             print(f"seed {seed} p{k:03d}: maximal_function differs from the full scan")
-        print(f"seed {seed}: {count - len(bad)}/{count} default maximal profiles match the full scan")
+        print(f"seed {seed}: {count - len(bad)}/{count} maximal profiles of {n_points} points match the full scan")
         coarse, fine = states._COARSE_CELLS, states._FINE_CELLS
         print(
             f"seed {seed}: blocks evaluated {counts['evaluated', coarse]:,} coarse,"

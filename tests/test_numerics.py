@@ -12,6 +12,7 @@ from lieboxford.numerics import (
     NoBracket,
     NonConvergence,
     QuadratureSpec,
+    _adaptive,
     _panels,
     find_root,
     integrate_1d,
@@ -167,6 +168,24 @@ CORRELATION_KINDS = {
 }
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+_SUBNORMAL = 5e-324
+
+
+def _initial_domains():
+    """Finite (lo, hi), lo < hi: any ends, subnormal widths (1 or 2 subnormals
+    make np.linspace's step underflow to 0), spans near or past the float
+    maximum, and negative ends."""
+    subnormal_multiple = st.integers(-(2**52), 2**52).map(lambda k: k * _SUBNORMAL)  # exact
+    ends = st.one_of(
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False)),
+        st.tuples(subnormal_multiple, st.integers(1, 64)).map(lambda t: (t[0], t[0] + t[1] * _SUBNORMAL)),
+        st.tuples(st.floats(-_FLOAT_MAX, -_FLOAT_MAX / 4), st.floats(_FLOAT_MAX / 4, _FLOAT_MAX)),
+        st.tuples(st.floats(-_FLOAT_MAX, -_SUBNORMAL), st.floats(-_FLOAT_MAX, -_SUBNORMAL)),
+    )
+    return ends.map(sorted).filter(lambda d: d[0] < d[1])
+
+
 class TestDriverContract:
     @pytest.mark.parametrize("case", DRIVER_BATTERY, ids=str)
     def test_bit_identical_to_oracle(self, case):
@@ -176,6 +195,19 @@ class TestDriverContract:
         assert ours == oracle
         assert ours[0] == ("nonconvergence" if case.startswith("nonconvergence") else "value")
         assert all(type(v) is float for v in ours[1:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_initial_domains())
+    def test_initial_edges_are_linspace_bit_for_bit(self, domain):
+        # a span past the float maximum makes np.linspace's width inf and its
+        # first edge 0 * inf = NaN, and lo = -0.0 gives a first edge of +0.0;
+        # the loop's edges keep those bits too
+        lo, hi = domain
+        panel_lo, panel_hi = next(_adaptive(Interval(lo, hi), QuadratureSpec()))
+        with np.errstate(all="ignore"):
+            expect = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+        assert np.array([*panel_lo, panel_hi[-1]]).tobytes() == expect.tobytes()
+        assert np.array(panel_hi[:-1]).tobytes() == np.array(panel_lo[1:]).tobytes()
 
     def test_endpoint_chain_takes_a_handful_of_calls(self):
         # 268 splits: one oracle call per panel, one package call per chain

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -470,9 +471,9 @@ def _one_sided():
     return _grid_profile(np.where(x >= 300, 0.01 * (x - 299), 0.0))
 
 
-def _bump_profiles(rng, count):
-    # four random Gaussian bumps on 1024 points, drawn as `lieboxford maximal` draws them
-    grid = UniformGrid(-10.0, 20.0 / 1023, 1024)
+def _bump_profiles(rng, count, n_points=1024):
+    # four random Gaussian bumps on n_points points, drawn as `lieboxford maximal` draws them
+    grid = UniformGrid(-10.0, 20.0 / (n_points - 1), n_points)
     out = []
     for _ in range(count):
         bumps = sum(
@@ -600,7 +601,9 @@ def _assert_edge_rule_drops_only_losers(prof):
     i, nz = np.arange(-n - 1, 2 * n + 1), np.nonzero(prof.values)[0]
     dropped = dict.fromkeys((states._COARSE_CELLS, states._FINE_CELLS), 0)
     for point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, cut, floor in calls:
+        # copied: the stages return views of work arrays that their next call reuses
         every = states._live_blocks(point, lo, hi, cells, np.full_like(lower, -np.inf), peaks[cells], cut, floor)
+        every = [a.copy() for a in every]
         live = states._live_blocks(point, lo, hi, cells, lower, peaks[cells], cut, floor)
         live_keys = set(zip(live[0].tolist(), live[1].tolist()))
         gone = np.array([key not in live_keys for key in zip(every[0].tolist(), every[1].tolist())], dtype=bool)
@@ -747,6 +750,64 @@ class TestMaximalFunction:
     @given(spiky_profiles())
     def test_edge_rule_drops_only_losers_on_drawn_profiles(self, prof):
         _assert_edge_rule_drops_only_losers(prof)
+
+    @pytest.mark.parametrize("cells", [1 << 9, 1 << 11])
+    def test_bit_identical_to_full_scan_in_many_steps(self, monkeypatch, cells):
+        # at the default 2^15 cells a default profile takes one step per
+        # stage; smaller steps run the loops over probe rows, point groups,
+        # fine slices and kernel rows, and the work arrays across them
+        kernel, prune, steps = states._maximal_chunk, states._prune_blocks, []
+
+        def counted_kernel(*args):
+            steps.append("kernel")
+            return kernel(*args)
+
+        def counted_prune(*args):
+            steps.append(args[3])
+            return prune(*args)
+
+        monkeypatch.setattr(states, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(states, "_maximal_chunk", counted_kernel)
+        monkeypatch.setattr(states, "_prune_blocks", counted_prune)
+        for name, make in CUTOFF_PROFILES.items():
+            prof = make()
+            steps.clear()
+            assert np.array_equal(maximal_function(prof).values, maximal_function_full_scan(prof).values), name
+            if name.startswith("default"):
+                assert steps.count("kernel") > 1 and steps.count(states._COARSE_CELLS) > 1, name
+
+    def test_stages_allocate_no_block_at_the_mmap_threshold(self, monkeypatch):
+        # every per-step array is a view of a work array, so after a first
+        # profile has sized them no stage allocates 128 KiB, glibc's default
+        # mmap threshold, at or above which a temporary is mapped and
+        # unmapped at every step and its pages are faulted in again
+        prof = _default_maximal_profile(0)
+        maximal_function(prof)
+        peaks = {}
+
+        def traced(name, stage):
+            def run(*args):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = stage(*args)
+                peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1] - start)
+                return out
+
+            return run
+
+        stages = ("_probe", "_cap_scan", "_prune_blocks", "_maximal_chunk")
+        for name in stages:
+            monkeypatch.setattr(states, name, traced(name, getattr(states, name)))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            values = maximal_function(prof).values
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert np.array_equal(values, maximal_function_full_scan(prof).values)
+        assert set(peaks) == set(stages)
+        assert max(peaks.values()) < 128 * 1024, peaks
 
     def test_kernel_scans_few_radii(self, monkeypatch):
         # rows x scanned radii of every kernel call on the first default
