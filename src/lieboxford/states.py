@@ -12,16 +12,15 @@ Wavefunction families (N in {2, 3}):
                            psi ~ G(x) G(y) (1 - h exp(-(x-y)^2/(2 s^2))).
 
 For the orbital families the one-body density and the pair weights come from
-the permutation algebra, with weights built from orbital overlaps:
+the permutation algebra (_symmetrized_weights) of the orbital overlaps S:
 
   rho(x)    = sum_ab W1[a,b] phi_a(x) phi_b(x),
   rho2(x,y) = sum_abcd W2[a,b,c,d] phi_a(x) phi_b(x) phi_c(y) phi_d(y).
 
-Hermite orbitals are built by recurrence: the physicists'
-H_k = 2u H_(k-1) - 2(k-1) H_(k-2) is run in its scaled form
-H_k(u) = 2^(k/2) He_k(t), t = sqrt(2) u, He_k = t He_(k-1) - (k-1) He_(k-2),
-which for k <= 2 is operation for operation what scipy.special.eval_hermite
-computes, so the orbital values do not depend on which of the two is used.
+Every family gives rho as one table of Gaussian terms, a row (h_k, m_k, a_k,
+j_k) each, which ``TrialState.rho`` sums one row at a time:
+
+  rho(x) = sum_k h_k ((x - m_k)/l)^(2 j_k) exp(-a_k (x - m_k)^2).
 
 Every family gives its correlation functions h(u) = int rho2(y+u, y) dy and
 C(u) = int rho(y) rho(y+u) dy as one table of Gaussian terms, a row
@@ -35,8 +34,8 @@ whose order depends on K alone, so no value depends on the rest of its batch.
 
 GaussianProduct: each orbital product is one Gaussian,
 P_ab = phi_a phi_b = A_ab exp(-(x - m_ab)^2 / (2 w^2)) with
-A_ab = S_ab / sqrt(2 pi w^2), S the overlap matrix, and m_ab the midpoint of
-the two centers, so
+A_ab = S_ab / sqrt(2 pi w^2) and m_ab the midpoint of the two centers: rho
+has a row (2 - [a = b]) W1_ab A_ab at m_ab per pair a <= b, and
 
   int P_ab(y+u) P_cd(y) dy = A_ab A_cd sqrt(pi) w exp(-(u - m_ab + m_cd)^2 / (4 w^2)),
 
@@ -51,7 +50,9 @@ typical.  CorrelatedGaussianPair: rho2 is the envelope's pair density times
 a sum of three centred Gaussians, so C has nine rows, one per pair of them.
 
 HermiteSlater: for orthonormal orbitals phi_0 .. phi_(N-1) the determinant
-(upper sign) and the permanent (lower sign) have rho = sum_k phi_k^2 and
+(upper sign) and the permanent (lower sign) have rho = sum_k phi_k^2, which is
+e^(-v^2) sum_j q_j v^(2j) / (w sqrt(pi)), v = (x - c)/w, q_j the coefficients
+of sum_k H_k(v)^2 / (2^k k!) (_OSCILLATOR_DENSITIES), and
 
   rho2(x, y) = rho(x) rho(y) -+ g(x, y)^2 - (1 -+ 1) sum_k phi_k(x)^2 phi_k(y)^2,
 
@@ -136,6 +137,9 @@ __all__ = [
 SUPPORT_TRUNCATION = 1e-14
 
 
+# q of HermiteSlater's rho (module docstring) per N
+_OSCILLATOR_DENSITIES = {2: (1.0, 2.0), 3: (1.5, 0.0, 2.0)}
+
 # P(s) of HermiteSlater's h and C (module docstring): (h, C) coefficients of
 # s^0, s^1, ... per (N, symmetry)
 _OSCILLATOR_POLYNOMIALS = {
@@ -154,6 +158,8 @@ class _Terms(NamedTuple):
     """(h(u), C(u)) = sum_k (h_k, c_k) (u/length)^(2 power_k) exp(-rate_k (u - centre_k)^2).
 
     One entry per row k in each array; ``power`` None means every power is 0.
+    A density table has c None and reads
+    rho(x) = sum_k h_k ((x - centre_k)/length)^(2 power_k) exp(-rate_k (x - centre_k)^2).
     """
 
     h: np.ndarray
@@ -248,13 +254,37 @@ class TrialState:
     n_particles: int
     symmetry: str
 
-    def rho(self, x):
+    @property
+    def _rho(self) -> _Terms:
+        """The Gaussian-term table of rho (module docstring)."""
         raise NotImplementedError
 
     @property
     def _terms(self) -> _Terms:
         """The Gaussian-term table of h and C (module docstring)."""
         raise NotImplementedError
+
+    def rho(self, x):
+        """rho(x) from the state's density table, one row at a time (module docstring).
+
+        Rows of one centre share x - m_k, and of one centre and rate the
+        Gaussian; a power of ((x - m_k)/l)^2 is repeated multiplication.
+        """
+        t = self._rho
+        x = np.asarray(x, dtype=float)
+        total, key = 0.0, None
+        for weight, centre, rate, power in zip(t.h, t.centre, t.rate, t.power or itertools.repeat(0)):
+            if key is None or centre != key[0]:
+                d = x - centre
+                d2 = np.square(d)
+            if (centre, rate) != key:
+                key = centre, rate
+                gauss = np.exp(-rate * d2)
+            term = weight * gauss
+            for _ in range(power):
+                term *= np.square(d / t.length)
+            total += term
+        return total
 
     def correlations(self, u):
         """(h(u), C(u)) from the state's term table, one (2,) + u.shape array (module docstring).
@@ -285,10 +315,6 @@ class TrialState:
         c, w = self.grid_center, self.grid_halfwidth
         return Interval(c - w, c + w)
 
-    def dilated(self, lam: float) -> "TrialState":
-        """State with density lam * rho(lam x)."""
-        raise NotImplementedError
-
 
 def _parity(perm) -> int:
     sign = 1
@@ -307,47 +333,32 @@ def _parity(perm) -> int:
     return sign
 
 
-class _OrbitalState(TrialState):
-    """Permanent/determinant of one-particle orbitals with known overlaps."""
+def _symmetrized_weights(S, symmetry):
+    """(norm, W1, W2) of the permanent or determinant of orbitals with overlap matrix S.
 
-    @cached_property
-    def _tables(self):
-        n = self.n_particles
-        S = self._overlap_matrix()
-        overlap = S.tolist()
-        perms = list(itertools.permutations(range(n)))
-        if self.symmetry == "antisymmetric":
-            signs = [_parity(p) for p in perms]
-        else:
-            signs = [1] * len(perms)
-        norm = 0.0
-        w1 = np.zeros((n, n))
-        w2 = np.zeros((n, n, n, n)) if n >= 2 else None
-        for sg, s_sign in zip(perms, signs):
-            for tg, t_sign in zip(perms, signs):
-                overlaps = [overlap[sg[i]][tg[i]] for i in range(n)]
-                coeff = s_sign * t_sign
-                norm += coeff * math.prod(overlaps)
-                w1[sg[0], tg[0]] += coeff * math.prod(overlaps[1:])
-                w2[sg[0], tg[0], sg[1], tg[1]] += coeff * math.prod(overlaps[2:])
-        if norm <= 1e-12:
-            raise ValueError(
-                "degenerate state: symmetrized orbital combination has (near-)zero norm"
-            )
-        return S, norm, n * w1 / norm, n * (n - 1) * w2 / norm
-
-    def _overlap_matrix(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def _orbital_values(self, x) -> np.ndarray:
-        """Stack of orbital values, shape (n_orbitals,) + x.shape."""
-        raise NotImplementedError
-
-    def rho(self, x):
-        x = np.asarray(x, dtype=float)
-        phi = self._orbital_values(x)
-        w1 = self._tables[2]
-        return np.einsum("ab,a...,b...->...", w1, phi, phi)
+    Sums over all pairs of permutations (module docstring); raises
+    ValueError when the symmetrized combination has (near-)zero norm.
+    """
+    n = len(S)
+    overlap = S.tolist()
+    perms = list(itertools.permutations(range(n)))
+    if symmetry == "antisymmetric":
+        signs = [_parity(p) for p in perms]
+    else:
+        signs = [1] * len(perms)
+    norm = 0.0
+    w1 = np.zeros((n, n))
+    w2 = np.zeros((n, n, n, n))
+    for sg, s_sign in zip(perms, signs):
+        for tg, t_sign in zip(perms, signs):
+            overlaps = [overlap[sg[i]][tg[i]] for i in range(n)]
+            coeff = s_sign * t_sign
+            norm += coeff * math.prod(overlaps)
+            w1[sg[0], tg[0]] += coeff * math.prod(overlaps[1:])
+            w2[sg[0], tg[0], sg[1], tg[1]] += coeff * math.prod(overlaps[2:])
+    if norm <= 1e-12:
+        raise ValueError("degenerate state: symmetrized orbital combination has (near-)zero norm")
+    return norm, n * w1 / norm, n * (n - 1) * w2 / norm
 
 
 def _check_symmetry(symmetry: str) -> str:
@@ -357,7 +368,7 @@ def _check_symmetry(symmetry: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianProduct(_OrbitalState):
+class GaussianProduct(TrialState):
     """Gaussian orbitals exp(-(x - mu_i)^2 / (4 w^2)), one per particle."""
 
     centers: tuple
@@ -378,23 +389,32 @@ class GaussianProduct(_OrbitalState):
     def n_particles(self) -> int:
         return len(self.centers)
 
-    def _overlap_matrix(self):
+    @cached_property
+    def _weights(self):
+        """(A, W1, W2) as nested lists, A_ab = S_ab / sqrt(2 pi w^2) the amplitude of phi_a phi_b."""
         mu = np.asarray(self.centers)
-        return np.exp(-((mu[:, None] - mu[None, :]) ** 2) / (8 * self.width**2))
+        s = np.exp(-((mu[:, None] - mu[None, :]) ** 2) / (8 * self.width**2))
+        _, w1, w2 = _symmetrized_weights(s, self.symmetry)
+        return (s / math.sqrt(2 * math.pi * self.width**2)).tolist(), w1.tolist(), w2.tolist()
 
-    def _orbital_values(self, x):
-        x = np.asarray(x, dtype=float)
-        mu = np.asarray(self.centers).reshape((-1,) + (1,) * x.ndim)
-        norm = (2 * math.pi * self.width**2) ** -0.25
-        return norm * np.exp(-((x - mu) ** 2) / (4 * self.width**2))
+    @cached_property
+    def _rho(self):
+        """One row per orbital pair a <= b: (2 - [a = b]) W1_ab A_ab at (mu_a + mu_b)/2."""
+        amp, w1, _ = self._weights
+        mu = self.centers
+        pairs = list(itertools.combinations_with_replacement(range(len(mu)), 2))
+        return _Terms(
+            h=[(2.0 - (a == b)) * w1[a][b] * amp[a][b] for a, b in pairs],
+            c=None,
+            centre=[(mu[a] + mu[b]) / 2 for a, b in pairs],
+            rate=[1 / (2 * self.width**2)] * len(pairs),
+        )
 
     @cached_property
     def _terms(self):
         """One row per shift m_ab - m_cd = e . mu / 2, e = e_a + e_b - e_c - e_d."""
-        s, _, w1, w2 = self._tables
+        amp, w1, w2 = self._weights
         n, w = self.n_particles, self.width
-        amp = (s / math.sqrt(2 * math.pi * w**2)).tolist()
-        w1, w2 = w1.tolist(), w2.tolist()
         groups = {}  # e -> (h weights, C weights) of its (a, b, c, d) rows
         for a, b, c, d in itertools.product(range(n), repeat=4):
             e = tuple((a == i) + (b == i) - (c == i) - (d == i) for i in range(n))
@@ -421,12 +441,9 @@ class GaussianProduct(_OrbitalState):
         spread = max(abs(c - center) for c in self.centers)
         return 12 * self.width + spread
 
-    def dilated(self, lam):
-        return GaussianProduct(tuple(c / lam for c in self.centers), self.width / lam, self.symmetry)
-
 
 @dataclass(frozen=True, eq=False)
-class HermiteSlater(_OrbitalState):
+class HermiteSlater(TrialState):
     """Lowest harmonic-oscillator orbitals of width w (orthonormal)."""
 
     n_orbitals: int
@@ -445,21 +462,13 @@ class HermiteSlater(_OrbitalState):
     def n_particles(self) -> int:
         return self.n_orbitals
 
-    def _overlap_matrix(self):
-        return np.eye(self.n_orbitals)
-
-    def _orbital_values(self, x):
-        u = (np.asarray(x, dtype=float) - self.center) / self.width
-        env = np.exp(-(u**2) / 2)
-        t = math.sqrt(2.0) * u
-        he = [1.0, t]  # He_k(t) = t He_(k-1)(t) - (k-1) He_(k-2)(t)
-        for k in range(2, self.n_orbitals):
-            he.append(t * he[k - 1] - (k - 1) * he[k - 2])
-        rows = []
-        for k in range(self.n_orbitals):
-            norm = (math.pi**-0.25) / math.sqrt(2.0**k * math.factorial(k) * self.width)
-            rows.append(norm * (he[k] * 2.0 ** (k / 2)) * env)  # H_k(u) = 2^(k/2) He_k(t)
-        return np.stack(rows)
+    @cached_property
+    def _rho(self):
+        """Rows q_j ((x - c)/w)^(2j) exp(-(x - c)^2 / w^2) / (w sqrt(pi)) of the derived q."""
+        q, scale = _OSCILLATOR_DENSITIES[self.n_orbitals], self.width * math.sqrt(math.pi)
+        rows = len(q)
+        centre, rate = [self.center] * rows, [1 / self.width**2] * rows
+        return _Terms([p / scale for p in q], None, centre, rate, list(range(rows)), self.width)
 
     @cached_property
     def _terms(self):
@@ -483,9 +492,6 @@ class HermiteSlater(_OrbitalState):
     @property
     def grid_halfwidth(self) -> float:
         return 12 * self.width * math.sqrt(2 * self.n_orbitals - 1)
-
-    def dilated(self, lam):
-        return HermiteSlater(self.n_orbitals, self.width / lam, self.symmetry, self.center / lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,37 +529,30 @@ class CorrelatedGaussianPair(TrialState):
         return ints[0] - 2 * h * ints[1] + h**2 * ints[2]
 
     @cached_property
-    def _gaussians(self):
-        """Amplitudes A_k and exponents g_k of rho(x) = sum_k A_k exp(-g_k (x - mu)^2).
-
-        Term k integrates y out of G(x) G(y) E(x - y)^k, E = exp(-(x-y)^2/(2 s^2)),
-        which the expansion (1 - h E)^2 = 1 - 2 h E + h^2 E^2 weights.
+    def _rho(self):
+        """Rows A_k exp(-g_k (x - mu)^2): row k integrates y out of G(x) G(y) E(x - y)^k,
+        E = exp(-(x-y)^2/(2 s^2)), which the expansion (1 - h E)^2 = 1 - 2 h E + h^2 E^2 weights.
         """
         w, s, h = self.width, self.hole_width, self.hole_depth
         alpha = 1 / (2 * w**2)
-        amps, exps = [], []
+        amps, rates = [], []
         for coeff, k in ((1.0, 0), (-2 * h, 1), (h * h, 2)):
             beta = k / (2 * s**2)
             amps.append(2.0 * coeff * math.sqrt(math.pi / (alpha + beta)) / self._norm)
-            exps.append(alpha + alpha * beta / (alpha + beta))
-        return np.array(amps), np.array(exps)
-
-    def rho(self, x):
-        d2 = (np.asarray(x, dtype=float) - self.center) ** 2
-        amps, exps = self._gaussians
-        return sum(a * np.exp(-g * d2) for a, g in zip(amps, exps))
+            rates.append(alpha + alpha * beta / (alpha + beta))
+        return _Terms(h=amps, c=None, centre=[self.center] * 3, rate=rates)
 
     @cached_property
     def _terms(self):
-        """Three h rows, the terms of (1 - h E)^2, and nine C rows, a pair of rho's Gaussians each."""
+        """Three h rows, the terms of (1 - h E)^2, and nine C rows, a pair of rho's rows each."""
         w, s, h = self.width, self.hole_width, self.hole_depth
         pair = 2.0 / self._norm * math.sqrt(math.pi) * w
-        amps, exps = self._gaussians
+        rho = self._rho
         rows = [
             (pair * coeff, 0.0, 1 / (4 * w**2) + k / (2 * s**2))
             for coeff, k in ((1.0, 0), (-2 * h, 1), (h * h, 2))
         ]
-        for (a_i, g_i), (a_j, g_j) in itertools.product(zip(amps, exps), repeat=2):
+        for (a_i, g_i), (a_j, g_j) in itertools.product(zip(rho.h, rho.rate), repeat=2):
             rows.append((0.0, a_i * a_j * math.sqrt(math.pi / (g_i + g_j)), g_i * g_j / (g_i + g_j)))
         h_coef, c_coef, rate = np.array(rows).T
         return _Terms(h_coef, c_coef, np.zeros(len(rows)), rate)
@@ -565,11 +564,6 @@ class CorrelatedGaussianPair(TrialState):
     @property
     def grid_halfwidth(self) -> float:
         return 12 * self.width
-
-    def dilated(self, lam):
-        return CorrelatedGaussianPair(
-            self.width / lam, self.hole_depth, self.hole_width / lam, self.center / lam
-        )
 
 
 def density(state: TrialState, grid: UniformGrid | None = None) -> DensityProfile:

@@ -29,6 +29,13 @@ what the package computes another way.
   segment_integral_to  int_0^gamma v over a gamma array, one lone integral per
                        segment between the sorted gammas, summed in order
   expectation_via_2d   <V> of a two-particle state on the support square
+  orbital_values       the orbitals of a GaussianProduct or HermiteSlater
+                       state, the oscillator's by the Hermite recurrence
+  orbital_weights      (norm, W1, W2) of an orbital state by the package's
+                       permutation algebra, HermiteSlater's with S = I
+  orbital_rho          rho(x) by the orbital route: W1 contracted with the
+                       orbital values, the correlated pair's three-Gaussian
+                       mixture
   rho2                 the pair density rho2(x, y) of any trial state: the
                        orbital states' through Q_ab(y), the correlated
                        pair's through pair_psi
@@ -43,8 +50,11 @@ what the package computes another way.
                        state's orbitals, for the Pauli and norm checks
   NEAR_DEGENERATE_PRODUCT
                        h and C of the default suite's worst-conditioned
-                       GaussianProduct to 30 digits at six separations
+                       GaussianProduct to 30 digits at six separations, and
+                       rho at six points
   translated           a state moved by delta, for the translation invariances
+  dilated              the state with density lam rho(lam x), for the scaling
+                       laws
   read_jsonl           the records of a JSON-lines report, for round trips
   maximal_function_full_scan
                        exact maximal function scanning every radius from the
@@ -77,8 +87,10 @@ from lieboxford.states import (
     CorrelatedGaussianPair,
     DensityProfile,
     GaussianProduct,
+    HermiteSlater,
     TrialState,
     _parity,
+    _symmetrized_weights,
     density,
 )
 
@@ -426,6 +438,70 @@ def expectation_via_2d(state: TrialState, p: Potential, spec: QuadratureSpec | N
     return integrate_2d(f, box, box, spec)
 
 
+def orbital_values(state, x) -> np.ndarray:
+    """Stack of the orbital values of a GaussianProduct or HermiteSlater state, shape (N,) + x.shape.
+
+    Hermite orbitals are built by recurrence: the physicists'
+    H_k = 2u H_(k-1) - 2(k-1) H_(k-2) is run in its scaled form
+    H_k(u) = 2^(k/2) He_k(t), t = sqrt(2) u, He_k = t He_(k-1) - (k-1) He_(k-2),
+    which for k <= 2 is operation for operation what scipy.special.eval_hermite
+    computes.
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(state, GaussianProduct):
+        mu = np.asarray(state.centers).reshape((-1,) + (1,) * x.ndim)
+        norm = (2 * math.pi * state.width**2) ** -0.25
+        return norm * np.exp(-((x - mu) ** 2) / (4 * state.width**2))
+    u = (x - state.center) / state.width
+    env = np.exp(-(u**2) / 2)
+    t = math.sqrt(2.0) * u
+    he = [1.0, t]  # He_k(t) = t He_(k-1)(t) - (k-1) He_(k-2)(t)
+    for k in range(2, state.n_orbitals):
+        he.append(t * he[k - 1] - (k - 1) * he[k - 2])
+    rows = []
+    for k in range(state.n_orbitals):
+        norm = (math.pi**-0.25) / math.sqrt(2.0**k * math.factorial(k) * state.width)
+        rows.append(norm * (he[k] * 2.0 ** (k / 2)) * env)  # H_k(u) = 2^(k/2) He_k(t)
+    return np.stack(rows)
+
+
+def orbital_weights(state):
+    """(norm, W1, W2) of a GaussianProduct or HermiteSlater state.
+
+    The package's permutation algebra on the orbitals' overlap matrix:
+    S_ab = exp(-(mu_a - mu_b)^2 / (8 w^2)) for the Gaussians, the identity
+    for the orthonormal oscillator orbitals.
+    """
+    if isinstance(state, GaussianProduct):
+        mu = np.asarray(state.centers)
+        overlap = np.exp(-((mu[:, None] - mu[None, :]) ** 2) / (8 * state.width**2))
+    else:
+        overlap = np.eye(state.n_particles)
+    return _symmetrized_weights(overlap, state.symmetry)
+
+
+def orbital_rho(state: TrialState, x):
+    """rho(x) by the orbital route, on the shape of x.
+
+    sum_ab W1_ab phi_a(x) phi_b(x) for the orbital states; for the
+    correlated pair the mixture of three centred Gaussians, the terms of
+    (1 - h E)^2 with y integrated out of G(x) G(y) E(x - y)^k,
+    E = exp(-(x-y)^2/(2 s^2)).
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(state, CorrelatedGaussianPair):
+        w, s, h = state.width, state.hole_width, state.hole_depth
+        alpha = 1 / (2 * w**2)
+        total = 0.0
+        for coeff, k in ((1.0, 0), (-2 * h, 1), (h * h, 2)):
+            beta = k / (2 * s**2)
+            amp = 2.0 * coeff * math.sqrt(math.pi / (alpha + beta)) / state._norm
+            total = total + amp * np.exp(-(alpha + alpha * beta / (alpha + beta)) * (x - state.center) ** 2)
+        return total
+    phi = orbital_values(state, x)
+    return np.einsum("ab,a...,b...->...", orbital_weights(state)[1], phi, phi)
+
+
 def rho2(state: TrialState, x, y):
     """rho2(x, y), integrating to N(N-1), on the broadcast shape of x and y.
 
@@ -435,9 +511,9 @@ def rho2(state: TrialState, x, y):
     """
     if isinstance(state, CorrelatedGaussianPair):
         return 2.0 * pair_psi(state, x, y) ** 2
-    phi_x = state._orbital_values(x)
-    phi_y = state._orbital_values(y)
-    q = np.einsum("abcd,c...,d...->ab...", state._tables[3], phi_y, phi_y)
+    phi_x = orbital_values(state, x)
+    phi_y = orbital_values(state, y)
+    q = np.einsum("abcd,c...,d...->ab...", orbital_weights(state)[2], phi_y, phi_y)
     return np.einsum("a...,b...,ab...->...", phi_x, phi_x, q)
 
 
@@ -494,11 +570,11 @@ def rho2_direct(state, x, y):
     the package's rho2 factors through Q_ab(y).
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    phi_x = state._orbital_values(x)
-    phi_y = state._orbital_values(y)
+    phi_x = orbital_values(state, x)
+    phi_y = orbital_values(state, y)
     px = np.einsum("a...,b...->ab...", phi_x, phi_x)
     py = np.einsum("c...,d...->cd...", phi_y, phi_y)
-    return np.einsum("abcd,ab...,cd...->...", state._tables[3], px, py)
+    return np.einsum("abcd,ab...,cd...->...", orbital_weights(state)[2], px, py)
 
 
 def orbital_psi(state, *coords):
@@ -507,7 +583,7 @@ def orbital_psi(state, *coords):
     if len(coords) != state.n_particles:
         raise ValueError("one coordinate array per particle")
     coords = np.broadcast_arrays(*[np.asarray(c, float) for c in coords])
-    phi = [state._orbital_values(c) for c in coords]
+    phi = [orbital_values(state, c) for c in coords]
     n = state.n_particles
     out = 0.0
     for perm in itertools.permutations(range(n)):
@@ -516,7 +592,7 @@ def orbital_psi(state, *coords):
         for i in range(1, n):
             term = term * phi[i][perm[i]]
         out = out + sign * term
-    return out / math.sqrt(state._tables[1])
+    return out / math.sqrt(orbital_weights(state)[0])
 
 
 # The default suite's state s018 (seed 20240801), whose C rows cancel most:
@@ -524,7 +600,9 @@ def orbital_psi(state, *coords):
 # computed with mpmath at 40 digits from the float parameters and u taken as
 # exact: the overlaps, the permutation sums W1, W2 and the norm, and the N^4
 # Gaussian integrals of the states module docstring.  h(0) is 0 exactly, by
-# antisymmetry.
+# antisymmetry.  (x, rho(x)) at x = c + t w, c the mean of the centers and
+# t in {-4, -1, 0, 1/2, 1, 4}, likewise at 40 digits with x taken as exact:
+# sum_ab W1_ab phi_a(x) phi_b(x) of the orbitals.
 NEAR_DEGENERATE_PRODUCT = {
     "state": {
         "centers": (-1.33609811739033, 1.2827427714614215, 2.8362004142414543),
@@ -539,6 +617,14 @@ NEAR_DEGENERATE_PRODUCT = {
         (9.860901969103148, "0.189364705199502514484610416087", "0.197775162428838554995135706272"),
         (19.721803938206296, "0.000246671436202379916271922980133", "0.000414439169153140470090295311381"),
     ],
+    "rho": [
+        (-8.933286946332299, "0.0103365131402050697786089287027"),
+        (-1.5376104695049384, "0.183497950122327904426495527573"),
+        (0.9276150227708486, "0.235510200322218671019493347195"),
+        (2.160227768908742, "0.211299419216808078104321765812"),
+        (3.3928405150466356, "0.185632588166385223326824051653"),
+        (10.788516991873998, "0.0100141732285052925583578402972"),
+    ],
 }
 
 
@@ -547,6 +633,17 @@ def translated(state: TrialState, delta: float) -> TrialState:
     if isinstance(state, GaussianProduct):
         return dataclasses.replace(state, centers=tuple(c + delta for c in state.centers))
     return dataclasses.replace(state, center=state.center + delta)
+
+
+def dilated(state: TrialState, lam: float) -> TrialState:
+    """The state with density lam rho(lam x): every length divided by lam."""
+    if isinstance(state, GaussianProduct):
+        return GaussianProduct(tuple(c / lam for c in state.centers), state.width / lam, state.symmetry)
+    if isinstance(state, HermiteSlater):
+        return HermiteSlater(state.n_orbitals, state.width / lam, state.symmetry, state.center / lam)
+    return CorrelatedGaussianPair(
+        state.width / lam, state.hole_depth, state.hole_width / lam, state.center / lam
+    )
 
 
 def read_jsonl(path) -> list:

@@ -40,7 +40,7 @@ from lieboxford.potentials import (
     SoftCoulomb,
     certified_constants,
 )
-from oracles import ShiftedPotential
+from oracles import ShiftedPotential, dilated
 from lieboxford.states import (
     DensityProfile,
     GaussianProduct,
@@ -365,7 +365,7 @@ class TestVerify:
         state = GaussianProduct((0.4, -0.4), 1.0, "symmetric")
         base = verify_one(state, BoundSpec("contact_direct", Contact()))
         for lam in (0.5, 2.0):
-            scaled = verify_one(state.dilated(lam), BoundSpec("contact_direct", Contact()))
+            scaled = verify_one(dilated(state, lam), BoundSpec("contact_direct", Contact()))
             assert scaled["lhs"] == pytest.approx(lam * base["lhs"], rel=1e-7)
             assert scaled["rhs"] == pytest.approx(lam * base["rhs"], rel=1e-7)
 

@@ -27,6 +27,7 @@ from lieboxford.numerics import QuadratureSpec
 from oracles import (
     ShiftedPotential,
     correlation,
+    dilated,
     expectation_via_2d,
     integrate_1d_components,
     integrate_2d,
@@ -279,8 +280,8 @@ class TestInvariances:
         # density lam rho(lam x) and v(r) = r^(eps-1): I_xc scales by lam^(1-eps)
         pots = [Homogeneous(eps) for eps in (0.1, 0.5, 0.9)]
         base = interaction_energies([(state, pots)])[0]
-        dilated = interaction_energies([(state.dilated(lam), pots)])[0]
-        for p, b0, b1 in zip(pots, base, dilated):
+        scaled = interaction_energies([(dilated(state, lam), pots)])[0]
+        for p, b0, b1 in zip(pots, base, scaled):
             expected = lam ** (1.0 - p.epsilon) * b0.i_xc
             scale = max(abs(expected), state.n_particles)
             assert abs(b1.i_xc - expected) <= 1e-9 * scale, p.label()

@@ -27,13 +27,18 @@ from lieboxford.states import (
     maximal_operator_norm_bound,
     random_state_suite,
 )
+import oracles
 from oracles import (
     HERMITE_RULE,
     NEAR_DEGENERATE_PRODUCT,
     correlation,
+    dilated,
     gauss_hermite_correlations,
     maximal_function_full_scan,
     orbital_psi,
+    orbital_rho,
+    orbital_values,
+    orbital_weights,
     rho2,
     rho2_direct,
     scaled_profile,
@@ -126,7 +131,7 @@ class TestDensity:
     def test_dilation_scales_density(self):
         s = GaussianProduct((-0.5, 1.0), 0.8, "symmetric")
         lam = 2.0
-        d = s.dilated(lam)
+        d = dilated(s, lam)
         x = np.linspace(-3, 3, 21)
         assert np.allclose(d.rho(x), lam * s.rho(lam * x), rtol=1e-12)
 
@@ -160,13 +165,14 @@ class TestPairDensityKernel:
             assert fast.shape == direct.shape
             assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
-    def test_pairs_first_index_pair_with_x(self):
+    def test_pairs_first_index_pair_with_x(self, monkeypatch):
         # physical W2 is symmetric under (a,b) <-> (c,d), so rho2(x,y) = rho2(y,x)
         # and a contraction with the roles of x and y swapped would agree with
         # it; a random weight tensor tells the two roles apart
         state = GaussianProduct((-1.0, 0.2, 1.1), 0.8, "antisymmetric")
         weights = rng_stream(11, 0).normal(size=(3, 3, 3, 3))
-        vars(state)["_tables"] = state._tables[:3] + (weights,)
+        norm, w1, _ = orbital_weights(state)
+        monkeypatch.setattr(oracles, "orbital_weights", lambda _: (norm, w1, weights))
         for x, y in _call_shapes(state):
             direct = rho2_direct(state, x, y)
             assert np.max(np.abs(rho2(state, x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -177,7 +183,7 @@ class TestPairDensityKernel:
         x = np.linspace(center - 8 * width, center + 8 * width, 1001)
         u = (x - center) / width
         env = np.exp(-(u**2) / 2)
-        phi = HermiteSlater(3, width, center=center)._orbital_values(x)
+        phi = orbital_values(HermiteSlater(3, width, center=center), x)
         for k in range(3):
             norm = (math.pi**-0.25) / math.sqrt(2.0**k * math.factorial(k) * width)
             expected = norm * scipy.special.eval_hermite(k, u) * env
@@ -306,6 +312,65 @@ def _hermite_table(n, symmetry):
     return rows
 
 
+def _table_mass(t):
+    """int rho of a density table in closed form, as math.fsum of its rows'
+    int ((x - m)/l)^(2j) exp(-a (x - m)^2) dx = sqrt(pi/a) (2j - 1)!! / (2 a l^2)^j."""
+    powers = t.power or [0] * len(t.h)
+    return math.fsum(
+        h * math.sqrt(math.pi / a) * math.prod(range(1, 2 * j, 2)) / (2 * a * t.length**2) ** j
+        for h, a, j in zip(t.h, t.rate, powers)
+    )
+
+
+class TestDensityTable:
+    @pytest.mark.parametrize("seed", [20240801, 7])
+    def test_default_densities_match_orbital_route(self, seed):
+        # each default profile against W1 contracted with the orbital values
+        # (the correlated pair's Gaussian mixture), to 1e-13 of max rho
+        for sid, state in random_state_suite(200, seed):
+            profile = density(state)
+            expected = orbital_rho(state, profile.grid.x)
+            assert np.max(np.abs(profile.values - expected)) <= 1e-13 * np.max(expected), sid
+
+    # The drawn N = 3 determinants reach gaps of half a width, where W1's
+    # entries (up to 5e2) cancel: there the two routes differ by up to 3.7e-13
+    # of max rho (1,350 such states), and each is off a 40-digit value by up
+    # to 2.4e-13 (the table) and 1.1e-13 (the orbitals).
+    @settings(max_examples=60, deadline=None)
+    @given(trial_states())
+    def test_densities_match_orbital_route(self, state):
+        profile = density(state)
+        expected = orbital_rho(state, profile.grid.x)
+        assert np.max(np.abs(profile.values - expected)) <= 1e-12 * np.max(expected)
+
+    # worst 8.9e-15 relative (s177); a drawn determinant with gaps of half a
+    # width reaches 2.5e-13, as W1's float cancellation sets the floor
+    @pytest.mark.parametrize("seed", [20240801, 7])
+    def test_default_tables_hold_n_particles(self, seed):
+        for sid, state in random_state_suite(200, seed):
+            n = state.n_particles
+            assert abs(_table_mass(state._rho) - n) <= 1e-14 * n, sid
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oscillator_density_is_derived(self, n):
+        # rho = sum_k phi_k^2 = e^(-u^2) sum_k H_k(u)^2 / (2^k k!) / (w sqrt(pi)),
+        # in rational arithmetic
+        q = {}
+        for k in range(n):
+            for (i, _), a in _poly_mul(_hermite_at(k, 0), _hermite_at(k, 0)).items():
+                q[i] = q.get(i, 0) + Fraction(a, 2**k * math.factorial(k))
+        coefficients = [q.get(i, 0) for i in range(max(q) + 1)]
+        assert coefficients[1::2] == [0] * (len(coefficients) // 2)  # even in u
+        assert coefficients[::2] == [Fraction(p) for p in states._OSCILLATOR_DENSITIES[n]]
+
+    def test_near_degenerate_product_density(self):
+        # the default suite's worst-conditioned GaussianProduct: rho against
+        # 30-digit values at six points, to 1e-13 of max rho
+        state = GaussianProduct(**NEAR_DEGENERATE_PRODUCT["state"])
+        x, exact = (np.array(col, dtype=float) for col in zip(*NEAR_DEGENERATE_PRODUCT["rho"]))
+        assert np.max(np.abs(state.rho(x) - exact)) <= 1e-13 * np.max(exact)
+
+
 class TestCorrelations:
     def test_hermite_rule_is_numpys(self):
         for ours, numpys in zip(HERMITE_RULE, np.polynomial.hermite.hermgauss(5)):
@@ -400,9 +465,9 @@ class TestCorrelations:
     def test_dilation_scaling(self, state, lam):
         # density lam rho(lam x) gives h_lam(u) = lam h(lam u), C_lam(u) = lam C(lam u)
         u = _separation_nodes(state) / lam
-        scaled = state.dilated(lam).correlations(u)
-        for base, dilated in zip(state.correlations(lam * u), scaled):
-            assert np.max(np.abs(dilated - lam * base)) <= 1e-9 * lam * np.max(np.abs(base))
+        scaled = dilated(state, lam).correlations(u)
+        for base, value in zip(state.correlations(lam * u), scaled):
+            assert np.max(np.abs(value - lam * base)) <= 1e-9 * lam * np.max(np.abs(base))
 
 
 class TestPowerIntegrals:
@@ -425,7 +490,7 @@ class TestPowerIntegrals:
         s = GaussianProduct((-0.4, 0.9), 1.2, "symmetric")
         base = density_power_integral(density(s), 2.0)
         for lam in rng.uniform(0.1, 10.0, size=5):
-            val = density_power_integral(density(s.dilated(lam)), 2.0)
+            val = density_power_integral(density(dilated(s, lam)), 2.0)
             assert val == pytest.approx(lam * base, rel=1e-8)
 
     def test_invalid_power(self):
