@@ -5,21 +5,28 @@ scheme over scalar integrands, ``f`` mapping an ``(m,)`` node array to
 ``(m,)`` values, on a finite ``Interval``: every integral of the package runs
 over a bounded range (a state's support, a curvature-moment window, the
 cut-off Lieb-Wu integral).  The loop splits one panel at a time, and its
-totals and heap keys are Python floats.  ``f`` is called on the nodes of both
-halves of a split, and, where the loop bisects toward one end again and again
-(an endpoint singularity), on those of up to 15 further splits toward that end
-in the same call, once that chain of bisections is 4 steps long; their halves
-wait until the loop pops them.  Each rule's sums over every panel of a call
-are one numpy reduction over the (n, 15) value block, which sums each row in
-an order fixed by its length alone (pairwise summation), so a panel keeps the
-bits of its own one-panel call; an (n, 15) BLAS gemv would round differently
-as n changes.  A value is thus that of one split at a time whenever ``f``
-gives each node the same bits whatever else is in its batch, as every
-integrand of the package does.  Kronrod nodes are interior; only a panel
-narrower than the float spacing at an end puts a node on the end itself.
-Speculated panels reach that depth sooner, and a non-finite value there
-raises only if the loop pops the panel.  Finite values whose weighted sum
-overflows (numpy warns, by its ``over`` setting) never converge.
+totals and heap keys are Python floats.  It tests convergence after each
+split, and a run whose initial panels already converge returns before it
+builds a heap.  The panel to split next is carried outside the heap: a split
+pushes one half and heappushpops the other, which pops the panel that a push
+of both halves and a pop would, as the keys (-error, creation counter) are
+distinct and ordered; so the pops and totals are those of one heap of every
+panel, with 2 heap operations per split instead of 3.  ``f`` is called on the
+nodes of both halves of a split, and, where the loop bisects toward one end
+again and again (an endpoint singularity), on those of up to 15 further
+splits toward that end in the same call, once that chain of bisections is 4
+steps long; their halves wait until the loop pops them.  Each rule's sums
+over every panel of a call are one numpy reduction over the (n, 15) value
+block, which sums each row in an order fixed by its length alone (pairwise
+summation), so a panel keeps the bits of its own one-panel call; an (n, 15)
+BLAS gemv would round differently as n changes.  A value is thus that of one
+split at a time whenever ``f`` gives each node the same bits whatever else is
+in its batch, as every integrand of the package does.  Kronrod nodes are
+interior; only a panel narrower than the float spacing at an end puts a node
+on the end itself.  Speculated panels reach that depth sooner, and a
+non-finite value there raises only if the loop pops the panel.  Finite values
+whose weighted sum overflows (numpy warns, by its ``over`` setting) never
+converge.
 
 The loop is a generator (``_adaptive``): it yields the panel ends it needs
 next and is sent their sums.  One driver (``_lockstep``) runs every loop, in
@@ -236,16 +243,23 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
         edges = [i * spacing + start for i in range(_INITIAL_PANELS)]
     edges.append(stop)
     first = _finite((yield tuple(edges[:-1]), tuple(edges[1:])), domain.lo, domain.hi)
-    heappush, heappop = heapq.heappush, heapq.heappop
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
-    heap, total, total_err = [], -0.0, -0.0  # x + -0.0 is x, bit for bit
-    for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], first)):
+    total, total_err = -0.0, -0.0  # x + -0.0 is x, bit for bit
+    for k, e in first:
         total += k
         total_err += e
-        heappush(heap, (-e, i, a, b, k, e))
+    if total_err <= abs_tol or total_err <= rel_tol * abs(total):
+        return total, total_err
+    heap = [(-e, i, a, b, k, e) for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], first))]
+    heapq.heapify(heap)
+    heappush, heappushpop = heapq.heappush, heapq.heappushpop
+    _, _, a, b, k, e = heapq.heappop(heap)
 
-    # Heap ties break by creation order.  A NaN total comes with an inf or
-    # NaN error, which stays in total_err, so it never converges.
+    # The panel to split next is carried out of the heap (module docstring).
+    # A NaN total comes with an inf or NaN error, which stays in total_err,
+    # so it never converges; a NaN key, from sums that overflow, has no
+    # order, so which panels such a run splits before it raises depends on
+    # the heap's layout, as with any heap.
     # Endpoint chains: a popped panel that is a half of the last split
     # continues the chain toward that half's outer end (or starts one, when
     # the step before went the other way).  From step _CHAIN_START on, a step
@@ -256,9 +270,6 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
     # heap keys and totals are those of one split at a time.
     ahead, last_a, last_mid, last_b, toward, run = {}, None, None, None, None, 0
     for counter in range(_INITIAL_PANELS, _INITIAL_PANELS + 2 * spec.max_subdivisions, 2):
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            return total, total_err
-        _, _, a, b, k, e = heappop(heap)
         mid = 0.5 * (a + b)
         step = "lo" if a == last_a and b == last_mid else "hi" if a == last_mid and b == last_b else None
         run = 0 if step is None else run + 1 if step == toward else 1
@@ -271,14 +282,16 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
             for j in range(2, len(values), 2):
                 ahead[lo[j], hi[j + 1]] = values[j : j + 2]
             halves = values[:2]
-        (k1, e1), (k2, e2) = _finite(halves, a, b)
+        if None in halves:
+            _finite(halves, a, b)  # raises
+        (k1, e1), (k2, e2) = halves
         total = total - k + k1 + k2
         total_err = total_err - e + e1 + e2
+        if total_err <= abs_tol or total_err <= rel_tol * abs(total):
+            return total, total_err
         heappush(heap, (-e1, counter, a, mid, k1, e1))
-        heappush(heap, (-e2, counter + 1, mid, b, k2, e2))
+        _, _, a, b, k, e = heappushpop(heap, (-e2, counter + 1, mid, b, k2, e2))
 
-    if total_err <= max(abs_tol, rel_tol * abs(total)):
-        return total, total_err
     raise NonConvergence(
         f"quadrature did not converge after {spec.max_subdivisions} subdivisions "
         f"(err {total_err:.3e})",

@@ -95,9 +95,11 @@ def _cells(column) -> tuple[list, list]:
     if isinstance(column, np.ndarray):
         cells = [f"{v:.12g}" for v in column.tolist()]
         return cells, [s if "." in s and "e" not in s else _json_float(s) for s in cells]
-    cells = [_format_cell(v) for v in column]
     # a string column repeats a few labels: each is encoded once
     strings = {v: json.dumps(v) for v in {v for v in column if isinstance(v, str)}}
+    if all(type(v) is str for v in column):  # plain labels are their own CSV cells
+        return column, [strings[v] for v in column]
+    cells = [_format_cell(v) for v in column]
     return cells, [
         strings[v] if isinstance(v, str) else _json_float(s) if isinstance(v, float) else canonical_json(v)
         for v, s in zip(column, cells)

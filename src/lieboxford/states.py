@@ -28,9 +28,17 @@ C(u) = int rho(y) rho(y+u) dy as one table of Gaussian terms, a row
 
   (h(u), C(u)) = sum_k (h_k, c_k) (u/l)^(2 j_k) exp(-a_k (u - m_k)^2),
 
-l the state's length.  ``TrialState.correlations`` evaluates any table on an
-(n nodes, K rows) block and sums each node's row with one numpy reduction,
-whose order depends on K alone, so no value depends on the rest of its batch.
+l the state's length.  ``TrialState.correlations`` evaluates a table in one
+of two layouts, chosen by K alone, and each sums a node's K terms in an order
+that depends on K alone, so no value depends on the rest of its batch.  Below
+8 rows it builds a term-major (K rows, n nodes) block from the table's cached
+(K, 1) columns and sums the rows with one reduction over the row axis from
+0.0: row after row, whatever the batch.  numpy's last-axis sum of fewer than
+8 values (its pairwise sum) is that same sequential sum from 0.0, so the two
+layouts give the same bits; the term-major one spends its loops on the long
+node axis, not on K.  Tables of 8 or more rows (the N = 3 GaussianProduct and
+the correlated pair) keep the node-major (n nodes, K rows) block, whose rows
+numpy sums pairwise, in 8 interleaved partial sums.
 
 GaussianProduct: each orbital product is one Gaussian,
 P_ab = phi_a phi_b = A_ab exp(-(x - m_ab)^2 / (2 w^2)) with
@@ -135,6 +143,10 @@ __all__ = [
 ]
 
 SUPPORT_TRUNCATION = 1e-14
+
+# Term tables of fewer rows are evaluated term-major: below 8 values numpy's
+# pairwise sum is the sequential one (module docstring).
+_TERM_MAJOR_ROWS = 8
 
 
 # q of HermiteSlater's rho (module docstring) per N
@@ -286,20 +298,41 @@ class TrialState:
             total += term
         return total
 
+    @cached_property
+    def _columns(self):
+        """The term table as the term-major kernel reads it.
+
+        centre, -rate and power (or None) as (K, 1) columns, and (h, c) as one (2, K, 1) array.
+        """
+        t = self._terms
+        power = None if t.power is None else t.power[:, None]
+        return t.centre[:, None], -t.rate[:, None], power, np.array((t.h, t.c))[:, :, None]
+
     def correlations(self, u):
         """(h(u), C(u)) from the state's term table, one (2,) + u.shape array (module docstring).
 
         h(u) = int rho2(y+u, y) dy, C(u) = int rho(y) rho(y+u) dy.
         """
         t = self._terms
-        x = np.asarray(u, dtype=float)[..., None]
-        terms = np.subtract(x, t.centre)  # (..., K), one row of terms per node
+        x = np.asarray(u, dtype=float)
+        if len(t.h) >= _TERM_MAJOR_ROWS:  # node-major: one (n, K) row of terms per node
+            x = x[..., None]
+            terms = np.subtract(x, t.centre)
+            np.square(terms, out=terms)
+            terms *= -t.rate
+            np.exp(terms, out=terms)
+            if t.power is not None:
+                terms *= np.square(x / t.length) ** t.power
+            return np.array((np.add.reduce(terms * t.h, axis=-1), np.add.reduce(terms * t.c, axis=-1)))
+        centre, neg_rate, power, hc = self._columns
+        row = x.reshape(1, -1)
+        terms = np.subtract(row, centre)  # (K, n), one row per term
         np.square(terms, out=terms)
-        terms *= -t.rate
+        terms *= neg_rate
         np.exp(terms, out=terms)
-        if t.power is not None:
-            terms *= np.square(x / t.length) ** t.power
-        return np.array((np.add.reduce(terms * t.h, axis=-1), np.add.reduce(terms * t.c, axis=-1)))
+        if power is not None:
+            terms *= np.square(row / t.length) ** power
+        return np.add.reduce(terms * hc, axis=1, initial=0.0).reshape((2, *x.shape))
 
     @property
     def grid_center(self) -> float:

@@ -8,7 +8,9 @@ none is given, and prices them against the 8 default suite potentials as
 ``EnergyBreakdown``, I_xc and its error estimate, are compared with those
 of ``oracles.lone_energies`` by their bits.  The lone runs go through the
 oracle driver ``integrate_1d_components_with_error``, one call per piece and
-part, since the package's own lone form is its many-job driver with one job.
+part, since the package's own lone form is its many-job driver with one job,
+and read h and C from the oracle kernel ``node_major_correlations``, so a
+change of bits in either the driver or ``TrialState.correlations`` shows.
 Exits 1 on any mismatch.  Per seed it also prints the rounds of each chunk's
 many-job quadrature (each round evaluates every live state's (h, C) once),
 the ``TrialState.correlations`` calls, and the nodes evaluated and distinct

@@ -19,13 +19,17 @@ what the package computes another way.
   integrate_2d         nested adaptive 2D quadrature
   correlation          h(u) or C(u) by an adaptive quadrature over y at every
                        u node, the route the states' closed forms replace
+  node_major_correlations
+                       (h(u), C(u)) of a state's term table on one (n, K)
+                       block, one last-axis sum per node: the kernel the
+                       package's term-major one must equal bit for bit
   separation_integrals (<V>, D) as one vector-valued pass of the exact h and
                        C times v over [0, span], split at the breakpoints
   lone_energies        interaction_energies with every piece's h v and C v
-                       through its own call of the oracle driver above, as
-                       LoneEnergies records that keep <V> and D; their I_xc
-                       and error estimate the package's many-job call must
-                       equal bit for bit
+                       through its own call of the oracle driver above, on
+                       node_major_correlations, as LoneEnergies records that
+                       keep <V> and D; their I_xc and error estimate the
+                       package's many-job call must equal bit for bit
   segment_integral_to  int_0^gamma v over a gamma array, one lone integral per
                        segment between the sorted gammas, summed in order
   expectation_via_2d   <V> of a two-particle state on the support square
@@ -336,6 +340,25 @@ def correlation(state: TrialState, spec: QuadratureSpec, pair: bool):
     return sample
 
 
+def node_major_correlations(state: TrialState, u):
+    """(h(u), C(u)) of the state's term table on an (n nodes, K rows) block, one (2,) + u.shape array.
+
+    Every table in the one node-major layout: each node's row of terms is
+    summed by one last-axis reduction, whose order depends on K alone.  The
+    package's kernel, which evaluates tables of fewer than 8 rows
+    term-major, must equal it bit for bit.
+    """
+    t = state._terms
+    x = np.asarray(u, dtype=float)[..., None]
+    terms = np.subtract(x, t.centre)  # (..., K), one row of terms per node
+    np.square(terms, out=terms)
+    terms *= -t.rate
+    np.exp(terms, out=terms)
+    if t.power is not None:
+        terms *= np.square(x / t.length) ** t.power
+    return np.array((np.add.reduce(terms * t.h, axis=-1), np.add.reduce(terms * t.c, axis=-1)))
+
+
 def separation_integrals(state: TrialState, p: Potential, spec: QuadratureSpec):
     """(<V>, D) = int_0^span (h(u), C(u)) v(u) du, with the error of each.
 
@@ -370,16 +393,17 @@ def lone_energies(state: TrialState, potentials) -> list[LoneEnergies]:
     Each piece of [0, span], split at the potential's breakpoints, gets its
     own call of the oracle driver ``integrate_1d_components_with_error`` for
     h v and one for C v, summed piece by piece from 0.0; the contact
-    potential reads h(0)/2 and C(0)/2.  The package's own lone form is its
-    many-job driver with one job, so it would not be an independent route.
-    I_xc and the error estimate have the bits of the package's; <V> and D
-    are the two integrals that it subtracts.
+    potential reads h(0)/2 and C(0)/2.  h and C come from
+    ``node_major_correlations``, not the package's kernel, and the package's
+    own lone form is its many-job driver with one job, so neither would be
+    an independent route.  I_xc and the error estimate have the bits of the
+    package's; <V> and D are the two integrals that it subtracts.
     """
     span = state.support.hi - state.support.lo
     out = []
     for p in potentials:
         if isinstance(p, Contact):
-            h0, c0 = state.correlations(0.0)
+            h0, c0 = node_major_correlations(state, 0.0)
             out.append(LoneEnergies(0.5 * float(h0), 0.5 * float(c0), 0.5 * float(h0) - 0.5 * float(c0), 0.0))
             continue
         edges = [0.0] + [b for b in sorted(p.breakpoints()) if 0.0 < b < span] + [span]
@@ -388,7 +412,9 @@ def lone_energies(state: TrialState, potentials) -> list[LoneEnergies]:
             total, err = 0.0, 0.0
             for a, b in zip(edges[:-1], edges[1:]):
                 val, e = integrate_1d_components_with_error(
-                    lambda u: state.correlations(u)[component] * p.value(u), Interval(a, b), DEFAULT_SPEC
+                    lambda u: node_major_correlations(state, u)[component] * p.value(u),
+                    Interval(a, b),
+                    DEFAULT_SPEC,
                 )
                 total += val
                 err += e

@@ -111,13 +111,16 @@ def _nan_only_deep(u):
 
 
 # (integrand, domain, spec) triples on which the package driver must repeat the
-# oracle's value and error bit for bit: a smooth integrand, endpoint
-# singularities at either end (the left one the shape of Homogeneous(0.1)'s
-# integrand, an endpoint chain of 268 splits), an interior kink, an
-# oscillatory integrand, non-finite values in speculated panels only, and
-# budgets too small to converge, one of them ending inside a chain.
+# oracle's value and error bit for bit: a smooth integrand, one that converges
+# on its initial panels (no split), endpoint singularities at either end (the
+# left one the shape of Homogeneous(0.1)'s integrand, an endpoint chain of 268
+# splits), an interior kink, an oscillatory integrand, non-finite values in
+# speculated panels only, budgets too small to converge, one of them ending
+# inside a chain, and a constant under tolerances it cannot meet, whose panels
+# of one width have bit-equal errors, so creation order alone orders the pops.
 DRIVER_BATTERY = {
     "finite": (lambda x: np.exp(-((x - 0.3) ** 2)) * np.cos(x), (-2.0, 3.5), QuadratureSpec()),
+    "initial_panels": (lambda x: x**3 - x, (0.0, 2.0), QuadratureSpec()),
     "endpoint_singularity": (lambda r: 0.75 * r**-0.5, (0.0, 1.0), QuadratureSpec(1e-13, 1e-12)),
     "endpoint_chain": (lambda u: u**-0.9 * np.exp(-u), (0.0, 5.0), QuadratureSpec()),
     "right_end_singularity": (_right_end_singularity, (0.0, 1.0), QuadratureSpec()),
@@ -134,7 +137,9 @@ DRIVER_BATTERY = {
         (0.0, 5.0),
         QuadratureSpec(max_subdivisions=100),
     ),
+    "tied_errors": (lambda x: np.ones_like(x), (0.0, 3.0), QuadratureSpec(1e-300, 1e-300, 40)),
 }
+NONCONVERGING = ("nonconvergence", "nonconvergence_in_chain", "tied_errors")
 
 
 def _outcome(driver, f, domain, spec):
@@ -156,12 +161,16 @@ def _counted(f):
     return g, seen
 
 
-# h and C of one state of each kind, as the energies' integrands read them
+# h and C of one state of each kind, as the energies' integrands read them:
+# 3 and 5 rows with powers, 5 and 19 rows without (term-major below 8 rows,
+# node-major from 8), and 12 rows of the correlated pair
 CORRELATION_KINDS = {
     f"{kind}_{part}": (lambda u, state=state, k=k: state.correlations(u)[k])
     for kind, state in (
         ("hermite_slater", HermiteSlater(3, 0.8, "symmetric", -0.2)),
+        ("hermite_slater_2", HermiteSlater(2, 1.1, "antisymmetric", 0.3)),
         ("gaussian_product", GaussianProduct((-0.8, 0.1, 1.3), 0.6, "antisymmetric")),
+        ("gaussian_product_2", GaussianProduct((-0.5, 0.9), 0.7, "symmetric")),
         ("correlated_pair", CorrelatedGaussianPair(0.9, 0.5, 0.6, center=0.4)),
     )
     for k, part in enumerate("hc")
@@ -193,8 +202,28 @@ class TestDriverContract:
         ours = _outcome(integrate_1d_with_error, f, domain, spec)
         oracle = _outcome(integrate_1d_components_with_error, f, domain, spec)
         assert ours == oracle
-        assert ours[0] == ("nonconvergence" if case.startswith("nonconvergence") else "value")
+        assert ours[0] == ("nonconvergence" if case in NONCONVERGING else "value")
         assert all(type(v) is float for v in ours[1:])
+
+    def test_converged_initial_panels_take_one_call(self):
+        f, domain, spec = DRIVER_BATTERY["initial_panels"]
+        g, seen = _counted(f)
+        integrate_1d_with_error(g, domain, spec)
+        assert [x.size for x in seen] == [_INITIAL_PANELS * 15]
+
+    def test_tied_errors_split_in_creation_order(self):
+        # panels of one width have bit-equal errors and values, so only the
+        # nodes show which one is split: each package call after the first
+        # holds the two halves the oracle evaluates next, one call per split
+        f, domain, spec = DRIVER_BATTERY["tied_errors"]
+        ours, ours_calls = _counted(f)
+        oracle, oracle_calls = _counted(f)
+        _outcome(integrate_1d_with_error, ours, domain, spec)
+        _outcome(integrate_1d_components_with_error, oracle, domain, spec)
+        split = _INITIAL_PANELS
+        expect = [oracle_calls[:split]] + [oracle_calls[i : i + 2] for i in range(split, len(oracle_calls), 2)]
+        assert len(ours_calls) == 1 + spec.max_subdivisions
+        assert [x.tobytes() for x in ours_calls] == [np.concatenate(c).tobytes() for c in expect]
 
     @settings(max_examples=300, deadline=None)
     @given(_initial_domains())

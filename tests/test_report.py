@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import sys
@@ -139,6 +140,31 @@ class TestWriteReports:
         for suffix in ("csv", "jsonl"):
             write_reports(records, tmp_path / f"r.{suffix}")
             assert (tmp_path / f"r.{suffix}").read_bytes() == (tmp_path / f"t.{suffix}").read_bytes()
+
+    def test_string_columns_format_as_each_cell_alone(self, tmp_path):
+        # a column of plain str is its own CSV cells; a mixed one (str with
+        # None, bool, float or a str subclass, whose CSV cell is its str())
+        # is formatted cell by cell; both give the cells of the written rules
+        class Tag(str):
+            def __str__(self):
+                return "tag:" + self
+
+        labels = ["s000", 'a,"b"', "", "s000", "é\n", "null"]
+        mixed = ["s000", None, True, 0.1 + 0.2, False, math.nan, -0.0, Tag("x"), "s000", ""]
+        csv_cell = {None: "", True: "true", False: "false"}
+        for column in (labels, mixed, ["s000", Tag("x")]):
+            table = Table({"v": column})
+            write_reports(table, tmp_path / "t.csv")
+            write_reports(table, tmp_path / "t.jsonl")
+            with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+                cells = [row[0] for row in list(csv.reader(fh))[1:]]
+            expect = [
+                f"{v:.12g}" if isinstance(v, float) else str(v) if isinstance(v, str) else csv_cell[v]
+                for v in column
+            ]
+            assert cells == expect
+            lines = (tmp_path / "t.jsonl").read_text(encoding="utf-8").splitlines()
+            assert lines == [canonical_json({"v": v}) for v in column]
 
     def test_heterogeneous_rejected(self, tmp_path):
         with pytest.raises(ValueError):

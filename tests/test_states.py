@@ -322,6 +322,27 @@ def _table_mass(t):
     )
 
 
+def _kernel_inputs(state):
+    """u as scalars, a 0-d array, (1,) arrays, a (3, 15) block and 450 nodes
+    over [-span, span], with 0, 1e-300, 1e-30, +-inf and negative u among them."""
+    span = state.support.hi - state.support.lo
+    special = [0.0, -0.0, 1e-300, 1e-30, math.inf, -math.inf, -1e-30, -0.5 * span]
+    nodes = np.concatenate([special, np.linspace(-span, span, 450 - len(special))])
+    return [
+        0.0, 1e-300, -span / 3, math.inf, np.array(1e-30), np.array([0.0]), np.array([-math.inf]),
+        nodes[:45].reshape(3, 15), nodes,
+    ]
+
+
+def _assert_node_major_bits(state):
+    # an inf node times its zero Gaussian is NaN on both sides
+    with np.errstate(invalid="ignore"):
+        for u in _kernel_inputs(state):
+            ours, oracle = state.correlations(u), oracles.node_major_correlations(state, u)
+            assert (ours.shape, ours.dtype) == (oracle.shape, oracle.dtype) == ((2, *np.shape(u)), float)
+            assert ours.tobytes() == oracle.tobytes(), (state, np.shape(u))
+
+
 class TestDensityTable:
     @pytest.mark.parametrize("seed", [20240801, 7])
     def test_default_densities_match_orbital_route(self, seed):
@@ -430,6 +451,19 @@ class TestCorrelations:
         scale = np.max(np.abs(c_exact))
         assert np.max(np.abs(h - h_exact)) <= 1e-12 * scale
         assert np.max(np.abs(c - c_exact)) <= 1e-12 * scale
+
+    # below 8 rows the kernel sums term-major, one row of terms after
+    # another from 0.0, which is the order of numpy's last-axis sum of fewer
+    # than 8 values; tables of 8 or more rows keep the node-major block
+    @pytest.mark.parametrize("seed", [20240801, 7])
+    def test_default_kernel_is_node_major_bit_for_bit(self, seed):
+        for _, state in random_state_suite(200, seed):
+            _assert_node_major_bits(state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trial_states())
+    def test_kernel_is_node_major_bit_for_bit(self, state):
+        _assert_node_major_bits(state)
 
     @pytest.mark.parametrize("state", CORRELATION_STATES, ids=repr)
     def test_matches_quadrature_oracle(self, state):
