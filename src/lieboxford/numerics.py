@@ -1,4 +1,4 @@
-"""Shared numerical kernels: adaptive quadrature, root finding, RNG.
+"""Shared numerical kernels: adaptive quadrature, root finding, seeded random streams.
 
 The quadrature kernel is an adaptive Gauss-Kronrod (G7/K15, QUADPACK dqk15)
 scheme over scalar integrands, ``f`` mapping an ``(m,)`` node array to
@@ -26,7 +26,9 @@ interior; only a panel narrower than the float spacing at an end puts a node
 on the end itself.  Speculated panels reach that depth sooner, and a
 non-finite value there raises only if the loop pops the panel.  Finite values
 whose weighted sum overflows (numpy warns, by its ``over`` setting) never
-converge.
+converge: a run raises NonConvergence as soon as its error estimate is NaN,
+after its initial panels or after any split, so which panels it splits never
+depends on how a heap orders a NaN key.
 
 The loop is a generator (``_adaptive``): it yields the panel ends it needs
 next and is sent their sums.  One driver (``_lockstep``) runs every loop, in
@@ -45,16 +47,25 @@ the weights are batch independent as above.  A job that would raise alone
 (a non-finite panel it consumes, NonConvergence) makes the call raise that
 same error, the first such job in list order winning, as in a loop of lone
 calls.
+
+The seeded streams (``rng_stream``) are the package's own port of numpy's
+Generator(PCG64(SeedSequence(seed, spawn_key=key))), in Python ints: the
+SeedSequence hash, PCG64's 128-bit LCG with its XSL-RR output and 32-bit
+half buffer, and the two Generator methods the package calls, ``uniform``
+and ``integers``.  numpy's RNG policy (NEP 19) fixes the PCG64 and
+SeedSequence streams across releases but not Generator's methods, so the
+drawn values are the package's whatever numpy is installed, and no process
+loads numpy.random.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
 
 __all__ = [
     "QuadratureSpec",
@@ -223,6 +234,13 @@ def _chain(a, b, left, n):
     return tuple(lo), tuple(hi)
 
 
+def _nan_error(total, total_err) -> NonConvergence:
+    """The NonConvergence of a run whose error estimate is NaN: its panel sums overflow."""
+    return NonConvergence(
+        "quadrature error estimate is NaN: the panel sums overflow", estimate=total, error=total_err
+    )
+
+
 def _adaptive(domain: Interval, spec: QuadratureSpec):
     """The adaptive loop of one integral over the non-empty ``domain``, as a generator.
 
@@ -250,16 +268,17 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
         total_err += e
     if total_err <= abs_tol or total_err <= rel_tol * abs(total):
         return total, total_err
+    if total_err != total_err:
+        raise _nan_error(total, total_err)
     heap = [(-e, i, a, b, k, e) for i, (a, b, (k, e)) in enumerate(zip(edges[:-1], edges[1:], first))]
     heapq.heapify(heap)
     heappush, heappushpop = heapq.heappush, heapq.heappushpop
     _, _, a, b, k, e = heapq.heappop(heap)
 
     # The panel to split next is carried out of the heap (module docstring).
-    # A NaN total comes with an inf or NaN error, which stays in total_err,
-    # so it never converges; a NaN key, from sums that overflow, has no
-    # order, so which panels such a run splits before it raises depends on
-    # the heap's layout, as with any heap.
+    # A NaN error, from sums that overflow, stays in total_err, so the run
+    # can never converge; it raises at once, before a NaN heap key, which has
+    # no order, could make its splits depend on the heap's layout.
     # Endpoint chains: a popped panel that is a half of the last split
     # continues the chain toward that half's outer end (or starts one, when
     # the step before went the other way).  From step _CHAIN_START on, a step
@@ -289,6 +308,8 @@ def _adaptive(domain: Interval, spec: QuadratureSpec):
         total_err = total_err - e + e1 + e2
         if total_err <= abs_tol or total_err <= rel_tol * abs(total):
             return total, total_err
+        if total_err != total_err:
+            raise _nan_error(total, total_err)
         heappush(heap, (-e1, counter, a, mid, k1, e1))
         _, _, a, b, k, e = heappushpop(heap, (-e2, counter + 1, mid, b, k2, e2))
 
@@ -483,6 +504,132 @@ def find_root(f, bracket, tol: float = 1e-12) -> float:
     return float(root)
 
 
-def rng_stream(seed: int, *key: int) -> Generator:
-    """Deterministic, independent random stream for (seed, key...)."""
-    return Generator(PCG64(SeedSequence(seed, spawn_key=key)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (pcg64.h)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_DOUBLE = 2.0**-53  # a 53-bit int times this is a double in [0, 1)
+
+
+def _words(n) -> list:
+    """The uint32 words of the int ``n >= 0``, least significant first, [0] for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _seed(seed, key) -> tuple[int, int]:
+    """PCG64's (initial state, sequence) of SeedSequence(seed, spawn_key=key), as numpy derives them.
+
+    The entropy words (the seed's, zero-padded to the pool size when a key
+    follows, then each key element's) are hashed into a pool of 4 words, and
+    the pool into 8 output words: generate_state(4, uint64).
+    """
+    entropy = _words(seed)
+    if key:
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+        for k in key:
+            entropy += _words(k)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    u64 = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    return u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+
+
+class _Stream:
+    """numpy's Generator(PCG64(SeedSequence(seed, spawn_key=key))), bit for bit, for the package's draws.
+
+    PCG64 is a 128-bit LCG whose output is XSL-RR of the new state; a 32-bit
+    draw takes the low half of a 64-bit one and keeps the high half for the
+    next.  ``uniform`` and ``integers`` (on ranges of fewer than 2**32
+    values) are those of numpy's Generator.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed, key):
+        state, sequence = _seed(seed, key)
+        self._inc = inc = (sequence << 1 | 1) & _M128
+        self._state = ((inc + state) * _PCG_MULT + inc) & _M128  # two steps from 0, the seed added between
+        self._half = None
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            word, self._half = self._half, None
+            return word
+        word = self._next64()
+        self._half = word >> 32
+        return word & _M32
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """low + (high - low) u, u a 53-bit double in [0, 1): a float, or a float64 array of ``size`` draws."""
+        low = float(low)
+        span = float(high) - low
+        if size is None:
+            return low + span * ((self._next64() >> 11) * _DOUBLE)
+        return np.array([low + span * ((self._next64() >> 11) * _DOUBLE) for _ in range(size)], dtype=float)
+
+    def integers(self, low, high=None) -> int:
+        """An int in [low, high), or in [0, low) without ``high``, by Lemire's rejection on 32-bit draws."""
+        if high is None:
+            low, high = 0, low
+        rng = high - 1 - low
+        if not 0 <= rng < _M32:
+            raise ValueError(f"integers takes ranges of 1 to 2**32 - 1 values, not [{low}, {high})")
+        if rng == 0:
+            return low
+        excl = rng + 1
+        m = self._next32() * excl
+        if m & _M32 < excl:
+            threshold = (2**32 - excl) % excl
+            while m & _M32 < threshold:
+                m = self._next32() * excl
+        return low + (m >> 32)
+
+
+def rng_stream(seed: int, *key: int) -> _Stream:
+    """Deterministic, independent random stream for (seed, key...).
+
+    numpy's Generator(PCG64(SeedSequence(seed, spawn_key=key))) bit for bit
+    (module docstring), for its ``uniform`` and ``integers``.
+    """
+    return _Stream(seed, key)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import math
 from datetime import datetime, timezone
@@ -52,9 +51,18 @@ def canonical_json(obj) -> str:
     return json.dumps(canonical_value(obj), sort_keys=True, separators=(",", ":"))
 
 
+try:  # the interpreter's own SHA-256, as random.py takes its _sha512: hashlib would load OpenSSL
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
 def config_digest(config: dict) -> str:
-    """Stable hash of a canonicalized config: equal configs, equal digests."""
-    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
+    """Stable SHA-256 hex of a canonicalized config: equal configs, equal digests."""
+    return _sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
 def _format_cell(value) -> str:

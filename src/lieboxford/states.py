@@ -37,8 +37,10 @@ that depends on K alone, so no value depends on the rest of its batch.  Below
 8 values (its pairwise sum) is that same sequential sum from 0.0, so the two
 layouts give the same bits; the term-major one spends its loops on the long
 node axis, not on K.  Tables of 8 or more rows (the N = 3 GaussianProduct and
-the correlated pair) keep the node-major (n nodes, K rows) block, whose rows
-numpy sums pairwise, in 8 interleaved partial sums.
+the correlated pair) keep the node-major (n nodes, K rows) block: one
+(2, n, K) product with the cached (2, 1, K) weights of h and C, and one
+last-axis reduction, which sums each row pairwise, in 8 interleaved partial
+sums.
 
 GaussianProduct: each orbital product is one Gaussian,
 P_ab = phi_a phi_b = A_ab exp(-(x - m_ab)^2 / (2 w^2)) with
@@ -300,13 +302,17 @@ class TrialState:
 
     @cached_property
     def _columns(self):
-        """The term table as the term-major kernel reads it.
+        """The term table as the kernel of its layout reads it: centre, -rate, power (or None) and (h, c).
 
-        centre, -rate and power (or None) as (K, 1) columns, and (h, c) as one (2, K, 1) array.
+        Term-major (fewer than 8 rows): (K, 1) columns and a (2, K, 1) array;
+        node-major: (K,) rows and a (2, 1, K) array.
         """
         t = self._terms
+        hc = np.array((t.h, t.c))
+        if len(t.h) >= _TERM_MAJOR_ROWS:
+            return t.centre, -t.rate, t.power, hc[:, None, :]
         power = None if t.power is None else t.power[:, None]
-        return t.centre[:, None], -t.rate[:, None], power, np.array((t.h, t.c))[:, :, None]
+        return t.centre[:, None], -t.rate[:, None], power, hc[:, :, None]
 
     def correlations(self, u):
         """(h(u), C(u)) from the state's term table, one (2,) + u.shape array (module docstring).
@@ -315,23 +321,17 @@ class TrialState:
         """
         t = self._terms
         x = np.asarray(u, dtype=float)
-        if len(t.h) >= _TERM_MAJOR_ROWS:  # node-major: one (n, K) row of terms per node
-            x = x[..., None]
-            terms = np.subtract(x, t.centre)
-            np.square(terms, out=terms)
-            terms *= -t.rate
-            np.exp(terms, out=terms)
-            if t.power is not None:
-                terms *= np.square(x / t.length) ** t.power
-            return np.array((np.add.reduce(terms * t.h, axis=-1), np.add.reduce(terms * t.c, axis=-1)))
         centre, neg_rate, power, hc = self._columns
-        row = x.reshape(1, -1)
-        terms = np.subtract(row, centre)  # (K, n), one row per term
+        node_major = len(t.h) >= _TERM_MAJOR_ROWS
+        nodes = x.reshape(-1, 1) if node_major else x.reshape(1, -1)
+        terms = np.subtract(nodes, centre)  # (n, K), a row per node, or (K, n), a row per term
         np.square(terms, out=terms)
         terms *= neg_rate
         np.exp(terms, out=terms)
         if power is not None:
-            terms *= np.square(row / t.length) ** power
+            terms *= np.square(nodes / t.length) ** power
+        if node_major:
+            return np.add.reduce(terms * hc, axis=-1).reshape((2, *x.shape))
         return np.add.reduce(terms * hc, axis=1, initial=0.0).reshape((2, *x.shape))
 
     @property

@@ -63,6 +63,9 @@ what the package computes another way.
   maximal_function_full_scan
                        exact maximal function scanning every radius from the
                        support distance to the far end, in 1024-point chunks
+  numpy_stream         numpy's Generator(PCG64(SeedSequence(seed,
+                       spawn_key=key))): the stream the package's rng_stream
+                       must equal bit for bit, with every variate numpy has
 """
 
 from __future__ import annotations
@@ -223,13 +226,22 @@ def _panel(f, a, b):
     return k, np.abs(k - g)
 
 
+def _raise_if_nan(total, total_err):
+    """NonConvergence as soon as an error estimate is NaN (its panel sums overflow), as the package raises it."""
+    if np.any(np.isnan(total_err)):
+        raise NonConvergence(
+            "quadrature error estimate is NaN: the panel sums overflow", estimate=total, error=total_err
+        )
+
+
 def integrate_1d_components_with_error(f, domain, spec: QuadratureSpec | None = None):
     """Adaptively integrate ``f`` over ``domain``; returns (value, error).
 
     ``domain`` is an Interval or a (lo, hi) pair whose ends may be infinite.
     ``f`` must accept a node array and return values with the node axis last;
     leading axes are integrated component-wise.  Raises NonConvergence when
-    the subdivision budget is exhausted before the tolerance is met.
+    the subdivision budget is exhausted before the tolerance is met, or as
+    soon as an error estimate is NaN, as the package's driver does.
     """
     spec = spec or QuadratureSpec()
     lo, hi = (domain.lo, domain.hi) if isinstance(domain, Interval) else map(float, domain)
@@ -251,6 +263,7 @@ def integrate_1d_components_with_error(f, domain, spec: QuadratureSpec | None = 
         total_err = e if total_err is None else total_err + e
         heapq.heappush(heap, (-float(np.max(e)), counter, a, b, k, e))
         counter += 1
+    _raise_if_nan(total, total_err)
 
     for _ in range(spec.max_subdivisions):
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
@@ -262,6 +275,7 @@ def integrate_1d_components_with_error(f, domain, spec: QuadratureSpec | None = 
         k2, e2 = _panel(g, mid, b)
         total = total - k + k1 + k2
         total_err = total_err - e + e1 + e2
+        _raise_if_nan(total, total_err)
         heapq.heappush(heap, (-float(np.max(e1)), counter, a, mid, k1, e1))
         counter += 1
         heapq.heappush(heap, (-float(np.max(e2)), counter, mid, b, k2, e2))
@@ -733,3 +747,8 @@ def maximal_function_full_scan(profile: DensityProfile) -> DensityProfile:
         sl = slice(start, min(start + chunk, n))
         out[sl] = _full_scan_chunk(i_all[sl], rho_pad, cum_pad, dx, m_lo[sl], m_hi[sl])
     return DensityProfile(profile.grid, out, profile.n_particles)
+
+
+def numpy_stream(seed: int, *key: int) -> np.random.Generator:
+    """numpy's Generator(PCG64(SeedSequence(seed, spawn_key=key))), the stream ``rng_stream`` ports."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))

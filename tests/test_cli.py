@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lieboxford
-from lieboxford import bounds, cli, explore, states
+from lieboxford import bounds, cli, explore, report, states
 from lieboxford.cli import main
 from oracles import scaled_profile
 
@@ -419,6 +420,30 @@ print(codes)
         [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"
+
+
+def test_runs_load_neither_numpy_random_nor_hashlib(tmp_path):
+    # the seeded streams are the package's PCG64 port and the manifest's
+    # SHA-256 is the interpreter's own, so a run loads neither numpy.random
+    # (its extension modules, and secrets -> hmac -> hashlib) nor OpenSSL
+    cfg = write_config(tmp_path)
+    commands = ("moments", "hubbard", "maximal", "optimize")
+    probe = f"""
+import sys
+from lieboxford import cli
+
+codes = [cli.main([cmd, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r} + "/" + cmd]) for cmd in {commands!r}]
+print(codes, sorted(m for m in ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib") if m in sys.modules))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+    for cmd in commands:
+        config = cli._load_config(str(cfg))
+        config["out"] = str(tmp_path / cmd)
+        digest = hashlib.sha256(report.canonical_json(config).encode("utf-8")).hexdigest()
+        assert json.loads((tmp_path / cmd / "manifest.json").read_text())["config_digest"] == digest
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")

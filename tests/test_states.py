@@ -35,6 +35,7 @@ from oracles import (
     dilated,
     gauss_hermite_correlations,
     maximal_function_full_scan,
+    numpy_stream,
     orbital_psi,
     orbital_rho,
     orbital_values,
@@ -170,7 +171,7 @@ class TestPairDensityKernel:
         # and a contraction with the roles of x and y swapped would agree with
         # it; a random weight tensor tells the two roles apart
         state = GaussianProduct((-1.0, 0.2, 1.1), 0.8, "antisymmetric")
-        weights = rng_stream(11, 0).normal(size=(3, 3, 3, 3))
+        weights = numpy_stream(11, 0).normal(size=(3, 3, 3, 3))
         norm, w1, _ = orbital_weights(state)
         monkeypatch.setattr(oracles, "orbital_weights", lambda _: (norm, w1, weights))
         for x, y in _call_shapes(state):
