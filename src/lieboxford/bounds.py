@@ -30,7 +30,10 @@ The per-state functionals are N, int rho^2 = C(0) (the closed form that
 ``density`` puts on the profile and the contact energy reads too; a
 quadratic bound raises ValueError on a profile without it) and at most one
 grid integral (trapezoid_richardson): log_pointwise's per potential,
-lundholm's and rasanen's per exponent.  The spec constants are the moment
+lundholm's and rasanen's per exponent.  A row may give its grid integral a
+floor read from N and int rho^2 (log_pointwise's is (1/2) A1 int rho^2);
+floor_settles says whether a check already holds at that floor, so that a
+search incumbent needs no profile for it.  The spec constants are the moment
 pairs and the certified constants; ``bound_specs`` prices each potential's
 moment_split gamma grid in one array call.  run_suite evaluates a battery
 as one (state x spec) table: the functionals of all states as columns, each
@@ -83,6 +86,7 @@ __all__ = [
     "rhs_homogeneous_window",
     "rhs_rasanen",
     "verify_bound",
+    "floor_settles",
     "run_suite",
     "bound_specs",
     "proven_bound_specs",
@@ -162,7 +166,8 @@ class StateFunctionals:
 
     A right-hand side reads it in place of a density profile and gives one
     value per state; ``grid`` maps each grid-integral key (fn, *args) to its
-    column.
+    column.  Holding one state's floats, it gives that state's values, with
+    the bits of its profile for every row that reads N and int rho^2 alone.
     """
 
     n_particles: np.ndarray
@@ -222,10 +227,15 @@ def rhs_moment_split(profile: DensityProfile, p: Potential, gamma: float) -> flo
     return _split(profile, *_moment_pairs(p, [gamma])[0])
 
 
+def _log_pointwise_a1(constants: MomentBoundConstants) -> float:
+    """A1 = c1 (ln 2 + 3) + c3, the constant part of log_pointwise's integrand per rho^2."""
+    return constants.c1 * (math.log(2.0) + 3.0) + constants.c3
+
+
 def _log_pointwise_integral(profile: DensityProfile, constants: MomentBoundConstants) -> float:
     """int rho^2 [A1 + c1 ln(1 + c2 e^-3/rho)] on the profile grid."""
     rho = profile.values
-    a1 = constants.c1 * (math.log(2.0) + 3.0) + constants.c3
+    a1 = _log_pointwise_a1(constants)
     out = np.zeros_like(rho)
     mask = rho > 0
     # rho^2 ln(1 + c/rho) -> 0 as rho -> 0; the zero fill is the limit value
@@ -330,7 +340,10 @@ class BoundDef:
     ``param_grid(potential)`` gives the BoundSpec keyword sets of the
     verification battery, ``valid(spec)`` whether the bound takes the spec's
     parameters, and ``cross_check`` marks the bounds search incumbents are
-    verified against (default parameters).
+    verified against (default parameters).  ``grid_floor(x, spec)`` is a
+    value, read from N and int rho^2 alone, that the grid integral is never
+    below, or None: every grid-integral row's rhs decreases in its integral,
+    so the rhs at the floor bounds the RHS from above (see floor_settles).
     """
 
     id: str
@@ -342,6 +355,7 @@ class BoundDef:
     valid: Callable[[BoundSpec], bool] = lambda s: True
     proven: bool = True
     cross_check: bool = False
+    grid_floor: Callable[[DensityProfile | StateFunctionals, BoundSpec], object] = lambda x, s: None
 
 
 def _gamma_sweep(p: Potential) -> list[dict]:
@@ -392,6 +406,10 @@ BOUNDS = {
             grid_integral=lambda s: (_log_pointwise_integral, s.constants),
             constants=_primary,
             cross_check=True,
+            # the integrand is at least A1 rho^2 (c1, c2 > 0), the weights of
+            # trapezoid_richardson are positive and the grid's int rho^2 is
+            # C(0) to within rounding; the factor 1/2 leaves room for the grid
+            grid_floor=lambda x, s: 0.5 * _log_pointwise_a1(s.constants) * _square_integral(x),
         ),
         BoundDef(
             "log_global",
@@ -474,6 +492,22 @@ def verify_bound(
         "slack": slack,
         "status": "holds" if _holds(lhs, rhs, slack, profile.n_particles, tol_scale) else "violated",
     }
+
+
+def floor_settles(spec: BoundSpec, x: StateFunctionals, lhs: float) -> bool:
+    """Whether I_xc = ``lhs`` clears the spec's right-hand side at its grid floor.
+
+    ``x`` holds one state's N and int rho^2.  The rhs decreases in the grid
+    integral and the floor is at most that integral, so a nonnegative slack
+    at the floor means the full check holds, at any tolerance.  False for a
+    row with no grid integral or no floor.
+    """
+    row = spec.definition
+    key = row.grid_integral(spec)
+    floor = None if key is None else row.grid_floor(x, spec)
+    if floor is None:
+        return False
+    return lhs - row.rhs(StateFunctionals(x.n_particles, x.square_integral, {key: floor}), spec) >= 0
 
 
 def default_suite_potentials() -> dict:

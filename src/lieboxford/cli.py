@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -157,8 +158,10 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
     specs = [s for s in bounds_mod.bound_specs() if s.bound_id in requested or not s.proven]
     tol = config["tolerance"]
 
-    # one worker per chunk, never more workers than states
-    workers = min(jobs, len(states))
+    # one worker per chunk, never more workers than states or usable CPUs
+    # (the affinity mask where the platform has one)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(states), cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
 
@@ -213,6 +216,8 @@ def cmd_moments(config) -> tuple[dict, int]:
     parameters = _numbers(section["parameters"], "moments.parameters")
     rows = []
     for family in _names(section["families"], "moments.families"):
+        if family == "contact":
+            raise ConfigError("moments.families: the contact potential has no curvature moments to certify")
         # unknown families (bare Coulomb included) get their error from from_config
         names = potentials_mod._FAMILY_MAP.get(family, (None, ()))[1]
         for param in parameters:

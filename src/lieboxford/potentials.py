@@ -584,6 +584,8 @@ def from_config(entry: dict) -> Potential:
     if not isinstance(entry, dict) or not isinstance(entry.get("params", {}), dict):
         raise UnsupportedPotential(f"potential entry and its params must be objects, got {entry!r}")
     family = entry.get("family")
+    if not isinstance(family, str):
+        raise UnsupportedPotential(f"potential family must be a name, got {family!r}")
     if family in ("coulomb", "bare_coulomb"):
         raise UnsupportedPotential(
             "bare Coulomb potential r^-1 rejected: its curvature second moment "

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lieboxford import bounds
 from lieboxford.bounds import (
@@ -10,8 +11,10 @@ from lieboxford.bounds import (
     REPORT_ORDER,
     BoundSpec,
     IncompatibleSpec,
+    StateFunctionals,
     default_suite_potentials,
     discrepancy_records,
+    floor_settles,
     homogeneous_window_coefficients,
     lundholm_coefficient,
     proven_bound_specs,
@@ -50,6 +53,7 @@ from lieboxford.states import (
     random_state_suite,
 )
 from test_energies import SUITE_KINDS
+from test_states import trial_states
 
 TOL = DEFAULT_CONFIG["tolerance"]
 
@@ -211,6 +215,88 @@ class TestOneSquareIntegral:
         assert {s.bound_id for s in bounds.bound_specs()} - QUADRATIC_BOUND_IDS == {
             "log_pointwise", "lundholm", "rasanen",
         }
+
+
+LOG_POINTWISE_SPECS = [
+    BoundSpec("log_pointwise", ConvexSoftCoulomb(1.0)),
+    BoundSpec("log_pointwise", RegularizedCoulomb(1.0)),
+]
+
+
+def _floor_and_integral(prof, spec):
+    row = spec.definition
+    fn, *args = row.grid_integral(spec)
+    return row.grid_floor(prof, spec), fn(prof, *args)
+
+
+def _at(functionals, spec, value):
+    """The spec's rhs with its grid integral set to ``value``."""
+    grid = {spec.definition.grid_integral(spec): value}
+    return spec.definition.rhs(StateFunctionals(functionals.n_particles, functionals.square_integral, grid), spec)
+
+
+class TestGridFloor:
+    """A search incumbent's grid check settles at its row's floor only where the full check holds."""
+
+    @pytest.mark.parametrize("seed", [DEFAULT_CONFIG["seed"], 7])
+    def test_log_pointwise_floor_below_the_grid_integral_on_the_default_states(self, seed):
+        for sid, state in random_state_suite(200, seed):
+            prof = density(state)
+            for spec in LOG_POINTWISE_SPECS:
+                floor, integral = _floor_and_integral(prof, spec)
+                assert 0.0 < floor <= integral, (sid, spec.potential_label)
+
+    @settings(max_examples=25, deadline=None)
+    @given(trial_states())
+    def test_log_pointwise_floor_below_the_grid_integral(self, state):
+        prof = density(state)
+        for spec in LOG_POINTWISE_SPECS:
+            floor, integral = _floor_and_integral(prof, spec)
+            assert 0.0 < floor <= integral
+
+    def test_grid_rows_decrease_in_their_integral(self):
+        # so the rhs at a floor below the integral is at least the full rhs
+        functionals = StateFunctionals(2.0, 0.4, {})
+        seen = set()
+        for spec in bounds.bound_specs():
+            if spec.definition.grid_integral(spec) is None:
+                continue
+            seen.add(spec.bound_id)
+            for g in (1e-6, 0.3, 2.0, 50.0):
+                assert _at(functionals, spec, 2 * g) < _at(functionals, spec, g), (spec, g)
+        assert seen == {"log_pointwise", "lundholm", "rasanen"}
+
+    @pytest.mark.parametrize("kind", SUITE_KINDS)
+    def test_a_settled_check_holds_in_full(self, kind):
+        prof = density(SUITE_KINDS[kind])
+        functionals = StateFunctionals(prof.n_particles, prof.square_integral, {})
+        for spec in LOG_POINTWISE_SPECS:
+            floor_rhs = _at(functionals, spec, _floor_and_integral(prof, spec)[0])
+            assert floor_settles(spec, functionals, floor_rhs)
+            assert not floor_settles(spec, functionals, math.nextafter(floor_rhs, -math.inf))
+            assert floor_rhs >= spec.definition.rhs(prof, spec)
+
+    @pytest.mark.parametrize("kind", SUITE_KINDS)
+    def test_a_row_without_a_grid_integral_reads_its_bits_from_n_and_c0(self, kind):
+        # so a search incumbent's report on one state's functionals is its
+        # report on the profile
+        prof = density(SUITE_KINDS[kind])
+        functionals = StateFunctionals(SUITE_KINDS[kind].n_particles, prof.square_integral, {})
+        for spec in bounds.bound_specs():
+            if spec.definition.grid_integral(spec) is None:
+                assert spec.definition.rhs(functionals, spec) == spec.definition.rhs(prof, spec), spec
+
+    def test_only_log_pointwise_has_a_floor(self):
+        # a row without one never settles: lundholm's int rho^(2-eps) has no
+        # floor in N and int rho^2, and a row with no grid integral is exact
+        functionals = StateFunctionals(2, 0.4, {})
+        floored = set()
+        for spec in bounds.bound_specs():
+            if spec.definition.grid_floor(functionals, spec) is not None:
+                floored.add(spec.bound_id)
+            else:
+                assert not floor_settles(spec, functionals, math.inf)
+        assert floored == {"log_pointwise"}
 
 
 def test_contact_direct_slack_is_rounding_on_antisymmetric_states():

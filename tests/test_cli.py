@@ -166,6 +166,12 @@ class TestExitCodes:
             # a potential parameter is a number too: float() would read 1.0 and 0.5
             ("optimize", {"optimize": {"potentials": [{"family": "soft_coulomb", "params": {"epsilon": True}}]}}),
             ("optimize", {"optimize": {"potentials": [{"family": "soft_coulomb", "params": {"epsilon": "0.5"}}]}}),
+            # a family is a name: a list or an object is not looked up
+            ("optimize", {"optimize": {"potentials": [{"family": ["soft_coulomb"], "params": {}}]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": {"name": "contact"}, "params": {}}]}}),
+            # the contact potential has no curvature moments
+            ("moments", {"moments": {"families": ["contact"]}}),
+            ("moments", {"moments": {"families": ["convex_soft_coulomb", "contact"]}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):
@@ -350,6 +356,8 @@ class TestJobs:
 
         # cmd_verify imports the pool class when it starts a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        # many usable CPUs, whatever this host has, unless a test says otherwise
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         return created
 
     def test_pool_never_exceeds_the_states(self, tmp_path, pools):
@@ -362,6 +370,21 @@ class TestJobs:
         a = (tmp_path / "serial" / "out" / "bound_reports.csv").read_bytes()
         b = (tmp_path / "par" / "out" / "bound_reports.csv").read_bytes()
         assert a == b
+
+
+    @pytest.mark.parametrize("cpus, workers", [(3, [3]), (1, [])])
+    def test_pool_never_exceeds_the_usable_cpus(self, tmp_path, monkeypatch, pools, cpus, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write_config(tmp_path, verify={"n_states": 5})
+        assert main(["verify", "--config", str(cfg), "--jobs", "5000"]) == 0
+        assert pools == workers
+
+    def test_pool_reads_the_cpu_count_without_an_affinity_mask(self, tmp_path, monkeypatch, pools):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_config(tmp_path, verify={"n_states": 5})
+        assert main(["verify", "--config", str(cfg), "--jobs", "5000"]) == 0
+        assert pools == [2]
 
 
 class TestVerifySummary:

@@ -12,7 +12,7 @@ from lieboxford.explore import (
     maximize_ratio,
     template_by_name,
 )
-from lieboxford.potentials import Contact, ConvexSoftCoulomb, RegularizedCoulomb
+from lieboxford.potentials import Contact, ConvexSoftCoulomb, Homogeneous, RegularizedCoulomb
 
 TOL = DEFAULT_CONFIG["tolerance"]
 
@@ -36,7 +36,10 @@ class TestMaximizeRatio:
         assert res.evaluations_used <= 2000
 
     def test_density_once_per_incumbent(self, monkeypatch):
-        # two cross-check bounds (log_pointwise, log_global) share one profile
+        # a density is sampled only where a cross-check reads its grid: never
+        # for contact (no grid check), once per search where log_pointwise's
+        # floor settles every incumbent (the final incumbent's full report),
+        # once per incumbent for homogeneous (lundholm has no floor)
         calls = []
         original = explore.density
 
@@ -46,10 +49,16 @@ class TestMaximizeRatio:
 
         monkeypatch.setattr(explore, "density", counted)
         monkeypatch.setattr(bounds, "density", counted)
-        prob = SearchProblem(ConvexSoftCoulomb(1.0), template_by_name("separated_gaussian_pair"), 50)
-        res = maximize_ratio(prob, seed=4, tol_scale=TOL)
-        assert res.trace
-        assert len(calls) == len(res.trace)
+        template = template_by_name("correlated_pair")
+        for potential, per_search in ((Contact(), 0), (ConvexSoftCoulomb(1.0), 1), (Homogeneous(0.5), None)):
+            calls.clear()
+            res = maximize_ratio(SearchProblem(potential, template, 50), seed=4, tol_scale=TOL)
+            assert len(res.trace) > 1
+            assert len(calls) == (len(res.trace) if per_search is None else per_search), potential
+            if calls:
+                assert repr(calls[-1]) == repr(template.build(res.best_theta))
+            # every check of the final incumbent is a full report
+            assert res.best_checks and all(r["status"] == "holds" for r in res.best_checks.values())
 
     def test_deterministic(self):
         prob = SearchProblem(Contact(), template_by_name("separated_gaussian_pair"), 400)
@@ -110,8 +119,9 @@ class TestConstantTable:
         assert 0.0 < frac < 1.0
 
     def test_log_bound_fraction_reuses_incumbent_profile(self, monkeypatch):
-        # the row reads the last incumbent's log_pointwise cross-check, which
-        # priced the profile it built: one density per incumbent, none rebuilt
+        # every incumbent's log_pointwise check settles at its floor; the row
+        # reads the final incumbent's full report, priced on the one density
+        # the search samples, none rebuilt
         calls, results = [], []
         original_density, original_run = explore.density, explore._run_searches
 
@@ -129,8 +139,10 @@ class TestConstantTable:
         potential = ConvexSoftCoulomb(1.0)
         rows = constant_table([potential], ["equal_gaussian_pair"], 60, 3, TOL)
         (res,) = results
-        assert len(calls) == len(res.trace)
+        assert len(res.trace) > 1
+        assert len(calls) == 1
         state = template_by_name("equal_gaussian_pair").build(res.best_theta)
+        assert repr(calls[0]) == repr(state)
         log_bound = bounds.BOUNDS["log_pointwise"]
         rhs = log_bound.rhs(original_density(state), bounds.BoundSpec(log_bound.id, potential))
         assert rows[0]["proven_bound_fraction"] == indirect_energy(state, potential).i_xc / rhs
