@@ -66,8 +66,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(value, name: str, kind=int, minimum=None, above=None):
-    """``kind(value)`` of a JSON number, finite, at least ``minimum`` and more than ``above``.
+def _number(value, name: str, kind=int, minimum=None, above=None, maximum=None):
+    """``kind(value)`` of a JSON number, finite, at least ``minimum``, more than
+    ``above`` and at most ``maximum``.
 
     Booleans and strings are not numbers, and an integer field takes no
     fractional part; anything else is a ConfigError.
@@ -86,6 +87,8 @@ def _number(value, name: str, kind=int, minimum=None, above=None):
         raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
     if above is not None and not number > above:
         raise ConfigError(f"{name} must be more than {above}, got {value!r}")
+    if maximum is not None and not number <= maximum:
+        raise ConfigError(f"{name} must be at most {maximum}, got {value!r}")
     return number
 
 
@@ -151,7 +154,7 @@ def cmd_verify(config, jobs: int = 1) -> tuple[dict, int]:
             f"conjectured bounds {conjectured} cannot join the verification suite "
             "(verify reports them in reference_bounds.csv instead)"
         )
-    n_states = _number(section["n_states"], "verify.n_states", minimum=0)
+    n_states = _number(section["n_states"], "verify.n_states", minimum=0, maximum=20_000)
     states = random_state_suite(n_states, config["seed"])
     # the conjectured forms ride along for reference only; their status never
     # enters the exit code
@@ -212,7 +215,7 @@ def cmd_moments(config) -> tuple[dict, int]:
     span = _numbers(section["gamma_span"], "moments.gamma_span", above=0.0)
     if len(span) != 2:
         raise ConfigError(f"moments.gamma_span must be [lo, hi], got {span!r}")
-    n_gamma = _number(section["n_gamma"], "moments.n_gamma", minimum=1)
+    n_gamma = _number(section["n_gamma"], "moments.n_gamma", minimum=1, maximum=20_000)
     parameters = _numbers(section["parameters"], "moments.parameters")
     rows = []
     for family in _names(section["families"], "moments.families"):
@@ -242,7 +245,7 @@ def cmd_optimize(config) -> tuple[dict, int]:
     unknown = [f for f in families if f not in explore_mod.TEMPLATES]
     if unknown:
         raise ConfigError(f"unknown optimize families: {unknown}")
-    budget = _number(section["budget"], "optimize.budget", minimum=explore_mod.MIN_BUDGET)
+    budget = _number(section["budget"], "optimize.budget", minimum=explore_mod.MIN_BUDGET, maximum=40_000)
     entries = section["potentials"]
     if not isinstance(entries, list):
         raise ConfigError(f"optimize.potentials must be a list of objects, got {entries!r}")
@@ -259,9 +262,9 @@ def cmd_hubbard(config) -> tuple[dict, int]:
     section = config["hubbard"]
     t = _number(section["t"], "hubbard.t", float, above=0.0)
     ratios = _numbers(section["u_over_t"], "hubbard.u_over_t", minimum=0.0)
-    n_occupations = _number(section["n_occupations"], "hubbard.n_occupations", minimum=0)
-    n_vals = np.linspace(0.0, 1.0, _number(section["n_grid"], "hubbard.n_grid", minimum=1))
-    k_vals = np.linspace(1.0, 2.0, _number(section["kappa_grid"], "hubbard.kappa_grid", minimum=1))
+    n_occupations = _number(section["n_occupations"], "hubbard.n_occupations", minimum=0, maximum=100_000)
+    n_vals = np.linspace(0.0, 1.0, _number(section["n_grid"], "hubbard.n_grid", minimum=1, maximum=20_000))
+    k_vals = np.linspace(1.0, 2.0, _number(section["kappa_grid"], "hubbard.kappa_grid", minimum=1, maximum=20_000))
     kappas = []
     for ratio in ratios:
         try:
@@ -270,8 +273,7 @@ def cmd_hubbard(config) -> tuple[dict, int]:
             # e_LW(U/t) is within rounding of 0 beyond U/t ~ 3.6e16, where
             # kappa(U/t) -> 1 cannot be resolved in double precision
             raise ConfigError(f"hubbard.u_over_t value {ratio!r} is too large: {err}") from None
-    f_grid = hubbard_mod.energy_excess_factor(n_vals[:, None], k_vals[None, :])
-    min_f = float(np.min(f_grid))
+    min_f = hubbard_mod.min_excess_factor(n_vals, k_vals)
 
     rows = []
     n_row = np.linspace(0.0, 1.0, 21)
@@ -306,8 +308,8 @@ def cmd_maximal(config) -> tuple[dict, int]:
     section = config["maximal"]
     # the maximal operator is bounded on L^p for p > 1 only
     p = _number(section["p"], "maximal.p", float, above=1.0)
-    n_pts = _number(section["grid_points"], "maximal.grid_points", minimum=2)
-    n_profiles = _number(section["n_profiles"], "maximal.n_profiles", minimum=1)
+    n_pts = _number(section["grid_points"], "maximal.grid_points", minimum=2, maximum=1 << 17)
+    n_profiles = _number(section["n_profiles"], "maximal.n_profiles", minimum=1, maximum=10_000)
     bound = maximal_operator_norm_bound(p)
     rng = rng_stream(config["seed"], 3)
     rows, failures = [], 0

@@ -35,6 +35,7 @@ from .numerics import Interval, NoBracket, QuadratureSpec, find_root, integrate_
 __all__ = [
     "energy_per_site",
     "energy_excess_factor",
+    "min_excess_factor",
     "exchange_correlation",
     "occupation_sweep",
     "lieb_wu_energy",
@@ -67,6 +68,21 @@ def energy_excess_factor(n, kappa):
     a, b = math.pi * n / 2, math.pi * n / kappa
     h = math.pi * n * (kappa - 2) / (4 * kappa)
     return (4 * np.cos((a + b) / 2) * np.sin(h) + (2 - kappa) * np.sin(b))[()]
+
+
+_EXCESS_CELLS = 1 << 12  # grid cells per energy_excess_factor call of min_excess_factor
+
+
+def min_excess_factor(n, kappa) -> float:
+    """min of f_n(k) over the grid n x kappa of two 1-D arrays.
+
+    The grid is evaluated in blocks of rows of at most _EXCESS_CELLS cells
+    (one row if a row alone has more), so its temporaries stay small
+    whatever the grid; the min over the blocks is the min over the grid.
+    """
+    rows = max(1, _EXCESS_CELLS // len(kappa))
+    blocks = range(0, len(n), rows)
+    return float(np.min([np.min(energy_excess_factor(n[i : i + rows, None], kappa[None, :])) for i in blocks]))
 
 
 def exchange_correlation(n, t, u, kappa):

@@ -91,18 +91,17 @@ stationary radius of a piece; both candidate sets are enumerated.
 
 Most radii cannot win, and the scan skips them.  Each point's radius pieces
 are cut into coarse blocks of 64 pieces, and each surviving coarse block into
-fine blocks of 8.  A lower bound L <= M rho starts at rho and the window
-averages at a few probe radii, and every block edge and kernel result raises
-it; each is a candidate of the full scan, computed with the kernel's own
-operations.  Two exact rules drop a block.  The edge rule reads rho alone:
-the window average A(r) = F(r)/(2r) obeys A' = (s/2 - A)/r, with
-s(r) = rho(x + r) + rho(x - r), so a block whose node sums s stay below
-2 L (1 - delta) holds no candidate above M rho; the same test caps each
-point's scan.  The blocks it keeps get window integrals and the
-slope-capped bound: F(r) <= min(F(E_lo) + (r - E_lo) S, F(E_hi) + ramp), S
-the largest node sum and ramp the mass of the one-cell ramps to zero beyond
-the grid ends.  A block whose bound, times 1 + 1e-12 against rounding, is
-below L is dropped, and the kernel scans only the surviving fine blocks.
+fine blocks of 8.  A lower bound L <= M rho starts at rho, and every block
+edge and kernel result raises it; each is a candidate of the full scan,
+computed with the kernel's own operations.  Two exact rules drop a block.
+The edge rule reads rho alone: the window average A(r) = F(r)/(2r) obeys
+A' = (s/2 - A)/r, with s(r) = rho(x + r) + rho(x - r), so a block whose
+node sums s stay below 2 L (1 - delta) holds no candidate above M rho.
+The blocks it keeps get window integrals and the slope-capped bound:
+F(r) <= min(F(E_lo) + (r - E_lo) S, F(E_hi) + ramp), S the largest node
+sum and ramp the mass of the one-cell ramps to zero beyond the grid ends.
+A block whose bound, times 1 + 1e-12 against rounding, is below L is
+dropped, and the kernel scans only the surviving fine blocks.
 _block_bounds and _prune_blocks derive both rules and their rounding
 margins.  Every stage works in steps of at most 2^15 blocks, or 2^15 kernel
 cells, so a default 1024-point profile takes one step per stage, and the
@@ -635,7 +634,6 @@ def maximal_operator_norm_bound(p: float) -> float:
 
 _COARSE_CELLS = 64  # radius pieces per coarse block of the pruning pass
 _FINE_CELLS = 8  # radius pieces per fine block; the kernel scans only surviving ones
-_PROBES = 6  # probe radii per point that seed the lower bound before the coarse pass
 _BLOCK_CELLS = 1 << 15  # blocks, or rows x radius columns, per vectorized step: a default profile takes one
 _NONZERO_CELLS = 1 << 13  # mask cells per np.flatnonzero call: its index array stays within 64 KiB
 
@@ -893,46 +891,6 @@ def _prune_blocks(point, lo, hi, cells, lower, cum_ext, dx, ramp, peaks, fuzz, c
     return tuple(kept)
 
 
-def _probe(lower, at, cum_ext, dx, m_lo, m_hi):
-    """Raise ``lower`` by the window averages at _PROBES radii of every point.
-
-    The radii run geometrically over 1..n, each clipped to the point's scan
-    m_lo + 1 .. m_hi + 1.  The averages are breakpoint candidates of
-    _maximal_chunk, computed with its operations, so ``lower`` stays a
-    lower bound on M rho, bit for bit a value of the full scan.
-    """
-    n = len(at)
-    radii = np.array(sorted({round(n ** (k / (_PROBES - 1))) for k in range(_PROBES)}), np.intp)[:, None]
-    per = _BLOCK_CELLS // len(radii)
-    for start in range(0, n, per):
-        rows = slice(start, start + per)
-        m, idx = _work("step", 2, (len(radii), len(at[rows])), np.intp)
-        F, tmp = _work("step", 2, m.shape)
-        np.copyto(m, radii)
-        np.minimum(np.maximum(m, m_lo[rows] + 1, out=m), m_hi[rows] + 1, out=m)
-        cum_ext.take(np.add(at[rows], m, out=idx), out=F, mode="clip")
-        F -= cum_ext.take(np.subtract(at[rows], m, out=idx), out=tmp, mode="clip")
-        F /= np.multiply(np.multiply(m, dx, out=tmp), 2, out=tmp)
-        np.maximum(lower[rows], np.max(F, axis=0), out=lower[rows])
-
-
-def _cap_scan(rho, lower, m_lo, m_hi, cut, floor):
-    """Lower m_hi to the farthest node that can reach the edge rule's threshold.
-
-    Beyond the distance D of the farthest node with 2 rho >= 2 lower
-    (1 - delta) - floor (two running maxima and searchsorted), every node
-    sum is below the threshold, so the pieces there are as an edge-dropped
-    block (_prune_blocks); m_hi becomes D clipped to m_lo..m_hi.
-    """
-    n = len(rho)
-    threshold = lower * cut - floor
-    i = np.arange(n)
-    # distances from the first node at or above the threshold and to the last
-    first = i - np.searchsorted(np.maximum.accumulate(rho) * 2, threshold)
-    last = n - 1 - i - np.searchsorted(np.maximum.accumulate(rho[::-1]) * 2, threshold)
-    np.clip(np.maximum(first, last), m_lo, m_hi, out=m_hi)
-
-
 def maximal_function(profile: DensityProfile) -> DensityProfile:
     """(M rho)(x) = sup_r (2r)^(-1) int_{|x-y|<r} rho on the profile grid.
 
@@ -959,19 +917,16 @@ def maximal_function(profile: DensityProfile) -> DensityProfile:
     m_lo = np.maximum(np.maximum(j0 - i, i - j1), 1) - 1
     m_hi = np.maximum(i - j0, j1 - i) + 1
 
-    # lower bound L <= M rho: rho and the probes, raised by every block edge
-    # and kernel result; points in groups whose padded grid of coarse blocks
-    # holds at most _BLOCK_CELLS (or one point, if it alone has more), the
-    # coarse survivors in slices that split into at most _BLOCK_CELLS fine
-    # blocks
+    # lower bound L <= M rho: rho, raised by every block edge and kernel
+    # result; points in groups whose padded grid of coarse blocks holds at
+    # most _BLOCK_CELLS (or one point, if it alone has more), the coarse
+    # survivors in slices that split into at most _BLOCK_CELLS fine blocks
     lower_ext = rho_ext.copy()  # indexed as rho_ext; only the grid is read
     lower = lower_ext[n + 1 : 2 * n + 1]
     ramp = 0.5 * dx * (rho[0] + rho[-1])
     peaks = {cells: _window_max(rho_ext, cells + 1) for cells in (_COARSE_CELLS, _FINE_CELLS)}
     delta = max(1e-9, 16 * (n + 2) * 2.0**-53)
     cut, floor = 2 * (1 - delta), np.spacing(cum[-1]) / dx
-    _probe(lower, at, cum_ext, dx, m_lo, m_hi)
-    _cap_scan(rho, lower, m_lo, m_hi, cut, floor)
     prune = (lower_ext, cum_ext, dx, ramp, peaks, 0.5 * np.spacing(cum[-1]), cut, floor)
     n_coarse = (m_hi - m_lo) // _COARSE_CELLS + 1
     per_slice = _BLOCK_CELLS // (_COARSE_CELLS // _FINE_CELLS)

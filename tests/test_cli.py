@@ -172,6 +172,22 @@ class TestExitCodes:
             # the contact potential has no curvature moments
             ("moments", {"moments": {"families": ["contact"]}}),
             ("moments", {"moments": {"families": ["convex_soft_coulomb", "contact"]}}),
+            # every count has a maximum, checked before anything is built:
+            # above it a run would raise, exhaust memory or run for hours
+            ("verify", {"verify": {"n_states": 20_001}}),
+            ("verify", {"verify": {"n_states": 1e300}}),
+            ("optimize", {"optimize": {"budget": 40_001}}),
+            ("optimize", {"optimize": {"budget": 2**53 + 1}}),
+            ("moments", {"moments": {"n_gamma": 20_001}}),
+            ("moments", {"moments": {"n_gamma": 1e16}}),
+            ("hubbard", {"hubbard": {"n_grid": 20_001}}),
+            ("hubbard", {"hubbard": {"n_grid": 1e300}}),
+            ("hubbard", {"hubbard": {"kappa_grid": 20_001}}),
+            ("hubbard", {"hubbard": {"n_occupations": 100_001}}),
+            ("hubbard", {"hubbard": {"n_occupations": 2**53 + 1}}),
+            ("maximal", {"maximal": {"n_profiles": 10_001}}),
+            ("maximal", {"maximal": {"n_profiles": 2**53 + 1}}),
+            ("maximal", {"maximal": {"grid_points": (1 << 17) + 1}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieboxford import hubbard
 from lieboxford.hubbard import (
     _fermi,
     _j0,
@@ -14,6 +15,7 @@ from lieboxford.hubbard import (
     exchange_correlation,
     kappa_of_u,
     lieb_wu_energy,
+    min_excess_factor,
     occupation_sweep,
 )
 from lieboxford.numerics import rng_stream
@@ -121,6 +123,30 @@ class TestExcessFactor:
         kappa = np.linspace(1, 2, 200)
         f = energy_excess_factor(n[:, None], kappa[None, :])
         assert float(np.min(f)) >= -1e-12
+
+    def test_row_blocked_min_is_the_grid_min(self, monkeypatch):
+        # 37 rows in blocks of 5, the last holding 2; kappa stops short of 2,
+        # where f is 0 on every row, and each roll moves the least row to
+        # another block
+        n, kappa = np.linspace(0.05, 1.0, 37), np.linspace(1.0, 1.9, 23)
+        assert min_excess_factor(n, kappa) == float(np.min(energy_excess_factor(n[:, None], kappa[None, :])))
+        calls = []
+
+        def counted(n, kappa):
+            calls.append(n.shape[0])
+            return energy_excess_factor(n, kappa)
+
+        monkeypatch.setattr(hubbard, "_EXCESS_CELLS", 5 * 23 + 3)
+        monkeypatch.setattr(hubbard, "energy_excess_factor", counted)
+        mins = set()
+        for shift in range(37):
+            rolled = np.roll(n, shift)
+            calls.clear()
+            blocked = min_excess_factor(rolled, kappa)
+            assert calls == [5] * 7 + [2]
+            assert blocked == float(np.min(energy_excess_factor(rolled[:, None], kappa[None, :])))
+            mins.add(blocked)
+        assert len(mins) == 1 and mins != {0.0}
 
     def test_monotone_decreasing_in_kappa(self):
         # finite-difference check of df/dkappa <= 0

@@ -854,8 +854,8 @@ class TestMaximalFunction:
     @pytest.mark.parametrize("cells", [1 << 9, 1 << 11])
     def test_bit_identical_to_full_scan_in_many_steps(self, monkeypatch, cells):
         # at the default 2^15 cells a default profile takes one step per
-        # stage; smaller steps run the loops over probe rows, point groups,
-        # fine slices and kernel rows, and the work arrays across them
+        # stage; smaller steps run the loops over point groups, fine slices
+        # and kernel rows, and the work arrays across them
         kernel, prune, steps = states._maximal_chunk, states._prune_blocks, []
 
         def counted_kernel(*args):
@@ -895,7 +895,7 @@ class TestMaximalFunction:
 
             return run
 
-        stages = ("_probe", "_cap_scan", "_prune_blocks", "_maximal_chunk")
+        stages = ("_prune_blocks", "_maximal_chunk")
         for name in stages:
             monkeypatch.setattr(states, name, traced(name, getattr(states, name)))
         tracing = tracemalloc.is_tracing()
@@ -911,7 +911,7 @@ class TestMaximalFunction:
 
     def test_kernel_scans_few_radii(self, monkeypatch):
         # rows x scanned radii of every kernel call on the first default
-        # profile: 21,330 with the edge rule ahead of the slope-capped block
+        # profile: 21,366 with the edge rule ahead of the slope-capped block
         # bound, 29,808 with the slope-capped bound alone, 99,738 with the
         # bound (F(E_hi) + ramp)/(2 E_lo) alone, 788,992 for a full scan
         cells = []
