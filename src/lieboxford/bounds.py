@@ -83,7 +83,6 @@ __all__ = [
     "rhs_log_global",
     "rhs_lifted",
     "rhs_lundholm",
-    "rhs_homogeneous_window",
     "rhs_rasanen",
     "verify_bound",
     "floor_settles",
@@ -296,16 +295,6 @@ def homogeneous_window_coefficients(epsilon: float) -> dict:
         "linear_coefficient": 1.0 - epsilon / 2.0,
         "discrepant": bool(abs(stated - computed) > 1e-9),
     }
-
-
-def rhs_homogeneous_window(profile: DensityProfile, epsilon: float) -> float:
-    """The unit-window homogeneous bound: the moment split of r^(eps-1) at gamma = 1.
-
-    Its quadratic coefficient is the computed one; the published one is
-    recorded, not verified: see homogeneous_window_coefficients and
-    discrepancy_records.
-    """
-    return rhs_moment_split(profile, Homogeneous(epsilon), 1.0)
 
 
 def _rasanen_integral(profile: DensityProfile, epsilon: float) -> float:

@@ -444,64 +444,39 @@ def integrate_1d(f, domain, spec: QuadratureSpec | None = None):
     return value
 
 
-def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter=100):
-    """Root of ``f`` between xpre and xcur, where ``fpre`` and ``fcur`` differ in sign.
-
-    Line for line the algorithm of SciPy's brentq (its C routine
-    ``brentq.c``): the sign-changing bracket [xcur, xblk] shrinks by inverse
-    quadratic or secant steps that stay well inside it, and by bisection
-    otherwise, until it is narrower than 2 delta, delta = (xtol + rtol |xcur|)/2.
-    """
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise NonConvergence(f"root not bracketed to {delta:.3e} after {maxiter} iterations")
-
-
 def find_root(f, bracket, tol: float = 1e-12) -> float:
     """Root of ``f`` inside ``bracket`` with |f(root)| <= tol.
 
-    Brent's bisection/secant hybrid, a port of SciPy's brentq at
-    xtol = 1e-15, rtol = 8.9e-16 that returns the same float.  Raises
-    NoBracket when f does not change sign over the bracket.
+    Bisection down to two adjacent doubles: the midpoint 0.5 lo + 0.5 hi
+    (which cannot overflow) replaces the end whose f has its sign, until it
+    equals an end.  Returns an end where f is 0, a midpoint where f is 0, or
+    else the end of the last bracket with the smaller |f|.  Raises NoBracket
+    when f(lo) and f(hi) do not differ in sign, and NonConvergence when f is
+    NaN at a midpoint or |f(root)| > tol (a jump, not a root).
     """
     box = Interval.of(bracket)
-    flo, fhi = float(f(box.lo)), float(f(box.hi))
+    lo, hi = float(box.lo), float(box.hi)
+    flo, fhi = float(f(lo)), float(f(hi))
     if flo == 0.0:
-        return box.lo
+        return lo
     if fhi == 0.0:
-        return box.hi
-    if flo * fhi > 0:
-        raise NoBracket(f"f({box.lo}) = {flo:.3e} and f({box.hi}) = {fhi:.3e} have the same sign")
-    root = _brentq(f, box.lo, box.hi, flo, fhi, xtol=1e-15, rtol=8.9e-16)
-    if abs(f(root)) > tol:
-        raise NonConvergence(f"|f(root)| = {abs(f(root)):.3e} > tol = {tol:.3e}")
-    return float(root)
+        return hi
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        raise NoBracket(f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} do not differ in sign")
+    while (mid := 0.5 * lo + 0.5 * hi) != lo and mid != hi:
+        fmid = float(f(mid))
+        if fmid == 0.0:
+            return mid
+        if math.isnan(fmid):
+            raise NonConvergence(f"f({mid}) is NaN inside the bracket [{box.lo}, {box.hi}]")
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    root, froot = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    if not abs(froot) <= tol:
+        raise NonConvergence(f"|f({root})| = {abs(froot):.3e} > tol = {tol:.3e} at a sign change")
+    return root
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's

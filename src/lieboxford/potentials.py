@@ -43,6 +43,7 @@ to the grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -605,6 +606,9 @@ def from_config(entry: dict) -> Potential:
         values = {name: float(params[name]) for name in names}
         if not all(math.isfinite(v) for v in values.values()):
             raise ValueError(f"parameters must be finite, got {params!r}")
+        # the integrals of a subnormal scale are not finite
+        if any(0.0 < abs(v) < sys.float_info.min for v in values.values()):
+            raise ValueError(f"subnormal parameters (below {sys.float_info.min!r}) are out of range, got {params!r}")
         return cls(**values)
     except KeyError as missing:
         raise UnsupportedPotential(f"family {family!r} requires parameter {missing}") from None

@@ -348,23 +348,6 @@ class TrialState:
         return Interval(c - w, c + w)
 
 
-def _parity(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _symmetrized_weights(S, symmetry):
     """(norm, W1, W2) of the permanent or determinant of orbitals with overlap matrix S.
 
@@ -375,7 +358,7 @@ def _symmetrized_weights(S, symmetry):
     overlap = S.tolist()
     perms = list(itertools.permutations(range(n)))
     if symmetry == "antisymmetric":
-        signs = [_parity(p) for p in perms]
+        signs = [(-1) ** sum(a > b for a, b in itertools.combinations(p, 2)) for p in perms]
     else:
         signs = [1] * len(perms)
     norm = 0.0

@@ -96,7 +96,6 @@ from lieboxford.states import (
     GaussianProduct,
     HermiteSlater,
     TrialState,
-    _parity,
     _symmetrized_weights,
     density,
 )
@@ -617,6 +616,11 @@ def rho2_direct(state, x, y):
     return np.einsum("abcd,ab...,cd...->...", orbital_weights(state)[2], px, py)
 
 
+def permutation_sign(perm) -> int:
+    """The sign of a permutation of 0..n-1: the determinant of its permutation matrix."""
+    return round(np.linalg.det(np.eye(len(perm))[list(perm)]))
+
+
 def orbital_psi(state, *coords):
     """psi(x_1, ..., x_N) of a GaussianProduct or HermiteSlater state:
     sum over permutations of (sign) prod_i phi_perm(i)(x_i), over sqrt(norm)."""
@@ -627,7 +631,7 @@ def orbital_psi(state, *coords):
     n = state.n_particles
     out = 0.0
     for perm in itertools.permutations(range(n)):
-        sign = _parity(perm) if state.symmetry == "antisymmetric" else 1
+        sign = permutation_sign(perm) if state.symmetry == "antisymmetric" else 1
         term = phi[0][perm[0]]
         for i in range(1, n):
             term = term * phi[i][perm[i]]

@@ -20,7 +20,6 @@ from lieboxford.bounds import (
     proven_bound_specs,
     rhs_cauchy_schwarz,
     rhs_contact_direct,
-    rhs_homogeneous_window,
     rhs_lifted,
     rhs_log_global,
     rhs_log_pointwise,
@@ -157,7 +156,7 @@ class TestRhsEvaluators:
         assert coefs["linear_coefficient"] == 0.75
         # only the computed variant is verified: -(0.75) * 4 - 0.75 * 2 = -4.5,
         # matching the moment split
-        assert rhs_homogeneous_window(UNIFORM2, 0.5) == pytest.approx(-4.5, rel=1e-12)
+        assert rhs_moment_split(UNIFORM2, Homogeneous(0.5), 1.0) == pytest.approx(-4.5, rel=1e-12)
 
     def test_rasanen_defaults_and_zero_crossing(self):
         eps = 1.0
@@ -200,8 +199,7 @@ class TestOneSquareIntegral:
                 -coefs["computed_quadratic_coefficient"] * prof.square_integral
                 - coefs["linear_coefficient"] * prof.n_particles
             )
-            rhs = rhs_homogeneous_window(prof, eps)
-            assert rhs == rhs_moment_split(prof, Homogeneous(eps), 1.0) == ledger, eps
+            assert rhs_moment_split(prof, Homogeneous(eps), 1.0) == ledger, eps
 
     def test_quadratic_rhs_needs_the_closed_form(self):
         prof = density(SUITE_KINDS["gauss3a"])

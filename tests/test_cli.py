@@ -18,6 +18,9 @@ from lieboxford.cli import main
 from oracles import scaled_profile
 
 
+SUBNORMAL_MAX = math.nextafter(sys.float_info.min, 0.0)
+
+
 def write_config(tmp_path, **overrides):
     config = {
         "seed": 17,
@@ -188,6 +191,14 @@ class TestExitCodes:
             ("maximal", {"maximal": {"n_profiles": 10_001}}),
             ("maximal", {"maximal": {"n_profiles": 2**53 + 1}}),
             ("maximal", {"maximal": {"grid_points": (1 << 17) + 1}}),
+            # a subnormal potential parameter is out of range: its integrals are not finite
+            ("optimize", {"optimize": {"potentials": [{"family": "soft_coulomb", "params": {"epsilon": 1e-310}}]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "convex_soft_coulomb", "params": {"epsilon": 1e-310}}]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "regularized_coulomb", "params": {"beta": 1e-310}}]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "homogeneous", "params": {"epsilon": 1e-310}}]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "soft_coulomb", "params": {"epsilon": 5e-324}}]}}),
+            ("optimize", {"optimize": {"potentials": [{"family": "soft_coulomb", "params": {"epsilon": SUBNORMAL_MAX}}]}}),
+            ("moments", {"moments": {"parameters": [1e-310]}}),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, recwarn, command, overrides):
@@ -196,6 +207,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "out").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_smallest_normal_potential_parameter_runs(self, tmp_path, capsys):
+        entry = {"family": "soft_coulomb", "params": {"epsilon": sys.float_info.min}}
+        cfg = write_config(tmp_path, optimize={"potentials": [entry]})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_malformed_tolerance_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["hubbard", "--tolerance", "-1", "--config", str(write_config(tmp_path))]) == 2

@@ -581,7 +581,7 @@ class TestFindRoot:
             find_root(lambda x: x**2 + 1.0, (-1.0, 1.0))
 
     def test_root_off_by_more_than_tol(self):
-        # Brent closes in on the jump, where |f| stays 1
+        # bisection closes in on the jump, where |f| stays 1
         with pytest.raises(NonConvergence):
             find_root(lambda x: -1.0 if x < 0.3 else 1.0, (0.0, 1.0))
 
@@ -589,15 +589,39 @@ class TestFindRoot:
         assert find_root(lambda x: x - 1.0, (1.0, 2.0)) == 1.0
         assert find_root(lambda x: x - 2.0, (1.0, 2.0)) == 2.0
 
+    def test_tiny_values_of_one_sign_are_no_bracket(self):
+        # f(0) * f(1) underflows to 0, but f has no root on [0, 1]
+        with pytest.raises(NoBracket):
+            find_root(lambda x: 1e-200 + 1e-210 * x, (0.0, 1.0))
 
-class TestBrentPort:
-    """find_root returns scipy.optimize.brentq's float at xtol 1e-15, rtol 8.9e-16."""
+    def test_nan_inside_the_bracket_raises(self):
+        f = lambda x: -1.0 if x == 0.0 else 1.0 if x == 1.0 else math.nan
+        with pytest.raises(NonConvergence, match="NaN"):
+            find_root(f, (0.0, 1.0))
+
+
+def assert_bisection_root(f, root):
+    """f(root) == 0, or root ends an ulp bracket over a sign change with the smaller |f| of its two ends."""
+    froot = f(root)
+    if froot == 0.0:
+        return
+    for other in (math.nextafter(root, -math.inf), math.nextafter(root, math.inf)):
+        fother = f(other)
+        if froot < 0.0 < fother or fother < 0.0 < froot:
+            assert abs(froot) <= abs(fother)
+            return
+    raise AssertionError(f"f does not change sign across either ulp next to {root!r}")
+
+
+class TestBisection:
+    """find_root stops at two adjacent doubles, within brentq's own stopping width of its root."""
 
     @staticmethod
-    def brentq(f, lo, hi):
+    def assert_near_brentq(f, lo, hi, root):
         import scipy.optimize  # the reference only; the package does not load it
 
-        return scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        reference = scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        assert abs(root - reference) <= 2 * (1e-15 + 8.9e-16 * abs(reference))
 
     def test_default_kappa_targets(self):
         from lieboxford.cli import DEFAULT_CONFIG
@@ -606,7 +630,9 @@ class TestBrentPort:
         for ratio in DEFAULT_CONFIG["hubbard"]["u_over_t"]:
             target = lieb_wu_energy(ratio)
             g = lambda k: -(2 * k / math.pi) * math.sin(math.pi / k) - target
-            assert kappa_of_u(ratio) == self.brentq(g, 1.0, 2.0)
+            kappa = kappa_of_u(ratio)
+            assert_bisection_root(g, kappa)
+            self.assert_near_brentq(g, 1.0, 2.0, kappa)
 
     def test_random_brackets(self):
         rng = rng_stream(11, 0)
@@ -617,23 +643,33 @@ class TestBrentPort:
             lambda c: (lambda x: 1e-9 * math.atan(x - c / 2)),
             lambda c: (lambda x: math.tanh(20 * (x - c / 3))),
         ]
-        checked = 0
+        checked = compared = 0
         for i in range(600):
             f = families[i % len(families)](float(rng.uniform(-2.0, 2.0)))
             lo, hi = sorted(float(v) for v in rng.uniform(-3.0, 3.0, 2))
             if f(lo) * f(hi) >= 0:
                 continue
-            assert find_root(f, (lo, hi), tol=math.inf) == self.brentq(f, lo, hi)
+            root = find_root(f, (lo, hi), tol=math.inf)
+            assert lo <= root <= hi
+            assert_bisection_root(f, root)
+            # where f changes sign more than once, the two may stop at different roots
+            signs = np.sign([f(x) for x in np.linspace(lo, hi, 1001)])
+            if np.count_nonzero(signs[1:] != signs[:-1]) == 1:
+                self.assert_near_brentq(f, lo, hi, root)
+                compared += 1
             checked += 1
-        assert checked >= 200
+        assert checked >= 200 and compared >= 200
 
-    def test_iteration_limit_raises_as_brentq_does(self):
-        # (x - 0.3)^5 has no simple root, and both stop after 100 iterations
+    def test_converges_where_brentq_stops(self):
+        # (x - 0.3)^5 has no simple root, and brentq stops after 100 iterations
+        import scipy.optimize
+
         f = lambda x: (x - 0.3) ** 5
         with pytest.raises(RuntimeError):
-            self.brentq(f, 0.0, 1.0)
-        with pytest.raises(NonConvergence):
-            find_root(f, (0.0, 1.0), tol=math.inf)
+            scipy.optimize.brentq(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        root = find_root(f, (0.0, 1.0), tol=math.inf)
+        assert_bisection_root(f, root)
+        assert abs(root - 0.3) <= math.ulp(0.3)
 
 
 class TestInfra:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -20,6 +21,7 @@ from lieboxford.states import (
     HermiteSlater,
     NormalizationDrift,
     UniformGrid,
+    _symmetrized_weights,
     density,
     density_power_integral,
     maximal_function,
@@ -40,6 +42,7 @@ from oracles import (
     orbital_rho,
     orbital_values,
     orbital_weights,
+    permutation_sign,
     rho2,
     rho2_direct,
     scaled_profile,
@@ -178,6 +181,28 @@ class TestPairDensityKernel:
             direct = rho2_direct(state, x, y)
             assert np.max(np.abs(rho2(state, x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
             assert np.max(np.abs(rho2_direct(state, y, x) - direct)) > 1e-3 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_permutation_signs_are_the_determinants(self, n):
+        # with S the matrix of one permutation p, only the pairs (s, p s) survive,
+        # each weighted by its two signs: the norm is n! det(S) exactly when the
+        # sign of every permutation is its determinant (else it is off by 2 or 4)
+        for perm in itertools.permutations(range(n)):
+            matrix = np.eye(n)[list(perm)]
+            if permutation_sign(perm) > 0:
+                assert _symmetrized_weights(matrix, "antisymmetric")[0] == math.factorial(n)
+            else:  # a norm of -n!
+                with pytest.raises(ValueError, match="zero norm"):
+                    _symmetrized_weights(matrix, "antisymmetric")
+        # on a generic overlap matrix: norm n! det S, W1 = S^-T, and W2 its 2x2 minors
+        a = numpy_stream(5, n).normal(size=(n, n))
+        overlap = a @ a.T + n * np.eye(n)
+        norm, w1, w2 = _symmetrized_weights(overlap, "antisymmetric")
+        inv = np.linalg.inv(overlap)
+        assert norm == pytest.approx(math.factorial(n) * np.linalg.det(overlap), rel=1e-12)
+        np.testing.assert_allclose(w1, inv.T, rtol=0, atol=1e-13)
+        minors = np.einsum("ba,dc->abcd", inv, inv) - np.einsum("da,bc->abcd", inv, inv)
+        np.testing.assert_allclose(w2, minors, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("width, center", [(1.0, 0.0), (0.45, 1.7)])
     def test_hermite_recurrence_matches_scipy(self, width, center):
